@@ -343,6 +343,9 @@ def main(argv=None) -> int:
     except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError as e:
+        print(f"error: input nested too deeply ({e})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,16 +9,19 @@ The engine is a multiplicity-aware multicut: mcut(p1, A, p2, k) removes k
 antecedent occurrences of A from p2, pasting p1's context k times.  Left
 contractions on the cut formula bump k instead of re-cutting a grown
 proof, which keeps the recursion descending and makes termination a plain
-lexicographic argument (cut-formula depth, then p2 structure).  Duplicated
-subproofs are shared as Python objects, so memory stays near-linear while
-the logical line count grows exponentially.
+lexicographic argument (cut-formula depth, then p2 structure).  Multicut
+results are memoized for the length of one eliminate_cuts call, keyed on
+the identity of (p1, A, p2) and k, so a subproof shared in the input DAG is
+reduced once and its result stays shared in the output: work and memory
+track the DAG while the logical line count grows exponentially.
 
 Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
 with the derivation grafted into the matching slot.
 
 A node budget (default 10^6 lines, FEASLAB_NODE_BUDGET overrides) aborts
-oversized eliminations with NodeBudgetError.
+oversized eliminations with NodeBudgetError.  It still counts tree lines,
+each shared subproof once per occurrence, not the DAG nodes built.
 """
 
 from __future__ import annotations
@@ -99,13 +102,22 @@ def node_budget(override: Optional[int] = None) -> int:
 
 
 class _State:
-    __slots__ = ("theory", "budget", "ticks", "tick_cap")
+    """Per-call state of one eliminate_cuts run.
+
+    mcut_memo maps (id(p1), id(a), id(p2), k) to (result, p1, a, p2); keeping
+    the argument objects alive means no id is reused while the memo lives.
+    Ticks count multicut memo misses and rebuilt inferences, so the working
+    bound tracks the work actually done on the shared DAG.
+    """
+
+    __slots__ = ("theory", "budget", "ticks", "tick_cap", "mcut_memo")
 
     def __init__(self, theory, budget: int):
         self.theory = theory
         self.budget = budget
         self.ticks = 0
         self.tick_cap = max(budget * 8, 1 << 20)
+        self.mcut_memo: dict = {}
 
     def tick(self):
         self.ticks += 1
@@ -445,7 +457,21 @@ def _mcut(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     p1 proves Gamma |- Delta, a and p2 proves a^k, Pi |- Lambda (plus any
     further a's that are to be kept); the result proves
     Gamma^k, Pi |- Delta^k, Lambda.  Both inputs are cut-free.
+
+    The result depends only on the arguments and the theory, so it is
+    memoized per elimination: a subproof shared in the DAG is reduced once
+    and its result is shared in the output.
     """
+    key = (id(p1), id(a), id(p2), k)
+    hit = st.mcut_memo.get(key)
+    if hit is not None:
+        return hit[0]
+    out = _mcut_step(p1, a, p2, k, st)
+    st.mcut_memo[key] = (out, p1, a, p2)
+    return out
+
+
+def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     st.tick()
     if k == 0:
         return p2

@@ -808,16 +808,6 @@ class SizeStats:
     max_formula_dag_nodes: int
     expanded_symbol_size: object  # exact int, or float log2 once oversized
 
-    def summary(self) -> str:
-        ess = self.expanded_symbol_size
-        ess_txt = f"~2^{ess:.1f}" if isinstance(ess, float) else str(ess)
-        return (
-            f"lines={self.lines} cuts={self.cut_count} "
-            f"contractions={self.contraction_count} "
-            f"max_formula_dag={self.max_formula_dag_nodes} "
-            f"expanded_symbols={ess_txt}"
-        )
-
 
 def _iter_unique_nodes(p: Proof):
     """Distinct Proof objects, premises before conclusions."""

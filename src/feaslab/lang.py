@@ -56,9 +56,6 @@ class Signature:
             if k < 1:
                 raise LangError(f"symbol {s!r} needs arity >= 1, got {k}")
 
-    def has_symbol(self, s: str) -> bool:
-        return s in self.constants or s in self.functions or s in self.predicates
-
 
 def arith_signature() -> Signature:
     return Signature(

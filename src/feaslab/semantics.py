@@ -735,15 +735,6 @@ def word_inv(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def word_str(w: Word) -> str:
-    if not w:
-        return "e"
-    parts = []
-    for g, e in w:
-        parts.append(g if e == 1 else f"{g}^{e}")
-    return " ".join(parts)
-
-
 def eval_group_free(t: Term, memo: Optional[dict] = None, vars_as_letters: bool = False) -> Word:
     """Reduced word of a group term; variables may count as fresh letters."""
     if memo is None:

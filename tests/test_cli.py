@@ -178,6 +178,13 @@ def test_error_paths(capsys):
     assert "inf" in err
 
 
+def test_deep_input_is_one_error_line(capsys):
+    rc, out, err = run(capsys, "gen", "unary", "1200")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_node_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("FEASLAB_NODE_BUDGET", "50")
     rc, _, err = run(capsys, "cutfree", "square-cut", "5")

@@ -4,6 +4,8 @@ Cut-free goldens were frozen from runs of the eliminator after verifying
 the outputs check and match the closed forms (square-cut: 6*2^n - 3).
 """
 
+import hashlib
+
 import pytest
 
 from feaslab.cutelim import (
@@ -22,7 +24,7 @@ from feaslab.generators import (
     gen_square_cut,
     gen_unary,
 )
-from feaslab.kernel import check, cut, logical_axiom, size
+from feaslab.kernel import check, cut, logical_axiom, serialize_proof, size
 from feaslab.lang import atom, const
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
@@ -56,9 +58,61 @@ def test_square_cut_doubles_per_stage():
 
 
 def test_quantifier_blowup_table():
-    golden = {0: 9, 1: 23, 2: 105, 3: 1739}
+    golden = {0: 9, 1: 23, 2: 105, 3: 1739, 4: 446157}
     for n, want in golden.items():
         assert cut_free_lines(gen_quantifier(n)) == want
+
+
+def test_quantifier_stage_five_exact_lines():
+    rep = gen_quantifier(5)
+    cf = eliminate_cuts(rep.proof, rep.theory, budget=10**30)
+    assert cf.conclusion == rep.proof.conclusion
+    assert size(cf).lines == 29_239_594_703
+
+
+def dag_nodes(p):
+    seen = {id(p)}
+    stack = [p]
+    while stack:
+        for q in stack.pop().premises:
+            if id(q) not in seen:
+                seen.add(id(q))
+                stack.append(q)
+    return len(seen)
+
+
+def test_cut_free_output_keeps_sharing():
+    gpq = [gen_group_power("x", n, mode="quantifier") for n in range(5)]
+    quant = [gen_quantifier(n) for n in range(5)]
+    for reps, want in ((gpq, [2, 3, 5, 9, 17]), (quant, [6, 11, 21, 41, 81])):
+        got = [dag_nodes(eliminate_cuts(r.proof, r.theory)) for r in reps]
+        assert got == want
+
+
+def test_cut_free_serialization_frozen():
+    # sha256 of the concatenated cut-free proofs, frozen from the eliminator
+    # before its multicut was memoized
+    reps = (
+        [gen_square_cut(n) for n in range(9)]
+        + [gen_distorted(n) for n in range(8)]
+        + [gen_group_power("x", n, mode="squaring") for n in range(9)]
+        + [gen_quantifier(n) for n in range(4)]
+        + [gen_group_power("x", n, mode="quantifier") for n in range(4)]
+    )
+    h = hashlib.sha256()
+    for r in reps:
+        h.update(serialize_proof(eliminate_cuts(r.proof, r.theory)).encode())
+    assert h.hexdigest() == (
+        "e6a77160d9e03caaf14c3cca26900daeb78adad60283ec648797e20542bbd877"
+    )
+
+
+def test_repeated_elimination_is_identical():
+    # no multicut state survives from one call to the next
+    rep = gen_quantifier(3)
+    first = eliminate_cuts(rep.proof, rep.theory)
+    second = eliminate_cuts(rep.proof, rep.theory)
+    assert serialize_proof(first) == serialize_proof(second)
 
 
 def test_group_blowup_at_stage_three():
