@@ -15,6 +15,10 @@ the identity of (p1, A, p2) and k, so a subproof shared in the input DAG is
 reduced once and its result stays shared in the output: work and memory
 track the DAG while the logical line count grows exponentially.
 
+Each rule's principal formula and consumed occurrences come from the
+kernel's `analyze` step; applied theory axioms take theirs from the rule's
+instantiation instead, which is cheaper than re-validating it.
+
 Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
 with the derivation grafted into the matching slot.
@@ -36,6 +40,9 @@ from typing import Optional
 from .kernel import (
     KernelError,
     Proof,
+    Step,
+    _iter_unique_nodes,
+    analyze,
     and_left,
     and_right,
     contract_left,
@@ -59,14 +66,10 @@ from .kernel import (
     weaken_right,
 )
 from .lang import (
-    And,
     Atom,
-    Exists,
     Forall,
     Formula,
     Implies,
-    Not,
-    Or,
     Sequent,
     formula_str,
     free_vars,
@@ -141,292 +144,63 @@ def _count(fs: tuple, f: Formula) -> int:
     return sum(1 for g in fs if g is f)
 
 
-def _tree_lines(p: Proof) -> int:
-    memo: dict = {}
+def _tree_lines(p: Proof, memo: dict) -> int:
+    """Tree lines of p; memo maps id(node) -> lines and is kept across calls."""
     stack = [(p, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             memo[id(node)] = 1 + sum(memo[id(q)] for q in node.premises)
-            continue
-        if id(node) in memo:
-            continue
-        stack.append((node, True))
-        for q in node.premises:
-            if id(q) not in memo:
-                stack.append((q, False))
+        elif id(node) not in memo:
+            stack.append((node, True))
+            stack.extend((q, False) for q in node.premises if id(q) not in memo)
     return memo[id(p)]
 
 
-# ---------------------------------------------------------------------------
-# Principal-formula inference (first multiset-consistent match, mirroring
-# the checker's search order)
+def _kept(p: Proof, step: Step, j: int, side: str, a: Formula) -> int:
+    """Occurrences of a on one side of premise j that p's rule leaves in
+    its context, i.e. does not consume."""
+    q = p.premises[j].conclusion
+    fs = q.ant if side == "L" else q.succ
+    used = [i for k, s, i in step.consumed if k == j and s == side]
+    return sum(1 for i, f in enumerate(fs) if f is a and i not in used)
 
 
-def _infer_cut_formula(p1: Proof, p2: Proof, conclusion: Sequent) -> Formula:
-    for f in p1.conclusion.succ:
-        if _count(p2.conclusion.ant, f) == 0:
-            continue
-        ant_ok = (
-            Counter(p1.conclusion.ant) + Counter(p2.conclusion.ant) - Counter((f,))
-            == Counter(conclusion.ant)
-        )
-        succ_ok = (
-            Counter(p1.conclusion.succ) - Counter((f,)) + Counter(p2.conclusion.succ)
-            == Counter(conclusion.succ)
-        )
-        if ant_ok and succ_ok:
-            return f
-    raise KernelError("cannot infer the cut formula")
+# Each rule rebuilt over new premises q from its principal formula f; the
+# rule r supplies witnesses and eigenvariables.
+_REBUILD = {
+    "Cut": lambda q, f, r: cut(q[0], q[1], f),
+    "WeakenLeft": lambda q, f, r: weaken_left(q[0], f),
+    "WeakenRight": lambda q, f, r: weaken_right(q[0], f),
+    "ContractLeft": lambda q, f, r: contract_left(q[0], f),
+    "ContractRight": lambda q, f, r: contract_right(q[0], f),
+    "AndLeft": lambda q, f, r: and_left(q[0], f.left, f.right),
+    "AndRight": lambda q, f, r: and_right(q[0], q[1], f.left, f.right),
+    "OrLeft": lambda q, f, r: or_left(q[0], q[1], f.left, f.right),
+    "OrRight": lambda q, f, r: or_right(q[0], f.left, f.right),
+    "ImpliesLeft": lambda q, f, r: implies_left(q[0], q[1], f.left, f.right),
+    "ImpliesRight": lambda q, f, r: implies_right(q[0], f.left, f.right),
+    "NotLeft": lambda q, f, r: not_left(q[0], f.body),
+    "NotRight": lambda q, f, r: not_right(q[0], f.body),
+    "ForallLeft": lambda q, f, r: forall_left(q[0], f, r.term),
+    "ExistsRight": lambda q, f, r: exists_right(q[0], f, r.term),
+    "ForallRight": lambda q, f, r: forall_right(q[0], f, r.eigen),
+    "ExistsLeft": lambda q, f, r: exists_left(q[0], f, r.eigen),
+}
 
 
-def _infer_contract(node: Proof) -> Formula:
-    side = "L" if node.rule.tag == "ContractLeft" else "R"
-    c, p = (
-        (node.conclusion.ant, node.premises[0].conclusion.ant)
-        if side == "L"
-        else (node.conclusion.succ, node.premises[0].conclusion.succ)
-    )
-    diff = Counter(p) - Counter(c)
-    (f,) = diff
-    return f
-
-
-def _infer_weaken(node: Proof) -> Formula:
-    side = "L" if node.rule.tag == "WeakenLeft" else "R"
-    c, p = (
-        (node.conclusion.ant, node.premises[0].conclusion.ant)
-        if side == "L"
-        else (node.conclusion.succ, node.premises[0].conclusion.succ)
-    )
-    diff = Counter(c) - Counter(p)
-    (f,) = diff
-    return f
-
-
-def _infer_binop(node: Proof) -> Formula:
-    """Principal formula of And/Or/Implies/Not rules (first hit)."""
-    tag = node.rule.tag
-    c = node.conclusion
-    ps = [q.conclusion for q in node.premises]
-    if tag == "AndLeft":
-        pool, cls = c.ant, And
-    elif tag == "AndRight":
-        pool, cls = c.succ, And
-    elif tag == "OrLeft":
-        pool, cls = c.ant, Or
-    elif tag == "OrRight":
-        pool, cls = c.succ, Or
-    elif tag == "ImpliesLeft":
-        pool, cls = c.ant, Implies
-    elif tag == "ImpliesRight":
-        pool, cls = c.succ, Implies
-    elif tag == "NotLeft":
-        pool, cls = c.ant, Not
-    else:
-        pool, cls = c.succ, Not
-    for f in pool:
-        if not isinstance(f, cls):
-            continue
-        if _binop_fits(tag, f, c, ps):
-            return f
-    raise KernelError(f"cannot infer the principal formula of {tag}")
-
-
-def _binop_fits(tag: str, f: Formula, c: Sequent, ps: list) -> bool:
-    one = Counter((f,))
-    if tag == "AndLeft":
-        return Counter(ps[0].ant) == Counter(c.ant) - one + Counter((f.left, f.right)) and Counter(
-            ps[0].succ
-        ) == Counter(c.succ)
-    if tag == "OrRight":
-        return Counter(ps[0].succ) == Counter(c.succ) - one + Counter(
-            (f.left, f.right)
-        ) and Counter(ps[0].ant) == Counter(c.ant)
-    if tag == "AndRight":
-        return (
-            Counter(ps[0].ant) + Counter(ps[1].ant) == Counter(c.ant)
-            and Counter(ps[0].succ)
-            - Counter((f.left,))
-            + Counter(ps[1].succ)
-            - Counter((f.right,))
-            + one
-            == Counter(c.succ)
-            and _count(ps[0].succ, f.left) > 0
-            and _count(ps[1].succ, f.right) > 0
-        )
-    if tag == "OrLeft":
-        return (
-            Counter(ps[0].succ) + Counter(ps[1].succ) == Counter(c.succ)
-            and Counter(ps[0].ant)
-            - Counter((f.left,))
-            + Counter(ps[1].ant)
-            - Counter((f.right,))
-            + one
-            == Counter(c.ant)
-            and _count(ps[0].ant, f.left) > 0
-            and _count(ps[1].ant, f.right) > 0
-        )
-    if tag == "ImpliesLeft":
-        return (
-            _count(ps[0].succ, f.left) > 0
-            and _count(ps[1].ant, f.right) > 0
-            and Counter(ps[0].ant) + Counter(ps[1].ant) - Counter((f.right,)) + one
-            == Counter(c.ant)
-            and Counter(ps[0].succ) - Counter((f.left,)) + Counter(ps[1].succ)
-            == Counter(c.succ)
-        )
-    if tag == "ImpliesRight":
-        return (
-            _count(ps[0].ant, f.left) > 0
-            and _count(ps[0].succ, f.right) > 0
-            and Counter(ps[0].ant) - Counter((f.left,)) == Counter(c.ant)
-            and Counter(ps[0].succ) - Counter((f.right,)) + one == Counter(c.succ)
-        )
-    if tag == "NotLeft":
-        return Counter(ps[0].ant) + one == Counter(c.ant) and Counter(ps[0].succ) - Counter(
-            (f.body,)
-        ) == Counter(c.succ)
-    return Counter(ps[0].succ) + one == Counter(c.succ) and Counter(ps[0].ant) - Counter(
-        (f.body,)
-    ) == Counter(c.ant)
-
-
-def _infer_quant(node: Proof) -> Formula:
-    tag = node.rule.tag
-    c = node.conclusion
-    p = node.premises[0].conclusion
-    if tag in ("ForallLeft", "ExistsRight"):
-        side_c, side_p = (c.ant, p.ant) if tag == "ForallLeft" else (c.succ, p.succ)
-        cls = Forall if tag == "ForallLeft" else Exists
-        witness = node.rule.term
-    else:
-        side_c, side_p = (c.succ, p.succ) if tag == "ForallRight" else (c.ant, p.ant)
-        cls = Forall if tag == "ForallRight" else Exists
-        witness = var(node.rule.eigen)
-    for f in side_c:
-        if not isinstance(f, cls):
-            continue
-        inst = substitute(f.body, f.v, witness)
-        if Counter(side_p) == Counter(side_c) - Counter((f,)) + Counter((inst,)):
-            return f
-    raise KernelError(f"cannot infer the principal formula of {tag}")
-
-
-def _consumed_ant(node: Proof) -> list:
-    """Per-premise Counter of antecedent occurrences the rule consumes."""
-    tag = node.rule.tag
-    empty = Counter()
-    if tag == "ImpliesRight":
-        f = _infer_binop(node)
-        return [Counter((f.left,))]
-    if tag == "NotRight":
-        f = _infer_binop(node)
-        return [Counter((f.body,))]
-    if tag == "AndLeft":
-        f = _infer_binop(node)
-        return [Counter((f.left, f.right))]
-    if tag == "OrLeft":
-        f = _infer_binop(node)
-        return [Counter((f.left,)), Counter((f.right,))]
-    if tag == "ImpliesLeft":
-        f = _infer_binop(node)
-        return [empty, Counter((f.right,))]
-    if tag in ("ForallLeft", "ExistsLeft"):
-        f = _infer_quant(node)
-        w = node.rule.term if tag == "ForallLeft" else var(node.rule.eigen)
-        return [Counter((substitute(f.body, f.v, w),))]
-    if tag == "Cut":
-        a = _infer_cut_formula(node.premises[0], node.premises[1], node.conclusion)
-        return [empty, Counter((a,))]
-    return [empty for _ in node.premises]
-
-
-def _consumed_succ(node: Proof, st: _State) -> list:
-    tag = node.rule.tag
-    empty = Counter()
-    if tag == "ImpliesRight":
-        f = _infer_binop(node)
-        return [Counter((f.right,))]
-    if tag == "NotLeft":
-        f = _infer_binop(node)
-        return [Counter((f.body,))]
-    if tag == "OrRight":
-        f = _infer_binop(node)
-        return [Counter((f.left, f.right))]
-    if tag == "AndRight":
-        f = _infer_binop(node)
-        return [Counter((f.left,)), Counter((f.right,))]
-    if tag == "ImpliesLeft":
-        f = _infer_binop(node)
-        return [Counter((f.left,)), empty]
-    if tag in ("ForallRight", "ExistsRight"):
-        f = _infer_quant(node)
-        w = var(node.rule.eigen) if tag == "ForallRight" else node.rule.term
-        return [Counter((substitute(f.body, f.v, w),))]
-    if tag == "Cut":
-        a = _infer_cut_formula(node.premises[0], node.premises[1], node.conclusion)
-        return [Counter((a,)), empty]
-    if tag == "TheoryAxiom" and node.premises:
-        phis, _psi = st.theory.instantiate(node.rule.axiom, node.rule.subst_dict())
-        return [Counter((phi,)) for phi in phis]
-    return [empty for _ in node.premises]
-
-
-def _reapply(node: Proof, new_premises: tuple, st: _State) -> Proof:
+def _reapply(node: Proof, step: Optional[Step], new_premises: tuple, st: _State) -> Proof:
     """Rebuild node's inference over replacement premises (contexts may
-    have changed; principal data is taken from the original node)."""
+    have changed; the principal formula comes from the node's step, which
+    applied theory axioms do without)."""
     st.tick()
     tag = node.rule.tag
-    q = new_premises
-    if tag in ("WeakenLeft", "WeakenRight"):
-        f = _infer_weaken(node)
-        return weaken_left(q[0], f) if tag == "WeakenLeft" else weaken_right(q[0], f)
-    if tag in ("ContractLeft", "ContractRight"):
-        f = _infer_contract(node)
-        return contract_left(q[0], f) if tag == "ContractLeft" else contract_right(q[0], f)
-    if tag == "AndLeft":
-        f = _infer_binop(node)
-        return and_left(q[0], f.left, f.right)
-    if tag == "AndRight":
-        f = _infer_binop(node)
-        return and_right(q[0], q[1], f.left, f.right)
-    if tag == "OrLeft":
-        f = _infer_binop(node)
-        return or_left(q[0], q[1], f.left, f.right)
-    if tag == "OrRight":
-        f = _infer_binop(node)
-        return or_right(q[0], f.left, f.right)
-    if tag == "ImpliesLeft":
-        f = _infer_binop(node)
-        return implies_left(q[0], q[1], f.left, f.right)
-    if tag == "ImpliesRight":
-        f = _infer_binop(node)
-        return implies_right(q[0], f.left, f.right)
-    if tag == "NotLeft":
-        f = _infer_binop(node)
-        return not_left(q[0], f.body)
-    if tag == "NotRight":
-        f = _infer_binop(node)
-        return not_right(q[0], f.body)
-    if tag == "ForallLeft":
-        f = _infer_quant(node)
-        return forall_left(q[0], f, node.rule.term)
-    if tag == "ExistsRight":
-        f = _infer_quant(node)
-        return exists_right(q[0], f, node.rule.term)
-    if tag == "ForallRight":
-        f = _infer_quant(node)
-        return forall_right(q[0], f, node.rule.eigen)
-    if tag == "ExistsLeft":
-        f = _infer_quant(node)
-        return exists_left(q[0], f, node.rule.eigen)
     if tag == "TheoryAxiom":
-        return theory_apply(st.theory, node.rule.axiom, node.rule.subst_dict(), q)
-    if tag == "Cut":
-        a = _infer_cut_formula(node.premises[0], node.premises[1], node.conclusion)
-        return cut(q[0], q[1], a)
-    raise FragmentError(f"cannot commute past rule {tag}")
+        return theory_apply(st.theory, node.rule.axiom, node.rule.subst_dict(), new_premises)
+    build = _REBUILD.get(tag)
+    if build is None:
+        raise FragmentError(f"cannot commute past rule {tag}")
+    return build(new_premises, step.principal, node.rule)
 
 
 def _weaken_to(p: Proof, target: Sequent) -> Proof:
@@ -482,7 +256,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     r1 = p1.rule.tag
     if r1 == "LogicalAxiom":
         return p2
-    if r1 == "WeakenRight" and _infer_weaken(p1) is a:
+    if r1 == "WeakenRight" and analyze(p1).principal is a:
         inner = p1.premises[0]
         gamma = p1.conclusion.ant
         delta = _drop_one(p1.conclusion.succ, a)
@@ -507,7 +281,14 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
                 premises.append(logical_axiom(phi))
         return theory_apply(st.theory, p2.rule.axiom, p2.rule.subst_dict(), premises)
 
-    if tag == "WeakenLeft" and _infer_weaken(p2) is a:
+    if tag == "Cut":
+        raise KernelError("multicut premises must be cut-free")
+
+    # applied theory axioms consume succedents only, so they need no step
+    step = None if tag == "TheoryAxiom" else analyze(p2)
+    on_a = step is not None and step.principal is a
+
+    if on_a and tag == "WeakenLeft":
         inner = _mcut(p1, a, p2.premises[0], k - 1, st)
         gamma = p1.conclusion.ant
         delta = tuple(_drop_one(p1.conclusion.succ, a))
@@ -517,7 +298,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
             inner = weaken_right(inner, f)
         return inner
 
-    if tag == "ContractLeft" and _infer_contract(p2) is a:
+    if on_a and tag == "ContractLeft":
         if k < _count(p2.conclusion.ant, a):
             # enough untouched copies remain to contract afterwards
             inner = _mcut(p1, a, p2.premises[0], k, st)
@@ -529,20 +310,12 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
             inner = contract_right(inner, f)
         return inner
 
-    # principal on the left of p2?
-    if tag == "ImpliesLeft":
-        f = _infer_binop(p2)
-        if f is a:
-            return _reduce_implies(p1, a, p2, k, st)
-    if tag == "ForallLeft":
-        f = _infer_quant(p2)
-        if f is a:
-            return _reduce_forall(p1, a, p2, k, st)
-    if tag in ("AndLeft", "OrLeft", "NotLeft", "ExistsLeft"):
-        # fragment cut formulas are never principal for these
-        pass
-    if tag == "Cut":
-        raise KernelError("multicut premises must be cut-free")
+    # principal on the left of p2?  Fragment cut formulas are never
+    # principal for AndLeft, OrLeft, NotLeft or ExistsLeft.
+    if on_a and tag == "ImpliesLeft":
+        return _reduce_implies(p1, a, p2, k, st)
+    if on_a and tag == "ForallLeft":
+        return _reduce_forall(p1, a, p2, k, st)
 
     # context commutation: distribute the quota over the premises
     if tag in ("ForallRight", "ExistsLeft"):
@@ -554,17 +327,16 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
         if clash:
             fresh = fresh_name(eigen, _names_around(p1, p2))
             q = substitute_proof(p2.premises[0], {eigen: var(fresh)})
-            qf = _infer_quant(p2)
+            # renaming keeps every premise occurrence in place: step still fits
             p2 = (
-                forall_right(q, qf, fresh)
+                forall_right(q, step.principal, fresh)
                 if tag == "ForallRight"
-                else exists_left(q, qf, fresh)
+                else exists_left(q, step.principal, fresh)
             )
-    consumed = _consumed_ant(p2)
     remaining = k
     new_premises = []
     for j, q in enumerate(p2.premises):
-        avail = _count(q.conclusion.ant, a) - consumed[j].get(a, 0)
+        avail = _count(q.conclusion.ant, a) if step is None else _kept(p2, step, j, "L", a)
         take = min(avail, remaining)
         remaining -= take
         new_premises.append(_mcut(p1, a, q, take, st))
@@ -572,7 +344,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
         raise FragmentError(
             f"cut formula {formula_str(a)} is tied to rule {tag} in an unsupported way"
         )
-    return _reapply(p2, tuple(new_premises), st)
+    return _reapply(p2, step, tuple(new_premises), st)
 
 
 def _drop_one(fs: tuple, f: Formula) -> tuple:
@@ -606,31 +378,38 @@ def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
     """Commute p1 until its last rule introduces a on the right."""
     st.tick()
     tag = p1.rule.tag
-    if tag == "ImpliesRight" and isinstance(a, Implies) and _infer_binop(p1) is a:
-        return p1
-    if tag == "ForallRight" and isinstance(a, Forall) and _infer_quant(p1) is a:
-        return p1
-    if tag == "WeakenRight" and _infer_weaken(p1) is a:
-        q = p1.premises[0]
-        if isinstance(a, Implies):
-            body = weaken_right(weaken_left(q, a.left), a.right)
-            return implies_right(body, a.left, a.right)
-        if isinstance(a, Forall):
-            e = fresh_name("w", _names_around(p1))
-            body = weaken_right(q, substitute(a.body, a.v, var(e)))
-            return forall_right(body, a, e)
-        raise FragmentError("cannot principalize a weakened cut formula of this shape")
     if tag in ("LogicalAxiom", "EqOracle"):
         raise FragmentError("cut formula of this shape cannot head an axiom leaf")
-    if tag == "TheoryAxiom" and not p1.premises:
-        raise FragmentError("theory leaves conclude atoms only")
-    if tag == "ContractRight" and _infer_contract(p1) is a:
-        raise FragmentError(
-            "right contraction on the cut formula is outside the supported fragment"
-        )
-    consumed = _consumed_succ(p1, st)
+    if tag == "TheoryAxiom":
+        if not p1.premises:
+            raise FragmentError("theory leaves conclude atoms only")
+        step = None
+        phis, _psi = st.theory.instantiate(p1.rule.axiom, p1.rule.subst_dict())
+    else:
+        step = analyze(p1)
+        on_a = step.principal is a
+        if on_a and tag in ("ImpliesRight", "ForallRight"):
+            return p1
+        if on_a and tag == "WeakenRight":
+            q = p1.premises[0]
+            if isinstance(a, Implies):
+                body = weaken_right(weaken_left(q, a.left), a.right)
+                return implies_right(body, a.left, a.right)
+            if isinstance(a, Forall):
+                e = fresh_name("w", _names_around(p1))
+                body = weaken_right(q, substitute(a.body, a.v, var(e)))
+                return forall_right(body, a, e)
+            raise FragmentError("cannot principalize a weakened cut formula of this shape")
+        if on_a and tag == "ContractRight":
+            raise FragmentError(
+                "right contraction on the cut formula is outside the supported fragment"
+            )
     for j, q in enumerate(p1.premises):
-        if _count(q.conclusion.succ, a) - consumed[j].get(a, 0) <= 0:
+        if step is None:
+            kept = _count(q.conclusion.succ, a) - (1 if phis[j] is a else 0)
+        else:
+            kept = _kept(p1, step, j, "R", a)
+        if kept <= 0:
             continue
         qp = _principalize_right(q, a, st)
         inner = qp.premises[0]
@@ -643,10 +422,10 @@ def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
                 e2 = fresh_name(e, outer_names)
                 inner = substitute_proof(inner, {e: var(e2)})
                 e = e2
-            rebuilt = _reapply(p1, _swap(p1.premises, j, inner), st)
+            rebuilt = _reapply(p1, step, _swap(p1.premises, j, inner), st)
             return forall_right(rebuilt, a, e)
         # ImpliesRight
-        rebuilt = _reapply(p1, _swap(p1.premises, j, inner), st)
+        rebuilt = _reapply(p1, step, _swap(p1.premises, j, inner), st)
         return implies_right(rebuilt, a.left, a.right)
     raise FragmentError(
         f"cannot locate {formula_str(a)} for principalization in {tag}"
@@ -707,22 +486,14 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
     sys.setrecursionlimit(max(old, 200_000))
     try:
         done: dict = {}
-        stack = [(p, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if not expanded:
-                if id(node) in done:
-                    continue
-                stack.append((node, True))
-                for q in node.premises:
-                    if id(q) not in done:
-                        stack.append((q, False))
-                continue
-            if id(node) in done:
-                continue
+        # id(node) -> tree lines, for the nodes of the output built so far;
+        # every key is a node reachable from a value of `done`, which lives
+        # as long as this memo, so no id is reused while it is in use
+        lines: dict = {}
+        for node in _iter_unique_nodes(p):
             prems = tuple(done[id(q)] for q in node.premises)
             if node.rule.tag == "Cut":
-                a = _infer_cut_formula(node.premises[0], node.premises[1], node.conclusion)
+                a = analyze(node).principal
                 if not _in_fragment(a):
                     raise FragmentError(
                         f"cut formula {formula_str(a)} lies outside the "
@@ -734,7 +505,7 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
                         "internal: cut elimination changed the sequent from "
                         f"{sequent_str(node.conclusion)} to {sequent_str(out.conclusion)}"
                     )
-                if _tree_lines(out) > limit:
+                if _tree_lines(out, lines) > limit:
                     raise NodeBudgetError(
                         f"cut-free proof exceeds the node budget of {limit}"
                     )

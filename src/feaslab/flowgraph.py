@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .kernel import Proof, analyze
+from .kernel import Proof, analyze, step_edges
 from .lang import formula_str
 
 Occ = Tuple[Tuple[int, ...], str, int]
@@ -158,8 +158,7 @@ def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
                 occ = (path, side, i)
                 nodes.append(occ)
                 labels[occ] = formula_str(f)
-        local = analyze(node, theory, want_edges=True)
-        for end1, end2, tag in local:
+        for end1, end2, tag in step_edges(node, analyze(node, theory)):
             edges.append((_to_global(end1, path), _to_global(end2, path), tag))
         for j, q in enumerate(node.premises):
             stack.append((q, path + (j,)))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import semantics
@@ -91,15 +92,10 @@ class GenReport:
     theory: Theory
     value_desc: str
     _value_fn: Callable = field(repr=False, default=None)
-    _value_cache: object = field(repr=False, default=None)
-    _value_ready: bool = field(repr=False, default=False)
 
-    @property
+    @cached_property
     def advertised_value(self):
-        if not self._value_ready:
-            self._value_cache = self._value_fn()
-            self._value_ready = True
-        return self._value_cache
+        return self._value_fn()
 
 
 def _report(proof, target, theory, value_fn, value_desc) -> GenReport:

@@ -18,7 +18,11 @@ like |- F(n) possible at all; with leaves only, no right rule could ever
 discharge the antecedents.
 
 `analyze` is the single source of truth for rule correctness and for the
-occurrence-level correspondences the flow-graph builder consumes.
+occurrence-level correspondences.  It validates one inference and returns
+its `Step`: the principal formula, its occurrence in the conclusion, the
+premise occurrences the rule consumes and the tag of the edges that link
+them.  The checker, the flow-graph builder (through `step_edges`) and cut
+elimination all consume that step.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 from . import semantics
 from .lang import (
@@ -172,10 +176,6 @@ _ARITY = {
     "ExistsLeft": 1,
     "ExistsRight": 1,
 }
-
-
-def end_sequent(p: Proof) -> Sequent:
-    return p.conclusion
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +352,59 @@ def _check_eigen(node: Proof, eigen: str):
 # (premise_index, side, i) for premises, with side in {'L', 'R'}.
 
 
-def analyze(node: Proof, theory=None, want_edges: bool = False):
-    """Validate one inference step; optionally return flow edges.
+class Step(NamedTuple):
+    """What one inference does to formula occurrences.
 
-    Edges are (premise_end, conclusion_end_or_other, tag) triples with tag
-    one of ancestry / axiom-link / cut-link / contraction-merge.  When no
-    theory is given, theory-axiom steps are matched structurally (shape
-    only), which suffices for flow building on canonically built proofs.
+    principal: the principal formula; for Cut, the cut formula.
+    at: the principal formula's occurrence in the conclusion (None for Cut).
+    consumed: the premise occurrences the rule consumes, as (k, side, i);
+        for axiom leaves these are conclusion occurrences ('c', side, i).
+    link: the tag of the edges joining each consumed occurrence to `at`
+        (for Cut, the two consumed occurrences to each other): one of
+        ancestry / cut-link / contraction-merge / axiom-link.
+    """
+
+    principal: Formula
+    at: Optional[tuple]
+    consumed: tuple
+    link: str
+
+
+# principal side, connective and its name in messages
+_BINARY_RULES = {
+    "AndLeft": ("L", And, "conjunction"),
+    "OrRight": ("R", Or, "disjunction"),
+    "AndRight": ("R", And, "conjunction"),
+    "OrLeft": ("L", Or, "disjunction"),
+}
+# principal side and quantifier
+_QUANT_RULES = {
+    "ForallLeft": ("L", Forall),
+    "ExistsRight": ("R", Exists),
+    "ForallRight": ("R", Forall),
+    "ExistsLeft": ("L", Exists),
+}
+
+
+def _sides(s: Sequent, side: str) -> tuple:
+    """(the given side, the other side) of a sequent; side is 'L' or 'R'."""
+    return (s.ant, s.succ) if side == "L" else (s.succ, s.ant)
+
+
+def _same(xs: tuple, ys: tuple) -> bool:
+    """Multiset equality of formula tuples (formulas are interned)."""
+    return len(xs) == len(ys) and sorted(map(id, xs)) == sorted(map(id, ys))
+
+
+def analyze(node: Proof, theory=None) -> Step:
+    """Validate one inference step and return its Step.
+
+    Raises CheckError naming the node when the step is not a valid
+    instance of its rule.  When several formulas could be principal, the
+    first match wins, in conclusion order (for Cut, in the order of the
+    left premise's succedent).  When no theory is given,
+    theory-axiom steps are matched structurally (shape only), which
+    suffices for flow building on canonically built proofs.
     """
     tag = node.rule.tag
     c = node.conclusion
@@ -368,7 +414,7 @@ def analyze(node: Proof, theory=None, want_edges: bool = False):
     if tag == "LogicalAxiom":
         if len(c.ant) != 1 or len(c.succ) != 1 or c.ant[0] is not c.succ[0]:
             fail("logical axiom must be A |- A")
-        return [(("c", "L", 0), ("c", "R", 0), "axiom-link")] if want_edges else None
+        return Step(c.succ[0], ("c", "R", 0), (("c", "L", 0),), "axiom-link")
 
     if tag == "EqOracle":
         if c.ant or len(c.succ) != 1:
@@ -380,170 +426,82 @@ def analyze(node: Proof, theory=None, want_edges: bool = False):
             verdict = theory.oracle(f.args[0], f.args[1])
             if verdict != "equal":
                 fail(f"oracle verdict for {formula_str(f)} is {verdict!r}")
-        return [] if want_edges else None
+        return Step(f, ("c", "R", 0), (), "axiom-link")
 
     if tag == "TheoryAxiom":
-        return _analyze_theory_axiom(node, theory, want_edges)
+        return _analyze_theory_axiom(node, theory)
+
+    # The multiset checks below read "premises = conclusion + consumed -
+    # principal" with every term moved to the side where it is added.
 
     if tag == "Cut":
         for i, f in enumerate(ps[0].succ):
             j = _first_index(ps[1].ant, f)
             if j < 0:
                 continue
-            ant_ok = Counter(ps[0].ant) + Counter(ps[1].ant) - Counter((f,)) == Counter(c.ant)
-            succ_ok = Counter(ps[0].succ) - Counter((f,)) + Counter(ps[1].succ) == Counter(c.succ)
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [((0, "R", i), (1, "L", j), "cut-link")]
-                edges += _ancestry(node, consumed={(0, "R", i), (1, "L", j)}, principal=[])
-                return edges
+            if _same(ps[0].ant + ps[1].ant, c.ant + (f,)) and _same(
+                ps[0].succ + ps[1].succ, c.succ + (f,)
+            ):
+                return Step(f, None, ((0, "R", i), (1, "L", j)), "cut-link")
         fail("no cut formula matches the premises")
 
     if tag in ("WeakenLeft", "WeakenRight"):
         side = "L" if tag == "WeakenLeft" else "R"
-        cs, psside = (c.ant, ps[0].ant) if side == "L" else (c.succ, ps[0].succ)
-        diff = Counter(cs) - Counter(psside)
+        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
+        diff = Counter(cs) - Counter(pside)
         if len(diff) != 1 or set(diff.values()) != {1}:
             fail("weakening must add exactly one formula")
         (f,) = diff
-        if Counter(psside) + Counter((f,)) != Counter(cs):
+        if not _same(pside + (f,), cs):
             fail("weakening context mismatch")
-        if side == "L" and Counter(c.succ) != Counter(ps[0].succ):
+        if not _same(co, po):
             fail("weakening must leave the other side unchanged")
-        if side == "R" and Counter(c.ant) != Counter(ps[0].ant):
-            fail("weakening must leave the other side unchanged")
-        if not want_edges:
-            return None
-        i = _first_index(cs, f)
-        return _ancestry(node, consumed=set(), principal=[("c", side, i)])
+        return Step(f, ("c", side, _first_index(cs, f)), (), "ancestry")
 
     if tag in ("ContractLeft", "ContractRight"):
         side = "L" if tag == "ContractLeft" else "R"
-        cs, pside = (c.ant, ps[0].ant) if side == "L" else (c.succ, ps[0].succ)
+        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
         diff = Counter(pside) - Counter(cs)
         if len(diff) != 1 or set(diff.values()) != {1}:
             fail("contraction must merge exactly one duplicate")
         (f,) = diff
-        if _first_index(cs, f) < 0:
+        jc = _first_index(cs, f)
+        if jc < 0:
             fail("contracted formula must remain in the conclusion")
-        if side == "L" and Counter(c.succ) != Counter(ps[0].succ):
+        if not _same(co, po):
             fail("contraction must leave the other side unchanged")
-        if side == "R" and Counter(c.ant) != Counter(ps[0].ant):
-            fail("contraction must leave the other side unchanged")
-        if not want_edges:
-            return None
         i1 = _first_index(pside, f)
         i2 = _first_index(pside, f, skip=i1)
-        jc = _first_index(cs, f)
-        edges = [
-            ((0, side, i1), ("c", side, jc), "contraction-merge"),
-            ((0, side, i2), ("c", side, jc), "contraction-merge"),
-        ]
-        edges += _ancestry(
-            node, consumed={(0, side, i1), (0, side, i2)}, principal=[("c", side, jc)]
-        )
-        return edges
+        return Step(f, ("c", side, jc), ((0, side, i1), (0, side, i2)), "contraction-merge")
 
-    if tag == "AndLeft":
-        for i, f in enumerate(c.ant):
-            if not isinstance(f, And):
+    if tag in ("AndLeft", "OrRight"):
+        # one premise holding both parts on the principal side
+        side, cls, what = _BINARY_RULES[tag]
+        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
+        for i, f in enumerate(cs):
+            if not isinstance(f, cls):
                 continue
-            want = Counter(c.ant) - Counter((f,)) + Counter((f.left, f.right))
-            if want == Counter(ps[0].ant) and Counter(c.succ) == Counter(ps[0].succ):
-                if not want_edges:
-                    return None
-                a_i = _first_index(ps[0].ant, f.left)
-                b_i = _first_index(ps[0].ant, f.right, skip=a_i)
-                edges = [
-                    ((0, "L", a_i), ("c", "L", i), "ancestry"),
-                    ((0, "L", b_i), ("c", "L", i), "ancestry"),
-                ]
-                edges += _ancestry(
-                    node, consumed={(0, "L", a_i), (0, "L", b_i)}, principal=[("c", "L", i)]
-                )
-                return edges
-        fail("no conjunction matches an AndLeft step")
+            if _same(cs + (f.left, f.right), pside + (f,)) and _same(co, po):
+                a_i = _first_index(pside, f.left)
+                b_i = _first_index(pside, f.right, skip=a_i)
+                return Step(f, ("c", side, i), ((0, side, a_i), (0, side, b_i)), "ancestry")
+        fail(f"no {what} matches an {tag} step")
 
-    if tag == "OrRight":
-        for i, f in enumerate(c.succ):
-            if not isinstance(f, Or):
+    if tag in ("AndRight", "OrLeft"):
+        # premise k holds part k on the principal side
+        side, cls, what = _BINARY_RULES[tag]
+        (cs, co), (p0s, p0o) = _sides(c, side), _sides(ps[0], side)
+        p1s, p1o = _sides(ps[1], side)
+        for i, f in enumerate(cs):
+            if not isinstance(f, cls):
                 continue
-            want = Counter(c.succ) - Counter((f,)) + Counter((f.left, f.right))
-            if want == Counter(ps[0].succ) and Counter(c.ant) == Counter(ps[0].ant):
-                if not want_edges:
-                    return None
-                a_i = _first_index(ps[0].succ, f.left)
-                b_i = _first_index(ps[0].succ, f.right, skip=a_i)
-                edges = [
-                    ((0, "R", a_i), ("c", "R", i), "ancestry"),
-                    ((0, "R", b_i), ("c", "R", i), "ancestry"),
-                ]
-                edges += _ancestry(
-                    node, consumed={(0, "R", a_i), (0, "R", b_i)}, principal=[("c", "R", i)]
-                )
-                return edges
-        fail("no disjunction matches an OrRight step")
-
-    if tag == "AndRight":
-        for i, f in enumerate(c.succ):
-            if not isinstance(f, And):
-                continue
-            a_i = _first_index(ps[0].succ, f.left)
-            b_i = _first_index(ps[1].succ, f.right)
+            a_i = _first_index(p0s, f.left)
+            b_i = _first_index(p1s, f.right)
             if a_i < 0 or b_i < 0:
                 continue
-            ant_ok = Counter(ps[0].ant) + Counter(ps[1].ant) == Counter(c.ant)
-            succ_ok = (
-                Counter(ps[0].succ)
-                - Counter((f.left,))
-                + Counter(ps[1].succ)
-                - Counter((f.right,))
-                + Counter((f,))
-                == Counter(c.succ)
-            )
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [
-                    ((0, "R", a_i), ("c", "R", i), "ancestry"),
-                    ((1, "R", b_i), ("c", "R", i), "ancestry"),
-                ]
-                edges += _ancestry(
-                    node, consumed={(0, "R", a_i), (1, "R", b_i)}, principal=[("c", "R", i)]
-                )
-                return edges
-        fail("no conjunction matches an AndRight step")
-
-    if tag == "OrLeft":
-        for i, f in enumerate(c.ant):
-            if not isinstance(f, Or):
-                continue
-            a_i = _first_index(ps[0].ant, f.left)
-            b_i = _first_index(ps[1].ant, f.right)
-            if a_i < 0 or b_i < 0:
-                continue
-            ant_ok = (
-                Counter(ps[0].ant)
-                - Counter((f.left,))
-                + Counter(ps[1].ant)
-                - Counter((f.right,))
-                + Counter((f,))
-                == Counter(c.ant)
-            )
-            succ_ok = Counter(ps[0].succ) + Counter(ps[1].succ) == Counter(c.succ)
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [
-                    ((0, "L", a_i), ("c", "L", i), "ancestry"),
-                    ((1, "L", b_i), ("c", "L", i), "ancestry"),
-                ]
-                edges += _ancestry(
-                    node, consumed={(0, "L", a_i), (1, "L", b_i)}, principal=[("c", "L", i)]
-                )
-                return edges
-        fail("no disjunction matches an OrLeft step")
+            if _same(p0o + p1o, co) and _same(p0s + p1s + (f,), cs + (f.left, f.right)):
+                return Step(f, ("c", side, i), ((0, side, a_i), (1, side, b_i)), "ancestry")
+        fail(f"no {what} matches an {tag} step")
 
     if tag == "ImpliesRight":
         for i, f in enumerate(c.succ):
@@ -553,19 +511,10 @@ def analyze(node: Proof, theory=None, want_edges: bool = False):
             b_i = _first_index(ps[0].succ, f.right)
             if a_i < 0 or b_i < 0:
                 continue
-            ant_ok = Counter(ps[0].ant) - Counter((f.left,)) == Counter(c.ant)
-            succ_ok = Counter(ps[0].succ) - Counter((f.right,)) + Counter((f,)) == Counter(c.succ)
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [
-                    ((0, "L", a_i), ("c", "R", i), "ancestry"),
-                    ((0, "R", b_i), ("c", "R", i), "ancestry"),
-                ]
-                edges += _ancestry(
-                    node, consumed={(0, "L", a_i), (0, "R", b_i)}, principal=[("c", "R", i)]
-                )
-                return edges
+            if _same(ps[0].ant, c.ant + (f.left,)) and _same(
+                ps[0].succ + (f,), c.succ + (f.right,)
+            ):
+                return Step(f, ("c", "R", i), ((0, "L", a_i), (0, "R", b_i)), "ancestry")
         fail("no implication matches an ImpliesRight step")
 
     if tag == "ImpliesLeft":
@@ -576,112 +525,44 @@ def analyze(node: Proof, theory=None, want_edges: bool = False):
             b_i = _first_index(ps[1].ant, f.right)
             if a_i < 0 or b_i < 0:
                 continue
-            ant_ok = (
-                Counter(ps[0].ant) + Counter(ps[1].ant) - Counter((f.right,)) + Counter((f,))
-                == Counter(c.ant)
-            )
-            succ_ok = Counter(ps[0].succ) - Counter((f.left,)) + Counter(ps[1].succ) == Counter(
-                c.succ
-            )
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [
-                    ((0, "R", a_i), ("c", "L", i), "ancestry"),
-                    ((1, "L", b_i), ("c", "L", i), "ancestry"),
-                ]
-                edges += _ancestry(
-                    node, consumed={(0, "R", a_i), (1, "L", b_i)}, principal=[("c", "L", i)]
-                )
-                return edges
+            if _same(ps[0].ant + ps[1].ant + (f,), c.ant + (f.right,)) and _same(
+                ps[0].succ + ps[1].succ, c.succ + (f.left,)
+            ):
+                return Step(f, ("c", "L", i), ((0, "R", a_i), (1, "L", b_i)), "ancestry")
         fail("no implication matches an ImpliesLeft step")
 
-    if tag == "NotLeft":
-        for i, f in enumerate(c.ant):
-            if not isinstance(f, Not):
-                continue
-            b_i = _first_index(ps[0].succ, f.body)
-            if b_i < 0:
-                continue
-            ant_ok = Counter(ps[0].ant) + Counter((f,)) == Counter(c.ant)
-            succ_ok = Counter(ps[0].succ) - Counter((f.body,)) == Counter(c.succ)
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [((0, "R", b_i), ("c", "L", i), "ancestry")]
-                edges += _ancestry(node, consumed={(0, "R", b_i)}, principal=[("c", "L", i)])
-                return edges
-        fail("no negation matches a NotLeft step")
-
-    if tag == "NotRight":
-        for i, f in enumerate(c.succ):
-            if not isinstance(f, Not):
-                continue
-            b_i = _first_index(ps[0].ant, f.body)
-            if b_i < 0:
-                continue
-            ant_ok = Counter(ps[0].ant) - Counter((f.body,)) == Counter(c.ant)
-            succ_ok = Counter(ps[0].succ) + Counter((f,)) == Counter(c.succ)
-            if ant_ok and succ_ok:
-                if not want_edges:
-                    return None
-                edges = [((0, "L", b_i), ("c", "R", i), "ancestry")]
-                edges += _ancestry(node, consumed={(0, "L", b_i)}, principal=[("c", "R", i)])
-                return edges
-        fail("no negation matches a NotRight step")
-
-    if tag in ("ForallLeft", "ExistsRight"):
-        side = "L" if tag == "ForallLeft" else "R"
-        cls = Forall if tag == "ForallLeft" else Exists
-        cs, pside = (c.ant, ps[0].ant) if side == "L" else (c.succ, ps[0].succ)
+    if tag in ("NotLeft", "NotRight"):
+        # the body moves from the other side of the premise
+        side, other = ("L", "R") if tag == "NotLeft" else ("R", "L")
+        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
         for i, f in enumerate(cs):
-            if not isinstance(f, cls):
+            if not isinstance(f, Not):
                 continue
-            inst = substitute(f.body, f.v, node.rule.term)
-            j = _first_index(pside, inst)
-            if j < 0:
+            b_i = _first_index(po, f.body)
+            if b_i < 0:
                 continue
-            want = Counter(cs) - Counter((f,)) + Counter((inst,))
-            other_ok = (
-                Counter(c.succ) == Counter(ps[0].succ)
-                if side == "L"
-                else Counter(c.ant) == Counter(ps[0].ant)
-            )
-            if want == Counter(pside) and other_ok:
-                if not want_edges:
-                    return None
-                edges = [((0, side, j), ("c", side, i), "ancestry")]
-                edges += _ancestry(node, consumed={(0, side, j)}, principal=[("c", side, i)])
-                return edges
-        fail(f"no quantifier matches a {tag} step")
+            if _same(pside + (f,), cs) and _same(po, co + (f.body,)):
+                return Step(f, ("c", side, i), ((0, other, b_i),), "ancestry")
+        fail(f"no negation matches a {tag} step")
 
-    if tag in ("ForallRight", "ExistsLeft"):
-        side = "R" if tag == "ForallRight" else "L"
-        cls = Forall if tag == "ForallRight" else Exists
-        cs, pside = (c.succ, ps[0].succ) if side == "R" else (c.ant, ps[0].ant)
+    if tag in _QUANT_RULES:
+        side, cls = _QUANT_RULES[tag]
         eigen = node.rule.eigen
+        witness = node.rule.term if eigen is None else var(eigen)
+        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
         for i, f in enumerate(cs):
             if not isinstance(f, cls):
                 continue
-            inst = substitute(f.body, f.v, var(eigen))
+            inst = substitute(f.body, f.v, witness)
             j = _first_index(pside, inst)
             if j < 0:
                 continue
-            want = Counter(cs) - Counter((f,)) + Counter((inst,))
-            other_ok = (
-                Counter(c.ant) == Counter(ps[0].ant)
-                if side == "R"
-                else Counter(c.succ) == Counter(ps[0].succ)
-            )
-            if want == Counter(pside) and other_ok:
-                for g in c.ant + c.succ:
-                    if eigen in free_vars(g):
-                        fail(f"eigenvariable {eigen} occurs free in the conclusion")
-                if not want_edges:
-                    return None
-                edges = [((0, side, j), ("c", side, i), "ancestry")]
-                edges += _ancestry(node, consumed={(0, side, j)}, principal=[("c", side, i)])
-                return edges
+            if _same(cs + (inst,), pside + (f,)) and _same(co, po):
+                if eigen is not None:
+                    for g in c.ant + c.succ:
+                        if eigen in free_vars(g):
+                            fail(f"eigenvariable {eigen} occurs free in the conclusion")
+                return Step(f, ("c", side, i), ((0, side, j),), "ancestry")
         fail(f"no quantifier matches a {tag} step")
 
     fail(f"unhandled rule {tag}")
@@ -691,7 +572,23 @@ def _fail(node: Proof, msg: str):
     raise CheckError(f"{node.rule.tag} at {sequent_str(node.conclusion)}: {msg}")
 
 
-def _ancestry(node: Proof, consumed: set, principal: list):
+def step_edges(node: Proof, step: Step) -> list:
+    """Flow edges of one inference, given its Step.
+
+    Edges are (end, end, tag) triples over local endpoints: the step's
+    link edges first, then ancestry edges.  Raises CheckError when a
+    context occurrence finds no partner in the conclusion.
+    """
+    if step.at is None:
+        edges = [(step.consumed[0], step.consumed[1], step.link)]
+    else:
+        edges = [(occ, step.at, step.link) for occ in step.consumed]
+    if node.premises:
+        edges += _ancestry(node, step)
+    return edges
+
+
+def _ancestry(node: Proof, step: Step) -> list:
     """Greedy identity-based matching of context occurrences.
 
     Maps every non-consumed premise occurrence to the first available
@@ -699,15 +596,15 @@ def _ancestry(node: Proof, consumed: set, principal: list):
     """
     c = node.conclusion
     free_concl = {"L": {}, "R": {}}
-    principal_set = set(principal)
     for side, fs in (("L", c.ant), ("R", c.succ)):
         for i, f in enumerate(fs):
-            if ("c", side, i) in principal_set:
+            if ("c", side, i) == step.at:
                 continue
             free_concl[side].setdefault(f, []).append(i)
     for sidefs in free_concl.values():
         for lst in sidefs.values():
             lst.reverse()  # pop from the front cheaply
+    consumed = set(step.consumed)
     edges = []
     for k, q in enumerate(node.premises):
         for side, fs in (("L", q.conclusion.ant), ("R", q.conclusion.succ)):
@@ -722,7 +619,11 @@ def _ancestry(node: Proof, consumed: set, principal: list):
     return edges
 
 
-def _analyze_theory_axiom(node: Proof, theory, want_edges: bool):
+def _leaf_links(c: Sequent) -> tuple:
+    return tuple(("c", "L", i) for i in range(len(c.ant)))
+
+
+def _analyze_theory_axiom(node: Proof, theory) -> Step:
     c = node.conclusion
     fail = lambda msg: _fail(node, msg)
     if not c.succ:
@@ -738,46 +639,31 @@ def _analyze_theory_axiom(node: Proof, theory, want_edges: bool):
         phis, psi = theory.instantiate(name, subst)
         theory.validate_instantiation(name, subst)
         if not node.premises:
-            if Counter(c.ant) != Counter(phis) or Counter(c.succ) != Counter((psi,)):
+            if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
                 fail("leaf does not match the instantiated schema")
-            if not want_edges:
-                return None
-            j = 0  # single succedent
-            return [(("c", "L", i), ("c", "R", j), "axiom-link") for i in range(len(c.ant))]
+            return Step(psi, ("c", "R", 0), _leaf_links(c), "axiom-link")
         if len(node.premises) != len(phis):
             fail(f"applied form needs {len(phis)} premises")
-        consumed = set()
-        ant_expect = Counter()
-        succ_expect = Counter((psi,))
-        special = []
+        consumed = []
         for k, q in enumerate(node.premises):
             i = _first_index(q.conclusion.succ, phis[k])
             if i < 0:
                 fail(f"premise {k} must prove {formula_str(phis[k])} on the right")
-            consumed.add((k, "R", i))
-            special.append((k, "R", i))
-            ant_expect += Counter(q.conclusion.ant)
-            succ_expect += Counter(q.conclusion.succ) - Counter((phis[k],))
-        if ant_expect != Counter(c.ant) or succ_expect != Counter(c.succ):
+            consumed.append((k, "R", i))
+        ant = tuple(f for q in node.premises for f in q.conclusion.ant)
+        succ = tuple(f for q in node.premises for f in q.conclusion.succ)
+        if not _same(ant, c.ant) or not _same(succ + (psi,), c.succ + phis):
             fail("applied form context mismatch")
-        psi_at = _first_index(c.succ, psi)
-        if not want_edges:
-            return None
-        edges = [(sp, ("c", "R", psi_at), "axiom-link") for sp in special]
-        edges += _ancestry(node, consumed=consumed, principal=[("c", "R", psi_at)])
-        return edges
+        return Step(psi, ("c", "R", _first_index(c.succ, psi)), tuple(consumed), "axiom-link")
     # no theory: structural fallback used by flow building
     psi_at = len(c.succ) - 1
     if not node.premises:
-        if not want_edges:
-            return None
-        return [(("c", "L", i), ("c", "R", psi_at), "axiom-link") for i in range(len(c.ant))]
+        return Step(c.succ[psi_at], ("c", "R", psi_at), _leaf_links(c), "axiom-link")
     leftover = Counter()
     for q in node.premises:
         leftover += Counter(q.conclusion.succ)
     leftover -= Counter(c.succ) - Counter((c.succ[psi_at],))
-    consumed = set()
-    special = []
+    consumed = []
     for k, q in enumerate(node.premises):
         pick = -1
         for i, f in enumerate(q.conclusion.succ):
@@ -787,13 +673,8 @@ def _analyze_theory_axiom(node: Proof, theory, want_edges: bool):
                 break
         if pick < 0:
             fail("cannot infer the consumed succedents without a theory")
-        consumed.add((k, "R", pick))
-        special.append((k, "R", pick))
-    if not want_edges:
-        return None
-    edges = [(sp, ("c", "R", psi_at), "axiom-link") for sp in special]
-    edges += _ancestry(node, consumed=consumed, principal=[("c", "R", psi_at)])
-    return edges
+        consumed.append((k, "R", pick))
+    return Step(c.succ[psi_at], ("c", "R", psi_at), tuple(consumed), "axiom-link")
 
 
 # ---------------------------------------------------------------------------
@@ -870,25 +751,29 @@ def size(p: Proof) -> SizeStats:
     )
 
 
-def _wellformed(f, sig: Signature, memo: set):
-    if id(f) in memo:
-        return
-    memo.add(id(f))
-    if isinstance(f, Atom):
-        if f.pred not in sig.predicates or sig.predicates[f.pred] != len(f.args):
-            raise CheckError(f"predicate {f.pred!r} does not fit signature {sig.name}")
-    if isinstance(f, Term):
-        if isinstance(f, Var):
-            return
-        if hasattr(f, "args"):
-            sym = f.sym
-            if sym not in sig.functions or sig.functions[sym] != len(f.args):
-                raise CheckError(f"function {sym!r} does not fit signature {sig.name}")
-        else:
-            if f.sym not in sig.constants:
-                raise CheckError(f"constant {f.sym!r} not in signature {sig.name}")
-    for ch in _children(f):
-        _wellformed(ch, sig, memo)
+def _wellformed(root, sig: Signature, memo: set):
+    """Check every symbol below root against sig, in pre-order; memo holds
+    the ids of (interned) terms and formulas already checked."""
+    stack = [root]
+    while stack:
+        f = stack.pop()
+        if id(f) in memo:
+            continue
+        memo.add(id(f))
+        if isinstance(f, Atom):
+            if f.pred not in sig.predicates or sig.predicates[f.pred] != len(f.args):
+                raise CheckError(f"predicate {f.pred!r} does not fit signature {sig.name}")
+        if isinstance(f, Term):
+            if isinstance(f, Var):
+                continue
+            if hasattr(f, "args"):
+                sym = f.sym
+                if sym not in sig.functions or sig.functions[sym] != len(f.args):
+                    raise CheckError(f"function {sym!r} does not fit signature {sig.name}")
+            else:
+                if f.sym not in sig.constants:
+                    raise CheckError(f"constant {f.sym!r} not in signature {sig.name}")
+        stack.extend(reversed(_children(f)))
 
 
 def check(p: Proof, theory) -> SizeStats:

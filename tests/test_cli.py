@@ -178,8 +178,18 @@ def test_error_paths(capsys):
     assert "inf" in err
 
 
-def test_deep_input_is_one_error_line(capsys):
+def test_gen_deep_unary(capsys):
     rc, out, err = run(capsys, "gen", "unary", "1200")
+    assert rc == 0 and err == ""
+    assert out == "F(1200), lines=2401, cuts=1200, contractions=0\n"
+
+
+def test_deep_input_is_one_error_line(tmp_path, capsys):
+    # the proof-file parser still recurses once per term level
+    f = tmp_path / "unary.json"
+    rc, _, _ = run(capsys, "gen", "unary", "250", "--emit", str(f))
+    assert rc == 0
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
     assert rc == 1 and out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1

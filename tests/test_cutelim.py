@@ -24,8 +24,18 @@ from feaslab.generators import (
     gen_square_cut,
     gen_unary,
 )
-from feaslab.kernel import check, cut, logical_axiom, serialize_proof, size
-from feaslab.lang import atom, const
+from feaslab.kernel import (
+    check,
+    contract_left,
+    cut,
+    logical_axiom,
+    or_left,
+    serialize_proof,
+    size,
+    theory_leaf,
+    weaken_left,
+)
+from feaslab.lang import app, atom, const
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
 
@@ -205,3 +215,17 @@ def test_blowup_columns_match_row_fields():
         "wall_time_ms",
         "status",
     )
+
+
+def test_commutation_keeps_consumed_occurrences():
+    # the multicut must not take the A that OrLeft consumes in its first
+    # premise; the contraction makes it remove two copies of A
+    th = arith_feasibility()
+    a, b = atom("F", const("0")), atom("F", app("s", const("0")))
+    q0 = weaken_left(logical_axiom(a), a)  # A, A |- A
+    q1 = weaken_left(logical_axiom(b), a)  # A, B |- B
+    p2 = contract_left(or_left(q0, q1, a, b), a)  # A v B, A |- A, B
+    p = cut(theory_leaf(th, "F(0)", {}), p2, a)
+    cf = eliminate_cuts(p, th)
+    assert cf.conclusion == p.conclusion
+    assert check(cf, th).cut_count == 0

@@ -1,5 +1,7 @@
 """Occurrence graphs: frozen counts, the Euler identity, dot output."""
 
+import hashlib
+
 from feaslab.flowgraph import build_flow_graph, emit_dot
 from feaslab.generators import (
     gen_distorted,
@@ -104,3 +106,12 @@ def test_emit_dot_deterministic():
     assert text.endswith("}\n")
     assert 'style=bold' in text  # cut-link present
     assert text.count("--") == g1.edge_count
+
+
+def test_flow_graphs_frozen(small_proofs):
+    # pins every occurrence, label, edge and tag, with and without the theory
+    h = hashlib.sha256()
+    for p, theory in small_proofs:
+        for th in (theory, None):
+            h.update(emit_dot(build_flow_graph(p, th)).encode())
+    assert h.hexdigest() == "e4a435fe6c9b12ac6bf7ca3d864c405dc41408e94fb27a416bdb0f13261c6bdb"

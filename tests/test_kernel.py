@@ -1,10 +1,15 @@
+from collections import Counter
+
 import pytest
 
+from feaslab.cutelim import _State, _reapply
 from feaslab.kernel import (
+    RULE_TAGS,
     CheckError,
     KernelError,
     Proof,
     Rule,
+    _iter_unique_nodes,
     analyze,
     check,
     contract_left,
@@ -20,6 +25,7 @@ from feaslab.kernel import (
     proof_to_file,
     serialize_proof,
     size,
+    step_edges,
     substitute_proof,
     theory_apply,
     theory_leaf,
@@ -27,6 +33,7 @@ from feaslab.kernel import (
 )
 from feaslab.lang import (
     Sequent,
+    app,
     atom,
     const,
     forall,
@@ -153,6 +160,15 @@ def test_check_rejects_wrong_rule_tag():
         Proof(p.conclusion, Rule("WeakenLeft"), ())
 
 
+def test_check_names_the_first_foreign_symbol():
+    # symbols are checked in pre-order, left to right, at any depth
+    t = app("+", const("c"), const("d"))
+    for _ in range(5000):
+        t = app("s", t)
+    with pytest.raises(CheckError, match="constant 'c' not in signature"):
+        check(logical_axiom(F(t)), TH)
+
+
 def test_size_counts():
     r = gen_square_cut(3)
     st = size(r.proof)
@@ -227,10 +243,47 @@ def test_substitute_proof_respects_eigen_binding():
     check(out, TH)
 
 
-def test_analyze_reports_edges():
+def test_step_edges_report_the_cut_link():
     a = F(const("0"))
     p = cut(logical_axiom(a), logical_axiom(a), a)
-    edges = analyze(p, TH, want_edges=True)
+    edges = step_edges(p, analyze(p, TH))
     assert edges  # local correspondences exist
     tags = {tag for (_, _, tag) in edges}
     assert "cut-link" in tags
+
+
+def test_step_accounts_for_every_node(small_proofs):
+    # the step alone fixes each inference: the premises' unconsumed
+    # occurrences plus the principal formula at `at` make up the conclusion,
+    # and rebuilding from the principal formula gives the conclusion back
+    tags = set()
+    for p, theory in small_proofs:
+        st = _State(theory, 10**6)
+        for node in _iter_unique_nodes(p):
+            step = analyze(node, theory)
+            tags.add(node.rule.tag)
+            c = node.conclusion
+            if step.at is not None:
+                _, side, i = step.at
+                assert (c.ant if side == "L" else c.succ)[i] is step.principal
+            for side, fs in (("L", c.ant), ("R", c.succ)):
+                if not node.premises:
+                    break
+                have = Counter()
+                for k, q in enumerate(node.premises):
+                    qs = q.conclusion.ant if side == "L" else q.conclusion.succ
+                    kept = (f for i, f in enumerate(qs) if (k, side, i) not in step.consumed)
+                    have += Counter(kept)
+                if step.at is not None and step.at[1] == side:
+                    have[step.principal] += 1
+                assert have == Counter(fs)
+            if node.premises:
+                rebuilt = _reapply(node, step, node.premises, st)
+            elif node.rule.tag == "LogicalAxiom":
+                rebuilt = logical_axiom(step.principal)
+            elif node.rule.tag == "EqOracle":
+                rebuilt = eq_leaf(*step.principal.args)
+            else:
+                rebuilt = theory_leaf(theory, node.rule.axiom, node.rule.subst_dict())
+            assert rebuilt.conclusion == c
+    assert tags == RULE_TAGS
