@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .kernel import Proof, analyze, step_edges
-from .lang import formula_str
+from .kernel import Proof, analyze, proof_printer, step_edges
 
 Occ = Tuple[Tuple[int, ...], str, int]
 Edge = Tuple[Occ, Occ, str]
@@ -149,6 +148,7 @@ def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
     nodes: List[Occ] = []
     labels: Dict[Occ, str] = {}
     edges: List[Edge] = []
+    printer = proof_printer(p)
     stack = [(p, ())]
     while stack:
         node, path = stack.pop()
@@ -157,7 +157,7 @@ def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
             for i, f in enumerate(fs):
                 occ = (path, side, i)
                 nodes.append(occ)
-                labels[occ] = formula_str(f)
+                labels[occ] = printer.text(f)
         for end1, end2, tag in step_edges(node, analyze(node, theory)):
             edges.append((_to_global(end1, path), _to_global(end2, path), tag))
         for j, q in enumerate(node.premises):

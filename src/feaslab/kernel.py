@@ -43,7 +43,9 @@ from .lang import (
     Implies,
     Not,
     Or,
+    Printer,
     Quant,
+    Reader,
     Sequent,
     Signature,
     Term,
@@ -57,13 +59,10 @@ from .lang import (
     fresh_name,
     imp,
     neg,
-    parse_sequent,
-    parse_term,
     sequent_str,
     subst_formula,
     subst_term,
     substitute,
-    term_str,
     var,
     _children,
 )
@@ -796,20 +795,35 @@ def check(p: Proof, theory) -> SizeStats:
 #   {"rule": ..., "instantiation": {...}?, "conclusion": "...", "premises": [...]}
 
 
-def _rule_inst_json(rule: Rule) -> Optional[str]:
+def proof_printer(p: Proof) -> Printer:
+    """One printer for the conclusions and witness terms of every node of p,
+    so that each formula and repeated subterm is rendered once."""
+    roots = []
+    for node in _iter_unique_nodes(p):
+        roots += node.conclusion.ant
+        roots += node.conclusion.succ
+        if node.rule.term is not None:
+            roots.append(node.rule.term)
+        if node.rule.subst:
+            roots += (t for _, t in node.rule.subst)
+    return Printer(roots)
+
+
+def _rule_inst_json(rule: Rule, printer: Printer) -> Optional[str]:
     if rule.tag == "TheoryAxiom":
         pairs = ",".join(
-            f"{json.dumps(v)}:{json.dumps(term_str(t))}" for v, t in rule.subst
+            f"{json.dumps(v)}:{json.dumps(printer.text(t))}" for v, t in rule.subst
         )
         return f'{{"axiom":{json.dumps(rule.axiom)},"subst":{{{pairs}}}}}'
     if rule.term is not None:
-        return f'{{"term":{json.dumps(term_str(rule.term))}}}'
+        return f'{{"term":{json.dumps(printer.text(rule.term))}}}'
     if rule.eigen is not None:
         return f'{{"eigen":{json.dumps(rule.eigen)}}}'
     return None
 
 
 def serialize_proof(p: Proof) -> str:
+    printer = proof_printer(p)
     out = []
     stack = [("node", p)]
     while stack:
@@ -817,11 +831,11 @@ def serialize_proof(p: Proof) -> str:
         if op == "txt":
             out.append(x)
             continue
-        inst = _rule_inst_json(x.rule)
+        inst = _rule_inst_json(x.rule, printer)
         head = f'{{"rule":{json.dumps(x.rule.tag)},'
         if inst is not None:
             head += f'"instantiation":{inst},'
-        head += f'"conclusion":{json.dumps(sequent_str(x.conclusion))},"premises":['
+        head += f'"conclusion":{json.dumps(printer.sequent(x.conclusion))},"premises":['
         out.append(head)
         tail = [("txt", "]}")]
         parts = []
@@ -834,16 +848,30 @@ def serialize_proof(p: Proof) -> str:
 
 
 def proof_to_file(p: Proof, path: str):
+    # the text is built first, so a failure leaves no partial file behind
+    text = serialize_proof(p) + "\n"
     with open(path, "w") as fh:
-        fh.write(serialize_proof(p))
-        fh.write("\n")
+        fh.write(text)
+
+
+# json.loads recurses in C once per nesting level, two levels per proof
+# level.  On an 8 MB stack it overflowed between 64,000 and 68,000 levels
+# (32,000 to 34,000 proof levels); this recursion limit stops it at about
+# a third of that.
+_JSON_DEPTH_LIMIT = 20_000
 
 
 def parse_proof(text: str, sig: Signature) -> Proof:
     old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100_000))
+    sys.setrecursionlimit(_JSON_DEPTH_LIMIT)
     try:
         data = json.loads(text)
+    except RecursionError:
+        raise KernelError(
+            f"proof nested deeper than about {_JSON_DEPTH_LIMIT // 2} levels"
+        ) from None
+    except ValueError as e:
+        raise KernelError(f"proof file is not valid JSON: {e}") from None
     finally:
         sys.setrecursionlimit(old)
     return _proof_from_data(data, sig)
@@ -857,6 +885,7 @@ def proof_from_file(path: str, sig: Signature) -> Proof:
 def _proof_from_data(data, sig: Signature) -> Proof:
     if not isinstance(data, dict):
         raise KernelError("proof file must contain a JSON object")
+    reader = Reader(sig)
     done: dict = {}
     stack = [(data, False)]
     while stack:
@@ -884,19 +913,19 @@ def _proof_from_data(data, sig: Signature) -> Proof:
                 raise KernelError("TheoryAxiom needs {'axiom', 'subst'}")
             axiom = inst["axiom"]
             subst = tuple(
-                sorted((v, parse_term(s, sig)) for v, s in inst["subst"].items())
+                sorted((v, reader.term(s)) for v, s in inst["subst"].items())
             )
         elif tag in _TERM_RULES:
             if not isinstance(inst, dict) or set(inst) != {"term"}:
                 raise KernelError(f"{tag} needs a witness term")
-            term = parse_term(inst["term"], sig)
+            term = reader.term(inst["term"])
         elif tag in _EIGEN_RULES:
             if not isinstance(inst, dict) or set(inst) != {"eigen"}:
                 raise KernelError(f"{tag} needs an eigenvariable")
             eigen = inst["eigen"]
         elif inst is not None:
             raise KernelError(f"{tag} carries no instantiation")
-        concl = parse_sequent(d.get("conclusion", ""), sig)
+        concl = reader.sequent(d.get("conclusion", ""))
         rule = Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen)
         prem_proofs = tuple(done[id(q)] for q in d.get("premises", []))
         done[id(d)] = Proof(concl, rule, prem_proofs)

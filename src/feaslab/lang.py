@@ -514,92 +514,179 @@ class Sequent:
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Printing and parsing
+#
+# Both walk with explicit stacks, since shared terms nest far deeper than
+# the interpreter allows to recurse, and both do the work for a repeated
+# subterm once: a Printer keeps the text of repeated nodes, a Reader
+# remembers the term of each group text it parsed.  The public `*_str` and
+# `parse_*` functions use a fresh one per call; the proof-file reader and
+# writer in the kernel share one across all the strings of a file.
 
-_TERM_PREC = {"+": 1, "*": 2}
+# Binding levels of the infix operators.  Every one associates to the
+# right: its left operand binds at level + 1 and its right one at level.
+_TERM_OPS = {"+": (" + ", 1), "*": (" * ", 2)}  # symbol -> (text, level)
+# connective -> (factory, class, level)
+_CONNECTIVES = {"->": (imp, Implies, 1), "\\/": (disj, Or, 2), "/\\": (conj, And, 3)}
+_FORMULA_OPS = {cls: (f" {c} ", level) for c, (_, cls, level) in _CONNECTIVES.items()}
+_NOT_LEVEL = 4  # the operand of ~ binds tighter than any infix operator
+
+
+def _infix(x):
+    if x.__class__ is App:
+        return _TERM_OPS.get(x.sym) if len(x.args) == 2 else None
+    return _FORMULA_OPS.get(x.__class__)
+
+
+def _push_operand(stack, x, level: int):
+    """Schedule x where the context binds at `level`: parenthesized when x
+    is an infix node that binds looser."""
+    op = _infix(x)
+    if op is not None and op[1] < level:
+        stack += (")", x, "(")
+    else:
+        stack.append(x)
+
+
+def _push_call(stack, head: str, args: tuple):
+    """Schedule `head(a1, ..., ak)`."""
+    stack.append(")")
+    for i in range(len(args) - 1, -1, -1):
+        stack.append(args[i])
+        if i:
+            stack.append(", ")
+    stack.append(head + "(")
+
+
+class Printer:
+    """Renders terms, formulas and sequents, each repeated node once.
+
+    The constructor walks the DAG below `roots` once.  The printer keeps
+    the text of every root and of every node reached from them more than
+    once, so a subterm that occurs many times is rendered once, and the
+    kept texts stay proportional to the output they stand for.
+    """
+
+    def __init__(self, roots: Iterable = ()):
+        stack = list(roots)
+        keep = set(stack)
+        seen = set()
+        while stack:
+            x = stack.pop()
+            if x in seen:
+                keep.add(x)
+            else:
+                seen.add(x)
+                stack.extend(_children(x))
+        self._keep = keep
+        self._texts: dict = {}
+
+    def text(self, x: Union[Term, Formula]) -> str:
+        """The text of a term or formula."""
+        texts = self._texts
+        hit = texts.get(x)
+        if hit is not None:
+            return hit
+        keep = self._keep
+        out: list = []
+        outer: list = []  # the buffers interrupted by kept nodes
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            cls = y.__class__
+            if cls is str:
+                out.append(y)
+                continue
+            if cls is Var:
+                out.append(y.name)
+                continue
+            if cls is Const:
+                out.append(y.sym)
+                continue
+            if cls is tuple:  # (node,): every piece of the kept node is in out
+                s = "".join(out)
+                texts[y[0]] = s
+                out = outer.pop()
+                out.append(s)
+                continue
+            hit = texts.get(y)
+            if hit is not None:
+                out.append(hit)
+                continue
+            if y in keep:
+                stack.append((y,))
+                outer.append(out)
+                out = []
+            op = _infix(y)
+            if op is not None:
+                left, right = y.args if cls is App else (y.left, y.right)
+                _push_operand(stack, right, op[1])
+                stack.append(op[0])
+                _push_operand(stack, left, op[1] + 1)
+            elif cls is App:
+                _push_call(stack, y.sym, y.args)
+            elif cls is Atom:
+                if y.pred == "=" and len(y.args) == 2:
+                    stack += (y.args[1], " = ", y.args[0])
+                else:
+                    _push_call(stack, y.pred, y.args)
+            elif cls is Not:
+                _push_operand(stack, y.body, _NOT_LEVEL)
+                stack.append("~")
+            elif cls is Forall or cls is Exists:
+                q = "forall" if cls is Forall else "exists"
+                stack += (")", y.body, f"{q} {y.v} (")
+            else:
+                raise LangError(f"not a term or formula: {y!r}")
+        return "".join(out)
+
+    def sequent(self, s: Sequent) -> str:
+        left = ", ".join(map(self.text, s.ant))
+        right = ", ".join(map(self.text, s.succ))
+        if left and right:
+            return f"{left} |- {right}"
+        if left:
+            return f"{left} |-"
+        return f"|- {right}"
 
 
 def term_str(t: Term) -> str:
-    return _term_str(t, 0)
-
-
-def _term_str(t: Term, prec: int) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return t.sym
-    if t.sym in _TERM_PREC and len(t.args) == 2:
-        p = _TERM_PREC[t.sym]
-        # right-associative: left child needs strictly higher precedence
-        s = f"{_term_str(t.args[0], p + 1)} {t.sym} {_term_str(t.args[1], p)}"
-        return f"({s})" if p < prec else s
-    inner = ", ".join(_term_str(a, 0) for a in t.args)
-    return f"{t.sym}({inner})"
+    return Printer((t,)).text(t)
 
 
 def formula_str(phi: Formula) -> str:
-    return _formula_str(phi, 0)
-
-
-def _formula_str(phi: Formula, prec: int) -> str:
-    if isinstance(phi, Atom):
-        if phi.pred == "=" and len(phi.args) == 2:
-            return f"{_term_str(phi.args[0], 0)} = {_term_str(phi.args[1], 0)}"
-        inner = ", ".join(_term_str(a, 0) for a in phi.args)
-        return f"{phi.pred}({inner})"
-    if isinstance(phi, Implies):
-        s = f"{_formula_str(phi.left, 2)} -> {_formula_str(phi.right, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(phi, Or):
-        s = f"{_formula_str(phi.left, 3)} \\/ {_formula_str(phi.right, 2)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(phi, And):
-        s = f"{_formula_str(phi.left, 4)} /\\ {_formula_str(phi.right, 3)}"
-        return f"({s})" if prec > 3 else s
-    if isinstance(phi, Not):
-        return f"~{_formula_str(phi.body, 4)}"
-    if isinstance(phi, Forall):
-        return f"forall {phi.v} ({_formula_str(phi.body, 0)})"
-    if isinstance(phi, Exists):
-        return f"exists {phi.v} ({_formula_str(phi.body, 0)})"
-    raise LangError(f"not a formula: {phi!r}")
+    return Printer((phi,)).text(phi)
 
 
 def sequent_str(s: Sequent) -> str:
-    left = ", ".join(formula_str(f) for f in s.ant)
-    right = ", ".join(formula_str(f) for f in s.succ)
-    if left and right:
-        return f"{left} |- {right}"
-    if left:
-        return f"{left} |-"
-    return f"|- {right}"
+    return Printer(s.ant + s.succ).sequent(s)
 
-
-# ---------------------------------------------------------------------------
-# Parsing
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<and>/\\)|(?P<or>\\/)|(?P<turn>\|-)"
     r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
     r"|(?P<punct>[(),=~*+]))"
 )
+_PAREN_RE = re.compile(r"[()]")
 
 
-def _tokenize(text: str):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
+def _token(text: str, pos: int) -> tuple:
+    """The token that starts at pos or after blanks: (kind, value, start, end)."""
+    m = _TOKEN_RE.match(text, pos)
+    if m is None:
+        rest = text[pos:].strip()
+        if rest:
             raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        pos = m.end()
-        kind = m.lastgroup
-        toks.append((kind, m.group(kind), m.start(kind)))
-    toks.append(("eof", "", len(text)))
-    return toks
+        return ("eof", "", len(text), len(text))
+    k = m.lastindex
+    return (m.lastgroup, m.group(k), m.start(k), m.end())
+
+
+def _check_characters(text: str):
+    """Raise the error for the first character that starts no token."""
+    tok = _token(text, 0)
+    while tok[0] != "eof":
+        tok = _token(text, tok[3])
 
 
 def int_term(n: int, sig: Signature) -> Term:
@@ -614,212 +701,325 @@ def int_term(n: int, sig: Signature) -> Term:
             t = app("s", t)
         return t
     if "1" in sig.constants and "+" in sig.functions and "*" in sig.functions:
-        # binary expansion over {0, 1, +, *}
+        # binary expansion over {0, 1, +, *}: (1 + 1) * m, plus 1 when odd
         if n == 0:
             return const("0")
-        if n == 1:
-            return const("1")
-        two = app("+", const("1"), const("1"))
-        half = int_term(n // 2, sig)
-        doubled = app("*", two, half)
-        return app("+", doubled, const("1")) if n % 2 else doubled
+        one = const("1")
+        two = app("+", one, one)
+        t = one
+        for bit in bin(n)[3:]:
+            t = app("*", two, t)
+            if bit == "1":
+                t = app("+", t, one)
+        return t
     raise LangError(f"signature {sig.name} cannot express the numeral {n}")
 
 
+# A group is a parenthesized term or a function application.  Readers key
+# the groups they parsed by where the first ')' lies in the group and the
+# text up to it, at most _KEY_CHARS characters, and then by length.  The
+# key comes from str.find and a short slice; nested groups differ in it, so
+# a chain of them never shares a key.  Only when groups share a key is the
+# length looked for, by matching the parenthesis, and a hit whose key does
+# not cover the whole text is confirmed in full.
+_KEY_CHARS = 32
+
+
+def _group_key(text: str, start: int):
+    off = text.find(")", start) - start
+    if off < 0:
+        return None
+    return (text[start : start + min(_KEY_CHARS, off + 1)], off)
+
+
 class _Parser:
-    def __init__(self, text: str, sig: Signature):
+    """One string being parsed, one token at a time, under sig; `groups` is
+    the memo of the Reader that owns the string."""
+
+    def __init__(self, text: str, sig: Signature, groups: dict):
         self.text = text
         self.sig = sig
-        self.toks = _tokenize(text)
-        self.i = 0
+        self.groups = groups
+        self.close: dict = {}  # '(' position -> matching ')' position or -1
+        self.tok = _token(text, 0)
 
-    def peek(self):
-        return self.toks[self.i]
+    def next(self) -> tuple:
+        tok = self.tok
+        self.tok = _token(self.text, tok[3])
+        return tok
 
-    def next(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, val):
-        kind, v, pos = self.next()
+    def expect(self, val: str):
+        _, v, pos, _ = self.next()
         if v != val:
             raise ParseError(f"expected {val!r}, found {v!r}", pos)
 
-    def at(self, val):
-        return self.peek()[1] == val
+    def done(self):
+        kind, v, pos, _ = self.tok
+        if kind != "eof":
+            raise ParseError(f"trailing input {v!r}", pos)
 
-    # -- terms ------------------------------------------------------------
+    # -- groups --------------------------------------------------------------
+    def recalled(self, start: int, open_pos: int):
+        """(length, term) of the group at start, whose '(' is at open_pos,
+        when the same text was parsed before, else None."""
+        text = self.text
+        key = _group_key(text, start)
+        seen = self.groups.get(key) if key else None
+        if not seen:
+            return None
+        if len(seen) == 1:
+            ((n, (src, off, t)),) = seen.items()
+        else:
+            n = self.matching(open_pos) + 1 - start
+            hit = seen.get(n)
+            if hit is None:
+                return None
+            src, off, t = hit
+        if n != len(key[0]) and not text.startswith(src[off : off + n], start):
+            return None
+        return n, t
+
+    def recall(self, start: int, open_pos: int) -> Optional[Term]:
+        """The term of a group parsed before, skipping its text untokenized."""
+        hit = self.recalled(start, open_pos)
+        if hit is None:
+            return None
+        self.tok = _token(self.text, start + hit[0])
+        return hit[1]
+
+    def remember(self, start: int, end: int, t: Term):
+        seen = self.groups.setdefault(_group_key(self.text, start), {})
+        seen[end - start] = (self.text, start, t)
+
+    def matching(self, pos: int) -> int:
+        """Position of the ')' matching the '(' at pos, or -1.  One scan
+        records every pair inside, so no parenthesis is scanned twice."""
+        close = self.close
+        if pos not in close:
+            opens = []
+            for m in _PAREN_RE.finditer(self.text, pos):
+                if m.group() == "(":
+                    opens.append(m.start())
+                else:
+                    close[opens.pop()] = m.start()
+                    if not opens:
+                        break
+            for q in opens:
+                close[q] = -1
+        return close[pos]
+
+    # -- terms ---------------------------------------------------------------
     def term(self) -> Term:
-        return self.t_sum()
-
-    def t_sum(self) -> Term:
-        left = self.t_prod()
-        if self.at("+"):
-            self.next()
-            return app("+", left, self.t_sum())
-        return left
-
-    def t_prod(self) -> Term:
-        left = self.t_atom()
-        if self.at("*"):
-            self.next()
-            return app("*", left, self.t_prod())
-        return left
-
-    def t_atom(self) -> Term:
-        kind, v, pos = self.peek()
-        if v == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        if kind == "int":
-            self.next()
-            return int_term(int(v), self.sig)
-        if kind != "name":
-            raise ParseError(f"expected a term, found {v!r}", pos)
-        self.next()
-        if v in self.sig.functions:
-            arity = self.sig.functions[v]
-            self.expect("(")
-            args = [self.term()]
-            while self.at(","):
-                self.next()
-                args.append(self.term())
-            self.expect(")")
-            if len(args) != arity:
-                raise ParseError(f"{v} expects {arity} arguments, got {len(args)}", pos)
-            return app(v, *args)
-        if v in self.sig.constants:
-            return const(v)
-        if v in self.sig.predicates:
-            raise ParseError(f"predicate {v!r} used as a term", pos)
-        return var(v)
-
-    # -- formulas ----------------------------------------------------------
-    def formula(self) -> Formula:
-        left = self.f_or()
-        if self.at("->"):
-            self.next()
-            return imp(left, self.formula())
-        return left
-
-    def f_or(self) -> Formula:
-        left = self.f_and()
-        if self.at("\\/"):
-            self.next()
-            return disj(left, self.f_or())
-        return left
-
-    def f_and(self) -> Formula:
-        left = self.f_unary()
-        if self.at("/\\"):
-            self.next()
-            return conj(left, self.f_and())
-        return left
-
-    def f_unary(self) -> Formula:
-        kind, v, pos = self.peek()
-        if v == "~":
-            self.next()
-            return neg(self.f_unary())
-        if kind == "name" and v in ("forall", "exists") and v not in self.sig.predicates:
-            self.next()
-            k2, bound, p2 = self.next()
-            if k2 != "name":
-                raise ParseError("expected a variable after quantifier", p2)
-            self.expect("(")
-            body = self.formula()
-            self.expect(")")
-            return forall(bound, body) if v == "forall" else exists(bound, body)
-        return self.f_primary()
-
-    def _paren_is_formula(self) -> bool:
-        # look past the matching ')' to see whether '=' follows (term case)
-        depth = 0
-        j = self.i
-        while j < len(self.toks):
-            v = self.toks[j][1]
+        sig = self.sig
+        funcs, consts, preds = sig.functions, sig.constants, sig.predicates
+        # open groups: (start, function or None, its arguments so far, and
+        # the operands and operators of the enclosing term)
+        frames = []
+        vals, ops = [], []  # left operands and infix operators still open
+        while True:
+            kind, v, pos, _ = self.tok
             if v == "(":
-                depth += 1
-            elif v == ")":
-                depth -= 1
-                if depth == 0:
-                    return self.toks[j + 1][1] not in ("=", "+", "*")
-            elif v == "":
-                break
-            j += 1
-        raise ParseError("unbalanced parentheses", self.peek()[2])
+                t = self.recall(pos, pos)
+                if t is None:
+                    self.next()
+                    frames.append((pos, None, None, vals, ops))
+                    vals, ops = [], []
+                    continue
+            elif kind == "int":
+                self.next()
+                t = int_term(int(v), sig)
+            elif kind != "name":
+                raise ParseError(f"expected a term, found {v!r}", pos)
+            elif v in funcs:
+                self.next()
+                t = self.recall(pos, self.tok[2]) if self.tok[1] == "(" else None
+                if t is None:
+                    self.expect("(")
+                    frames.append((pos, v, [], vals, ops))
+                    vals, ops = [], []
+                    continue
+            elif v in consts:
+                self.next()
+                t = const(v)
+            elif v in preds:
+                raise ParseError(f"predicate {v!r} used as a term", pos)
+            else:
+                self.next()
+                t = var(v)
+            # t is an operand: an infix operator continues its term, anything
+            # else ends the term and perhaps the group around it
+            while True:
+                op = self.tok[1]
+                if op == "+" or op == "*":
+                    level = _TERM_OPS[op][1]
+                    while ops and _TERM_OPS[ops[-1]][1] > level:
+                        t = app(ops.pop(), vals.pop(), t)
+                    vals.append(t)
+                    ops.append(op)
+                    self.next()
+                    break
+                while ops:
+                    t = app(ops.pop(), vals.pop(), t)
+                if not frames:
+                    return t
+                start, f, args, vals, ops = frames[-1]
+                if f is not None:
+                    args.append(t)
+                    if self.tok[1] == ",":
+                        self.next()
+                        vals, ops = [], []
+                        break
+                end = self.tok[3]
+                self.expect(")")
+                frames.pop()
+                if f is not None:
+                    if len(args) != funcs[f]:
+                        raise ParseError(
+                            f"{f} expects {funcs[f]} arguments, got {len(args)}", start
+                        )
+                    t = app(f, *args)
+                self.remember(start, end, t)
 
-    def f_primary(self) -> Formula:
-        kind, v, pos = self.peek()
-        if v == "(" and self._paren_is_formula():
+    # -- formulas ------------------------------------------------------------
+    def formula(self) -> Formula:
+        preds = self.sig.predicates
+        # open groups: (quantifier and variable, or None for parentheses,
+        # and the operands, operators and pending negations around it)
+        frames = []
+        vals, ops, negs = [], [], 0
+        while True:
+            kind, v, pos, _ = self.tok
+            if v == "~":
+                self.next()
+                negs += 1
+                continue
+            if kind == "name" and v in ("forall", "exists") and v not in preds:
+                self.next()
+                k2, bound, p2, _ = self.next()
+                if k2 != "name":
+                    raise ParseError("expected a variable after quantifier", p2)
+                self.expect("(")
+                frames.append(((v, bound), vals, ops, negs))
+                vals, ops, negs = [], [], 0
+                continue
+            if v == "(" and self.paren_is_formula():
+                self.next()
+                frames.append((None, vals, ops, negs))
+                vals, ops, negs = [], [], 0
+                continue
+            f = self.atomic()
+            while True:
+                for _ in range(negs):
+                    f = neg(f)
+                negs = 0
+                op = self.tok[1]
+                if op in _CONNECTIVES:
+                    level = _CONNECTIVES[op][2]
+                    while ops and _CONNECTIVES[ops[-1]][2] > level:
+                        f = _CONNECTIVES[ops.pop()][0](vals.pop(), f)
+                    vals.append(f)
+                    ops.append(op)
+                    self.next()
+                    break
+                while ops:
+                    f = _CONNECTIVES[ops.pop()][0](vals.pop(), f)
+                if not frames:
+                    return f
+                quant, vals, ops, negs = frames.pop()
+                self.expect(")")
+                if quant is not None:
+                    q, bound = quant
+                    f = forall(bound, f) if q == "forall" else exists(bound, f)
+
+    def paren_is_formula(self) -> bool:
+        # '=', '+' or '*' after the matching ')' makes the group a term
+        pos = self.tok[2]
+        hit = self.recalled(pos, pos)
+        end = pos + hit[0] if hit else self.matching(pos) + 1
+        if end == 0:
+            raise ParseError("unbalanced parentheses", pos)
+        return _token(self.text, end)[1] not in ("=", "+", "*")
+
+    def atomic(self) -> Atom:
+        kind, v, pos, _ = self.tok
+        preds = self.sig.predicates
+        if kind == "name" and v in preds:
+            save = self.tok
             self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if kind == "name" and v in self.sig.predicates and v != "=":
-            save = self.i
-            self.next()
-            if self.at("("):
+            if self.tok[1] == "(":
                 self.next()
                 args = [self.term()]
-                while self.at(","):
+                while self.tok[1] == ",":
                     self.next()
                     args.append(self.term())
                 self.expect(")")
-                if len(args) != self.sig.predicates[v]:
-                    raise ParseError(f"{v} expects {self.sig.predicates[v]} arguments", pos)
+                if len(args) != preds[v]:
+                    raise ParseError(f"{v} expects {preds[v]} arguments", pos)
                 return atom(v, *args)
-            self.i = save
+            self.tok = save
         left = self.term()
-        kind, v, pos = self.peek()
+        _, v, pos, _ = self.tok
         if v != "=":
             raise ParseError("expected '=' to complete an atomic formula", pos)
         self.next()
-        right = self.term()
-        return atom("=", left, right)
+        return atom("=", left, self.term())
 
     # -- sequents ----------------------------------------------------------
     def sequent(self) -> Sequent:
         ant = []
-        if not self.at("|-"):
+        if self.tok[1] != "|-":
             ant.append(self.formula())
-            while self.at(","):
+            while self.tok[1] == ",":
                 self.next()
                 ant.append(self.formula())
         self.expect("|-")
         succ = []
-        if self.peek()[0] != "eof":
+        if self.tok[0] != "eof":
             succ.append(self.formula())
-            while self.at(","):
+            while self.tok[1] == ",":
                 self.next()
                 succ.append(self.formula())
         return Sequent(ant, succ)
 
-    def done(self):
-        kind, v, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input {v!r}", pos)
+
+class Reader:
+    """Parses the term, formula and sequent strings of one source under one
+    signature, and remembers every group it parsed, so that a group text
+    seen before, in any of those strings, costs one comparison."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self._groups: dict = {}
+
+    def term(self, text: str) -> Term:
+        return self._read(text, _Parser.term)
+
+    def formula(self, text: str) -> Formula:
+        return self._read(text, _Parser.formula)
+
+    def sequent(self, text: str) -> Sequent:
+        return self._read(text, _Parser.sequent)
+
+    def _read(self, text: str, what):
+        try:
+            p = _Parser(text, self.sig, self._groups)
+            out = what(p)
+            p.done()
+        except LangError:
+            # the first character that starts no token is the error to
+            # report, wherever the other error lies
+            _check_characters(text)
+            raise
+        return out
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    p = _Parser(text, sig)
-    t = p.term()
-    p.done()
-    return t
+    return Reader(sig).term(text)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    p = _Parser(text, sig)
-    f = p.formula()
-    p.done()
-    return f
+    return Reader(sig).formula(text)
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    p = _Parser(text, sig)
-    s = p.sequent()
-    p.done()
-    return s
+    return Reader(sig).sequent(text)

@@ -185,14 +185,42 @@ def test_gen_deep_unary(capsys):
 
 
 def test_deep_input_is_one_error_line(tmp_path, capsys):
-    # the proof-file parser still recurses once per term level
+    # terms 1000 levels deep parse and print without recursion
     f = tmp_path / "unary.json"
-    rc, _, _ = run(capsys, "gen", "unary", "250", "--emit", str(f))
+    rc, _, _ = run(capsys, "gen", "unary", "1000", "--emit", str(f))
     assert rc == 0
     rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
-    assert rc == 1 and out == ""
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
+    assert rc == 0 and err == ""
+    assert out.rstrip().endswith("lines=2001")
+    # proofs nested past the JSON reader's depth cap, and truncated files,
+    # end in one error line
+    deep = tmp_path / "deep.json"
+    n = 60_000
+    deep.write_text(
+        '{"rule":"WeakenLeft","conclusion":"|-","premises":[' * n
+        + '{"rule":"LogicalAxiom","conclusion":"F(0) |- F(0)","premises":[]}'
+        + "]}" * n
+    )
+    cut = tmp_path / "cut.json"
+    cut.write_text(f.read_text()[:5000])
+    for bad in (deep, cut):
+        rc, out, err = run(capsys, "check", str(bad), "--theory", "arith")
+        assert rc == 1 and out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+
+def test_emit_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
+    from feaslab import kernel
+
+    def fail(p):
+        raise kernel.KernelError("cannot serialize")
+
+    monkeypatch.setattr(kernel, "serialize_proof", fail)
+    f = tmp_path / "proof.json"
+    rc, _, err = run(capsys, "gen", "unary", "3", "--emit", str(f))
+    assert rc == 1 and err == "error: cannot serialize\n"
+    assert not f.exists()
 
 
 def test_node_budget_env(monkeypatch, capsys):

@@ -1,16 +1,21 @@
+import sys
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from feaslab.lang import (
     App,
     LangError,
     ParseError,
+    Reader,
     Sequent,
     arith_signature,
     app,
     atom,
+    conj,
     const,
     dag_size,
+    disj,
     exists,
     forall,
     formula_str,
@@ -19,6 +24,7 @@ from feaslab.lang import (
     imp,
     int_term,
     mul,
+    neg,
     parse_formula,
     parse_sequent,
     parse_term,
@@ -198,3 +204,208 @@ def test_subst_then_eval_free_vars(t, u):
         assert fv == (free_vars(t) - {"x"}) | free_vars(u)
     else:
         assert got is t
+
+
+# -- text layer: printer and parser under every signature -------------------
+
+SIGNATURES = {
+    "arith": SIG,
+    "group": group_signature(("x", "y"), with_triviality=True),
+    "rat": rational_signature(),
+}
+VARS = ("u", "v", "w")
+
+
+def sig_terms(sig):
+    leaves = st.sampled_from([var(v) for v in VARS] + [const(c) for c in sig.constants])
+    funcs = sorted(sig.functions.items())
+
+    def apps(kids):
+        return st.sampled_from(funcs).flatmap(
+            lambda fk: st.tuples(*[kids] * fk[1]).map(lambda args: app(fk[0], *args))
+        )
+
+    return st.recursive(leaves, apps, max_leaves=12)
+
+
+def squared(t, k):
+    for _ in range(k):
+        t = mul(t, t)
+    return t
+
+
+def sig_terms_shared(sig):
+    # squaring shares every stage: the printed text doubles per stage
+    return st.builds(squared, sig_terms(sig), st.integers(0, 5))
+
+
+def sig_formulas(sig):
+    preds = sorted(sig.predicates.items())
+    atoms = st.sampled_from(preds).flatmap(
+        lambda pk: st.tuples(*[sig_terms_shared(sig)] * pk[1]).map(
+            lambda args: atom(pk[0], *args)
+        )
+    )
+
+    def compound(kids):
+        return (
+            st.builds(imp, kids, kids)
+            | st.builds(disj, kids, kids)
+            | st.builds(conj, kids, kids)
+            | st.builds(neg, kids)
+            | st.builds(forall, st.sampled_from(VARS), kids)
+            | st.builds(exists, st.sampled_from(VARS), kids)
+        )
+
+    return st.recursive(atoms, compound, max_leaves=6)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_text_round_trip_is_identity(name, data):
+    sig = SIGNATURES[name]
+    t = data.draw(sig_terms_shared(sig))
+    assert parse_term(term_str(t), sig) is t
+    phi = data.draw(sig_formulas(sig))
+    assert parse_formula(formula_str(phi), sig) is phi
+    ant = data.draw(st.lists(sig_formulas(sig), max_size=3))
+    succ = data.draw(st.lists(sig_formulas(sig), max_size=3))
+    seq = Sequent(ant, succ)
+    back = parse_sequent(sequent_str(seq), sig)
+    assert back.ant == seq.ant and back.succ == seq.succ
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_reader_across_strings_is_identity(name, data):
+    # the memo carries group texts from one string to the next
+    sig = SIGNATURES[name]
+    terms = data.draw(st.lists(sig_terms_shared(sig), min_size=1, max_size=8))
+    reader = Reader(sig)
+    for t in terms + terms[::-1]:
+        assert reader.term(term_str(t)) is t
+        assert reader.formula(formula_str(atom("F", t))) is atom("F", t)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def chains(sig, depth):
+    """Terms and formulas `depth` levels deep: a unary chain, a left- and a
+    right-nested product, and nested negations and implications."""
+    f = sorted(k for k, a in sig.functions.items() if a == 1)[0]
+    leaf = var("u")
+    unary = left = right = leaf
+    phi = psi = atom("F", leaf)
+    for i in range(depth):
+        unary = app(f, unary)
+        left = mul(left, var(VARS[i % 3]))
+        right = mul(var(VARS[i % 3]), right)
+        phi = neg(phi)
+        psi = imp(psi, atom("F", var(VARS[i % 3])))
+    return (unary, left, right), (phi, psi)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_deep_chains_round_trip_without_recursion(name, default_recursion_limit):
+    sig = SIGNATURES[name]
+    terms, formulas = chains(sig, 20_000)
+    for t in terms:
+        assert parse_term(term_str(t), sig) is t
+    for phi in formulas:
+        assert parse_formula(formula_str(phi), sig) is phi
+    # a squaring chain shares each stage twice: long text, small DAG
+    sq = squared(var("u"), 16)
+    assert parse_term(term_str(sq), sig) is sq
+
+
+def test_memo_is_per_signature():
+    group = SIGNATURES["group"]
+    text = "(x * y) * (x * y) * s(0)"
+    u = parse_term(text, SIG)
+    assert u is parse_term("(x * y) * ((x * y) * s(0))", SIG)
+    assert u.args[0].args[0] is var("x")
+    with pytest.raises(ParseError):
+        parse_term(text, group)  # no s, no 0
+    g = parse_term("(x * y) * (x * y)", group)
+    assert g.args[0].args[0] is const("x")
+    # one reader per signature, fed the same strings in turn
+    ra, rg = Reader(SIG), Reader(group)
+    for _ in range(2):
+        assert ra.term("(x * y) * (x * y)") is mul(mul(var("x"), var("y")), mul(var("x"), var("y")))
+        assert rg.term("(x * y) * (x * y)") is g
+        with pytest.raises(ParseError):
+            rg.term("s(0) * (x * y)")
+        assert ra.term("s(0) * (x * y)") is mul(app("s", const("0")), mul(var("x"), var("y")))
+
+
+# messages and positions as the recursive-descent parser gave them
+MALFORMED = [
+    ("term", "arith", "x +", "expected a term, found '' (at position 3)"),
+    ("term", "arith", "f(x)", "trailing input '(' (at position 1)"),
+    ("term", "arith", "s x", "expected '(', found 'x' (at position 2)"),
+    ("term", "arith", "s(x", "expected ')', found '' (at position 3)"),
+    ("term", "arith", "s(x, y)", "s expects 1 arguments, got 2 (at position 0)"),
+    ("term", "arith", "exp(x)", "exp expects 2 arguments, got 1 (at position 0)"),
+    ("term", "arith", "(x + y", "expected ')', found '' (at position 6)"),
+    ("term", "arith", "F(x)", "predicate 'F' used as a term (at position 0)"),
+    ("term", "arith", "x $ y", "unexpected character '$' (at position 1)"),
+    ("term", "arith", "x + (y * ) $", "unexpected character '$' (at position 10)"),
+    ("term", "arith", "x y", "trailing input 'y' (at position 2)"),
+    ("term", "rat", "1 + -", "unexpected character '-' (at position 3)"),
+    ("term", "arith", "s(s(0)) * s(s(0)) +", "expected a term, found '' (at position 19)"),
+    ("term", "arith", "(x + 0) * (x + 0) * (x + 0", "expected ')', found '' (at position 26)"),
+    (
+        "term", "arith", "exp(s(0), s(0)) + exp(s(0), s(0), 0)",
+        "exp expects 2 arguments, got 3 (at position 18)",
+    ),
+    ("formula", "arith", "F(x", "expected ')', found '' (at position 3)"),
+    ("formula", "arith", "G(x)", "expected '=' to complete an atomic formula (at position 1)"),
+    ("formula", "arith", "F(x, y)", "F expects 1 arguments (at position 0)"),
+    ("formula", "arith", "F + x = y", "predicate 'F' used as a term (at position 0)"),
+    ("formula", "arith", "x + y", "expected '=' to complete an atomic formula (at position 5)"),
+    ("formula", "arith", "forall (F(x))", "expected a variable after quantifier (at position 7)"),
+    ("formula", "arith", "forall x F(x)", "expected '(', found 'F' (at position 9)"),
+    ("formula", "arith", "forall x (F(x)", "expected ')', found '' (at position 14)"),
+    ("formula", "arith", "(F(x) -> F(y)", "unbalanced parentheses (at position 0)"),
+    ("formula", "arith", "((x + y) = z", "unbalanced parentheses (at position 0)"),
+    ("formula", "arith", "~", "expected a term, found '' (at position 1)"),
+    ("formula", "arith", "F(x) -> ", "expected a term, found '' (at position 8)"),
+    ("formula", "arith", "F(x) /\\\\ F(y)", "unexpected character '\\\\' (at position 7)"),
+    (
+        "formula", "arith", "F(s(0)) -> F(s(0)) /\\ s(0) = s(0) $",
+        "unexpected character '$' (at position 33)",
+    ),
+    ("formula", "group", "T(e, e)", "T expects 1 arguments (at position 0)"),
+    ("sequent", "arith", "F(x) F(y)", "expected '|-', found 'F' (at position 5)"),
+    ("sequent", "arith", "F(x) |- F(y) |- F(z)", "trailing input '|-' (at position 13)"),
+    ("sequent", "arith", "F(x), |- F(y)", "expected a term, found '|-' (at position 6)"),
+    ("sequent", "arith", "F(x) |- F(y) F(z)", "trailing input 'F' (at position 13)"),
+    (
+        "sequent", "arith", "|- s(s(0)) = s(s(0)), ' ",
+        "unexpected character \"'\" (at position 21)",
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, name, text, message", MALFORMED)
+def test_malformed_inputs_keep_their_messages(kind, name, text, message):
+    parse = {"term": parse_term, "formula": parse_formula, "sequent": parse_sequent}[kind]
+    with pytest.raises(ParseError) as exc:
+        parse(text, SIGNATURES[name])
+    assert str(exc.value) == message
+
+
+def test_numeral_the_signature_cannot_express():
+    with pytest.raises(LangError, match="cannot express the numeral 3"):
+        parse_term("inv(x) * 3", SIGNATURES["group"])
+    # a bad character still outranks it, as when the text was tokenized first
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_term("inv(x) * 3 $", SIGNATURES["group"])
