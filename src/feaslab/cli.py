@@ -20,7 +20,10 @@ from .cutelim import (
     FragmentError,
     NodeBudgetError,
     blowup_report,
+    count_text,
     eliminate_cuts,
+    node_budget,
+    ratio_text,
 )
 from .flowgraph import build_flow_graph, emit_dot
 from .generators import (
@@ -142,7 +145,17 @@ def _cmd_cutfree(args) -> int:
     cf = eliminate_cuts(p, theory, budget=args.budget)
     check(cf, theory)
     after = size(cf).lines
-    print(f"lines {before} -> {after}, ratio={after / before:.6g}, checked=ok")
+    budget = node_budget(args.budget)
+    if args.emit and after > budget:
+        raise KernelError(
+            f"not writing {args.emit}: the cut-free proof has {count_text(after)} "
+            f"tree lines, past the node budget of {budget}, and the file "
+            "writes each shared subproof once per occurrence"
+        )
+    print(
+        f"lines {count_text(before)} -> {count_text(after)}, "
+        f"ratio={ratio_text(after, before)}, checked=ok"
+    )
     if args.emit:
         proof_to_file(cf, args.emit)
         print(f"wrote {args.emit}")
@@ -188,8 +201,8 @@ def _cmd_bench(args) -> int:
                 [
                     r.n,
                     r.lines_with_cuts,
-                    "" if r.lines_cut_free is None else r.lines_cut_free,
-                    "" if r.ratio is None else f"{r.ratio:.6g}",
+                    "" if r.lines_cut_free is None else count_text(r.lines_cut_free),
+                    "" if r.ratio is None else ratio_text(r.lines_cut_free, r.lines_with_cuts),
                     r.cut_count,
                     r.contraction_count,
                     "" if r.wall_time_ms is None else f"{r.wall_time_ms:.3f}",

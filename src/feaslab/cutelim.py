@@ -23,18 +23,26 @@ Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
 with the derivation grafted into the matching slot.
 
-A node budget (default 10^6 lines, FEASLAB_NODE_BUDGET overrides) aborts
-oversized eliminations with NodeBudgetError.  It still counts tree lines,
-each shared subproof once per occurrence, not the DAG nodes built.
+Eigenvariable substitutions (`substitute_proof`) share one memo per call
+too.
+
+A node budget (default 10^6, FEASLAB_NODE_BUDGET overrides) bounds the DAG
+nodes built: multicut memo misses plus rebuilt inferences.  An elimination
+that would build more aborts with NodeBudgetError.  The line count of the
+output is not bounded; `size` counts it as an exact int, `count_text`
+prints it past the interpreter's int-to-str digit limit, and `ratio_text`
+prints its ratio to the input's without going through a float.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Optional
 
 from .kernel import (
@@ -109,24 +117,31 @@ class _State:
 
     mcut_memo maps (id(p1), id(a), id(p2), k) to (result, p1, a, p2); keeping
     the argument objects alive means no id is reused while the memo lives.
-    Ticks count multicut memo misses and rebuilt inferences, so the working
-    bound tracks the work actually done on the shared DAG.
+    subst_memo is substitute_proof's memo, shared by every substitution of
+    the run.
+    Ticks count the DAG nodes built, multicut memo misses and rebuilt
+    inferences; more than `budget` of them abort the run.  `cut` is
+    (index, total, formula) of the cut being eliminated, for the message.
     """
 
-    __slots__ = ("theory", "budget", "ticks", "tick_cap", "mcut_memo")
+    __slots__ = ("theory", "budget", "ticks", "cut", "mcut_memo", "subst_memo")
 
     def __init__(self, theory, budget: int):
         self.theory = theory
         self.budget = budget
         self.ticks = 0
-        self.tick_cap = max(budget * 8, 1 << 20)
+        self.cut = None
         self.mcut_memo: dict = {}
+        self.subst_memo: dict = {}
 
     def tick(self):
         self.ticks += 1
-        if self.ticks > self.tick_cap:
+        if self.ticks > self.budget:
+            i, total, a = self.cut
             raise NodeBudgetError(
-                f"cut elimination exceeded {self.budget} nodes (working bound)"
+                f"cut elimination exceeded its budget of {self.budget} DAG nodes: "
+                f"built {self.ticks} while eliminating cut {i} of {total}, "
+                f"on {formula_str(a)}"
             )
 
 
@@ -142,19 +157,6 @@ def _in_fragment(f: Formula) -> bool:
 
 def _count(fs: tuple, f: Formula) -> int:
     return sum(1 for g in fs if g is f)
-
-
-def _tree_lines(p: Proof, memo: dict) -> int:
-    """Tree lines of p; memo maps id(node) -> lines and is kept across calls."""
-    stack = [(p, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            memo[id(node)] = 1 + sum(memo[id(q)] for q in node.premises)
-        elif id(node) not in memo:
-            stack.append((node, True))
-            stack.extend((q, False) for q in node.premises if id(q) not in memo)
-    return memo[id(p)]
 
 
 def _kept(p: Proof, step: Step, j: int, side: str, a: Formula) -> int:
@@ -326,7 +328,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
         )
         if clash:
             fresh = fresh_name(eigen, _names_around(p1, p2))
-            q = substitute_proof(p2.premises[0], {eigen: var(fresh)})
+            q = substitute_proof(p2.premises[0], {eigen: var(fresh)}, st.subst_memo)
             # renaming keeps every premise occurrence in place: step still fits
             p2 = (
                 forall_right(q, step.principal, fresh)
@@ -420,7 +422,7 @@ def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
                 outer_names |= _names_around(sib)
             if e in outer_names:
                 e2 = fresh_name(e, outer_names)
-                inner = substitute_proof(inner, {e: var(e2)})
+                inner = substitute_proof(inner, {e: var(e2)}, st.subst_memo)
                 e = e2
             rebuilt = _reapply(p1, step, _swap(p1.premises, j, inner), st)
             return forall_right(rebuilt, a, e)
@@ -469,7 +471,7 @@ def _reduce_forall(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proo
         return forall_left(qp, a, t)
     head = _principalize_right(p1, a, st)
     r = head.premises[0]
-    r_inst = substitute_proof(r, {head.rule.eigen: t})
+    r_inst = substitute_proof(r, {head.rule.eigen: t}, st.subst_memo)
     return _mcut(r_inst, inst, qp, 1, st)
 
 
@@ -480,17 +482,15 @@ def _reduce_forall(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proo
 def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
     """Innermost-first cut elimination; returns a cut-free proof of the
     same end sequent.  Raises FragmentError/NodeBudgetError as documented."""
-    limit = node_budget(budget)
-    st = _State(theory, limit)
+    st = _State(theory, node_budget(budget))
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, 200_000))
     try:
+        nodes = list(_iter_unique_nodes(p))
+        total = sum(1 for node in nodes if node.rule.tag == "Cut")
+        index = 0
         done: dict = {}
-        # id(node) -> tree lines, for the nodes of the output built so far;
-        # every key is a node reachable from a value of `done`, which lives
-        # as long as this memo, so no id is reused while it is in use
-        lines: dict = {}
-        for node in _iter_unique_nodes(p):
+        for node in nodes:
             prems = tuple(done[id(q)] for q in node.premises)
             if node.rule.tag == "Cut":
                 a = analyze(node).principal
@@ -499,15 +499,13 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
                         f"cut formula {formula_str(a)} lies outside the "
                         "atom/implication/forall fragment"
                     )
+                index += 1
+                st.cut = (index, total, a)
                 out = _mcut(prems[0], a, prems[1], 1, st)
                 if out.conclusion != node.conclusion:
                     raise KernelError(
                         "internal: cut elimination changed the sequent from "
                         f"{sequent_str(node.conclusion)} to {sequent_str(out.conclusion)}"
-                    )
-                if _tree_lines(out, lines) > limit:
-                    raise NodeBudgetError(
-                        f"cut-free proof exceeds the node budget of {limit}"
                     )
             elif all(x is y for x, y in zip(prems, node.premises)):
                 out = node
@@ -528,7 +526,7 @@ class BlowupRow:
     n: int
     lines_with_cuts: int
     lines_cut_free: Optional[int]
-    ratio: Optional[float]
+    ratio: Optional[float]  # inf past the float range; ratio_text is exact
     cut_count: int
     contraction_count: int
     wall_time_ms: Optional[float]
@@ -545,6 +543,32 @@ BLOWUP_COLUMNS = (
     "wall_time_ms",
     "status",
 )
+
+
+def _quotient(num: int, den: int) -> float:
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def count_text(n: int) -> str:
+    """n in decimal, exactly; unlike str(n), not limited by the
+    interpreter's int-to-str digit limit (about 10^4 digits here)."""
+    return str(Decimal(n))
+
+
+def ratio_text(num: int, den: int) -> str:
+    """num / den in `.6g` form, from the exact integers: the text of the
+    nearest float where there is one, and the same form past the float
+    range, where true division raises OverflowError."""
+    q = _quotient(num, den)
+    if q != math.inf:
+        return f"{q:.6g}"
+    with localcontext() as ctx:
+        ctx.prec = 6
+        # normalized, so trailing zeros go as they do from a float's text
+        return format((Decimal(num) / den).normalize(), "g")
 
 
 def blowup_report(make_report, ns, budget: Optional[int] = None, timings: bool = False):
@@ -566,7 +590,7 @@ def blowup_report(make_report, ns, budget: Optional[int] = None, timings: bool =
         try:
             cf = eliminate_cuts(rep.proof, rep.theory, budget)
             lines_cf = size(cf).lines
-            ratio = lines_cf / stats.lines
+            ratio = _quotient(lines_cf, stats.lines)
         except NodeBudgetError:
             status = "budget-exceeded"
         except FragmentError:

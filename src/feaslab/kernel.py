@@ -882,6 +882,17 @@ def proof_from_file(path: str, sig: Signature) -> Proof:
         return parse_proof(fh.read(), sig)
 
 
+_JSON_KIND = {str: "string", list: "list", dict: "object"}
+
+
+def _field(d: dict, key: str, kind: type, default=None):
+    """d[key] (or default when absent), which must be a `kind`."""
+    x = d.get(key, default)
+    if not isinstance(x, kind):
+        raise KernelError(f"proof field {key!r} must be a JSON {_JSON_KIND[kind]}")
+    return x
+
+
 def _proof_from_data(data, sig: Signature) -> Proof:
     if not isinstance(data, dict):
         raise KernelError("proof file must contain a JSON object")
@@ -890,12 +901,11 @@ def _proof_from_data(data, sig: Signature) -> Proof:
     stack = [(data, False)]
     while stack:
         d, expanded = stack.pop()
+        if not isinstance(d, dict):
+            raise KernelError("every proof node must be a JSON object")
         if not expanded:
             stack.append((d, True))
-            prems = d.get("premises", [])
-            if not isinstance(prems, list):
-                raise KernelError("premises must form a list")
-            for q in reversed(prems):
+            for q in reversed(_field(d, "premises", list, [])):
                 stack.append((q, False))
             continue
         if id(d) in done:
@@ -904,28 +914,27 @@ def _proof_from_data(data, sig: Signature) -> Proof:
         if extra:
             raise KernelError(f"unknown proof fields {sorted(extra)}")
         tag = d.get("rule")
-        if tag not in RULE_TAGS:
+        if not isinstance(tag, str) or tag not in RULE_TAGS:
             raise KernelError(f"unknown rule tag {tag!r}")
         inst = d.get("instantiation")
         axiom = subst = term = eigen = None
         if tag == "TheoryAxiom":
             if not isinstance(inst, dict) or set(inst) != {"axiom", "subst"}:
                 raise KernelError("TheoryAxiom needs {'axiom', 'subst'}")
-            axiom = inst["axiom"]
-            subst = tuple(
-                sorted((v, reader.term(s)) for v, s in inst["subst"].items())
-            )
+            axiom = _field(inst, "axiom", str)
+            terms = _field(inst, "subst", dict)
+            subst = tuple(sorted((v, reader.term(_field(terms, v, str))) for v in terms))
         elif tag in _TERM_RULES:
             if not isinstance(inst, dict) or set(inst) != {"term"}:
                 raise KernelError(f"{tag} needs a witness term")
-            term = reader.term(inst["term"])
+            term = reader.term(_field(inst, "term", str))
         elif tag in _EIGEN_RULES:
             if not isinstance(inst, dict) or set(inst) != {"eigen"}:
                 raise KernelError(f"{tag} needs an eigenvariable")
-            eigen = inst["eigen"]
+            eigen = _field(inst, "eigen", str)
         elif inst is not None:
             raise KernelError(f"{tag} carries no instantiation")
-        concl = reader.sequent(d.get("conclusion", ""))
+        concl = reader.sequent(_field(d, "conclusion", str, ""))
         rule = Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen)
         prem_proofs = tuple(done[id(q)] for q in d.get("premises", []))
         done[id(d)] = Proof(concl, rule, prem_proofs)
@@ -936,57 +945,72 @@ def _proof_from_data(data, sig: Signature) -> Proof:
 # Proof-level substitution (used by cut elimination at quantifier steps)
 
 
-def substitute_proof(p: Proof, mapping: dict) -> Proof:
+def substitute_proof(p: Proof, mapping: dict, memo: Optional[dict] = None) -> Proof:
     """Apply a variable -> term substitution throughout a proof.
 
     Eigenvariables act as binders for their subtree: mapped names stop at
     the binding node, and eigenvariables clashing with incoming terms are
     renamed on the way.
-    """
-    mapping = {k: v for k, v in mapping.items()}
-    if not mapping:
-        return p
-    memo: dict = {}
 
-    def walk(node: Proof) -> Proof:
-        hit = memo.get(id(node))
-        if hit is not None:
-            return hit
+    The result is a function of (node, mapping), so `memo` may be shared by
+    many calls: it maps (id(node), mapping items) to (result, node), and
+    keeping the node alive means no id is reused while the memo lives.
+    Explicit stack: proofs nest deeper than the interpreter may recurse.
+    """
+    if memo is None:
+        memo = {}
+
+    def done(q: Proof, key: tuple):
+        if not key:
+            return q
+        hit = memo.get((id(q), key))
+        return None if hit is None else hit[0]
+
+    root = (p, tuple(sorted(mapping.items())))
+    stack = [root]
+    while stack:
+        node, key = stack[-1]
+        if done(node, key) is not None:
+            stack.pop()
+            continue
         rule = node.rule
         prems = node.premises
+        sub = key
         if rule.eigen is not None:
             e = rule.eigen
-            sub = {k: v for k, v in mapping.items() if k != e}
-            if any(e in free_vars(v) for v in sub.values()):
-                avoid = set(sub)
-                for v in sub.values():
+            sub = tuple(kv for kv in key if kv[0] != e)
+            if any(e in free_vars(v) for _, v in sub):
+                avoid = {k for k, _ in sub}
+                for _, v in sub:
                     avoid |= free_vars(v)
                 for q in prems:
                     for f in q.conclusion.ant + q.conclusion.succ:
                         avoid |= free_vars(f)
                 e2 = fresh_name(e, avoid)
-                prems = tuple(substitute_proof(q, {e: var(e2)}) for q in prems)
+                rename = ((e, var(e2)),)
+                renamed = [done(q, rename) for q in prems]
+                if None in renamed:
+                    stack.extend((q, rename) for q in prems)
+                    continue
+                prems = renamed
                 rule = Rule(rule.tag, eigen=e2)
-            if sub != mapping or rule is not node.rule:
-                prems = tuple(substitute_proof(q, sub) for q in prems)
-            else:
-                prems = tuple(walk(q) for q in prems)
-        else:
-            prems = tuple(walk(q) for q in prems)
-            if rule.term is not None:
-                rule = Rule(rule.tag, term=subst_term(rule.term, mapping))
-            elif rule.subst is not None:
-                rule = Rule(
-                    rule.tag,
-                    axiom=rule.axiom,
-                    subst=tuple((v, subst_term(t, mapping)) for v, t in rule.subst),
-                )
+        new = [done(q, sub) for q in prems]
+        if None in new:
+            stack.extend((q, sub) for q in prems)
+            continue
+        m = dict(key)
+        if rule.term is not None:
+            rule = Rule(rule.tag, term=subst_term(rule.term, m))
+        elif rule.subst is not None:
+            rule = Rule(
+                rule.tag,
+                axiom=rule.axiom,
+                subst=tuple((v, subst_term(t, m)) for v, t in rule.subst),
+            )
         concl = Sequent(
-            tuple(subst_formula(f, mapping) for f in node.conclusion.ant),
-            tuple(subst_formula(f, mapping) for f in node.conclusion.succ),
+            tuple(subst_formula(f, m) for f in node.conclusion.ant),
+            tuple(subst_formula(f, m) for f in node.conclusion.succ),
         )
-        out = Proof(concl, rule, prems)
-        memo[id(node)] = out
-        return out
-
-    return walk(p)
+        memo[(id(node), key)] = (Proof(concl, rule, tuple(new)), node)
+        stack.pop()
+    return done(*root)

@@ -1,12 +1,18 @@
 """Command line behaviour: frozen output lines, files, error paths."""
 
+import contextlib
 import csv
 import io
+import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feaslab import cli
 from feaslab.cutelim import BLOWUP_COLUMNS
+from feaslab.kernel import RULE_TAGS
 
 
 def run(capsys, *argv):
@@ -232,3 +238,110 @@ def test_node_budget_env(monkeypatch, capsys):
     rc, out, _ = run(capsys, "cutfree", "square-cut", "5")
     assert rc == 0
     assert out.startswith("lines 55 -> 189")
+
+
+def test_cutfree_refuses_to_emit_past_the_budget(tmp_path, capsys):
+    # 602 DAG nodes, 6,597,069,766,653 lines once written out as a tree
+    f = tmp_path / "cf.json"
+    rc, out, err = run(capsys, "cutfree", "square-cut", "40", "--emit", str(f))
+    assert rc == 1 and out == ""
+    assert err == (
+        f"error: not writing {f}: the cut-free proof has 6597069766653 tree "
+        "lines, past the node budget of 1000000, and the file writes each "
+        "shared subproof once per occurrence\n"
+    )
+    assert not f.exists()
+    rc, out, _ = run(capsys, "cutfree", "square-cut", "40")
+    assert rc == 0
+    assert out == "lines 405 -> 6597069766653, ratio=1.62891e+10, checked=ok\n"
+
+
+def test_hostile_json_shapes_are_error_lines(tmp_path, capsys):
+    leaf = {"rule": "LogicalAxiom", "conclusion": "F(0) |- F(0)", "premises": []}
+    cases = [
+        dict(leaf, conclusion=5),
+        {"rule": "WeakenLeft", "conclusion": "F(0), F(0) |- F(0)", "premises": [3]},
+        {
+            "rule": "TheoryAxiom",
+            "instantiation": {"axiom": "F(0)", "subst": [1]},
+            "conclusion": "|- F(0)",
+            "premises": [],
+        },
+    ]
+    f = tmp_path / "hostile.json"
+    for case in cases:
+        f.write_text(json.dumps(case))
+        rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FIELDS = ["rule", "instantiation", "conclusion", "premises", "axiom", "subst", "term", "eigen"]
+_STRINGS = [
+    "F(0) |- F(0)",
+    "|- F(0)",
+    "F(x) |- F(s(x))",
+    "LogicalAxiom",
+    "TheoryAxiom",
+    "ForallRight",
+    "WeakenLeft",
+    "F:successor",
+    "x",
+    "s(0)",
+    "",
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.sampled_from(_STRINGS)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _check_file(text: str):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["check", path, "--theory", "arith"])
+        return rc, out.getvalue(), err.getvalue()
+    finally:
+        os.unlink(path)
+
+
+# proof-shaped objects whose fields hold anything
+proof_nodes = st.recursive(
+    st.fixed_dictionaries(
+        {"rule": st.sampled_from(sorted(RULE_TAGS)) | json_values},
+        optional={"conclusion": json_values, "instantiation": json_values},
+    ),
+    lambda inner: st.fixed_dictionaries(
+        {
+            "rule": st.sampled_from(sorted(RULE_TAGS)),
+            "conclusion": st.sampled_from(_STRINGS) | json_values,
+            "premises": st.lists(inner | json_values, max_size=2),
+        },
+        optional={
+            "instantiation": st.dictionaries(st.sampled_from(_FIELDS), json_values, max_size=2)
+        },
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values | proof_nodes)
+def test_json_shape_fuzz_gives_only_error_lines(data):
+    rc, out, err = _check_file(json.dumps(data))
+    if rc == 0:
+        assert err == "" and out.startswith("ok: ")
+    else:
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,7 +1,11 @@
 """Cut elimination: frozen blowups, invariants, budgets, fragment limits.
 
 Cut-free goldens were frozen from runs of the eliminator after verifying
-the outputs check and match the closed forms (square-cut: 6*2^n - 3).
+the outputs check and match the closed forms: square-cut 3*2^(n+1) - 3,
+group-power squaring 2^(n+1) - 1, distorted 2^(n+2) + 2 for n >= 1.
+
+The budget counts DAG nodes built (multicut memo misses plus rebuilt
+inferences), not the tree lines of the output.
 """
 
 import hashlib
@@ -13,8 +17,10 @@ from feaslab.cutelim import (
     FragmentError,
     NodeBudgetError,
     blowup_report,
+    count_text,
     eliminate_cuts,
     node_budget,
+    ratio_text,
 )
 from feaslab.generators import (
     gen_distorted,
@@ -179,6 +185,81 @@ def test_node_budget_environment(monkeypatch):
     monkeypatch.setenv("FEASLAB_NODE_BUDGET", "not-a-number")
     with pytest.raises(NodeBudgetError):
         node_budget()
+
+
+def test_default_budget_decides_beyond_a_million_lines():
+    # each of these builds fewer than 300 DAG nodes for more than 10^6 lines
+    families = [
+        (gen_square_cut, range(18, 21), lambda n: 3 * 2 ** (n + 1) - 3),
+        (
+            lambda n: gen_group_power("x", n, mode="squaring"),
+            range(19, 21),
+            lambda n: 2 ** (n + 1) - 1,
+        ),
+        (gen_distorted, range(18, 21), lambda n: 2 ** (n + 2) + 2),
+    ]
+    for make, ns, closed_form in families:
+        for n in ns:
+            want = closed_form(n)
+            assert want > 10**6
+            assert cut_free_lines(make(n)) == want
+
+
+# DAG nodes that eliminating the cuts of square-cut 40 builds
+SQUARE_CUT_40_TICKS = 602
+
+
+def test_square_cut_forty_budget_is_dag_nodes():
+    rep = gen_square_cut(40)
+    assert cut_free_lines(rep) == 6_597_069_766_653
+    assert cut_free_lines(rep, budget=SQUARE_CUT_40_TICKS) == 6_597_069_766_653
+    with pytest.raises(NodeBudgetError):
+        eliminate_cuts(rep.proof, rep.theory, budget=SQUARE_CUT_40_TICKS - 1)
+
+
+def test_node_budget_error_names_count_and_cut():
+    rep = gen_square_cut(5)
+    with pytest.raises(NodeBudgetError) as info:
+        eliminate_cuts(rep.proof, rep.theory, budget=50)
+    msg = str(info.value)
+    assert msg.startswith(
+        "cut elimination exceeded its budget of 50 DAG nodes: "
+        "built 51 while eliminating cut 13 of 17, on F("
+    )
+
+
+def test_ratio_text_is_exact_past_the_float_range():
+    assert ratio_text(9, 5) == f"{9 / 5:.6g}" == "1.8"
+    assert ratio_text(10**6 + 1, 3) == f"{(10**6 + 1) / 3:.6g}"
+    assert ratio_text(2 * 10**309, 1) == "2e+309"
+    assert ratio_text(3 * 10**400, 7) == "4.28571e+399"
+    assert ratio_text(10**5000, 10**4000 * 3) == "3.33333e+999"
+
+
+def test_count_text_is_exact_past_the_digit_limit():
+    assert count_text(6_597_069_766_653) == "6597069766653"
+    n = 3 * 2**70_001 - 3  # about 21,000 digits; str(n) raises ValueError here
+    text = count_text(n)
+    assert len(text) == 21_073
+    assert int(text[:4000]) == n // 10**17_073
+    assert int(text[-4000:]) == n % 10**4000
+    head, exp = ratio_text(n // 10**21_000, 55).split("e+")
+    assert ratio_text(n, 55) == f"{head}e+{int(exp) + 21_000}" == "1.37241e+21071"
+
+
+def test_quantifier_ratio_past_the_float_range():
+    rows = blowup_report(gen_quantifier, [11])
+    row = rows[0]
+    assert row.status == "ok"
+    assert len(str(row.lines_cut_free)) == 618
+    assert row.ratio == float("inf")
+    q = row.lines_cut_free * 10**5 // row.lines_with_cuts
+    digits = str(q)
+    # 6 significant digits, exponent of the quotient itself
+    head = round(int(digits[:7]) / 10)
+    assert ratio_text(row.lines_cut_free, row.lines_with_cuts) == (
+        f"{head // 100000}.{head % 100000:05d}e+{len(digits) - 6}"
+    )
 
 
 def test_blowup_report_rows():

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feaslab.cutelim import _State, _reapply
 from feaslab.kernel import (
@@ -37,10 +38,14 @@ from feaslab.lang import (
     atom,
     const,
     forall,
+    free_vars,
+    fresh_name,
     imp,
     int_term,
     mul,
     parse_formula,
+    subst_formula,
+    subst_term,
     var,
 )
 from feaslab.generators import (
@@ -241,6 +246,110 @@ def test_substitute_proof_respects_eigen_binding():
     out = substitute_proof(fr, {"a": const("0")})
     assert out.conclusion == fr.conclusion
     check(out, TH)
+
+
+def substitute_proof_recursive(p, mapping):
+    """The recursive substitution the iterative one replaced, kept as its
+    oracle: a fresh memo per call and per eigenvariable node."""
+    mapping = dict(mapping)
+    if not mapping:
+        return p
+    memo = {}
+
+    def walk(node):
+        hit = memo.get(id(node))
+        if hit is not None:
+            return hit
+        rule = node.rule
+        prems = node.premises
+        if rule.eigen is not None:
+            e = rule.eigen
+            sub = {k: v for k, v in mapping.items() if k != e}
+            if any(e in free_vars(v) for v in sub.values()):
+                avoid = set(sub)
+                for v in sub.values():
+                    avoid |= free_vars(v)
+                for q in prems:
+                    for f in q.conclusion.ant + q.conclusion.succ:
+                        avoid |= free_vars(f)
+                e2 = fresh_name(e, avoid)
+                prems = tuple(substitute_proof_recursive(q, {e: var(e2)}) for q in prems)
+                rule = Rule(rule.tag, eigen=e2)
+            if sub != mapping or rule is not node.rule:
+                prems = tuple(substitute_proof_recursive(q, sub) for q in prems)
+            else:
+                prems = tuple(walk(q) for q in prems)
+        else:
+            prems = tuple(walk(q) for q in prems)
+            if rule.term is not None:
+                rule = Rule(rule.tag, term=subst_term(rule.term, mapping))
+            elif rule.subst is not None:
+                rule = Rule(
+                    rule.tag,
+                    axiom=rule.axiom,
+                    subst=tuple((v, subst_term(t, mapping)) for v, t in rule.subst),
+                )
+        concl = Sequent(
+            tuple(subst_formula(f, mapping) for f in node.conclusion.ant),
+            tuple(subst_formula(f, mapping) for f in node.conclusion.succ),
+        )
+        out = Proof(concl, rule, prems)
+        memo[id(node)] = out
+        return out
+
+    return walk(p)
+
+
+# names that occur free or as eigenvariables in the small proofs, so that
+# mapped terms mentioning them force eigenvariable renaming
+NAMES = ["a", "x", "y", "w", "a'"]
+small_terms = st.recursive(
+    st.sampled_from([var(n) for n in NAMES] + [const("0"), const("e")]),
+    lambda t: st.builds(lambda u: app("s", u), t) | st.builds(mul, t, t),
+    max_leaves=4,
+)
+mappings = st.dictionaries(st.sampled_from(NAMES), small_terms, max_size=3)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data())
+def test_substitute_proof_matches_recursive_oracle(small_proofs, data):
+    p, _ = data.draw(st.sampled_from(small_proofs))
+    m1 = data.draw(mappings)
+    m2 = data.draw(mappings)
+    memo = {}
+    for m in (m1, m2, m1):
+        want = serialize_proof(substitute_proof_recursive(p, m))
+        assert serialize_proof(substitute_proof(p, m)) == want
+        # one memo shared by several calls gives the same proofs
+        assert serialize_proof(substitute_proof(p, m, memo)) == want
+
+
+def test_substitute_proof_renames_clashing_eigenvariables(small_proofs):
+    # every proof with an eigenvariable a, under a mapping that brings a in
+    seen = 0
+    for p, _ in small_proofs:
+        if not any(n.rule.eigen == "a" for n in _iter_unique_nodes(p)):
+            continue
+        for m in ({"x": var("a")}, {"y": app("s", var("a")), "a": const("0")}):
+            out = substitute_proof(p, m)
+            assert serialize_proof(out) == serialize_proof(substitute_proof_recursive(p, m))
+            assert any(n.rule.eigen == "a'" for n in _iter_unique_nodes(out))
+            seen += 1
+    assert seen >= 4
+
+
+def test_substitute_proof_handles_deep_proofs():
+    # no recursion: 40,000 inferences deep below one substitution
+    x = var("x")
+    p = logical_axiom(F(x))
+    for _ in range(20_000):
+        p = contract_left(weaken_left(p, F(x)), F(x))
+    out = substitute_proof(p, {"x": const("0")})
+    assert size(out).lines == 40_001
+    assert out.conclusion == Sequent((F(const("0")),), (F(const("0")),))
 
 
 def test_step_edges_report_the_cut_link():
