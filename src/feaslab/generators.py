@@ -42,6 +42,7 @@ from .lang import (
     Formula,
     Term,
     app,
+    arith_signature,
     atom,
     conj,
     const,
@@ -110,10 +111,7 @@ def _report(proof, target, theory, value_fn, value_desc) -> GenReport:
 
 
 def numeral(n: int) -> Term:
-    t = const("0")
-    for _ in range(n):
-        t = app("s", t)
-    return t
+    return int_term(n, arith_signature())
 
 
 def _F(t: Term):

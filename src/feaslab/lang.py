@@ -11,12 +11,18 @@ Main entry points
     parse_term / parse_formula / parse_sequent           text -> objects
     term_str / formula_str / sequent_str                 objects -> text
     substitute(phi, v, t)                                capture-avoiding
+    fold(x, step, memo)                                  one value per DAG node
     free_vars, dag_size, tree_size, int_term
+
+Every walker that computes a value per node (free variables, tree size,
+substitution, and the evaluators in `semantics`) is a `fold`: one
+memoized, iterative post-order pass over the DAG.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -269,59 +275,63 @@ def exists(v: str, body: Formula) -> Exists:
 # ---------------------------------------------------------------------------
 # Structural queries
 
+
+def _children(x):
+    cls = x.__class__
+    if cls is App or cls is Atom:
+        return x.args
+    if cls is Var or cls is Const:
+        return ()
+    if isinstance(x, BinOp):
+        return (x.left, x.right)
+    if isinstance(x, (Not, Quant)):
+        return (x.body,)
+    raise LangError(f"not a term or formula: {x!r}")
+
+
+def fold(x, step, memo: dict, children=_children):
+    """memo[x] = step(x, [memo[c] for c in children(x)]), computed for
+    every node below x that memo lacks, children first.
+
+    The walk is post-order over the DAG with an explicit stack, since
+    shared terms nest far deeper than the interpreter allows to recurse.
+    A node already in memo costs one probe, so a fold visits each
+    distinct node once however often the tree repeats it.  Children are
+    entered left to right, so the first exception `step` raises is the
+    one a recursive left-to-right walk would raise; nodes finished
+    before it stay in memo.  `children` gives the nodes a value depends
+    on: the subterms and subformulas, unless a walk leaves some out.
+    """
+    try:
+        return memo[x]
+    except KeyError:
+        pass
+    stack = [(x, children(x))]  # nodes entered, not finished
+    while stack:
+        y, kids = stack[-1]
+        for c in kids:
+            if c not in memo:  # enter the first child not finished
+                stack.append((c, children(c)))
+                break
+        else:
+            stack.pop()
+            memo[y] = step(y, list(map(memo.__getitem__, kids)))
+    return memo[x]
+
+
 _fv_cache: dict = {}
 
 
+def _fv_step(x, vals):
+    if x.__class__ is Var:
+        return frozenset((x.name,))
+    out = frozenset().union(*vals)
+    return out - {x.v} if isinstance(x, Quant) else out
+
+
 def free_vars(x) -> frozenset:
-    """Free variable names of a term or formula (cached per object).
-
-    Explicit stack: shared subterms can nest deeper than the interpreter
-    allows to recurse.
-    """
-    hit = _fv_cache.get(x)
-    if hit is not None:
-        return hit
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y in _fv_cache:
-            stack.pop()
-            continue
-        if isinstance(y, Var):
-            _fv_cache[y] = frozenset((y.name,))
-            stack.pop()
-            continue
-        if isinstance(y, Const):
-            _fv_cache[y] = frozenset()
-            stack.pop()
-            continue
-        kids = _children(y)
-        pending = [c for c in kids if c not in _fv_cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        out = frozenset().union(*(_fv_cache[c] for c in kids)) if kids else frozenset()
-        if isinstance(y, Quant):
-            out = out - {y.v}
-        _fv_cache[y] = out
-        stack.pop()
-    return _fv_cache[x]
-
-
-def _children(x):
-    if isinstance(x, (Var, Const)):
-        return ()
-    if isinstance(x, App):
-        return x.args
-    if isinstance(x, Atom):
-        return x.args
-    if isinstance(x, Not):
-        return (x.body,)
-    if isinstance(x, BinOp):
-        return (x.left, x.right)
-    if isinstance(x, Quant):
-        return (x.body,)
-    raise LangError(f"not a term or formula: {x!r}")
+    """Free variable names of a term or formula (cached per object)."""
+    return fold(x, _fv_step, _fv_cache)
 
 
 def dag_size(x) -> int:
@@ -342,23 +352,7 @@ _tree_size_cache: dict = {}
 
 def tree_size(x) -> int:
     """Node count of the fully unshared tree (no exp expansion)."""
-    hit = _tree_size_cache.get(x)
-    if hit is not None:
-        return hit
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y in _tree_size_cache:
-            stack.pop()
-            continue
-        kids = _children(y)
-        pending = [c for c in kids if c not in _tree_size_cache]
-        if pending:
-            stack.extend(pending)
-            continue
-        _tree_size_cache[y] = 1 + sum(_tree_size_cache[c] for c in kids)
-        stack.pop()
-    return _tree_size_cache[x]
+    return fold(x, lambda y, sizes: 1 + sum(sizes), _tree_size_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -370,35 +364,6 @@ def fresh_name(base: str, avoid) -> str:
     while cand in avoid:
         cand += "'"
     return cand
-
-
-def _subst_term(t: Term, mapping: dict, memo: dict) -> Term:
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    # explicit stack: term sharing allows depth far beyond recursion limits
-    stack = [t]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-            continue
-        if isinstance(u, Var):
-            memo[u] = mapping.get(u.name, u)
-            stack.pop()
-            continue
-        if isinstance(u, Const):
-            memo[u] = u
-            stack.pop()
-            continue
-        pending = [a for a in u.args if a not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        args = tuple(memo[a] for a in u.args)
-        memo[u] = u if all(a is b for a, b in zip(args, u.args)) else app(u.sym, *args)
-        stack.pop()
-    return memo[t]
 
 
 # interned inputs make substitution a pure function of (node, mapping), so
@@ -424,55 +389,76 @@ def _shared_memo(mapping: dict) -> dict:
     return memo
 
 
-def subst_term(t: Term, mapping: dict) -> Term:
-    mapping = _live_mapping(t, mapping)
+_CONNECTIVE_FACTORIES = {Not: neg, And: conj, Or: disj, Implies: imp}
+
+
+def _substitution(mapping: dict):
+    """The step and the children of the fold that applies mapping, a live
+    mapping.  The body of a quantifier is a child only when it is
+    substituted under mapping too: its variable is not mapped and
+    captures no variable of a term mapped below it.  `_subst_quant`
+    handles any other quantifier on its own."""
+
+    def children(x):
+        if x.__class__ is Forall or x.__class__ is Exists:
+            return (x.body,) if _passes_through(x, mapping) else ()
+        return _children(x)
+
+    def step(x, kids):
+        cls = x.__class__
+        if cls is Var:
+            return mapping.get(x.name, x)
+        if cls is Const:
+            return x
+        if cls is App or cls is Atom:
+            if kids == list(x.args):  # terms compare by identity
+                return x
+            return app(x.sym, *kids) if cls is App else atom(x.pred, *kids)
+        if cls is Forall:
+            return forall(x.v, kids[0]) if kids else _subst_quant(x, mapping)
+        if cls is Exists:
+            return exists(x.v, kids[0]) if kids else _subst_quant(x, mapping)
+        return _CONNECTIVE_FACTORIES[cls](*kids)
+
+    return step, children
+
+
+def _passes_through(q: Quant, mapping: dict) -> bool:
+    fv = free_vars(q.body)
+    if q.v in mapping and q.v in fv:
+        return False
+    below = [t for k, t in mapping.items() if k in fv and k != q.v]
+    return bool(below) and not any(q.v in free_vars(t) for t in below)
+
+
+def _subst_quant(q: Quant, mapping: dict) -> Formula:
+    """q under mapping, when its body is not substituted under mapping."""
+    inner = {k: v for k, v in mapping.items() if k != q.v and k in free_vars(q.body)}
+    if not inner:
+        return q
+    bound, body = q.v, q.body
+    clash = set().union(*(free_vars(v) for v in inner.values()))
+    if bound in clash:
+        # rename the bound variable before substituting under it
+        avoid = clash | free_vars(body) | set(inner)
+        nb = fresh_name(bound, avoid)
+        body = subst_formula(body, {bound: var(nb)})
+        bound = nb
+    make = forall if q.__class__ is Forall else exists
+    return make(bound, subst_formula(body, inner))
+
+
+def subst_formula(x, mapping: dict):
+    """x, a term or formula, with each free variable named in mapping
+    replaced by its term, renaming bound variables as needed."""
+    mapping = _live_mapping(x, mapping)
     if not mapping:
-        return t
-    return _subst_term(t, mapping, _shared_memo(mapping))
+        return x
+    step, children = _substitution(mapping)
+    return fold(x, step, _shared_memo(mapping), children)
 
 
-def _subst_formula(phi: Formula, mapping: dict, memo: dict) -> Formula:
-    hit = memo.get(phi)
-    if hit is not None:
-        return hit
-    if isinstance(phi, Atom):
-        args = tuple(_subst_term(a, mapping, memo) for a in phi.args)
-        out = phi if all(a is b for a, b in zip(args, phi.args)) else atom(phi.pred, *args)
-    elif isinstance(phi, Not):
-        out = neg(_subst_formula(phi.body, mapping, memo))
-    elif isinstance(phi, And):
-        out = conj(_subst_formula(phi.left, mapping, memo), _subst_formula(phi.right, mapping, memo))
-    elif isinstance(phi, Or):
-        out = disj(_subst_formula(phi.left, mapping, memo), _subst_formula(phi.right, mapping, memo))
-    elif isinstance(phi, Implies):
-        out = imp(_subst_formula(phi.left, mapping, memo), _subst_formula(phi.right, mapping, memo))
-    elif isinstance(phi, Quant):
-        inner = {k: v for k, v in mapping.items() if k != phi.v and k in free_vars(phi.body)}
-        if not inner:
-            out = phi
-        else:
-            bound = phi.v
-            body = phi.body
-            clash = set().union(*(free_vars(v) for v in inner.values()))
-            if bound in clash:
-                # rename the bound variable before substituting under it
-                avoid = clash | free_vars(body) | set(inner)
-                nb = fresh_name(bound, avoid)
-                body = subst_formula(body, {bound: var(nb)})
-                bound = nb
-            make = forall if isinstance(phi, Forall) else exists
-            out = make(bound, subst_formula(body, inner))
-    else:
-        raise LangError(f"not a formula: {phi!r}")
-    memo[phi] = out
-    return out
-
-
-def subst_formula(phi: Formula, mapping: dict) -> Formula:
-    mapping = _live_mapping(phi, mapping)
-    if not mapping:
-        return phi
-    return _subst_formula(phi, mapping, _shared_memo(mapping))
+subst_term = subst_formula
 
 
 def substitute(phi: Formula, v: str, t: Term) -> Formula:
@@ -689,13 +675,24 @@ def _check_characters(text: str):
         tok = _token(text, tok[3])
 
 
+def _spells_unary(n: int, sig: Signature) -> bool:
+    """Whether int_term writes n as n successors of 0 in sig."""
+    return str(n) not in sig.constants and "s" in sig.functions and "0" in sig.constants
+
+
+# The largest numeral literal the parser expands in unary: int_term builds
+# one node per unit (10**6 takes seconds and hundreds of MB).  The printer
+# writes s(...) and the constants, so proof files never need a larger one.
+_MAX_UNARY_LITERAL = 10_000
+
+
 def int_term(n: int, sig: Signature) -> Term:
     """A closed term denoting the nonnegative integer n in this signature."""
     if n < 0:
         raise LangError("int_term takes nonnegative integers")
     if str(n) in sig.constants:
         return const(str(n))
-    if "s" in sig.functions and "0" in sig.constants:
+    if _spells_unary(n, sig):
         t = const("0")
         for _ in range(n):
             t = app("s", t)
@@ -827,7 +824,7 @@ class _Parser:
                     continue
             elif kind == "int":
                 self.next()
-                t = int_term(int(v), sig)
+                t = int_term(self.literal(v, pos), sig)
             elif kind != "name":
                 raise ParseError(f"expected a term, found {v!r}", pos)
             elif v in funcs:
@@ -879,6 +876,17 @@ class _Parser:
                         )
                     t = app(f, *args)
                 self.remember(start, end, t)
+
+    def literal(self, v: str, pos: int) -> int:
+        """The value of the numeral literal v at pos, refused when it is
+        too long for int() or too large to spell in unary."""
+        limit = sys.get_int_max_str_digits()
+        if limit and len(v) > limit:
+            raise ParseError(f"numeral of {len(v)} digits exceeds the limit of {limit}", pos)
+        n = int(v)
+        if n > _MAX_UNARY_LITERAL and _spells_unary(n, self.sig):
+            raise ParseError(f"numeral {v} is too large to spell in unary", pos)
+        return n
 
     # -- formulas ------------------------------------------------------------
     def formula(self) -> Formula:

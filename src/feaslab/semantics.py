@@ -24,18 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .lang import (
-    App,
-    Const,
-    Formula,
-    Atom,
-    Not,
-    BinOp,
-    Quant,
-    Term,
-    Var,
-    _children,
-)
+from .lang import App, Term, Var, fold
 
 
 class SemanticsError(Exception):
@@ -239,34 +228,37 @@ def nat_str(a: Big) -> str:
     return f"{a.base}^({nat_str(a.exp)})"
 
 
-def eval_nat(t: Term, memo: Optional[dict] = None) -> Big:
+def _closed_step(consts: dict, ops: dict, meaning: str, not_const: str):
+    """The fold step of an evaluator of closed terms: constants take their
+    value from consts, a function symbol applies its operation from ops to
+    the values of the arguments."""
+
+    def step(t, vals):
+        if t.__class__ is App:
+            op = ops.get(t.sym)
+            if op is None:
+                raise SemanticsError(f"symbol {t.sym} has no {meaning} meaning")
+            return op(*vals)
+        if t.__class__ is Var:
+            raise OpenTermError(f"free variable {t.name}")
+        if t.sym not in consts:
+            raise SemanticsError(f"constant {t.sym} {not_const}")
+        return consts[t.sym]
+
+    return step
+
+
+_nat_step = _closed_step(
+    {"0": 0, "1": 1},
+    {"s": lambda a: nat_add(a, 1), "+": nat_add, "*": nat_mul, "exp": nat_pow},
+    "natural-number",
+    "has no natural-number value",
+)
+
+
+def eval_nat(t: Term) -> Big:
     """Value of a closed arithmetic term over 0, s, +, *, exp."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
-        raise OpenTermError(f"free variable {t.name}")
-    if isinstance(t, Const):
-        if t.sym == "0":
-            return 0
-        if t.sym == "1":
-            return 1
-        raise SemanticsError(f"constant {t.sym} has no natural-number value")
-    sym = t.sym
-    if sym == "s":
-        out = nat_add(eval_nat(t.args[0], memo), 1)
-    elif sym == "+":
-        out = nat_add(eval_nat(t.args[0], memo), eval_nat(t.args[1], memo))
-    elif sym == "*":
-        out = nat_mul(eval_nat(t.args[0], memo), eval_nat(t.args[1], memo))
-    elif sym == "exp":
-        out = nat_pow(eval_nat(t.args[0], memo), eval_nat(t.args[1], memo))
-    else:
-        raise SemanticsError(f"symbol {sym} has no natural-number meaning")
-    memo[t] = out
-    return out
+    return fold(t, _nat_step, {})
 
 
 # ---------------------------------------------------------------------------
@@ -314,44 +306,26 @@ def _exp_multiplier(u: Term):
     return nat_log2(v)
 
 
+def _size_step(x, sizes):
+    if x.__class__ is App and x.sym == "exp":
+        k = _exp_multiplier(x.args[1])
+        if k is None or (isinstance(k, int) and k == 0):
+            return 1 + sizes[0] + sizes[1]
+        # k copies of the base joined by k-1 product nodes
+        return _sz_add(_sz_mul(k, sizes[0]), _sz_add(k, -1) if isinstance(k, int) else k)
+    out = 1
+    for size in sizes:
+        out = _sz_add(out, size)
+    return out
+
+
 def expanded_size(x, memo: Optional[dict] = None):
     """Tree size after unfolding exp(t, u) into value(u)-fold products.
 
     Returns an exact int, or a float log2 estimate once sizes leave the
     exact range.  Unevaluable exponents leave the exp node opaque.
-    Explicit stack: shared subterms nest deeper than recursion allows.
     """
-    if memo is None:
-        memo = {}
-    hit = memo.get(x)
-    if hit is not None:
-        return hit
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y in memo:
-            stack.pop()
-            continue
-        kids = _children(y)
-        pending = [c for c in kids if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        if isinstance(y, App) and y.sym == "exp":
-            k = _exp_multiplier(y.args[1])
-            if k is None or (isinstance(k, int) and k == 0):
-                out = 1 + memo[y.args[0]] + memo[y.args[1]]
-            else:
-                base = memo[y.args[0]]
-                # k copies of the base joined by k-1 product nodes
-                out = _sz_add(_sz_mul(k, base), _sz_add(k, -1) if isinstance(k, int) else k)
-        else:
-            out = 1
-            for c in kids:
-                out = _sz_add(out, memo[c])
-        memo[y] = out
-        stack.pop()
-    return memo[x]
+    return fold(x, _size_step, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +402,17 @@ def parse_ext_rational(text: str) -> ExtRational:
 _RAT_EVAL_CACHE: dict = {}
 
 
-def eval_rat(t: Term, memo: Optional[dict] = None) -> ExtRational:
+_rat_step = _closed_step(
+    {"0": ExtRational(Fraction(0)), "1": ExtRational(Fraction(1)), "inf": INF},
+    {"+": ExtRational.add, "*": ExtRational.mul, "neg": ExtRational.neg, "inv": ExtRational.inv},
+    "extended-rational",
+    "has no extended-rational value",
+)
+
+
+def eval_rat(t: Term) -> ExtRational:
     """Value of a closed term over 0, 1, inf, +, *, neg, inv."""
-    if memo is None:
-        memo = _RAT_EVAL_CACHE
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
-        raise OpenTermError(f"free variable {t.name}")
-    if isinstance(t, Const):
-        table = {"0": ExtRational(Fraction(0)), "1": ExtRational(Fraction(1)), "inf": INF}
-        if t.sym not in table:
-            raise SemanticsError(f"constant {t.sym} has no extended-rational value")
-        return table[t.sym]
-    sym = t.sym
-    if sym == "+":
-        out = eval_rat(t.args[0], memo).add(eval_rat(t.args[1], memo))
-    elif sym == "*":
-        out = eval_rat(t.args[0], memo).mul(eval_rat(t.args[1], memo))
-    elif sym == "neg":
-        out = eval_rat(t.args[0], memo).neg()
-    elif sym == "inv":
-        out = eval_rat(t.args[0], memo).inv()
-    else:
-        raise SemanticsError(f"symbol {sym} has no extended-rational meaning")
-    memo[t] = out
-    return out
+    return fold(t, _rat_step, _RAT_EVAL_CACHE)
 
 
 # ---------------------------------------------------------------------------
@@ -735,51 +693,39 @@ def word_inv(w: Word) -> Word:
     return tuple((g, -e) for g, e in reversed(w))
 
 
-def eval_group_free(t: Term, memo: Optional[dict] = None, vars_as_letters: bool = False) -> Word:
-    """Reduced word of a group term; variables may count as fresh letters."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
-        if not vars_as_letters:
-            raise OpenTermError(f"free variable {t.name}")
-        out = ((t.name, 1),)
-    elif isinstance(t, Const):
-        out = () if t.sym == "e" else ((t.sym, 1),)
-    elif t.sym == "*":
-        out = word_mul(
-            eval_group_free(t.args[0], memo, vars_as_letters),
-            eval_group_free(t.args[1], memo, vars_as_letters),
-        )
-    elif t.sym == "inv":
-        out = word_inv(eval_group_free(t.args[0], memo, vars_as_letters))
-    else:
-        raise SemanticsError(f"symbol {t.sym} has no group meaning")
-    memo[t] = out
-    return out
+_WORD_OPS = {"*": word_mul, "inv": word_inv}
 
 
-def eval_group_bs(t: Term, memo: Optional[dict] = None) -> BSElement:
-    """BS(1,2) normal form of a closed term over e, x, y, *, inv."""
-    if memo is None:
-        memo = {}
-    hit = memo.get(t)
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
+def _word_step(t, vals):
+    if t.__class__ is App:
+        op = _WORD_OPS.get(t.sym)
+        if op is None:
+            raise SemanticsError(f"symbol {t.sym} has no group meaning")
+        return op(*vals)
+    if t.__class__ is Var:
+        return ((t.name, 1),)
+    return () if t.sym == "e" else ((t.sym, 1),)
+
+
+def _closed_word_step(t, vals):
+    if t.__class__ is Var:
         raise OpenTermError(f"free variable {t.name}")
-    if isinstance(t, Const):
-        table = {"e": BS_IDENTITY, "x": BS_X, "y": BS_Y}
-        if t.sym not in table:
-            raise SemanticsError(f"constant {t.sym} is not a BS(1,2) generator")
-        return table[t.sym]
-    if t.sym == "*":
-        out = bs_mul(eval_group_bs(t.args[0], memo), eval_group_bs(t.args[1], memo))
-    elif t.sym == "inv":
-        out = bs_inv(eval_group_bs(t.args[0], memo))
-    else:
-        raise SemanticsError(f"symbol {t.sym} has no group meaning")
-    memo[t] = out
-    return out
+    return _word_step(t, vals)
+
+
+def eval_group_free(t: Term, vars_as_letters: bool = False) -> Word:
+    """Reduced word of a group term; variables may count as fresh letters."""
+    return fold(t, _word_step if vars_as_letters else _closed_word_step, {})
+
+
+_bs_step = _closed_step(
+    {"e": BS_IDENTITY, "x": BS_X, "y": BS_Y},
+    {"*": bs_mul, "inv": bs_inv},
+    "group",
+    "is not a BS(1,2) generator",
+)
+
+
+def eval_group_bs(t: Term) -> BSElement:
+    """BS(1,2) normal form of a closed term over e, x, y, *, inv."""
+    return fold(t, _bs_step, {})

@@ -37,6 +37,7 @@ from .lang import (
     conj,
     const,
     formula_str,
+    fold,
     free_vars,
     group_signature,
     int_term,
@@ -47,7 +48,6 @@ from .lang import (
     subst_term,
     term_str,
     var,
-    _children,
 )
 from .semantics import (
     EvalBudgetError,
@@ -122,8 +122,8 @@ class Theory:
         for v, t in subst.items():
             if not isinstance(t, Term):
                 raise TheoryError(f"instantiation for {v} is not a term")
-        ant = tuple(_inst_formula(f, subst) for f in schema.antecedent)
-        succ = _inst_formula(schema.succedent, subst)
+        ant = tuple(subst_formula(f, subst) for f in schema.antecedent)
+        succ = subst_formula(schema.succedent, subst)
         return ant, succ
 
     def validate_instantiation(self, name: str, subst: dict):
@@ -131,28 +131,21 @@ class Theory:
             self._validate(name, subst)
 
 
-def _inst_formula(f: Formula, subst: dict) -> Formula:
-    return subst_formula(f, subst)
-
-
 # ---------------------------------------------------------------------------
 # Arithmetic feasibility
 
 
 def _nat_oracle(lhs: Term, rhs: Term) -> str:
-    closed = not free_vars(lhs) and not free_vars(rhs)
-    if closed:
-        try:
-            return "equal" if nat_eq(eval_nat(lhs), eval_nat(rhs)) else "unequal"
-        except EvalBudgetError:
-            return "undecided"
-    if _exp_law(lhs, rhs) or _exp_law(rhs, lhs):
-        return "equal"
-    if _square_law(lhs, rhs) or _square_law(rhs, lhs):
-        return "equal"
-    if _congruent(lhs, rhs):
-        return "equal"
-    return "undecided"
+    if not free_vars(lhs) and not free_vars(rhs):
+        return _closed_verdict(lhs, rhs)
+    return "equal" if _congruent(lhs, rhs) else "undecided"
+
+
+def _closed_verdict(lhs: Term, rhs: Term) -> str:
+    try:
+        return "equal" if nat_eq(eval_nat(lhs), eval_nat(rhs)) else "unequal"
+    except EvalBudgetError:
+        return "undecided"
 
 
 def _exp_law(lhs: Term, rhs: Term) -> bool:
@@ -188,11 +181,28 @@ def _square_law(lhs: Term, rhs: Term) -> bool:
 
 
 def _congruent(lhs: Term, rhs: Term) -> bool:
-    if lhs is rhs:
-        return True
-    if isinstance(lhs, App) and isinstance(rhs, App) and lhs.sym == rhs.sym:
-        return all(_nat_oracle(a, b) == "equal" for a, b in zip(lhs.args, rhs.args))
-    return False
+    """Whether lhs = rhs is shown: a closed pair by evaluation, an open one
+    by identity, the exp law, the square law, or congruence on argument
+    pairs.  Every pair on the stack must be shown, so one seen before is
+    skipped, and shared terms cost one visit per distinct pair."""
+    seen = set()
+    todo = [(lhs, rhs)]
+    while todo:
+        pair = todo.pop()
+        if pair in seen:
+            continue
+        seen.add(pair)
+        a, b = pair
+        if not free_vars(a) and not free_vars(b):
+            if _closed_verdict(a, b) != "equal":
+                return False
+        elif a is b or _exp_law(a, b) or _exp_law(b, a) or _square_law(a, b) or _square_law(b, a):
+            continue
+        elif isinstance(a, App) and isinstance(b, App) and a.sym == b.sym:
+            todo.extend(zip(a.args, b.args))
+        else:
+            return False
+    return True
 
 
 def _schemas_arith():
@@ -355,16 +365,12 @@ def triviality_theory(
     )
 
 
-def _constants_of(t: Term):
-    out = set()
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Const):
-            out.add(s.sym)
-        else:
-            stack.extend(_children(s))
-    return out
+def _constants_step(t, syms):
+    return frozenset((t.sym,)) if t.__class__ is Const else frozenset().union(*syms)
+
+
+def _constants_of(t: Term) -> frozenset:
+    return fold(t, _constants_step, {})
 
 
 # ---------------------------------------------------------------------------

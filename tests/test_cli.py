@@ -267,6 +267,9 @@ def test_hostile_json_shapes_are_error_lines(tmp_path, capsys):
             "conclusion": "|- F(0)",
             "premises": [],
         },
+        # numeral literals: nine digits spelled in unary, 20,000 digits for int()
+        dict(leaf, conclusion="|- F(111111111)"),
+        dict(leaf, conclusion="|- F(" + "7" * 20_000 + ")"),
     ]
     f = tmp_path / "hostile.json"
     for case in cases:

@@ -4,11 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feaslab.lang import (
+    And,
     App,
+    Atom,
+    BinOp,
+    Const,
+    Forall,
+    Implies,
     LangError,
+    Not,
+    Or,
     ParseError,
+    Quant,
     Reader,
     Sequent,
+    Var,
     arith_signature,
     app,
     atom,
@@ -20,6 +30,7 @@ from feaslab.lang import (
     forall,
     formula_str,
     free_vars,
+    fresh_name,
     group_signature,
     imp,
     int_term,
@@ -31,11 +42,19 @@ from feaslab.lang import (
     plus,
     rational_signature,
     sequent_str,
+    subst_formula,
     subst_term,
     substitute,
     term_str,
     tree_size,
     var,
+)
+from feaslab.semantics import (
+    eval_group_bs,
+    eval_group_free,
+    eval_nat,
+    eval_rat,
+    expanded_size,
 )
 
 SIG = arith_signature()
@@ -99,6 +118,9 @@ def test_parse_errors():
 def test_int_term_values():
     assert term_str(int_term(0, SIG)) == "0"
     assert term_str(int_term(3, SIG)) == "s(s(s(0)))"
+    # the largest literal spelled in unary, and a long one spelled in binary
+    assert parse_term("10000", SIG) is int_term(10_000, SIG)
+    assert parse_term("9" * 100, SIGNATURES["rat"]) is int_term(10**100 - 1, SIGNATURES["rat"])
 
 
 def test_precedence_printing():
@@ -206,6 +228,51 @@ def test_subst_then_eval_free_vars(t, u):
         assert got is t
 
 
+def ref_subst(x, mapping):
+    """Capture-avoiding substitution by plain recursion, a fresh memo per
+    call: the implementation `subst_formula` replaced, kept as its oracle."""
+    fv = free_vars(x)
+    live = {
+        k: v for k, v in mapping.items() if k in fv and not (isinstance(v, Var) and v.name == k)
+    }
+    return _ref_subst(x, live, {}) if live else x
+
+
+def _ref_subst(x, mapping, memo):
+    hit = memo.get(x)
+    if hit is not None:
+        return hit
+    if isinstance(x, Var):
+        out = mapping.get(x.name, x)
+    elif isinstance(x, Const):
+        out = x
+    elif isinstance(x, App):
+        out = app(x.sym, *(_ref_subst(a, mapping, memo) for a in x.args))
+    elif isinstance(x, Atom):
+        out = atom(x.pred, *(_ref_subst(a, mapping, memo) for a in x.args))
+    elif isinstance(x, Not):
+        out = neg(_ref_subst(x.body, mapping, memo))
+    elif isinstance(x, BinOp):
+        make = {And: conj, Or: disj, Implies: imp}[type(x)]
+        out = make(_ref_subst(x.left, mapping, memo), _ref_subst(x.right, mapping, memo))
+    else:
+        assert isinstance(x, Quant)
+        inner = {k: v for k, v in mapping.items() if k != x.v and k in free_vars(x.body)}
+        if not inner:
+            out = x
+        else:
+            bound, body = x.v, x.body
+            clash = set().union(*(free_vars(v) for v in inner.values()))
+            if bound in clash:
+                nb = fresh_name(bound, clash | free_vars(body) | set(inner))
+                body = ref_subst(body, {bound: var(nb)})
+                bound = nb
+            make = forall if isinstance(x, Forall) else exists
+            out = make(bound, ref_subst(body, inner))
+    memo[x] = out
+    return out
+
+
 # -- text layer: printer and parser under every signature -------------------
 
 SIGNATURES = {
@@ -263,6 +330,19 @@ def sig_formulas(sig):
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_subst_matches_the_recursive_reference(name, data):
+    # mapped terms mention the variables the formulas bind: captures happen
+    sig = SIGNATURES[name]
+    mapping = data.draw(st.dictionaries(st.sampled_from(VARS), sig_terms(sig), max_size=3))
+    phi = data.draw(sig_formulas(sig))
+    assert subst_formula(phi, mapping) is ref_subst(phi, mapping)
+    t = data.draw(sig_terms_shared(sig))
+    assert subst_term(t, mapping) is ref_subst(t, mapping)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_text_round_trip_is_identity(name, data):
     sig = SIGNATURES[name]
     t = data.draw(sig_terms_shared(sig))
@@ -313,14 +393,51 @@ def chains(sig, depth):
     return (unary, left, right), (phi, psi)
 
 
+# a constant each chain's variables are closed with, and the evaluators of
+# the closed chains
+CLOSED_CHAINS = {
+    "arith": (const("0"), (eval_nat,)),
+    "group": (const("x"), (eval_group_bs, eval_group_free)),
+    "rat": (const("1"), (eval_rat,)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 def test_deep_chains_round_trip_without_recursion(name, default_recursion_limit):
     sig = SIGNATURES[name]
-    terms, formulas = chains(sig, 20_000)
-    for t in terms:
+    depth = 20_000
+    leaf, evaluators = CLOSED_CHAINS[name]
+    closing = {v: leaf for v in VARS}
+    terms, formulas = chains(sig, depth)
+    for t, size in zip(terms, (depth + 1, 2 * depth + 1, 2 * depth + 1)):
         assert parse_term(term_str(t), sig) is t
-    for phi in formulas:
+        assert tree_size(t) == size and free_vars(t) <= set(VARS)
+        closed = subst_term(t, closing)
+        assert tree_size(closed) == expanded_size(closed) == size
+        assert free_vars(closed) == frozenset()
+        for evaluate in evaluators:
+            evaluate(closed)
+    if name == "arith":
+        assert eval_nat(subst_term(terms[0], closing)) == depth
+    for phi, size in zip(formulas, (depth + 2, 3 * depth + 2)):
         assert parse_formula(formula_str(phi), sig) is phi
+        assert tree_size(phi) == size and free_vars(phi) <= set(VARS)
+        closed = subst_formula(phi, closing)
+        assert tree_size(closed) == size and free_vars(closed) == frozenset()
+    # quantifiers over distinct variables; the innermost one captures
+    nest = atom("F", var("u"))
+    for i in range(depth):
+        nest = forall(f"b{i}", nest)
+    assert parse_formula(formula_str(nest), sig) is nest
+    assert free_vars(nest) == frozenset({"u"}) and tree_size(nest) == depth + 2
+    closed = subst_formula(nest, closing)
+    assert free_vars(closed) == frozenset() and tree_size(closed) == depth + 2
+    renamed = subst_formula(nest, {"u": var("b0")})
+    inner = renamed
+    for i in range(depth - 1, 0, -1):
+        assert inner.v == f"b{i}"
+        inner = inner.body
+    assert inner is forall("b0'", atom("F", var("b0")))
     # a squaring chain shares each stage twice: long text, small DAG
     sq = squared(var("u"), 16)
     assert parse_term(term_str(sq), sig) is sq
@@ -391,6 +508,17 @@ MALFORMED = [
     (
         "sequent", "arith", "|- s(s(0)) = s(s(0)), ' ",
         "unexpected character \"'\" (at position 21)",
+    ),
+    # numeral literals too large to spell in unary, or too long for int()
+    ("term", "arith", "s(10001)", "numeral 10001 is too large to spell in unary (at position 2)"),
+    (
+        "formula", "arith", "F(0) -> F(111111111)",
+        "numeral 111111111 is too large to spell in unary (at position 10)",
+    ),
+    (
+        "term", "rat", "1 + " + "1" * 20_000,
+        f"numeral of 20000 digits exceeds the limit of {sys.get_int_max_str_digits()} "
+        "(at position 4)",
     ),
 ]
 

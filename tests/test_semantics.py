@@ -2,9 +2,19 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from feaslab.lang import arith_signature, parse_term, rational_signature
+from feaslab.lang import (
+    App,
+    Const,
+    Var,
+    _children,
+    arith_signature,
+    const,
+    parse_term,
+    rational_signature,
+    subst_term,
+)
 from feaslab.semantics import (
     BS_IDENTITY,
     BS_X,
@@ -14,6 +24,7 @@ from feaslab.semantics import (
     ExtRational,
     INF,
     Mat2,
+    SemanticsError,
     OpenTermError,
     PowerTower,
     UndefinedOperation,
@@ -22,8 +33,11 @@ from feaslab.semantics import (
     bs_inv,
     bs_mul,
     eigenvalues_sym2,
+    eval_group_bs,
+    eval_group_free,
     eval_nat,
     eval_rat,
+    expanded_size,
     free_reduce,
     make_tower,
     mat2,
@@ -35,11 +49,14 @@ from feaslab.semantics import (
     nat_pow,
     nat_str,
     parse_ext_rational,
+    _sz_add,
+    _sz_mul,
     parse_mat2,
     winding_growth,
     word_inv,
     word_mul,
 )
+from test_lang import SIGNATURES, VARS, sig_terms_shared
 
 ARITH = arith_signature()
 RAT = rational_signature()
@@ -296,3 +313,192 @@ def test_bs_associativity_property(g, h, k):
 def test_bs_inverse_property(g):
     assert bs_mul(g, bs_inv(g)) == BS_IDENTITY
     assert bs_mul(bs_inv(g), g) == BS_IDENTITY
+
+
+# -- the fold evaluators against the recursive ones they replaced ------------
+#
+# Each reference below is the implementation that walked terms by
+# recursion (or by a stack of its own), kept as the oracle of the fold.
+
+
+def ref_eval_nat(t, memo=None):
+    if memo is None:
+        memo = {}
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    if isinstance(t, Var):
+        raise OpenTermError(f"free variable {t.name}")
+    if isinstance(t, Const):
+        if t.sym == "0":
+            return 0
+        if t.sym == "1":
+            return 1
+        raise SemanticsError(f"constant {t.sym} has no natural-number value")
+    sym = t.sym
+    if sym == "s":
+        out = nat_add(ref_eval_nat(t.args[0], memo), 1)
+    elif sym == "+":
+        out = nat_add(ref_eval_nat(t.args[0], memo), ref_eval_nat(t.args[1], memo))
+    elif sym == "*":
+        out = nat_mul(ref_eval_nat(t.args[0], memo), ref_eval_nat(t.args[1], memo))
+    elif sym == "exp":
+        out = nat_pow(ref_eval_nat(t.args[0], memo), ref_eval_nat(t.args[1], memo))
+    else:
+        raise SemanticsError(f"symbol {sym} has no natural-number meaning")
+    memo[t] = out
+    return out
+
+
+def ref_eval_rat(t, memo=None):
+    if memo is None:
+        memo = {}
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    if isinstance(t, Var):
+        raise OpenTermError(f"free variable {t.name}")
+    if isinstance(t, Const):
+        table = {"0": ExtRational(Fraction(0)), "1": ExtRational(Fraction(1)), "inf": INF}
+        if t.sym not in table:
+            raise SemanticsError(f"constant {t.sym} has no extended-rational value")
+        return table[t.sym]
+    sym = t.sym
+    if sym == "+":
+        out = ref_eval_rat(t.args[0], memo).add(ref_eval_rat(t.args[1], memo))
+    elif sym == "*":
+        out = ref_eval_rat(t.args[0], memo).mul(ref_eval_rat(t.args[1], memo))
+    elif sym == "neg":
+        out = ref_eval_rat(t.args[0], memo).neg()
+    elif sym == "inv":
+        out = ref_eval_rat(t.args[0], memo).inv()
+    else:
+        raise SemanticsError(f"symbol {sym} has no extended-rational meaning")
+    memo[t] = out
+    return out
+
+
+def ref_eval_group_free(t, memo=None, vars_as_letters=False):
+    if memo is None:
+        memo = {}
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    if isinstance(t, Var):
+        if not vars_as_letters:
+            raise OpenTermError(f"free variable {t.name}")
+        out = ((t.name, 1),)
+    elif isinstance(t, Const):
+        out = () if t.sym == "e" else ((t.sym, 1),)
+    elif t.sym == "*":
+        out = word_mul(
+            ref_eval_group_free(t.args[0], memo, vars_as_letters),
+            ref_eval_group_free(t.args[1], memo, vars_as_letters),
+        )
+    elif t.sym == "inv":
+        out = word_inv(ref_eval_group_free(t.args[0], memo, vars_as_letters))
+    else:
+        raise SemanticsError(f"symbol {t.sym} has no group meaning")
+    memo[t] = out
+    return out
+
+
+def ref_eval_group_bs(t, memo=None):
+    if memo is None:
+        memo = {}
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    if isinstance(t, Var):
+        raise OpenTermError(f"free variable {t.name}")
+    if isinstance(t, Const):
+        table = {"e": BS_IDENTITY, "x": BS_X, "y": BS_Y}
+        if t.sym not in table:
+            raise SemanticsError(f"constant {t.sym} is not a BS(1,2) generator")
+        return table[t.sym]
+    if t.sym == "*":
+        out = bs_mul(ref_eval_group_bs(t.args[0], memo), ref_eval_group_bs(t.args[1], memo))
+    elif t.sym == "inv":
+        out = bs_inv(ref_eval_group_bs(t.args[0], memo))
+    else:
+        raise SemanticsError(f"symbol {t.sym} has no group meaning")
+    memo[t] = out
+    return out
+
+
+def ref_exp_multiplier(u):
+    try:
+        v = ref_eval_nat(u)
+    except SemanticsError:
+        return None
+    if isinstance(v, int):
+        return v if v.bit_length() <= 4096 else math.log2(v)
+    return nat_log2(v)
+
+
+def ref_expanded_size(x, memo=None):
+    if memo is None:
+        memo = {}
+    hit = memo.get(x)
+    if hit is not None:
+        return hit
+    stack = [x]
+    while stack:
+        y = stack[-1]
+        if y in memo:
+            stack.pop()
+            continue
+        kids = _children(y)
+        pending = [c for c in kids if c not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        if isinstance(y, App) and y.sym == "exp":
+            k = ref_exp_multiplier(y.args[1])
+            if k is None or (isinstance(k, int) and k == 0):
+                out = 1 + memo[y.args[0]] + memo[y.args[1]]
+            else:
+                base = memo[y.args[0]]
+                out = _sz_add(_sz_mul(k, base), _sz_add(k, -1) if isinstance(k, int) else k)
+        else:
+            out = 1
+            for c in kids:
+                out = _sz_add(out, memo[c])
+        memo[y] = out
+        stack.pop()
+    return memo[x]
+
+
+def outcome(f, t):
+    """("value", f(t)), or the type and message of what f raised."""
+    try:
+        return "value", f(t)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+EVALUATORS = {
+    "arith": [(eval_nat, ref_eval_nat)],
+    "group": [
+        (eval_group_bs, ref_eval_group_bs),
+        (eval_group_free, ref_eval_group_free),
+        (
+            lambda t: eval_group_free(t, vars_as_letters=True),
+            lambda t: ref_eval_group_free(t, vars_as_letters=True),
+        ),
+    ],
+    "rat": [(eval_rat, ref_eval_rat)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fold_evaluators_match_the_recursive_references(name, data):
+    sig = SIGNATURES[name]
+    t = data.draw(sig_terms_shared(sig))
+    consts = st.sampled_from([const(c) for c in sig.constants])
+    closing = data.draw(st.dictionaries(st.sampled_from(VARS), consts))
+    for u in (t, subst_term(t, closing)):
+        for new, ref in EVALUATORS[name] + [(expanded_size, ref_expanded_size)]:
+            assert outcome(new, u) == outcome(ref, u)

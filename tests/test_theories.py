@@ -1,15 +1,20 @@
 """Theory oracles, axiom schemas, and instantiation validation."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feaslab.lang import (
+    App,
     app,
     atom,
     conj,
     const,
     formula_str,
+    free_vars,
     int_term,
     mul,
     parse_term,
@@ -17,7 +22,7 @@ from feaslab.lang import (
     term_str,
     var,
 )
-from feaslab.semantics import ExtRational, Mat2
+from feaslab.semantics import EvalBudgetError, ExtRational, Mat2, eval_nat, nat_eq
 from feaslab.theories import (
     TheoryError,
     UnsupportedPresentation,
@@ -29,6 +34,9 @@ from feaslab.theories import (
     theory_from_selector,
     triviality_theory,
     word_term,
+    _exp_law,
+    _nat_oracle,
+    _square_law,
 )
 
 ARITH = arith_feasibility()
@@ -87,6 +95,90 @@ def test_arith_oracle_congruence():
     lhs = app("s", mul(u, u))
     rhs = app("s", app("exp", u, num(2)))
     assert ARITH.oracle(lhs, rhs) == "equal"
+
+
+def ref_nat_oracle(lhs, rhs):
+    """The arithmetic oracle as it was, mutually recursive with
+    ref_congruent and without memo: the oracle of the iterative one."""
+    if not free_vars(lhs) and not free_vars(rhs):
+        try:
+            return "equal" if nat_eq(eval_nat(lhs), eval_nat(rhs)) else "unequal"
+        except EvalBudgetError:
+            return "undecided"
+    if _exp_law(lhs, rhs) or _exp_law(rhs, lhs):
+        return "equal"
+    if _square_law(lhs, rhs) or _square_law(rhs, lhs):
+        return "equal"
+    if ref_congruent(lhs, rhs):
+        return "equal"
+    return "undecided"
+
+
+def ref_congruent(lhs, rhs):
+    if lhs is rhs:
+        return True
+    if isinstance(lhs, App) and isinstance(rhs, App) and lhs.sym == rhs.sym:
+        return all(ref_nat_oracle(a, b) == "equal" for a, b in zip(lhs.args, rhs.args))
+    return False
+
+
+def _law_pair(t, a, b):
+    """Two terms equal by the exp law or by the square law."""
+    return st.sampled_from(
+        [
+            (app("exp", app("exp", t, a), b), app("exp", t, mul(a, b))),
+            (mul(t, t), app("exp", t, num(2))),
+        ]
+    )
+
+
+_atoms = st.sampled_from([var("x"), var("y"), num(0), num(2), num(3)])
+_exps = st.sampled_from([num(2), num(3), var("y"), app("exp", num(2), num(40))])
+# pairs built alike on both sides, with laws, closed parts and mismatches
+_pairs = st.recursive(
+    st.tuples(_atoms, _atoms) | st.tuples(_atoms, _exps, _exps).flatmap(lambda tab: _law_pair(*tab)),
+    lambda kids: st.tuples(st.sampled_from(["s", "+", "*", "exp"]), kids, kids).map(
+        lambda f: (
+            app(f[0], f[1][0]) if f[0] == "s" else app(f[0], f[1][0], f[2][0]),
+            app(f[0], f[1][1]) if f[0] == "s" else app(f[0], f[1][1], f[2][1]),
+        )
+    )
+    | kids.map(lambda p: (mul(p[0], p[0]), mul(p[1], p[1]))),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs)
+def test_arith_oracle_matches_the_recursive_reference(pair):
+    lhs, rhs = pair
+    assert _nat_oracle(lhs, rhs) == ref_nat_oracle(lhs, rhs)
+    assert _nat_oracle(rhs, lhs) == ref_nat_oracle(rhs, lhs)
+
+
+def test_arith_oracle_deep_and_shared_congruence():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        # 3,000 and 20,000 levels of congruence, past the recursion limit
+        a, b, u = var("a"), var("b"), var("u")
+        lhs, rhs = a, b
+        for _ in range(3000):
+            lhs, rhs = app("s", lhs), app("s", rhs)
+        assert ARITH.oracle(lhs, rhs) == "undecided"
+        lhs, rhs = mul(u, u), app("exp", u, num(2))
+        for _ in range(20_000):
+            lhs, rhs = app("s", lhs), app("s", rhs)
+        assert ARITH.oracle(lhs, rhs) == "equal"
+    finally:
+        sys.setrecursionlimit(old)
+    # congruent halves shared by squaring: each distinct pair is shown once
+    t, x, y = var("t"), var("x"), var("y")
+    lhs, rhs = app("exp", app("exp", t, x), y), app("exp", t, mul(x, y))
+    for _ in range(40):
+        lhs, rhs = mul(lhs, lhs), mul(rhs, rhs)
+    assert ARITH.oracle(lhs, rhs) == "equal"
+    assert ARITH.oracle(mul(lhs, x), mul(rhs, y)) == "undecided"
 
 
 def test_arith_oracle_huge_towers():
@@ -252,6 +344,17 @@ def test_triviality_conjugation_variants():
     restricted = triviality_theory(r, generators=("x",), restricted_conjugation=True)
     ant, _ = restricted.instantiate("T:conjugation", {"w": const("x"), "v": const("e")})
     assert [formula_str(f) for f in ant] == ["T(x)", "F(e)"]
+
+
+def test_triviality_theory_over_a_shared_relator():
+    # 2^40 letters as a tree, 41 nodes as a DAG
+    r = const("x")
+    for _ in range(40):
+        r = mul(r, r)
+    start = time.perf_counter()
+    th = triviality_theory([r])
+    assert time.perf_counter() - start < 5
+    assert "F(x)" in th.axioms and "F(y)" not in th.axioms
 
 
 def test_triviality_requires_free_presentation():
