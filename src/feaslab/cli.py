@@ -28,14 +28,9 @@ from .cutelim import (
 from .flowgraph import build_flow_graph, emit_dot
 from .generators import (
     GeneratorError,
-    gen_distorted,
-    gen_geometric,
     gen_group_power,
     gen_matrix_power,
-    gen_quantifier,
     gen_rational_orbit,
-    gen_square_cut,
-    gen_unary,
     GENERATORS,
 )
 from .kernel import CheckError, KernelError, check, proof_from_file, proof_to_file, size
@@ -80,26 +75,16 @@ def _add_gen_arguments(sp, positional: bool = True):
 
 
 def _make_report(name: str, n: int, args):
-    if name == "unary":
-        return gen_unary(n)
-    if name == "geometric":
-        return gen_geometric(n)
-    if name == "square-cut":
-        return gen_square_cut(n)
-    if name == "quantifier":
-        return gen_quantifier(n)
     if name == "group-power":
         theory = theory_from_selector(args.theory) if args.theory else None
         return gen_group_power(gen=args.letter, n=n, mode=args.mode, theory=theory)
-    if name == "distorted":
-        return gen_distorted(n)
     if name == "matrix-power":
         return gen_matrix_power(parse_mat2(args.matrix), n, mode=args.mode)
     if name == "rational-orbit":
         return gen_rational_orbit(
             parse_mat2(args.matrix), parse_ext_rational(args.orbit_x), n
         )
-    raise GeneratorError(f"unknown generator {name!r}")
+    return GENERATORS[name](n)
 
 
 def _headline(name: str, rep) -> str:

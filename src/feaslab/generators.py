@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -36,7 +35,6 @@ from .kernel import (
     theory_leaf,
 )
 from .lang import (
-    App,
     Const,
     Forall,
     Formula,
@@ -65,7 +63,6 @@ from .semantics import (
 )
 from .theories import (
     Theory,
-    TheoryError,
     arith_feasibility,
     feasibility_formula,
     group_feasibility,

@@ -31,9 +31,9 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from . import semantics
 from .lang import (
     And,
     Atom,
@@ -44,7 +44,6 @@ from .lang import (
     Not,
     Or,
     Printer,
-    Quant,
     Reader,
     Sequent,
     Signature,
@@ -52,8 +51,8 @@ from .lang import (
     Var,
     atom,
     conj,
-    dag_size,
     disj,
+    fold,
     formula_str,
     free_vars,
     fresh_name,
@@ -685,8 +684,6 @@ class SizeStats:
     lines: int
     cut_count: int
     contraction_count: int
-    max_formula_dag_nodes: int
-    expanded_symbol_size: object  # exact int, or float log2 once oversized
 
 
 def _iter_unique_nodes(p: Proof):
@@ -707,47 +704,26 @@ def _iter_unique_nodes(p: Proof):
                 stack.append((q, False))
 
 
-# formulas are interned, so their size figures are cached per process
-_fdag_cache: dict = {}
-_fexp_cache: dict = {}
-_fexp_memo: dict = {}
+def _size_step(node: Proof, vals: list) -> tuple:
+    tag = node.rule.tag
+    lines = 1
+    cuts = int(tag == "Cut")
+    contractions = int(tag in ("ContractLeft", "ContractRight"))
+    for sub_lines, sub_cuts, sub_contractions in vals:
+        lines += sub_lines
+        cuts += sub_cuts
+        contractions += sub_contractions
+    return lines, cuts, contractions
 
 
 def size(p: Proof) -> SizeStats:
-    """Size report; shared subtrees count once per occurrence (tree view)."""
-    lines: dict = {}
-    cuts: dict = {}
-    contractions: dict = {}
-    expanded: dict = {}
-    max_dag = 0
-    for node in _iter_unique_nodes(p):
-        l = 1
-        cc = 1 if node.rule.tag == "Cut" else 0
-        ct = 1 if node.rule.tag in ("ContractLeft", "ContractRight") else 0
-        ex = 0
-        for q in node.premises:
-            l += lines[id(q)]
-            cc += cuts[id(q)]
-            ct += contractions[id(q)]
-            ex = semantics._sz_add(ex, expanded[id(q)])
-        for f in node.conclusion.ant + node.conclusion.succ:
-            if f not in _fdag_cache:
-                _fdag_cache[f] = dag_size(f)
-                _fexp_cache[f] = semantics.expanded_size(f, _fexp_memo)
-            if _fdag_cache[f] > max_dag:
-                max_dag = _fdag_cache[f]
-            ex = semantics._sz_add(ex, _fexp_cache[f])
-        lines[id(node)] = l
-        cuts[id(node)] = cc
-        contractions[id(node)] = ct
-        expanded[id(node)] = ex
-    return SizeStats(
-        lines=lines[id(p)],
-        cut_count=cuts[id(p)],
-        contraction_count=contractions[id(p)],
-        max_formula_dag_nodes=max_dag,
-        expanded_symbol_size=expanded[id(p)],
-    )
+    """Tree lines, cuts and contractions of p, as exact ints.
+
+    A subproof shared by several premises counts once per occurrence, as
+    in the expanded tree, but is visited once: one fold over the DAG.
+    """
+    lines, cuts, contractions = fold(p, _size_step, {}, children=attrgetter("premises"))
+    return SizeStats(lines=lines, cut_count=cuts, contraction_count=contractions)
 
 
 def _wellformed(root, sig: Signature, memo: set):

@@ -25,7 +25,6 @@ import re
 import sys
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 
@@ -300,7 +299,9 @@ def fold(x, step, memo: dict, children=_children):
     entered left to right, so the first exception `step` raises is the
     one a recursive left-to-right walk would raise; nodes finished
     before it stay in memo.  `children` gives the nodes a value depends
-    on: the subterms and subformulas, unless a walk leaves some out.
+    on: by default the subterms and subformulas, but any acyclic graph
+    can be walked once `children` is given (`kernel.size` folds a proof
+    DAG over its premises).
     """
     try:
         return memo[x]

@@ -96,22 +96,15 @@ def enumerate_min_proof(n: int, limit: int = 4096) -> Proof:
     if n > limit:
         raise OracleError(f"n={n} exceeds the enumeration limit {limit}")
     th = arith_feasibility()
-    memo: dict = {}
-
-    def best(m: int):
-        got = memo.get(m)
-        if got is not None:
-            return got
-        if m == 0:
-            entry = (1, theory_leaf(th, "F(0)", {}))
-            memo[0] = entry
-            return entry
-        lines, prev = best(m - 1)
+    # best[m] = (lines, proof); each entry reads only entries below m
+    best = [(1, theory_leaf(th, "F(0)", {}))]
+    for m in range(1, n + 1):
+        lines, prev = best[m - 1]
         t = prev.conclusion.succ[-1].args[0]
         entry = (lines + 1, theory_apply(th, "F:successor", {"x": t}, [prev]))
         for a in range(1, m // 2 + 1):
-            la, pa = best(a)
-            lb, pb = best(m - a)
+            la, pa = best[a]
+            lb, pb = best[m - a]
             if la + lb + 1 < entry[0]:
                 ta = pa.conclusion.succ[-1].args[0]
                 tb = pb.conclusion.succ[-1].args[0]
@@ -122,8 +115,8 @@ def enumerate_min_proof(n: int, limit: int = 4096) -> Proof:
         d = 2
         while d * d <= m:
             if m % d == 0:
-                la, pa = best(d)
-                lb, pb = best(m // d)
+                la, pa = best[d]
+                lb, pb = best[m // d]
                 if la + lb + 1 < entry[0]:
                     ta = pa.conclusion.succ[-1].args[0]
                     tb = pb.conclusion.succ[-1].args[0]
@@ -132,10 +125,8 @@ def enumerate_min_proof(n: int, limit: int = 4096) -> Proof:
                         theory_apply(th, "F:times", {"x": ta, "y": tb}, [pa, pb]),
                     )
             d += 1
-        memo[m] = entry
-        return entry
-
-    return best(n)[1]
+        best.append(entry)
+    return best[n][1]
 
 
 def min_proof_lines(n: int, limit: int = 4096) -> int:

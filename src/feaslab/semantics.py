@@ -319,13 +319,13 @@ def _size_step(x, sizes):
     return out
 
 
-def expanded_size(x, memo: Optional[dict] = None):
+def expanded_size(x):
     """Tree size after unfolding exp(t, u) into value(u)-fold products.
 
     Returns an exact int, or a float log2 estimate once sizes leave the
     exact range.  Unevaluable exponents leave the exp node opaque.
     """
-    return fold(x, _size_step, {} if memo is None else memo)
+    return fold(x, _size_step, {})
 
 
 # ---------------------------------------------------------------------------

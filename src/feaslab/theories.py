@@ -18,25 +18,22 @@ rely on "equal".  For open terms the oracles stay sound and answer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from . import semantics
 from .lang import (
     App,
-    Atom,
     Const,
     Formula,
     Signature,
     Term,
-    Var,
     app,
     arith_signature,
     atom,
     conj,
     const,
-    formula_str,
     fold,
     free_vars,
     group_signature,
@@ -45,13 +42,10 @@ from .lang import (
     plus,
     rational_signature,
     subst_formula,
-    subst_term,
-    term_str,
     var,
 )
 from .semantics import (
     EvalBudgetError,
-    OpenTermError,
     SemanticsError,
     UndefinedOperation,
     bs_eq,

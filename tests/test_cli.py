@@ -143,6 +143,13 @@ def test_oracle_with_enumeration(capsys):
     assert out == "min-lines F(16) = 11\nenumerated proof lines = 11 (match)\n"
 
 
+def test_oracle_enumeration_deep_in_the_limit(capsys):
+    # the enumeration builds one table entry per value up to n, not one frame
+    rc, out, err = run(capsys, "oracle", "1200", "--enum")
+    assert rc == 0 and err == ""
+    assert out == "min-lines F(1200) = 30\nenumerated proof lines = 30 (match)\n"
+
+
 def test_oracle_costs_and_distortion(capsys):
     rc, out, _ = run(capsys, "oracle", "16", "--costs", "1,1,0")
     assert rc == 0

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -180,14 +181,37 @@ def test_size_counts():
     assert st.lines == 35
     assert st.cut_count == 11
     assert st.contraction_count == 3
-    assert st.max_formula_dag_nodes >= 3
+
+
+def expanded_counts(p):
+    """(lines, cuts, contractions) counted once per occurrence by expanding
+    the tree on an explicit stack: the oracle for `size`."""
+    lines = cuts = contractions = 0
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        lines += 1
+        cuts += node.rule.tag == "Cut"
+        contractions += node.rule.tag in ("ContractLeft", "ContractRight")
+        stack.extend(node.premises)
+    return lines, cuts, contractions
+
+
+def test_size_matches_tree_expansion(small_proofs):
+    for p, _ in small_proofs:
+        assert astuple(size(p)) == expanded_counts(p)
 
 
 def test_size_counts_shared_subtrees_per_occurrence():
     a = F(const("0"))
-    leaf = logical_axiom(a)
-    two = cut(leaf, leaf, a)  # same object twice
-    assert size(two).lines == 3
+    ax = logical_axiom(a)
+    c = cut(ax, ax, a)  # same object twice: a |- a
+    assert size(c).lines == 3
+    k = contract_left(weaken_left(c, a), a)  # a |- a, with c inside
+    top = cut(k, k, a)  # k twice, so c twice
+    check(top, TH)
+    assert len(list(_iter_unique_nodes(top))) == 5
+    assert astuple(size(top)) == expanded_counts(top) == (11, 3, 2)
 
 
 def test_serialize_round_trip_families():

@@ -16,7 +16,6 @@ ALLOWED = {
     "_principalize_right": "one frame per inference it commutes past, like _mcut; ROADMAP item 4",
     "_rat_construction": "one frame per node of a small matrix-entry term",
     "peel_forall_left": "one frame per quantified matrix entry (four)",
-    "best": "one frame per value below the oracle's enumeration limit",
     "nat_eq": "one frame per level of a power tower",
     "nat_log2": "one frame per level of a power tower",
     "nat_str": "one frame per level of a power tower",
