@@ -95,8 +95,7 @@ def _headline(name: str, rep) -> str:
 
 def _cmd_gen(args) -> int:
     rep = _make_report(args.generator, args.n, args)
-    check(rep.proof, rep.theory)
-    s = rep.stats
+    s = check(rep.proof, rep.theory)
     print(
         f"{_headline(args.generator, rep)}, lines={s.lines}, "
         f"cuts={s.cut_count}, contractions={s.contraction_count}"

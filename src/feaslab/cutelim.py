@@ -17,7 +17,10 @@ track the DAG while the logical line count grows exponentially.
 
 Each rule's principal formula and consumed occurrences come from the
 kernel's `analyze` step; applied theory axioms take theirs from the rule's
-instantiation instead, which is cheaper than re-validating it.
+instantiation instead, which is cheaper than re-validating it.  A logical
+inference is rebuilt over new premises by `kernel.introduce`, from its rule
+and principal formula, so its shape comes from the kernel's rule table;
+only cut, weakening and contraction have rebuild entries here.
 
 Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
@@ -48,25 +51,20 @@ from typing import Optional
 from .kernel import (
     KernelError,
     Proof,
+    Rule,
     Step,
     _iter_unique_nodes,
+    _remove_one,
     analyze,
-    and_left,
-    and_right,
     contract_left,
     contract_right,
     cut,
-    exists_left,
-    exists_right,
     forall_left,
     forall_right,
     implies_left,
     implies_right,
+    introduce,
     logical_axiom,
-    not_left,
-    not_right,
-    or_left,
-    or_right,
     size,
     substitute_proof,
     theory_apply,
@@ -168,26 +166,14 @@ def _kept(p: Proof, step: Step, j: int, side: str, a: Formula) -> int:
     return sum(1 for i, f in enumerate(fs) if f is a and i not in used)
 
 
-# Each rule rebuilt over new premises q from its principal formula f; the
-# rule r supplies witnesses and eigenvariables.
+# The structural rules rebuilt over new premises q from their principal
+# formula f; logical rules are rebuilt by `introduce`.
 _REBUILD = {
-    "Cut": lambda q, f, r: cut(q[0], q[1], f),
-    "WeakenLeft": lambda q, f, r: weaken_left(q[0], f),
-    "WeakenRight": lambda q, f, r: weaken_right(q[0], f),
-    "ContractLeft": lambda q, f, r: contract_left(q[0], f),
-    "ContractRight": lambda q, f, r: contract_right(q[0], f),
-    "AndLeft": lambda q, f, r: and_left(q[0], f.left, f.right),
-    "AndRight": lambda q, f, r: and_right(q[0], q[1], f.left, f.right),
-    "OrLeft": lambda q, f, r: or_left(q[0], q[1], f.left, f.right),
-    "OrRight": lambda q, f, r: or_right(q[0], f.left, f.right),
-    "ImpliesLeft": lambda q, f, r: implies_left(q[0], q[1], f.left, f.right),
-    "ImpliesRight": lambda q, f, r: implies_right(q[0], f.left, f.right),
-    "NotLeft": lambda q, f, r: not_left(q[0], f.body),
-    "NotRight": lambda q, f, r: not_right(q[0], f.body),
-    "ForallLeft": lambda q, f, r: forall_left(q[0], f, r.term),
-    "ExistsRight": lambda q, f, r: exists_right(q[0], f, r.term),
-    "ForallRight": lambda q, f, r: forall_right(q[0], f, r.eigen),
-    "ExistsLeft": lambda q, f, r: exists_left(q[0], f, r.eigen),
+    "Cut": lambda q, f: cut(q[0], q[1], f),
+    "WeakenLeft": lambda q, f: weaken_left(q[0], f),
+    "WeakenRight": lambda q, f: weaken_right(q[0], f),
+    "ContractLeft": lambda q, f: contract_left(q[0], f),
+    "ContractRight": lambda q, f: contract_right(q[0], f),
 }
 
 
@@ -201,8 +187,8 @@ def _reapply(node: Proof, step: Optional[Step], new_premises: tuple, st: _State)
         return theory_apply(st.theory, node.rule.axiom, node.rule.subst_dict(), new_premises)
     build = _REBUILD.get(tag)
     if build is None:
-        raise FragmentError(f"cannot commute past rule {tag}")
-    return build(new_premises, step.principal, node.rule)
+        return introduce(node.rule, new_premises, step.principal)
+    return build(new_premises, step.principal)
 
 
 def _weaken_to(p: Proof, target: Sequent) -> Proof:
@@ -261,7 +247,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     if r1 == "WeakenRight" and analyze(p1).principal is a:
         inner = p1.premises[0]
         gamma = p1.conclusion.ant
-        delta = _drop_one(p1.conclusion.succ, a)
+        delta = _remove_one(p1.conclusion.succ, a)
         target_ant = gamma * k + _drop_n(p2.conclusion.ant, a, k)
         target_succ = delta * k + p2.conclusion.succ
         return _weaken_to(inner, Sequent(target_ant, target_succ))
@@ -293,7 +279,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     if on_a and tag == "WeakenLeft":
         inner = _mcut(p1, a, p2.premises[0], k - 1, st)
         gamma = p1.conclusion.ant
-        delta = tuple(_drop_one(p1.conclusion.succ, a))
+        delta = _remove_one(p1.conclusion.succ, a)
         for f in gamma:
             inner = weaken_left(inner, f)
         for f in delta:
@@ -308,7 +294,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
         inner = _mcut(p1, a, p2.premises[0], k + 1, st)
         for f in p1.conclusion.ant:
             inner = contract_left(inner, f)
-        for f in _drop_one(p1.conclusion.succ, a):
+        for f in _remove_one(p1.conclusion.succ, a):
             inner = contract_right(inner, f)
         return inner
 
@@ -330,11 +316,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
             fresh = fresh_name(eigen, _names_around(p1, p2))
             q = substitute_proof(p2.premises[0], {eigen: var(fresh)}, st.subst_memo)
             # renaming keeps every premise occurrence in place: step still fits
-            p2 = (
-                forall_right(q, step.principal, fresh)
-                if tag == "ForallRight"
-                else exists_left(q, step.principal, fresh)
-            )
+            p2 = introduce(Rule(tag, eigen=fresh), (q,), step.principal)
     remaining = k
     new_premises = []
     for j, q in enumerate(p2.premises):
@@ -347,13 +329,6 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
             f"cut formula {formula_str(a)} is tied to rule {tag} in an unsupported way"
         )
     return _reapply(p2, step, tuple(new_premises), st)
-
-
-def _drop_one(fs: tuple, f: Formula) -> tuple:
-    for i, g in enumerate(fs):
-        if g is f:
-            return fs[:i] + fs[i + 1 :]
-    raise KernelError("formula missing")
 
 
 def _drop_n(fs: tuple, f: Formula, n: int) -> tuple:

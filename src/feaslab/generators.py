@@ -81,15 +81,19 @@ class GenReport:
     """A generated proof plus its bookkeeping.
 
     target is the end term (or tuple of matrix entry terms, or the end
-    formula for matrix proofs); advertised_value evaluates on first use.
+    formula for matrix proofs); stats and advertised_value are computed on
+    first use.
     """
 
     proof: Proof
     target: object
-    stats: SizeStats
     theory: Theory
     value_desc: str
     _value_fn: Callable = field(repr=False, default=None)
+
+    @cached_property
+    def stats(self) -> SizeStats:
+        return size(self.proof)
 
     @cached_property
     def advertised_value(self):
@@ -100,7 +104,6 @@ def _report(proof, target, theory, value_fn, value_desc) -> GenReport:
     return GenReport(
         proof=proof,
         target=target,
-        stats=size(proof),
         theory=theory,
         value_desc=value_desc,
         _value_fn=value_fn,

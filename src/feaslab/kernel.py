@@ -1,10 +1,18 @@
 """Sequent-calculus proof kernel.
 
-A proof is a tree of nodes; every node stores its full conclusion sequent,
-a rule tag, and premises.  Rules carry no principal-formula annotations
-except where genuinely needed (theory-axiom instantiations, quantifier
-witnesses and eigenvariables); the checker re-infers everything else by
-multiset bookkeeping.
+A proof is a DAG of shared nodes: every node stores its full conclusion
+sequent, a rule tag, and premises, and a subproof used several times is
+one Python object.  Size accounting counts it once per occurrence, as in
+the expanded tree.  Rules carry no principal-formula annotations except
+where genuinely needed (theory-axiom instantiations, quantifier witnesses
+and eigenvariables); the checker re-infers everything else by multiset
+bookkeeping.
+
+The shape of each logical rule lives in one place, the `_INTRO` table:
+the principal formula's connective, the side it is introduced on and the
+premise side each of its parts comes from.  `introduce` builds every
+logical inference from that table (the twelve constructors `and_left` ...
+`exists_right` call it), and `analyze` checks every one against it.
 
 Theory axioms come in two shapes sharing one tag:
 
@@ -75,30 +83,40 @@ class CheckError(KernelError):
     """A proof failed validation; the message names the offending node."""
 
 
-RULE_TAGS = frozenset(
-    {
-        "LogicalAxiom",
-        "TheoryAxiom",
-        "EqOracle",
-        "Cut",
-        "WeakenLeft",
-        "WeakenRight",
-        "ContractLeft",
-        "ContractRight",
-        "AndLeft",
-        "AndRight",
-        "OrLeft",
-        "OrRight",
-        "ImpliesLeft",
-        "ImpliesRight",
-        "NotLeft",
-        "NotRight",
-        "ForallLeft",
-        "ForallRight",
-        "ExistsLeft",
-        "ExistsRight",
-    }
-)
+# Each logical rule: the class of the principal formula, the side the rule
+# introduces it on, the (premise, side) each of its parts comes from, and
+# its name in messages.  The parts are left and right for the binary
+# connectives, the body for a negation and, for a quantifier, its body
+# instantiated with the rule's witness term or eigenvariable.
+_INTRO = {
+    "AndLeft": (And, "L", ((0, "L"), (0, "L")), "conjunction"),
+    "AndRight": (And, "R", ((0, "R"), (1, "R")), "conjunction"),
+    "OrLeft": (Or, "L", ((0, "L"), (1, "L")), "disjunction"),
+    "OrRight": (Or, "R", ((0, "R"), (0, "R")), "disjunction"),
+    "ImpliesLeft": (Implies, "L", ((0, "R"), (1, "L")), "implication"),
+    "ImpliesRight": (Implies, "R", ((0, "L"), (0, "R")), "implication"),
+    "NotLeft": (Not, "L", ((0, "R"),), "negation"),
+    "NotRight": (Not, "R", ((0, "L"),), "negation"),
+    "ForallLeft": (Forall, "L", ((0, "L"),), "quantifier"),
+    "ForallRight": (Forall, "R", ((0, "R"),), "quantifier"),
+    "ExistsLeft": (Exists, "L", ((0, "L"),), "quantifier"),
+    "ExistsRight": (Exists, "R", ((0, "R"),), "quantifier"),
+}
+
+# Premises per rule; None for TheoryAxiom, whose schema decides.
+_ARITY = {
+    "LogicalAxiom": 0,
+    "EqOracle": 0,
+    "TheoryAxiom": None,
+    "Cut": 2,
+    "WeakenLeft": 1,
+    "WeakenRight": 1,
+    "ContractLeft": 1,
+    "ContractRight": 1,
+    **{tag: 1 + max(k for k, _ in intro[2]) for tag, intro in _INTRO.items()},
+}
+
+RULE_TAGS = frozenset(_ARITY)
 
 _TERM_RULES = ("ForallLeft", "ExistsRight")
 _EIGEN_RULES = ("ForallRight", "ExistsLeft")
@@ -133,7 +151,7 @@ class Rule:
 
 
 class Proof:
-    """One node of a proof tree.  Subtrees may be shared as Python objects;
+    """One node of a proof DAG.  Premises may be shared as Python objects;
     all size accounting still counts them once per occurrence."""
 
     __slots__ = ("conclusion", "rule", "premises")
@@ -151,29 +169,6 @@ class Proof:
 
     def __repr__(self):
         return f"<Proof {self.rule.tag}: {sequent_str(self.conclusion)}>"
-
-
-_ARITY = {
-    "LogicalAxiom": 0,
-    "EqOracle": 0,
-    "Cut": 2,
-    "WeakenLeft": 1,
-    "WeakenRight": 1,
-    "ContractLeft": 1,
-    "ContractRight": 1,
-    "AndLeft": 1,
-    "AndRight": 2,
-    "OrLeft": 2,
-    "OrRight": 1,
-    "ImpliesLeft": 2,
-    "ImpliesRight": 1,
-    "NotLeft": 1,
-    "NotRight": 1,
-    "ForallLeft": 1,
-    "ForallRight": 1,
-    "ExistsLeft": 1,
-    "ExistsRight": 1,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -265,82 +260,99 @@ def contract_right(p: Proof, a: Formula) -> Proof:
     return Proof(Sequent(p.conclusion.ant, succ), Rule("ContractRight"), (p,))
 
 
+def _parts(f: Formula, witness: Optional[Term]) -> tuple:
+    """The parts of f, in _INTRO order; witness is the term a quantifier
+    rule instantiates f's body with, None for the other logical rules."""
+    if witness is not None:
+        return (substitute(f.body, f.v, witness),)
+    if isinstance(f, Not):
+        return (f.body,)
+    return (f.left, f.right)
+
+
+def _witness(rule: Rule) -> Optional[Term]:
+    return rule.term if rule.eigen is None else var(rule.eigen)
+
+
+def introduce(rule: Rule, premises: tuple, f: Formula) -> Proof:
+    """The logical inference `rule` over premises, introducing f.
+
+    Each part of f is removed (its first occurrence) from the premise side
+    _INTRO names for it, the premise contexts are concatenated in order and
+    f goes first in the antecedent or last in the succedent.  An
+    eigenvariable must not occur free in the conclusion.
+    """
+    intro = _INTRO.get(rule.tag)
+    if intro is None:
+        raise KernelError(f"{rule.tag} is not a logical rule")
+    cls, side, places, _ = intro
+    if not isinstance(f, cls):
+        raise KernelError(f"{rule.tag} cannot introduce {formula_str(f)}")
+    ants = [q.conclusion.ant for q in premises]
+    succs = [q.conclusion.succ for q in premises]
+    for (k, s), part in zip(places, _parts(f, _witness(rule))):
+        if s == "L":
+            ants[k] = _remove_one(ants[k], part)
+        else:
+            succs[k] = _remove_one(succs[k], part)
+    ant, succ = sum(ants, ()), sum(succs, ())
+    if side == "L":
+        ant = (f,) + ant
+    else:
+        succ = succ + (f,)
+    if rule.eigen is not None:
+        for g in ant + succ:
+            if rule.eigen in free_vars(g):
+                raise KernelError(f"eigenvariable {rule.eigen} occurs free in the conclusion")
+    return Proof(Sequent(ant, succ), rule, premises)
+
+
 def and_left(p: Proof, a: Formula, b: Formula) -> Proof:
-    ant = _remove_one(_remove_one(p.conclusion.ant, a), b)
-    return Proof(Sequent((conj(a, b),) + ant, p.conclusion.succ), Rule("AndLeft"), (p,))
+    return introduce(Rule("AndLeft"), (p,), conj(a, b))
 
 
 def and_right(p1: Proof, p2: Proof, a: Formula, b: Formula) -> Proof:
-    ant = p1.conclusion.ant + p2.conclusion.ant
-    succ = _remove_one(p1.conclusion.succ, a) + _remove_one(p2.conclusion.succ, b)
-    return Proof(Sequent(ant, succ + (conj(a, b),)), Rule("AndRight"), (p1, p2))
+    return introduce(Rule("AndRight"), (p1, p2), conj(a, b))
 
 
 def or_right(p: Proof, a: Formula, b: Formula) -> Proof:
-    succ = _remove_one(_remove_one(p.conclusion.succ, a), b)
-    return Proof(Sequent(p.conclusion.ant, succ + (disj(a, b),)), Rule("OrRight"), (p,))
+    return introduce(Rule("OrRight"), (p,), disj(a, b))
 
 
 def or_left(p1: Proof, p2: Proof, a: Formula, b: Formula) -> Proof:
-    ant = _remove_one(p1.conclusion.ant, a) + _remove_one(p2.conclusion.ant, b)
-    succ = p1.conclusion.succ + p2.conclusion.succ
-    return Proof(Sequent((disj(a, b),) + ant, succ), Rule("OrLeft"), (p1, p2))
+    return introduce(Rule("OrLeft"), (p1, p2), disj(a, b))
 
 
 def implies_right(p: Proof, a: Formula, b: Formula) -> Proof:
-    ant = _remove_one(p.conclusion.ant, a)
-    succ = _remove_one(p.conclusion.succ, b)
-    return Proof(Sequent(ant, succ + (imp(a, b),)), Rule("ImpliesRight"), (p,))
+    return introduce(Rule("ImpliesRight"), (p,), imp(a, b))
 
 
 def implies_left(p1: Proof, p2: Proof, a: Formula, b: Formula) -> Proof:
-    ant = (imp(a, b),) + p1.conclusion.ant + _remove_one(p2.conclusion.ant, b)
-    succ = _remove_one(p1.conclusion.succ, a) + p2.conclusion.succ
-    return Proof(Sequent(ant, succ), Rule("ImpliesLeft"), (p1, p2))
+    return introduce(Rule("ImpliesLeft"), (p1, p2), imp(a, b))
 
 
 def not_left(p: Proof, a: Formula) -> Proof:
-    succ = _remove_one(p.conclusion.succ, a)
-    return Proof(Sequent((neg(a),) + p.conclusion.ant, succ), Rule("NotLeft"), (p,))
+    return introduce(Rule("NotLeft"), (p,), neg(a))
 
 
 def not_right(p: Proof, a: Formula) -> Proof:
-    ant = _remove_one(p.conclusion.ant, a)
-    return Proof(Sequent(ant, p.conclusion.succ + (neg(a),)), Rule("NotRight"), (p,))
+    return introduce(Rule("NotRight"), (p,), neg(a))
 
 
 def forall_left(p: Proof, qf: Forall, t: Term) -> Proof:
-    inst = substitute(qf.body, qf.v, t)
-    ant = (qf,) + _remove_one(p.conclusion.ant, inst)
-    return Proof(Sequent(ant, p.conclusion.succ), Rule("ForallLeft", term=t), (p,))
+    return introduce(Rule("ForallLeft", term=t), (p,), qf)
 
 
 def forall_right(p: Proof, qf: Forall, eigen: str) -> Proof:
-    inst = substitute(qf.body, qf.v, var(eigen))
-    succ = _remove_one(p.conclusion.succ, inst) + (qf,)
-    node = Proof(Sequent(p.conclusion.ant, succ), Rule("ForallRight", eigen=eigen), (p,))
-    _check_eigen(node, eigen)
-    return node
+    return introduce(Rule("ForallRight", eigen=eigen), (p,), qf)
 
 
 def exists_left(p: Proof, qf: Exists, eigen: str) -> Proof:
-    inst = substitute(qf.body, qf.v, var(eigen))
-    ant = (qf,) + _remove_one(p.conclusion.ant, inst)
-    node = Proof(Sequent(ant, p.conclusion.succ), Rule("ExistsLeft", eigen=eigen), (p,))
-    _check_eigen(node, eigen)
-    return node
+    return introduce(Rule("ExistsLeft", eigen=eigen), (p,), qf)
 
 
 def exists_right(p: Proof, qf: Exists, t: Term) -> Proof:
-    inst = substitute(qf.body, qf.v, t)
-    succ = _remove_one(p.conclusion.succ, inst) + (qf,)
-    return Proof(Sequent(p.conclusion.ant, succ), Rule("ExistsRight", term=t), (p,))
-
-
-def _check_eigen(node: Proof, eigen: str):
-    for f in node.conclusion.ant + node.conclusion.succ:
-        if eigen in free_vars(f):
-            raise KernelError(f"eigenvariable {eigen} occurs free in the conclusion")
+    return introduce(Rule("ExistsRight", term=t), (p,), qf)
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +378,6 @@ class Step(NamedTuple):
     at: Optional[tuple]
     consumed: tuple
     link: str
-
-
-# principal side, connective and its name in messages
-_BINARY_RULES = {
-    "AndLeft": ("L", And, "conjunction"),
-    "OrRight": ("R", Or, "disjunction"),
-    "AndRight": ("R", And, "conjunction"),
-    "OrLeft": ("L", Or, "disjunction"),
-}
-# principal side and quantifier
-_QUANT_RULES = {
-    "ForallLeft": ("L", Forall),
-    "ExistsRight": ("R", Exists),
-    "ForallRight": ("R", Forall),
-    "ExistsLeft": ("L", Exists),
-}
 
 
 def _sides(s: Sequent, side: str) -> tuple:
@@ -472,98 +468,45 @@ def analyze(node: Proof, theory=None) -> Step:
         i2 = _first_index(pside, f, skip=i1)
         return Step(f, ("c", side, jc), ((0, side, i1), (0, side, i2)), "contraction-merge")
 
-    if tag in ("AndLeft", "OrRight"):
-        # one premise holding both parts on the principal side
-        side, cls, what = _BINARY_RULES[tag]
-        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
-        for i, f in enumerate(cs):
-            if not isinstance(f, cls):
-                continue
-            if _same(cs + (f.left, f.right), pside + (f,)) and _same(co, po):
-                a_i = _first_index(pside, f.left)
-                b_i = _first_index(pside, f.right, skip=a_i)
-                return Step(f, ("c", side, i), ((0, side, a_i), (0, side, b_i)), "ancestry")
-        fail(f"no {what} matches an {tag} step")
-
-    if tag in ("AndRight", "OrLeft"):
-        # premise k holds part k on the principal side
-        side, cls, what = _BINARY_RULES[tag]
-        (cs, co), (p0s, p0o) = _sides(c, side), _sides(ps[0], side)
-        p1s, p1o = _sides(ps[1], side)
-        for i, f in enumerate(cs):
-            if not isinstance(f, cls):
-                continue
-            a_i = _first_index(p0s, f.left)
-            b_i = _first_index(p1s, f.right)
-            if a_i < 0 or b_i < 0:
-                continue
-            if _same(p0o + p1o, co) and _same(p0s + p1s + (f,), cs + (f.left, f.right)):
-                return Step(f, ("c", side, i), ((0, side, a_i), (1, side, b_i)), "ancestry")
-        fail(f"no {what} matches an {tag} step")
-
-    if tag == "ImpliesRight":
-        for i, f in enumerate(c.succ):
-            if not isinstance(f, Implies):
-                continue
-            a_i = _first_index(ps[0].ant, f.left)
-            b_i = _first_index(ps[0].succ, f.right)
-            if a_i < 0 or b_i < 0:
-                continue
-            if _same(ps[0].ant, c.ant + (f.left,)) and _same(
-                ps[0].succ + (f,), c.succ + (f.right,)
-            ):
-                return Step(f, ("c", "R", i), ((0, "L", a_i), (0, "R", b_i)), "ancestry")
-        fail("no implication matches an ImpliesRight step")
-
-    if tag == "ImpliesLeft":
-        for i, f in enumerate(c.ant):
-            if not isinstance(f, Implies):
-                continue
-            a_i = _first_index(ps[0].succ, f.left)
-            b_i = _first_index(ps[1].ant, f.right)
-            if a_i < 0 or b_i < 0:
-                continue
-            if _same(ps[0].ant + ps[1].ant + (f,), c.ant + (f.right,)) and _same(
-                ps[0].succ + ps[1].succ, c.succ + (f.left,)
-            ):
-                return Step(f, ("c", "L", i), ((0, "R", a_i), (1, "L", b_i)), "ancestry")
-        fail("no implication matches an ImpliesLeft step")
-
-    if tag in ("NotLeft", "NotRight"):
-        # the body moves from the other side of the premise
-        side, other = ("L", "R") if tag == "NotLeft" else ("R", "L")
-        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
-        for i, f in enumerate(cs):
-            if not isinstance(f, Not):
-                continue
-            b_i = _first_index(po, f.body)
-            if b_i < 0:
-                continue
-            if _same(pside + (f,), cs) and _same(po, co + (f.body,)):
-                return Step(f, ("c", side, i), ((0, other, b_i),), "ancestry")
-        fail(f"no negation matches a {tag} step")
-
-    if tag in _QUANT_RULES:
-        side, cls = _QUANT_RULES[tag]
-        eigen = node.rule.eigen
-        witness = node.rule.term if eigen is None else var(eigen)
-        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
-        for i, f in enumerate(cs):
-            if not isinstance(f, cls):
-                continue
-            inst = substitute(f.body, f.v, witness)
-            j = _first_index(pside, inst)
+    intro = _INTRO.get(tag)
+    if intro is None:
+        fail(f"unhandled rule {tag}")
+    cls, side, places, what = intro
+    witness = _witness(node.rule)
+    p_ant = p_succ = ()
+    for q in ps:
+        p_ant += q.ant
+        p_succ += q.succ
+    for i, f in enumerate(c.ant if side == "L" else c.succ):
+        if not isinstance(f, cls):
+            continue
+        # each part at its first occurrence not taken by the part before it
+        consumed = []
+        c_ant, c_succ = c.ant, c.succ
+        for (k, s), part in zip(places, _parts(f, witness)):
+            skip = consumed[-1][2] if consumed and consumed[-1][:2] == (k, s) else -1
+            j = _first_index(ps[k].ant if s == "L" else ps[k].succ, part, skip)
             if j < 0:
+                break
+            consumed.append((k, s, j))
+            if s == "L":
+                c_ant += (part,)
+            else:
+                c_succ += (part,)
+        else:
+            if side == "L":
+                ok = _same(p_ant + (f,), c_ant) and _same(p_succ, c_succ)
+            else:
+                ok = _same(p_ant, c_ant) and _same(p_succ + (f,), c_succ)
+            if not ok:
                 continue
-            if _same(cs + (inst,), pside + (f,)) and _same(co, po):
-                if eigen is not None:
-                    for g in c.ant + c.succ:
-                        if eigen in free_vars(g):
-                            fail(f"eigenvariable {eigen} occurs free in the conclusion")
-                return Step(f, ("c", side, i), ((0, side, j),), "ancestry")
-        fail(f"no quantifier matches a {tag} step")
-
-    fail(f"unhandled rule {tag}")
+            if node.rule.eigen is not None:
+                for g in c.ant + c.succ:
+                    if node.rule.eigen in free_vars(g):
+                        fail(f"eigenvariable {node.rule.eigen} occurs free in the conclusion")
+            return Step(f, ("c", side, i), tuple(consumed), "ancestry")
+    # "an" before the binary connectives' rules, "a" before the others
+    fail(f"no {what} matches {'an' if len(places) == 2 else 'a'} {tag} step")
 
 
 def _fail(node: Proof, msg: str):

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from dataclasses import astuple
 
@@ -21,6 +22,7 @@ from feaslab.kernel import (
     forall_right,
     implies_left,
     implies_right,
+    introduce,
     logical_axiom,
     parse_proof,
     proof_from_file,
@@ -39,6 +41,7 @@ from feaslab.lang import (
     atom,
     const,
     forall,
+    formula_str,
     free_vars,
     fresh_name,
     imp,
@@ -108,6 +111,22 @@ def test_forall_right_eigen_violation():
     step = implies_right(weaken_left(leaf, F(var("a"))), F(var("a")), F(var("a")))
     with pytest.raises(KernelError):
         forall_right(weaken_left(step, F(var("a"))), qf, "a")
+
+
+def test_introduce_refuses_what_its_rule_cannot_build():
+    a, b = F(const("0")), F(var("a"))
+    ax = logical_axiom(a)
+    with pytest.raises(KernelError, match="Cut is not a logical rule"):
+        introduce(Rule("Cut"), (ax, ax), a)
+    with pytest.raises(KernelError, match="AndLeft cannot introduce F"):
+        introduce(Rule("AndLeft"), (ax,), imp(a, a))
+    with pytest.raises(KernelError, match="not present"):
+        introduce(Rule("ImpliesRight"), (ax,), imp(a, b))
+    qf = forall("x", F(var("x")))
+    with pytest.raises(KernelError, match="eigenvariable a occurs free"):
+        introduce(Rule("ForallRight", eigen="a"), (weaken_left(logical_axiom(b), b),), qf)
+    p = introduce(Rule("ImpliesRight"), (weaken_left(ax, b),), imp(b, a))
+    assert p.conclusion == Sequent((a,), (imp(b, a),))
 
 
 def test_quantifier_round_trip_rules():
@@ -418,5 +437,56 @@ def test_step_accounts_for_every_node(small_proofs):
                 rebuilt = eq_leaf(*step.principal.args)
             else:
                 rebuilt = theory_leaf(theory, node.rule.axiom, node.rule.subst_dict())
-            assert rebuilt.conclusion == c
+            # same formulas in the same positions, not just the same multiset
+            assert len(rebuilt.conclusion.ant) == len(c.ant)
+            assert all(x is y for x, y in zip(rebuilt.conclusion.ant, c.ant))
+            assert len(rebuilt.conclusion.succ) == len(c.succ)
+            assert all(x is y for x, y in zip(rebuilt.conclusion.succ, c.succ))
     assert tags == RULE_TAGS
+
+
+def _tampered(node: Proof):
+    """The node, then variants of it that analyze must judge: each other
+    tag its rule data and premise count allow, each conclusion formula
+    dropped or duplicated, the sides swapped and the premises swapped."""
+    c, rule, prems = node.conclusion, node.rule, node.premises
+    yield node
+    for tag in sorted(RULE_TAGS - {rule.tag}):
+        try:
+            relabelled = Rule(tag, rule.axiom, rule.subst, rule.term, rule.eigen)
+            yield Proof(c, relabelled, prems)
+        except KernelError:
+            pass
+    for i in range(len(c.ant)):
+        yield Proof(Sequent(c.ant[:i] + c.ant[i + 1 :], c.succ), rule, prems)
+        yield Proof(Sequent(c.ant[: i + 1] + c.ant[i:], c.succ), rule, prems)
+    for i in range(len(c.succ)):
+        yield Proof(Sequent(c.ant, c.succ[:i] + c.succ[i + 1 :]), rule, prems)
+        yield Proof(Sequent(c.ant, c.succ[: i + 1] + c.succ[i:]), rule, prems)
+    yield Proof(Sequent(c.succ, c.ant), rule, prems)
+    if len(prems) == 2:
+        yield Proof(c, rule, prems[::-1])
+
+
+def test_analyze_verdicts_frozen(small_proofs):
+    # pins analyze's verdict on every node of small_proofs and on tampered
+    # copies of it, with and without the theory: the Step and its edges
+    # for an accepted case, the exception type and message otherwise
+    h = hashlib.sha256()
+    records = accepted = 0
+    for p, theory in small_proofs:
+        for node in _iter_unique_nodes(p):
+            for case in _tampered(node):
+                for th in (theory, None):
+                    try:
+                        step = analyze(case, th)
+                        edges = step_edges(case, step)
+                        rec = (formula_str(step.principal), step.at, step.consumed, step.link, edges)
+                        accepted += 1
+                    except KernelError as e:
+                        rec = (type(e).__name__, str(e))
+                    h.update(repr(rec).encode() + b"\n")
+                    records += 1
+    assert (records, accepted) == (6002, 1321)
+    assert h.hexdigest() == "67c048b6d892582e8efe16d9b4b43b97c819a4cd7585e1b4ea5d4f4dd0b78807"
+

@@ -1,9 +1,13 @@
-"""No function of the package calls itself by name, except those listed.
+"""No function of the package takes part in a call cycle, except those listed.
 
 Terms, formulas and proofs nest far deeper than the interpreter lets a
-function recurse, so walkers use explicit stacks or `lang.fold`.  The
-allowlist names each remaining self-call and why it stays bounded; a new
-one must be added here with its reason, and one that is gone must leave.
+function recurse, so walkers use explicit stacks or `lang.fold`.  The call
+graph has an edge from f to g when f calls g by its plain name and g is a
+function defined in the package; a call inside a nested function counts
+for the function that encloses it too, and a call to a name bound as a
+parameter (a callback) is not an edge.  The allowlist names each cycle,
+as the set of functions on it, and why it stays bounded; a new one must be
+added here with its reason, and one that is gone must leave.
 """
 
 import ast
@@ -12,33 +16,101 @@ from pathlib import Path
 import feaslab
 
 ALLOWED = {
-    "_in_fragment": "one frame per connective of a cut formula; goes with ROADMAP item 2",
-    "_principalize_right": "one frame per inference it commutes past, like _mcut; ROADMAP item 4",
-    "_rat_construction": "one frame per node of a small matrix-entry term",
-    "peel_forall_left": "one frame per quantified matrix entry (four)",
-    "nat_eq": "one frame per level of a power tower",
-    "nat_log2": "one frame per level of a power tower",
-    "nat_str": "one frame per level of a power tower",
-    "_big_shift": "one frame per level of a power tower",
-    "rational_term": "one level, for the sign of a negative rational",
+    frozenset({"_in_fragment"}): "one frame per connective of a cut formula; goes with ROADMAP item 2",
+    frozenset({"_mcut", "_mcut_step", "_reduce_forall", "_reduce_implies"}): (
+        "multicut: a few frames per inference of the cut-free premise it reduces; ROADMAP item 4"
+    ),
+    frozenset({"_principalize_right"}): "one frame per inference it commutes past, like _mcut; ROADMAP item 4",
+    frozenset({"_rat_construction"}): "one frame per node of a small matrix-entry term",
+    frozenset({"peel_forall_left"}): "one frame per quantified matrix entry (four)",
+    frozenset({"nat_eq"}): "one frame per level of a power tower",
+    frozenset({"nat_log2"}): "one frame per level of a power tower",
+    frozenset({"nat_str"}): "one frame per level of a power tower",
+    frozenset({"_big_shift"}): "one frame per level of a power tower",
+    frozenset({"make_tower", "nat_add", "nat_mul"}): "one level per power tower",
+    frozenset({"rational_term"}): "one level, for the sign of a negative rational",
+    frozenset({"subst_formula", "_substitution", "_subst_quant"}): (
+        "one level per quantifier that a substitution must rename or cross; "
+        "unbounded on input (CHANGES.md FOUND line)"
+    ),
 }
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-def self_calls():
-    """Names of the functions in the package that call themselves by name."""
-    found = set()
-    for path in sorted(Path(feaslab.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(node):
-                    if (
-                        isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Name)
-                        and sub.func.id == node.name
-                    ):
-                        found.add(node.name)
-    return found
+
+def _params(fn) -> set:
+    """Names bound as parameters in fn or in any function or lambda in it."""
+    names = set()
+    for sub in ast.walk(fn):
+        if isinstance(sub, (*_FUNCTIONS, ast.Lambda)):
+            a = sub.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None:
+                    names.add(arg.arg)
+    return names
+
+
+def package_trees() -> list:
+    return [
+        ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(feaslab.__file__).parent.glob("*.py"))
+    ]
+
+
+def call_graph(trees) -> dict:
+    """Function name -> names of the functions defined in trees it calls."""
+    functions = [n for tree in trees for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)]
+    defined = {fn.name for fn in functions}
+    graph = {name: set() for name in defined}
+    for fn in functions:
+        params = _params(fn)
+        for sub in ast.walk(fn):
+            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name):
+                name = sub.func.id
+                if name in defined and name not in params:
+                    graph[fn.name].add(name)
+    return graph
+
+
+def _reach(graph: dict, start: str) -> set:
+    """Functions reachable from start by one call or more."""
+    seen = set()
+    stack = list(graph[start])
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack.extend(graph[name])
+    return seen
+
+
+def cycles(graph: dict) -> set:
+    """The strongly connected components of graph that hold a cycle."""
+    reach = {name: _reach(graph, name) for name in graph}
+    return {
+        frozenset(m for m in reach[name] if name in reach[m])
+        for name in graph
+        if name in reach[name]
+    }
 
 
 def test_no_new_recursion():
-    assert self_calls() == set(ALLOWED)
+    assert cycles(call_graph(package_trees())) == set(ALLOWED)
+
+
+def test_ratchet_sees_cycles_through_nested_functions_but_not_callbacks():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    def inner():\n"
+        "        return g(x)\n"
+        "    return inner()\n"
+        "def g(x):\n"
+        "    return f(x)\n"
+        "def h(f, x):\n"
+        "    return f(x)\n"
+        "def k(x):\n"
+        "    return h(k, x)\n"
+    )
+    graph = call_graph([tree])
+    assert graph == {"f": {"g", "inner"}, "inner": {"g"}, "g": {"f"}, "h": set(), "k": {"h"}}
+    assert cycles(graph) == {frozenset({"f", "g", "inner"})}
