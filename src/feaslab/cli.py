@@ -1,10 +1,11 @@
 """Command line front end.
 
 Subcommands mirror the library surface: gen builds and checks a proof,
-check validates a serialized one, cutfree eliminates cuts and re-checks,
-flow prints occurrence-graph statistics, bench sweeps a generator and
-emits CSV, orbit iterates a Moebius action, oracle prints minimal
-derivation sizes, torus prints the toral automorphism growth table.
+check validates a serialized one, cutfree checks its input, eliminates
+cuts and re-checks, flow prints occurrence-graph statistics, bench sweeps
+a generator and emits CSV, orbit iterates a Moebius action, oracle prints
+minimal derivation sizes, torus prints the toral automorphism growth
+table.
 
 Output is deterministic; timing columns stay empty unless requested.
 """
@@ -33,7 +34,7 @@ from .generators import (
     gen_rational_orbit,
     GENERATORS,
 )
-from .kernel import CheckError, KernelError, check, proof_from_file, proof_to_file, size
+from .kernel import CheckError, KernelError, check, proof_from_file, proof_to_file
 from .lang import LangError, sequent_str
 from .oracle import (
     OracleError,
@@ -125,10 +126,9 @@ def _cmd_cutfree(args) -> int:
             raise GeneratorError("give a generator and n, or --in FILE --theory SEL")
         rep = _make_report(args.generator, args.n, args)
         p, theory = rep.proof, rep.theory
-    before = size(p).lines
+    before = check(p, theory).lines
     cf = eliminate_cuts(p, theory, budget=args.budget)
-    check(cf, theory)
-    after = size(cf).lines
+    after = check(cf, theory).lines
     budget = node_budget(args.budget)
     if args.emit and after > budget:
         raise KernelError(

@@ -248,7 +248,10 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
         inner = p1.premises[0]
         gamma = p1.conclusion.ant
         delta = _remove_one(p1.conclusion.succ, a)
-        target_ant = gamma * k + _drop_n(p2.conclusion.ant, a, k)
+        rest = p2.conclusion.ant
+        for _ in range(k):
+            rest = _remove_one(rest, a)
+        target_ant = gamma * k + rest
         target_succ = delta * k + p2.conclusion.succ
         return _weaken_to(inner, Sequent(target_ant, target_succ))
 
@@ -329,18 +332,6 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
             f"cut formula {formula_str(a)} is tied to rule {tag} in an unsupported way"
         )
     return _reapply(p2, step, tuple(new_premises), st)
-
-
-def _drop_n(fs: tuple, f: Formula, n: int) -> tuple:
-    out = []
-    for g in fs:
-        if n and g is f:
-            n -= 1
-            continue
-        out.append(g)
-    if n:
-        raise KernelError("formula missing")
-    return tuple(out)
 
 
 def _names_around(*proofs) -> set:

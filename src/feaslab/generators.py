@@ -5,6 +5,16 @@ formula asserts feasibility of a fast-growing value, together with size
 statistics and the independently evaluated value.  Line counts are affine
 in the stage parameter by design; the golden constants live in the tests.
 
+The families share a handful of lemma shapes, each built by one private
+function: unary successor steps (`_unary`), a binary axiom with both
+premises cut (`_combined`), doubling by a contracted product axiom
+(`_doubled`, `_squarings`), moving F(s) to F(t) by an oracle equation
+(`_transport`, `_square_lemma`), applying a quantified lemma to itself
+(`_self_composed`), modus ponens at witnesses (`_instances`, `_applied`),
+universal closure (`_generalized`), and packing four entries into a
+conjunction and unpacking it (`_conjoined`, `_split`).  Every proof the
+generators build is a tree: no subproof is shared.
+
 Values are computed lazily: reports carry a cheap printable descriptor and
 evaluate the exact value only on demand (matrix powers for large n are
 astronomically expensive and are reported symbolically).
@@ -15,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 from . import semantics
 from .kernel import (
@@ -100,22 +110,117 @@ class GenReport:
         return self._value_fn()
 
 
-def _report(proof, target, theory, value_fn, value_desc) -> GenReport:
-    return GenReport(
-        proof=proof,
-        target=target,
-        theory=theory,
-        value_desc=value_desc,
-        _value_fn=value_fn,
-    )
-
-
 def numeral(n: int) -> Term:
     return int_term(n, arith_signature())
 
 
 def _F(t: Term):
     return atom("F", t)
+
+
+# ---------------------------------------------------------------------------
+# Lemma shapes shared by the families
+
+
+def _unary(th: Theory, n: int) -> tuple:
+    """|- F(n) by n successor steps: one theory leaf and one cut per unit."""
+    p = theory_leaf(th, "F(0)", {})
+    t = const("0")
+    for _ in range(n):
+        p = cut(p, theory_leaf(th, "F:successor", {"x": t}), _F(t))
+        t = app("s", t)
+    return p, t
+
+
+def _combined(th: Theory, axiom: str, p1: Proof, x: Term, p2: Proof, y: Term) -> Proof:
+    """|- F(x op y) from p1 |- F(x) and p2 |- F(y), cutting p1 into the
+    binary axiom first."""
+    half = cut(p1, theory_leaf(th, axiom, {"x": x, "y": y}), _F(x))
+    return cut(p2, half, _F(y))
+
+
+def _doubled(th: Theory, axiom: str, t: Term) -> Proof:
+    """F(t) |- F(t op t): the binary axiom at (t, t), its premises contracted."""
+    return contract_left(theory_leaf(th, axiom, {"x": t, "y": t}), _F(t))
+
+
+def _squarings(th: Theory, gen: str, n: int) -> tuple:
+    """|- F(g^(2^n)) from the generator's axiom, one contraction per doubling."""
+    t = const(gen)
+    p = theory_leaf(th, f"F({gen})", {})
+    for _ in range(n):
+        p = cut(p, _doubled(th, "F:composition", t), _F(t))
+        t = mul(t, t)
+    return p, t
+
+
+def _transport(th: Theory, p: Proof, s: Term, t: Term) -> Proof:
+    """Move p |- F(s) to F(t) by the oracle equation s = t."""
+    eq = eq_leaf(s, t)
+    move = cut(eq, theory_leaf(th, "F:equality", {"x": s, "y": t}), eq.conclusion.succ[0])
+    return cut(p, move, _F(s))
+
+
+def _square_lemma(th: Theory, u: Term) -> Proof:
+    """|- F(u) -> F(exp(u, 2)): the times axiom at (u, u), then u*u = exp(u, 2)."""
+    u2 = app("exp", u, numeral(2))
+    squared = _transport(th, _doubled(th, "F:times", u), mul(u, u), u2)
+    return implies_right(squared, _F(u), _F(u2))
+
+
+def _self_composed(psi: Forall, a: Term, f1: Term, f2: Term) -> Proof:
+    """psi, F(a) |- F(f2): psi applied at a gives F(f1), applied at f1 gives
+    F(f2); the two copies of psi are contracted into one."""
+    p = logical_axiom(_F(a))
+    for s, t in ((a, f1), (f1, f2)):
+        p = forall_left(implies_left(p, logical_axiom(_F(t)), _F(s), _F(t)), psi, s)
+    return contract_left(p, psi)
+
+
+def _instances(p: Proof, qf: Formula, ws: tuple) -> Proof:
+    """Replace the instance of qf at the witnesses ws in p's antecedent by qf,
+    one ForallLeft per witness."""
+    layers = []
+    for w in ws:
+        layers.append((qf, w))
+        qf = substitute(qf.body, qf.v, w)
+    for f, w in reversed(layers):
+        p = forall_left(p, f, w)
+    return p
+
+
+def _applied(chain: Proof, psi: Formula, base: Proof, ws: tuple, target: Formula) -> Proof:
+    """Modus ponens: chain |- psi, whose instance at ws is A -> target, and
+    base |- A give |- target."""
+    ante = base.conclusion.succ[0]
+    mp = implies_left(base, logical_axiom(target), ante, target)
+    return cut(chain, _instances(mp, psi, ws), psi)
+
+
+def _generalized(p: Proof, names: tuple) -> Proof:
+    """Close p's succedent universally over names, the last one innermost."""
+    for z in reversed(names):
+        p = forall_right(p, forall(z, p.conclusion.succ[-1]), z)
+    return p
+
+
+def _conjoined(parts: list, ts: tuple) -> Proof:
+    """|- F(t1) /\\ (F(t2) /\\ ...) from the proofs |- F(ti)."""
+    p, rest = parts[-1], _F(ts[-1])
+    for q, t in zip(reversed(parts[:-1]), reversed(ts[:-1])):
+        p = and_right(q, p, _F(t), rest)
+        rest = conj(_F(t), rest)
+    return p
+
+
+def _split(p: Proof, ts: tuple) -> Proof:
+    """Trade the antecedents F(ti) of p for their conjunction, as _conjoined
+    nests it."""
+    rest = _F(ts[-1])
+    for t in reversed(ts[:-1]):
+        p = and_left(p, _F(t), rest)
+        rest = conj(_F(t), rest)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +232,8 @@ def gen_unary(n: int) -> GenReport:
     if n < 0:
         raise GeneratorError("gen_unary needs n >= 0")
     th = arith_feasibility()
-    p = theory_leaf(th, "F(0)", {})
-    t = const("0")
-    for k in range(n):
-        step = theory_leaf(th, "F:successor", {"x": t})
-        p = cut(p, step, _F(t))
-        t = app("s", t)
-    return _report(p, t, th, lambda: n, str(n))
-
-
-def _unary_two(th) -> Proof:
-    p = theory_leaf(th, "F(0)", {})
-    t = const("0")
-    for _ in range(2):
-        step = theory_leaf(th, "F:successor", {"x": t})
-        p = cut(p, step, _F(t))
-        t = app("s", t)
-    return p
+    p, t = _unary(th, n)
+    return GenReport(p, t, th, str(n), lambda: n)
 
 
 def gen_geometric(n: int) -> GenReport:
@@ -152,15 +242,12 @@ def gen_geometric(n: int) -> GenReport:
         raise GeneratorError("gen_geometric needs n >= 1")
     th = arith_feasibility()
     two = numeral(2)
-    p = _unary_two(th)
+    p, _ = _unary(th, 2)
     t = two
     for _ in range(n - 1):
-        q = _unary_two(th)
-        leaf = theory_leaf(th, "F:times", {"x": two, "y": t})
-        half = cut(q, leaf, _F(two))
-        p = cut(p, half, _F(t))
+        p = _combined(th, "F:times", _unary(th, 2)[0], two, p, t)
         t = mul(two, t)
-    return _report(p, t, th, lambda: 2**n, str(2**n))
+    return GenReport(p, t, th, str(2**n), lambda: 2**n)
 
 
 def gen_square_cut(n: int) -> GenReport:
@@ -173,28 +260,12 @@ def gen_square_cut(n: int) -> GenReport:
     if n < 0:
         raise GeneratorError("gen_square_cut needs n >= 0")
     th = arith_feasibility()
-    two = numeral(2)
-    p = _unary_two(th)
-    u = two
+    p, u = _unary(th, 2)
     for _ in range(n):
-        u2 = app("exp", u, two)
-        times = theory_leaf(th, "F:times", {"x": u, "y": u})
-        squared = contract_left(times, _F(u))
-        eq = eq_leaf(mul(u, u), u2)
-        transport = theory_leaf(th, "F:equality", {"x": mul(u, u), "y": u2})
-        step1 = cut(eq, transport, eq.conclusion.succ[0])
-        step2 = cut(squared, step1, _F(mul(u, u)))
-        lemma = implies_right(step2, _F(u), _F(u2))
-        la = logical_axiom(_F(u2))
-        mp = implies_left(p, la, _F(u), _F(u2))
-        p = cut(lemma, mp, imp(_F(u), _F(u2)))
+        u2 = app("exp", u, numeral(2))
+        p = _applied(_square_lemma(th, u), imp(_F(u), _F(u2)), p, (), _F(u2))
         u = u2
-    value_term = u
-
-    def value():
-        return eval_nat(value_term)
-
-    return _report(p, u, th, value, nat_str(eval_nat(value_term)))
+    return GenReport(p, u, th, nat_str(eval_nat(u)), lambda: eval_nat(u))
 
 
 def gen_quantifier(n: int) -> GenReport:
@@ -215,58 +286,27 @@ def gen_quantifier(n: int) -> GenReport:
         return forall("x", imp(_F(x), _F(app("exp", x, k))))
 
     # base: psi_0 from the times axiom at the eigenvariable
-    times = theory_leaf(th, "F:times", {"x": a, "y": a})
-    squared = contract_left(times, _F(a))
-    eq = eq_leaf(mul(a, a), app("exp", a, two))
-    transport = theory_leaf(th, "F:equality", {"x": mul(a, a), "y": app("exp", a, two)})
-    step1 = cut(eq, transport, eq.conclusion.succ[0])
-    step2 = cut(squared, step1, _F(mul(a, a)))
-    body = implies_right(step2, _F(a), _F(app("exp", a, two)))
-    chain = forall_right(body, psi(two), "a")
+    chain = forall_right(_square_lemma(th, a), psi(two), "a")
 
     k = two
     for _ in range(n):
         kk = mul(k, k)
-        la1 = logical_axiom(_F(a))
-        la2 = logical_axiom(_F(app("exp", a, k)))
-        il1 = implies_left(la1, la2, _F(a), _F(app("exp", a, k)))
-        fl1 = forall_left(il1, psi(k), a)
-        la3 = logical_axiom(_F(app("exp", app("exp", a, k), k)))
-        il2 = implies_left(fl1, la3, _F(app("exp", a, k)), _F(app("exp", app("exp", a, k), k)))
-        fl2 = forall_left(il2, psi(k), app("exp", a, k))
-        merged = contract_left(fl2, psi(k))
-        eqs = eq_leaf(app("exp", app("exp", a, k), k), app("exp", a, kk))
-        move = theory_leaf(
-            th, "F:equality", {"x": app("exp", app("exp", a, k), k), "y": app("exp", a, kk)}
-        )
-        c1 = cut(eqs, move, eqs.conclusion.succ[0])
-        c2 = cut(merged, c1, _F(app("exp", app("exp", a, k), k)))
-        ir = implies_right(c2, _F(a), _F(app("exp", a, kk)))
+        ak = app("exp", a, k)
+        merged = _self_composed(psi(k), a, ak, app("exp", ak, k))
+        moved = _transport(th, merged, app("exp", ak, k), app("exp", a, kk))
+        ir = implies_right(moved, _F(a), _F(app("exp", a, kk)))
         stage = forall_right(ir, psi(kk), "a")
         chain = cut(chain, stage, psi(k))
         k = kk
 
-    base2 = _unary_two(th)
+    base2, _ = _unary(th, 2)
     target = app("exp", two, k)
-    la = logical_axiom(_F(target))
-    il = implies_left(base2, la, _F(two), _F(target))
-    fl = forall_left(il, psi(k), two)
-    p = cut(chain, fl, psi(k))
-
-    def value():
-        return eval_nat(target)
-
-    return _report(p, target, th, value, nat_str(eval_nat(target)))
+    p = _applied(chain, psi(k), base2, (two,), _F(target))
+    return GenReport(p, target, th, nat_str(eval_nat(target)), lambda: eval_nat(target))
 
 
 # ---------------------------------------------------------------------------
 # Group generators
-
-
-def _group_theory(gen: str, theory: Optional[Theory]) -> Theory:
-    if theory is not None:
-        return theory
-    return group_feasibility((gen,), presentation="free")
 
 
 def _power_desc(base: str, e) -> str:
@@ -283,7 +323,7 @@ def gen_group_power(gen: str = "x", n: int = 0, mode: str = "squaring", theory=N
     """
     if n < 0:
         raise GeneratorError("gen_group_power needs n >= 0")
-    th = _group_theory(gen, theory)
+    th = theory if theory is not None else group_feasibility((gen,), presentation="free")
     if f"F({gen})" not in th.axioms:
         raise GeneratorError(f"{gen} is not a generator of theory {th.name}")
     g = const(gen)
@@ -291,7 +331,7 @@ def gen_group_power(gen: str = "x", n: int = 0, mode: str = "squaring", theory=N
     if mode == "linear":
         if n == 0:
             p = theory_leaf(th, "F(e)", {})
-            return _report(p, const("e"), th, lambda: th.evaluate(const("e")), "e")
+            return GenReport(p, const("e"), th, "e", lambda: th.evaluate(const("e")))
         p = theory_leaf(th, f"F({gen})", {})
         t = g
         for _ in range(n - 1):
@@ -300,21 +340,13 @@ def gen_group_power(gen: str = "x", n: int = 0, mode: str = "squaring", theory=N
             partial = cut(gx, step, _F(g))
             p = cut(p, partial, _F(t))
             t = mul(t, g)
-        return _report(p, t, th, lambda: th.evaluate(t), _power_desc(gen, n))
+        return GenReport(p, t, th, _power_desc(gen, n), lambda: th.evaluate(t))
 
     if mode == "squaring":
-        p = theory_leaf(th, f"F({gen})", {})
-        t = g
-        for _ in range(n):
-            step = theory_leaf(th, "F:composition", {"x": t, "y": t})
-            doubled = contract_left(step, _F(t))
-            p = cut(p, doubled, _F(t))
-            t = mul(t, t)
-        return _report(p, t, th, lambda: th.evaluate(t), _power_desc(gen, 2**n))
+        p, t = _squarings(th, gen, n)
+        return GenReport(p, t, th, _power_desc(gen, 2**n), lambda: th.evaluate(t))
 
     if mode == "quantifier":
-        if th.quantifier_free:
-            raise GeneratorError(f"theory {th.name} forbids quantified proofs")
         w = var("w")
         a = var("a")
 
@@ -326,30 +358,18 @@ def gen_group_power(gen: str = "x", n: int = 0, mode: str = "squaring", theory=N
         def psi(j: int) -> Forall:
             return forall("w", imp(_F(w), _F(S(j, w))))
 
-        step = theory_leaf(th, "F:composition", {"x": a, "y": a})
-        doubled = contract_left(step, _F(a))
-        body = implies_right(doubled, _F(a), _F(mul(a, a)))
+        body = implies_right(_doubled(th, "F:composition", a), _F(a), _F(mul(a, a)))
         chain = forall_right(body, psi(0), "a")
         for j in range(n):
-            la1 = logical_axiom(_F(a))
-            la2 = logical_axiom(_F(S(j, a)))
-            il1 = implies_left(la1, la2, _F(a), _F(S(j, a)))
-            fl1 = forall_left(il1, psi(j), a)
-            la3 = logical_axiom(_F(S(j, S(j, a))))
-            il2 = implies_left(fl1, la3, _F(S(j, a)), _F(S(j, S(j, a))))
-            fl2 = forall_left(il2, psi(j), S(j, a))
-            merged = contract_left(fl2, psi(j))
+            merged = _self_composed(psi(j), a, S(j, a), S(j, S(j, a)))
             ir = implies_right(merged, _F(a), _F(S(j + 1, a)))
             stage = forall_right(ir, psi(j + 1), "a")
             chain = cut(chain, stage, psi(j))
         leafg = theory_leaf(th, f"F({gen})", {})
         target = S(n, g)
-        la = logical_axiom(_F(target))
-        il = implies_left(leafg, la, _F(g), _F(target))
-        fl = forall_left(il, psi(n), g)
-        p = cut(chain, fl, psi(n))
+        p = _applied(chain, psi(n), leafg, (g,), _F(target))
         e = semantics.make_tower(2, 1 << n)
-        return _report(p, target, th, lambda: th.evaluate(target), _power_desc(gen, e))
+        return GenReport(p, target, th, _power_desc(gen, e), lambda: th.evaluate(target))
 
     raise GeneratorError(f"unknown mode {mode!r} (use linear, squaring, or quantifier)")
 
@@ -364,49 +384,23 @@ def gen_distorted(n: int) -> GenReport:
     if n < 0:
         raise GeneratorError("gen_distorted needs n >= 0")
     th = group_feasibility(("x", "y"), presentation="bs12")
-    x, y = const("x"), const("y")
-
-    def conjugator_proof():
-        p = theory_leaf(th, "F(x)", {})
-        t = x
-        for _ in range(n):
-            step = theory_leaf(th, "F:composition", {"x": t, "y": t})
-            doubled = contract_left(step, _F(t))
-            p = cut(p, doubled, _F(t))
-            t = mul(t, t)
-        return p, t
-
-    pa, c = conjugator_proof()
-    pa2, _ = conjugator_proof()
+    y = const("y")
+    pa, c = _squarings(th, "x", n)
+    pa2, _ = _squarings(th, "x", n)
     inv_c = app("inv", c)
-    inv_leaf = theory_leaf(th, "F:inverse", {"x": c})
-    pb = cut(pa2, inv_leaf, _F(c))
-
+    pb = cut(pa2, theory_leaf(th, "F:inverse", {"x": c}), _F(c))
     py = theory_leaf(th, "F(y)", {})
-    comp1 = theory_leaf(th, "F:composition", {"x": c, "y": y})
-    d1 = cut(pa, comp1, _F(c))
-    d2 = cut(py, d1, _F(y))  # |- F(c * y)
-
+    cy = _combined(th, "F:composition", pa, c, py, y)  # |- F(c * y)
     w = mul(mul(c, y), inv_c)
-    comp2 = theory_leaf(th, "F:composition", {"x": mul(c, y), "y": inv_c})
-    e1 = cut(d2, comp2, _F(mul(c, y)))
-    p = cut(pb, e1, _F(inv_c))  # |- F((c * y) * inv(c))
+    p = _combined(th, "F:composition", cy, mul(c, y), pb, inv_c)  # |- F(w)
     target = w
 
     if n == 0:
-        yy = mul(y, y)
-        eq = eq_leaf(w, yy)
-        transport = theory_leaf(th, "F:equality", {"x": w, "y": yy})
-        c1 = cut(eq, transport, eq.conclusion.succ[0])
-        p = cut(p, c1, _F(w))
-        target = yy
+        target = mul(y, y)
+        p = _transport(th, p, w, target)
 
-    def value():
-        return th.evaluate(target)
-
-    m = 1 << n
-    num = semantics.make_tower(2, m)
-    return _report(p, target, th, value, f"({nat_str(num)}, 0)")
+    num = semantics.make_tower(2, 1 << n)
+    return GenReport(p, target, th, f"({nat_str(num)}, 0)", lambda: th.evaluate(target))
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +419,7 @@ def _rat_construction(th: Theory, t: Term) -> Proof:
         left, right = t.args
         p1 = _rat_construction(th, left)
         p2 = _rat_construction(th, right)
-        leaf = theory_leaf(th, "F:plus" if sym == "+" else "F:times", {"x": left, "y": right})
-        partial = cut(p1, leaf, _F(left))
-        return cut(p2, partial, _F(right))
+        return _combined(th, "F:plus" if sym == "+" else "F:times", p1, left, p2, right)
     if sym in ("neg", "inv"):
         inner = t.args[0]
         p1 = _rat_construction(th, inner)
@@ -447,58 +439,31 @@ def _square_entries(ts: tuple) -> tuple:
 
 
 def _entry_lemma(th: Theory, ts: tuple) -> Proof:
-    """F(a), F(b), F(c), F(d) |- phi(M^2 entries), then folded by AndLefts."""
+    """F(a), F(b), F(c), F(d) |- phi(M^2 entries), then folded by AndLefts
+    into phi(M) |- phi(M^2)."""
     a, b, c, d = ts
-    na, nb, nc, nd = _square_entries(ts)
 
     def prod(u, v):
         return theory_leaf(th, "F:times", {"x": u, "y": v})
 
-    def tsum(u, v):
-        return theory_leaf(th, "F:plus", {"x": u, "y": v})
+    def entry(m1, x1, m2, x2):
+        # m1 proves F(x1), m2 proves F(x2); the sum of the two products
+        return _combined(th, "F:plus", m1, x1, m2, x2)
 
     # F(a), F(b), F(c) |- F(a*a + b*c)
-    m1 = contract_left(prod(a, a), _F(a))
-    m2 = prod(b, c)
-    pl = tsum(mul(a, a), mul(b, c))
-    k1 = cut(m1, pl, _F(mul(a, a)))
-    d_na = cut(m2, k1, _F(mul(b, c)))
-
+    d_na = entry(_doubled(th, "F:times", a), mul(a, a), prod(b, c), mul(b, c))
     # F(b), F(d), F(a) |- F(a*b + b*d), one contraction on F(b)
-    m1 = prod(a, b)
-    m2 = prod(b, d)
-    pl = tsum(mul(a, b), mul(b, d))
-    k1 = cut(m1, pl, _F(mul(a, b)))
-    k2 = cut(m2, k1, _F(mul(b, d)))
-    d_nb = contract_left(k2, _F(b))
-
+    d_nb = contract_left(entry(prod(a, b), mul(a, b), prod(b, d), mul(b, d)), _F(b))
     # F(d), F(c), F(a) |- F(c*a + d*c), one contraction on F(c)
-    m1 = prod(c, a)
-    m2 = prod(d, c)
-    pl = tsum(mul(c, a), mul(d, c))
-    k1 = cut(m1, pl, _F(mul(c, a)))
-    k2 = cut(m2, k1, _F(mul(d, c)))
-    d_nc = contract_left(k2, _F(c))
-
+    d_nc = contract_left(entry(prod(c, a), mul(c, a), prod(d, c), mul(d, c)), _F(c))
     # F(d), F(c), F(b) |- F(c*b + d*d)
-    m1 = prod(c, b)
-    m2 = contract_left(prod(d, d), _F(d))
-    pl = tsum(mul(c, b), mul(d, d))
-    k1 = cut(m1, pl, _F(mul(c, b)))
-    d_nd = cut(m2, k1, _F(mul(d, d)))
+    d_nd = entry(prod(c, b), mul(c, b), _doubled(th, "F:times", d), mul(d, d))
 
-    ar3 = and_right(d_nc, d_nd, _F(nc), _F(nd))
-    ar2 = and_right(d_nb, ar3, _F(nb), conj(_F(nc), _F(nd)))
-    ar1 = and_right(d_na, ar2, _F(na), conj(_F(nb), conj(_F(nc), _F(nd))))
-
-    p = ar1
-    for entry in (a, b, c, d):
+    p = _conjoined([d_na, d_nb, d_nc, d_nd], _square_entries(ts))
+    for entry_term in ts:
         for _ in range(2):
-            p = contract_left(p, _F(entry))
-    p = and_left(p, _F(c), _F(d))
-    p = and_left(p, _F(b), conj(_F(c), _F(d)))
-    p = and_left(p, _F(a), conj(_F(b), conj(_F(c), _F(d))))
-    return p
+            p = contract_left(p, _F(entry_term))
+    return _split(p, ts)
 
 
 def gen_matrix_power(A: Mat2, n: int = 0, mode: str = "squaring") -> GenReport:
@@ -516,26 +481,17 @@ def gen_matrix_power(A: Mat2, n: int = 0, mode: str = "squaring") -> GenReport:
     base_terms = matrix_entry_terms(A)
 
     def base_proof():
-        parts = [_rat_construction(th, t) for t in base_terms]
-        a, b, c, d = base_terms
-        ar3 = and_right(parts[2], parts[3], _F(c), _F(d))
-        ar2 = and_right(parts[1], ar3, _F(b), conj(_F(c), _F(d)))
-        return and_right(parts[0], ar2, _F(a), conj(_F(b), conj(_F(c), _F(d))))
+        return _conjoined([_rat_construction(th, t) for t in base_terms], base_terms)
 
     if mode == "squaring":
         p = base_proof()
         ts = base_terms
         for _ in range(n):
-            lemma = _entry_lemma(th, ts)
-            p = cut(p, lemma, feasibility_formula(ts))
+            p = cut(p, _entry_lemma(th, ts), feasibility_formula(ts))
             ts = _square_entries(ts)
         exponent = 2**n
-
-        def value():
-            return A**exponent
-
         desc = str(A**exponent) if n <= 10 else f"A^{exponent}"
-        return _report(p, ts, th, value, desc)
+        return GenReport(p, ts, th, desc, lambda: A**exponent)
 
     if mode == "quantifier":
         names = ("a", "b", "c", "d")
@@ -548,56 +504,31 @@ def gen_matrix_power(A: Mat2, n: int = 0, mode: str = "squaring") -> GenReport:
                 f = forall(z, f)
             return f
 
-        def peel_forall_left(p: Proof, qf: Formula, witnesses: tuple) -> Proof:
-            if not witnesses:
-                return p
-            inner = substitute(qf.body, qf.v, witnesses[0])
-            p = peel_forall_left(p, inner, witnesses[1:]) if witnesses[1:] else p
-            return forall_left(p, qf, witnesses[0])
+        def instance(qf, ws, ts1, ts2):
+            # qf, phi(ts1) |- phi(ts2) with qf instantiated at ws
+            f1, f2 = feasibility_formula(ts1), feasibility_formula(ts2)
+            mp = implies_left(logical_axiom(f1), logical_axiom(f2), f1, f2)
+            return _instances(mp, qf, ws)
 
         P = _square_entries(vs)
         lemma0 = _entry_lemma(th, vs)
-        ir = implies_right(lemma0, phiv, feasibility_formula(P))
-        for z in reversed(names):
-            body = ir.conclusion.succ[-1]
-            ir = forall_right(ir, forall(z, body), z)
-        chain = ir
+        chain = _generalized(implies_right(lemma0, phiv, feasibility_formula(P)), names)
 
         for _ in range(n):
             mapping = dict(zip(names, P))
             P2 = tuple(subst_term(t, mapping) for t in P)
-            la1 = logical_axiom(phiv)
-            la2 = logical_axiom(feasibility_formula(P))
-            il1 = implies_left(la1, la2, phiv, feasibility_formula(P))
-            first = peel_forall_left(il1, chi(P), vs)
-            la3 = logical_axiom(feasibility_formula(P))
-            la4 = logical_axiom(feasibility_formula(P2))
-            il2 = implies_left(la3, la4, feasibility_formula(P), feasibility_formula(P2))
-            second = peel_forall_left(il2, chi(P), P)
-            mid = cut(first, second, feasibility_formula(P))
-            merged = contract_left(mid, chi(P))
-            ir = implies_right(merged, phiv, feasibility_formula(P2))
-            for z in reversed(names):
-                body = ir.conclusion.succ[-1]
-                ir = forall_right(ir, forall(z, body), z)
-            chain = cut(chain, ir, chi(P))
+            first = instance(chi(P), vs, vs, P)
+            second = instance(chi(P), P, P, P2)
+            merged = contract_left(cut(first, second, feasibility_formula(P)), chi(P))
+            stage = _generalized(implies_right(merged, phiv, feasibility_formula(P2)), names)
+            chain = cut(chain, stage, chi(P))
             P = P2
 
-        base = base_proof()
         final_terms = tuple(subst_term(t, dict(zip(names, base_terms))) for t in P)
-        la = logical_axiom(feasibility_formula(final_terms))
-        il = implies_left(
-            base, la, feasibility_formula(base_terms), feasibility_formula(final_terms)
-        )
-        fl = peel_forall_left(il, chi(P), base_terms)
-        p = cut(chain, fl, chi(P))
+        p = _applied(chain, chi(P), base_proof(), base_terms, feasibility_formula(final_terms))
         exponent = 2 ** (2**n)
-
-        def value():
-            return A**exponent
-
         desc = str(A**exponent) if exponent <= 1024 else f"A^{exponent}"
-        return _report(p, final_terms, th, value, desc)
+        return GenReport(p, final_terms, th, desc, lambda: A**exponent)
 
     raise GeneratorError(f"unknown mode {mode!r} (use squaring or quantifier)")
 
@@ -626,28 +557,17 @@ def gen_rational_orbit(A: Mat2, x, n: int = 0) -> GenReport:
     den = app("+", mul(tc, xt), td)
     target = mul(num, app("inv", den))
 
-    px1 = _rat_construction(th, xt)
-    m1 = theory_leaf(th, "F:times", {"x": ta, "y": xt})
-    k1 = cut(px1, m1, _F(xt))
-    pl1 = theory_leaf(th, "F:plus", {"x": mul(ta, xt), "y": tb})
-    k2 = cut(k1, pl1, _F(mul(ta, xt)))
+    def affine(u, v):
+        """F(u), F(v) |- F(u*x + v)."""
+        times = theory_leaf(th, "F:times", {"x": u, "y": xt})
+        ux = cut(_rat_construction(th, xt), times, _F(xt))
+        plus = theory_leaf(th, "F:plus", {"x": mul(u, xt), "y": v})
+        return cut(ux, plus, _F(mul(u, xt)))
 
-    px2 = _rat_construction(th, xt)
-    m2 = theory_leaf(th, "F:times", {"x": tc, "y": xt})
-    k3 = cut(px2, m2, _F(xt))
-    pl2 = theory_leaf(th, "F:plus", {"x": mul(tc, xt), "y": td})
-    k4 = cut(k3, pl2, _F(mul(tc, xt)))
     inv_leaf = theory_leaf(th, "F:invert", {"x": den})
-    k5 = cut(k4, inv_leaf, _F(den))
-
-    mt = theory_leaf(th, "F:times", {"x": num, "y": app("inv", den)})
-    k6 = cut(k2, mt, _F(num))
-    k7 = cut(k5, k6, _F(app("inv", den)))
-
-    p = and_left(k7, _F(tc), _F(td))
-    p = and_left(p, _F(tb), conj(_F(tc), _F(td)))
-    p = and_left(p, _F(ta), conj(_F(tb), conj(_F(tc), _F(td))))
-    p = cut(mp.proof, p, feasibility_formula(mp.target))
+    inv_den = cut(affine(tc, td), inv_leaf, _F(den))
+    p = _combined(th, "F:times", affine(ta, tb), num, inv_den, app("inv", den))
+    p = cut(mp.proof, _split(p, mp.target), feasibility_formula(mp.target))
 
     def value():
         return mobius_apply(A ** (2**n), x)
@@ -655,7 +575,7 @@ def gen_rational_orbit(A: Mat2, x, n: int = 0) -> GenReport:
     # entries of A^(2^n) grow doubly exponentially in n; keep the
     # descriptor printable and cheap
     desc = str(value()) if 2**n <= 2048 else f"A^{2 ** n} orbit point of {x}"
-    return _report(p, target, th, value, desc)
+    return GenReport(p, target, th, desc, value)
 
 
 _ENDPOINT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)

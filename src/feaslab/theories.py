@@ -84,7 +84,6 @@ class Theory:
         oracle: Callable[[Term, Term], str],
         evaluate: Optional[Callable[[Term], object]] = None,
         validate: Optional[Callable[[str, dict], None]] = None,
-        quantifier_free: bool = False,
     ):
         self.name = name
         self.signature = signature
@@ -92,7 +91,6 @@ class Theory:
         self._oracle = oracle
         self._evaluate = evaluate
         self._validate = validate
-        self.quantifier_free = quantifier_free
 
     def oracle(self, lhs: Term, rhs: Term) -> str:
         if lhs is rhs:
@@ -260,9 +258,7 @@ def _schemas_group(generators, pred="F"):
     return out
 
 
-def group_feasibility(
-    generators: Iterable[str], presentation: str = "free", quantifier_free: bool = False
-) -> Theory:
+def group_feasibility(generators: Iterable[str], presentation: str = "free") -> Theory:
     gens = tuple(generators)
     if not gens:
         raise TheoryError("a group theory needs at least one generator")
@@ -280,7 +276,6 @@ def group_feasibility(
         _schemas_group(gens),
         oracle,
         evaluate=evaluate,
-        quantifier_free=quantifier_free,
     )
 
 

@@ -66,6 +66,30 @@ def test_cutfree_file_round_trip(tmp_path, capsys):
     assert rc == 0 and out.startswith("ok:")
 
 
+def test_cutfree_checks_its_input(tmp_path, capsys):
+    # the left premise is an F(0) leaf relabelled to conclude |- F(s(s(0)));
+    # cut elimination would drop it through the weakening, so only a check
+    # of the input can reject the file
+    leaf = (
+        '{"rule":"TheoryAxiom","instantiation":{"axiom":"F(0)","subst":{}},'
+        '"conclusion":"%s","premises":[]}'
+    )
+    bad = (
+        '{"rule":"Cut","conclusion":"|- F(0)","premises":['
+        + leaf % "|- F(s(s(0)))"
+        + ',{"rule":"WeakenLeft","conclusion":"F(s(s(0))) |- F(0)","premises":['
+        + leaf % "|- F(0)"
+        + "]}]}"
+    )
+    f = tmp_path / "bad.json"
+    f.write_text(bad)
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 1 and out == "" and err.startswith("error:")
+    rc, out, err = run(capsys, "cutfree", "--in", str(f), "--theory", "arith")
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cutfree_needs_input(capsys):
     rc, _, err = run(capsys, "cutfree")
     assert rc == 1

@@ -4,6 +4,8 @@ Line-count goldens were frozen from closed-form counts of the constructions
 (leaves, cuts, and structural lines per stage) and confirmed by sweeps.
 """
 
+import hashlib
+
 import pytest
 
 from feaslab.generators import (
@@ -18,9 +20,9 @@ from feaslab.generators import (
     gen_square_cut,
     gen_unary,
 )
-from feaslab.kernel import check
+from feaslab.kernel import _iter_unique_nodes, check, serialize_proof
 from feaslab.lang import formula_str
-from feaslab.semantics import BSElement, ExtRational, Mat2, UndefinedOperation
+from feaslab.semantics import BSElement, ExtRational, Mat2, UndefinedOperation, mat2
 from feaslab.theories import group_feasibility
 
 FIB = Mat2(2, 1, 1, 1)
@@ -178,6 +180,41 @@ def test_reports_check():
 
 
 # ---------------------------------------------------------------------------
+# the generated proofs themselves, frozen
+
+
+def _frozen_grid():
+    yield from (gen_unary(n) for n in range(0, 6))
+    yield from (gen_geometric(n) for n in range(1, 6))
+    yield from (gen_square_cut(n) for n in range(0, 6))
+    yield from (gen_quantifier(n) for n in range(0, 5))
+    yield from (gen_group_power("x", n, mode="linear") for n in range(0, 6))
+    yield from (gen_group_power("x", n, mode="squaring") for n in range(0, 6))
+    yield from (gen_group_power("x", n, mode="quantifier") for n in range(0, 5))
+    yield from (gen_distorted(n) for n in range(0, 6))
+    yield from (gen_matrix_power(FIB, n, mode="squaring") for n in range(0, 3))
+    yield from (gen_matrix_power(FIB, n, mode="quantifier") for n in range(0, 3))
+    for x in (0, "1/2", -3):
+        yield from (gen_rational_orbit(FIB, x, n) for n in range(0, 3))
+    yield from (gen_matrix_power(mat2(1, "1/2", -1, 3), n) for n in range(0, 2))
+
+
+def test_generated_proofs_frozen():
+    # every generated proof, byte for byte, and each one a tree: the
+    # generators build no shared subproofs, so distinct nodes = tree lines
+    digest = hashlib.sha256()
+    count = 0
+    for r in _frozen_grid():
+        digest.update((serialize_proof(r.proof) + "\n").encode())
+        assert len(list(_iter_unique_nodes(r.proof))) == r.stats.lines
+        count += 1
+    assert count == 62
+    assert digest.hexdigest() == (
+        "71d51da92f2be8ec6ef174b7bcfa7e546f9d821342488926be19781f5abfb63d"
+    )
+
+
+# ---------------------------------------------------------------------------
 # domains and failure modes
 
 
@@ -213,14 +250,6 @@ def test_group_power_generator_must_exist():
     th = group_feasibility(("x", "y"))
     with pytest.raises(GeneratorError):
         gen_group_power("z", 2, theory=th)
-
-
-def test_quantifier_mode_respects_quantifier_free_theory():
-    th = group_feasibility(("x",), quantifier_free=True)
-    with pytest.raises(GeneratorError):
-        gen_group_power("x", 1, mode="quantifier", theory=th)
-    # other modes stay available
-    gen_group_power("x", 1, mode="squaring", theory=th)
 
 
 def test_orbit_rejects_infinite_points():

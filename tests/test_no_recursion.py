@@ -22,7 +22,6 @@ ALLOWED = {
     ),
     frozenset({"_principalize_right"}): "one frame per inference it commutes past, like _mcut; ROADMAP item 4",
     frozenset({"_rat_construction"}): "one frame per node of a small matrix-entry term",
-    frozenset({"peel_forall_left"}): "one frame per quantified matrix entry (four)",
     frozenset({"nat_eq"}): "one frame per level of a power tower",
     frozenset({"nat_log2"}): "one frame per level of a power tower",
     frozenset({"nat_str"}): "one frame per level of a power tower",

@@ -308,12 +308,6 @@ def test_group_schemas_cover_generators():
     assert formula_str(succ) == "F(inv(y))"
 
 
-def test_quantifier_free_flag():
-    qf = group_feasibility(("x",), quantifier_free=True)
-    assert qf.quantifier_free
-    assert not FREE_XY.quantifier_free
-
-
 def test_word_term_construction():
     assert term_str(word_term([("x", 3)])) == "(x * x) * x"
     assert term_str(word_term([("x", -2)])) == "inv(x) * inv(x)"
