@@ -64,6 +64,7 @@ from .lang import (
     var,
 )
 from .semantics import (
+    MODULAR_PRIME,
     ExtRational,
     Mat2,
     UndefinedOperation,
@@ -578,7 +579,7 @@ def gen_rational_orbit(A: Mat2, x, n: int = 0) -> GenReport:
     return GenReport(p, target, th, desc, value)
 
 
-_ENDPOINT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
+_ENDPOINT_PRIMES = (MODULAR_PRIME, 2**89 - 1, 2**107 - 1)
 
 
 def _reject_infinite_endpoint(A: Mat2, x, n: int):

@@ -578,7 +578,7 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
         if set(subst) != set(schema.vars):
             fail(f"instantiation must cover exactly {schema.vars}")
         phis, psi = theory.instantiate(name, subst)
-        theory.validate_instantiation(name, subst)
+        theory.validate_instantiation(name, subst, psi)
         if not node.premises:
             if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
                 fail("leaf does not match the instantiated schema")

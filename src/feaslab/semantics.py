@@ -6,7 +6,9 @@ Five small calculators live here:
     `nat_pow`, `eval_nat`) so values like 2^(2^j) stay exact far beyond
     native digit budgets,
   * extended rationals with a point at infinity and the partial
-    multiplication/division conventions (`ExtRational`),
+    multiplication/division conventions (`ExtRational`), and a check
+    that a closed term is defined, decided modulo a prime with an exact
+    fallback (`check_rat_defined`),
   * exact 2x2 rational matrices, their Moebius action on the projective
     line, symmetric eigenvalues, and torus winding growth (`Mat2`),
   * Baumslag-Solitar BS(1,2) normal forms as dyadic pairs (`BSElement`),
@@ -332,6 +334,10 @@ def expanded_size(x):
 # Extended rationals
 
 
+_SUM_INF = "sum involving inf is undefined"
+_NEG_INF = "negation of inf is undefined"
+
+
 @dataclass(frozen=True)
 class ExtRational:
     """A rational number or the single point at infinity (num=None)."""
@@ -350,12 +356,12 @@ class ExtRational:
 
     def add(self, other: "ExtRational") -> "ExtRational":
         if self.is_inf or other.is_inf:
-            raise UndefinedOperation("sum involving inf is undefined")
+            raise UndefinedOperation(_SUM_INF)
         return ExtRational(self.num + other.num)
 
     def neg(self) -> "ExtRational":
         if self.is_inf:
-            raise UndefinedOperation("negation of inf is undefined")
+            raise UndefinedOperation(_NEG_INF)
         return ExtRational(-self.num)
 
     def mul(self, other: "ExtRational") -> "ExtRational":
@@ -413,6 +419,68 @@ _rat_step = _closed_step(
 def eval_rat(t: Term) -> ExtRational:
     """Value of a closed term over 0, 1, inf, +, *, neg, inv."""
     return fold(t, _rat_step, _RAT_EVAL_CACHE)
+
+
+# A prime for deciding facts modulo p instead of exactly (definedness of
+# rational terms here, infinite orbit endpoints in generators).  Residues
+# of rationals whose denominators it does not divide add and multiply like
+# the rationals, and a nonzero residue proves a nonzero value.
+MODULAR_PRIME = 2**61 - 1
+
+
+class _Inconclusive(Exception):
+    """A residue of 0 where only the exact value tells 0 from nonzero."""
+
+
+def _res_add(a, b):
+    if a is INF or b is INF:
+        raise UndefinedOperation(_SUM_INF)
+    return (a + b) % MODULAR_PRIME
+
+
+def _res_neg(a):
+    if a is INF:
+        raise UndefinedOperation(_NEG_INF)
+    return -a % MODULAR_PRIME
+
+
+def _res_mul(a, b):
+    if a is INF or b is INF:
+        fin = b if a is INF else a
+        if fin is INF or fin:
+            return INF
+        raise _Inconclusive  # 0 * inf = 0, but a * inf = inf
+    return a * b % MODULAR_PRIME
+
+
+def _res_inv(a):
+    if a is INF:
+        return 0
+    if not a:
+        raise _Inconclusive  # 1/0 is undefined, 1/p is not
+    return pow(a, -1, MODULAR_PRIME)
+
+
+_rat_residue_step = _closed_step(
+    {"0": 0, "1": 1, "inf": INF},
+    {"+": _res_add, "*": _res_mul, "neg": _res_neg, "inv": _res_inv},
+    "extended-rational",
+    "has no extended-rational value",
+)
+
+
+def check_rat_defined(t: Term, memo: dict) -> None:
+    """Raise what eval_rat(t) raises, without computing its exact value.
+
+    One fold over the DAG of t gives each node inf or its residue modulo
+    MODULAR_PRIME, with the post-order and the rules of eval_rat, and
+    leaves them in memo.  Only a residue of 0 under inv or times inf is
+    inconclusive; then eval_rat decides the whole term.
+    """
+    try:
+        fold(t, _rat_residue_step, memo)
+    except _Inconclusive:
+        eval_rat(t)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 A theory bundles a signature, named axiom schemas (tuples of antecedent
 formulas and one succedent formula over schema variables), an oracle
 deciding term equality where this is safely possible, and an optional
-instantiation validator (the rational theory rejects substitutions whose
-closed terms hit an undefined operation, e.g. inv(0)).
+instantiation validator.  The rational theory's validator rejects an
+instance when a closed substitution term, or the closed term under its
+succedent F(...), hits an undefined operation (inv(0), inf in a sum or a
+negation).  It decides this modulo a prime, so checking a short proof of
+F(huge) never computes the huge value; only a residue of 0 under inv or
+times inf falls back to exact evaluation, and verdicts and messages are
+those of exact evaluation.
 
 Oracle verdicts are "equal", "unequal" or "undecided"; proofs may only
 rely on "equal".  For open terms the oracles stay sound and answer
@@ -49,6 +54,7 @@ from .semantics import (
     SemanticsError,
     UndefinedOperation,
     bs_eq,
+    check_rat_defined,
     eval_group_bs,
     eval_group_free,
     eval_nat,
@@ -83,7 +89,7 @@ class Theory:
         schemas: Iterable[AxiomSchema],
         oracle: Callable[[Term, Term], str],
         evaluate: Optional[Callable[[Term], object]] = None,
-        validate: Optional[Callable[[str, dict], None]] = None,
+        validate: Optional[Callable[[str, dict, Formula], None]] = None,
     ):
         self.name = name
         self.signature = signature
@@ -118,9 +124,11 @@ class Theory:
         succ = subst_formula(schema.succedent, subst)
         return ant, succ
 
-    def validate_instantiation(self, name: str, subst: dict):
+    def validate_instantiation(self, name: str, subst: dict, succedent: Formula):
+        """Raise TheoryError for an inadmissible instance; succedent is
+        the instance's succedent, as `instantiate` built it."""
         if self._validate is not None:
-            self._validate(name, subst)
+            self._validate(name, subst, succedent)
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +383,24 @@ def _rat_oracle(lhs: Term, rhs: Term) -> str:
         return "undecided"
 
 
-def _rat_validate(name: str, subst: dict):
-    """Reject instantiations whose closed terms hit an undefined operation."""
-    for t in subst.values():
-        if free_vars(t):
-            continue
-        try:
-            eval_rat(t)
-        except UndefinedOperation as exc:
-            raise TheoryError(f"undefined operation in instantiation of {name}: {exc}")
+def _rat_validator() -> Callable[[str, dict, Formula], None]:
+    """A validator rejecting instances whose closed substitution terms, or
+    the closed terms under whose succedent F(...), hit an undefined
+    operation.  Definedness is decided modulo semantics.MODULAR_PRIME with
+    an exact fallback (`check_rat_defined`); the residues live as long as
+    the validator, that is, as long as its theory."""
+    residues: dict = {}
+
+    def validate(name: str, subst: dict, succedent: Formula):
+        for t in (*subst.values(), *succedent.args):
+            if free_vars(t):
+                continue
+            try:
+                check_rat_defined(t, residues)
+            except UndefinedOperation as exc:
+                raise TheoryError(f"undefined operation in instantiation of {name}: {exc}")
+
+    return validate
 
 
 def _schemas_rat():
@@ -407,7 +424,7 @@ def rational_feasibility() -> Theory:
         _schemas_rat(),
         _rat_oracle,
         evaluate=eval_rat,
-        validate=_rat_validate,
+        validate=_rat_validator(),
     )
 
 

@@ -215,6 +215,21 @@ def test_error_paths(capsys):
     assert "inf" in err
 
 
+def test_check_rejects_an_undefined_conclusion(tmp_path, capsys):
+    from feaslab.kernel import cut, proof_to_file, theory_leaf
+    from feaslab.lang import atom, const
+    from feaslab.theories import rational_feasibility
+
+    th = rational_feasibility()
+    zero = const("0")
+    p = cut(theory_leaf(th, "F(0)", {}), theory_leaf(th, "F:invert", {"x": zero}), atom("F", zero))
+    f = tmp_path / "inv0.json"
+    proof_to_file(p, str(f))
+    rc, out, err = run(capsys, "check", str(f), "--theory", "rat")
+    assert rc == 1 and out == ""
+    assert err == "error: undefined operation in instantiation of F:invert: 1/0 is undefined\n"
+
+
 def test_gen_deep_unary(capsys):
     rc, out, err = run(capsys, "gen", "unary", "1200")
     assert rc == 0 and err == ""

@@ -61,7 +61,7 @@ from feaslab.generators import (
     gen_unary,
 )
 from feaslab.semantics import mat2
-from feaslab.theories import TheoryError, arith_feasibility
+from feaslab.theories import TheoryError, arith_feasibility, rational_feasibility
 from fractions import Fraction
 
 TH = arith_feasibility()
@@ -156,6 +156,21 @@ def test_theory_leaf_validates_substitution():
         theory_leaf(TH, "F:plus", {"x": const("0")})  # missing y
     with pytest.raises(TheoryError):
         theory_leaf(TH, "no-such-axiom", {})
+
+
+def test_check_rejects_an_undefined_succedent():
+    # the substitutions are defined, the conclusions F(inv(0)) and
+    # F(1 + inf) are not
+    th = rational_feasibility()
+    zero = const("0")
+    inv0 = cut(theory_leaf(th, "F(0)", {}), theory_leaf(th, "F:invert", {"x": zero}), atom("F", zero))
+    with pytest.raises(TheoryError) as exc:
+        check(inv0, th)
+    assert str(exc.value) == "undefined operation in instantiation of F:invert: 1/0 is undefined"
+    sum_inf = theory_leaf(th, "F:plus", {"x": const("1"), "y": const("inf")})
+    with pytest.raises(TheoryError) as exc:
+        check(sum_inf, th)
+    assert str(exc.value) == "undefined operation in instantiation of F:plus: sum involving inf is undefined"
 
 
 def test_theory_apply_premise_count():

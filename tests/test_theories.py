@@ -22,7 +22,20 @@ from feaslab.lang import (
     term_str,
     var,
 )
-from feaslab.semantics import EvalBudgetError, ExtRational, Mat2, eval_nat, nat_eq
+from feaslab import semantics, theories
+from feaslab.generators import gen_matrix_power, gen_rational_orbit
+from feaslab.kernel import check
+from feaslab.semantics import (
+    MODULAR_PRIME,
+    EvalBudgetError,
+    ExtRational,
+    Mat2,
+    UndefinedOperation,
+    check_rat_defined,
+    eval_nat,
+    eval_rat,
+    nat_eq,
+)
 from feaslab.theories import (
     TheoryError,
     UnsupportedPresentation,
@@ -216,9 +229,14 @@ def test_instantiate_rejects_wrong_variables():
         ARITH.instantiate("F:successor", {"x": "not a term"})
 
 
+def validate(th, name, subst):
+    """Validate an instance the way check does, with its succedent."""
+    th.validate_instantiation(name, subst, th.instantiate(name, subst)[1])
+
+
 def test_arith_validation_is_permissive():
     # no validator installed: anything instantiable passes
-    ARITH.validate_instantiation("F:times", {"x": num(0), "y": num(0)})
+    validate(ARITH, "F:times", {"x": num(0), "y": num(0)})
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +257,97 @@ def test_rat_oracle_undefined_is_undecided():
 
 def test_rat_validator_rejects_undefined_instantiation():
     with pytest.raises(TheoryError):
-        RAT.validate_instantiation("F:invert", {"x": app("inv", const("0"))})
+        validate(RAT, "F:invert", {"x": app("inv", const("0"))})
     # open terms are waved through, closed well-defined ones too
-    RAT.validate_instantiation("F:invert", {"x": var("x")})
-    RAT.validate_instantiation("F:invert", {"x": rational_term("1/3")})
+    validate(RAT, "F:invert", {"x": var("x")})
+    validate(RAT, "F:invert", {"x": rational_term("1/3")})
+
+
+P_TERM = int_term(MODULAR_PRIME, RAT.signature)
+P2_TERM = int_term(2 * MODULAR_PRIME, RAT.signature)
+
+
+def ref_rat_validate(name, subst, succedent):
+    """The rational validator as it was, evaluating every closed term
+    exactly, applied to the substitution and to the succedent's terms:
+    the oracle of the residue fold."""
+    for t in (*subst.values(), *succedent.args):
+        if free_vars(t):
+            continue
+        try:
+            eval_rat(t)
+        except UndefinedOperation as exc:
+            raise TheoryError(f"undefined operation in instantiation of {name}: {exc}")
+
+
+def _verdict(call, *args):
+    try:
+        call(*args)
+    except (TheoryError, UndefinedOperation) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+# closed terms with numerals p and 2p, whose residue 0 under inv or times
+# inf leaves the fold inconclusive, next to 0, 1 and inf
+_rat_terms = st.recursive(
+    st.sampled_from([const("0"), const("1"), const("inf"), P_TERM, P2_TERM]),
+    lambda kids: st.tuples(st.sampled_from(["+", "*"]), kids, kids).map(lambda f: app(*f))
+    | st.tuples(st.sampled_from(["neg", "inv"]), kids).map(lambda f: app(*f)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rat_terms, _rat_terms)
+def test_rat_definedness_matches_exact_evaluation(t, u):
+    assert _verdict(check_rat_defined, t, {}) == _verdict(eval_rat, t)
+    for name, subst in (
+        ("F:plus", {"x": t, "y": u}),
+        ("F:times", {"x": t, "y": u}),
+        ("F:negate", {"x": t}),
+        ("F:invert", {"x": u}),
+        ("F:equality", {"x": t, "y": var("y")}),
+    ):
+        succedent = RAT.instantiate(name, subst)[1]
+        want = _verdict(ref_rat_validate, name, subst, succedent)
+        assert _verdict(RAT.validate_instantiation, name, subst, succedent) == want
+
+
+@pytest.mark.parametrize(
+    "x, exact, verdict",
+    [
+        (P_TERM, True, "ok"),
+        (app("inv", P_TERM), True, "ok"),
+        (plus(P_TERM, app("neg", P_TERM)), True, "1/0 is undefined"),
+        (mul(P_TERM, const("inf")), True, "ok"),
+        (plus(P_TERM, const("1")), False, "ok"),
+        (mul(plus(P_TERM, const("1")), const("inf")), False, "ok"),
+        (plus(P2_TERM, P_TERM), True, "ok"),
+    ],
+)
+def test_rat_definedness_falls_back_on_a_zero_residue(monkeypatch, x, exact, verdict):
+    # F:invert checks x and inv(x); the fold asks exact evaluation only
+    # when p divides the value it would invert or multiply by inf
+    calls = []
+    real = semantics.eval_rat
+    monkeypatch.setattr(semantics, "eval_rat", lambda t: calls.append(t) or real(t))
+    got = _verdict(validate, rational_feasibility(), "F:invert", {"x": x})
+    if verdict != "ok":
+        verdict = ("TheoryError", f"undefined operation in instantiation of F:invert: {verdict}")
+    assert got == verdict
+    assert bool(calls) == exact
+
+
+def test_check_never_evaluates_fibonacci_powers_exactly(monkeypatch):
+    def exact(t):
+        raise AssertionError(f"exact evaluation of {term_str(t)[:60]}")
+
+    monkeypatch.setattr(theories, "eval_rat", exact)
+    monkeypatch.setattr(semantics, "eval_rat", exact)
+    fib = Mat2(2, 1, 1, 1)
+    for rep in (gen_matrix_power(fib, 20), gen_rational_orbit(fib, 0, 20)):
+        check(rep.proof, rep.theory)
 
 
 def test_rational_term_round_trip():
