@@ -23,7 +23,6 @@ from .cutelim import (
     blowup_report,
     count_text,
     eliminate_cuts,
-    node_budget,
     ratio_text,
 )
 from .flowgraph import build_flow_graph, emit_dot
@@ -129,13 +128,6 @@ def _cmd_cutfree(args) -> int:
     before = check(p, theory).lines
     cf = eliminate_cuts(p, theory, budget=args.budget)
     after = check(cf, theory).lines
-    budget = node_budget(args.budget)
-    if args.emit and after > budget:
-        raise KernelError(
-            f"not writing {args.emit}: the cut-free proof has {count_text(after)} "
-            f"tree lines, past the node budget of {budget}, and the file "
-            "writes each shared subproof once per occurrence"
-        )
     print(
         f"lines {count_text(before)} -> {count_text(after)}, "
         f"ratio={ratio_text(after, before)}, checked=ok"
@@ -342,6 +334,9 @@ def main(argv=None) -> int:
         return 1
     except RecursionError as e:
         print(f"error: input nested too deeply ({e})", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .kernel import Proof, analyze, proof_printer, step_edges
+from .kernel import Proof, _iter_unique_nodes, analyze, step_edges
+from .lang import Printer
 
 Occ = Tuple[Tuple[int, ...], str, int]
 Edge = Tuple[Occ, Occ, str]
@@ -148,7 +149,10 @@ def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
     nodes: List[Occ] = []
     labels: Dict[Occ, str] = {}
     edges: List[Edge] = []
-    printer = proof_printer(p)
+    # one printer for every conclusion, so each formula is rendered once
+    printer = Printer(
+        f for node in _iter_unique_nodes(p) for f in node.conclusion.ant + node.conclusion.succ
+    )
     stack = [(p, ())]
     while stack:
         node, path = stack.pop()

@@ -31,6 +31,11 @@ its `Step`: the principal formula, its occurrence in the conclusion, the
 premise occurrences the rule consumes and the tag of the edges that link
 them.  The checker, the flow-graph builder (through `step_edges`) and cut
 elimination all consume that step.
+
+Proof files keep the sharing: `serialize_proof` writes each distinct term,
+formula and proof node once, as a flat JSON table whose entries refer to
+earlier ones, and `parse_proof` rebuilds the DAG from those tables without
+the text parser.  Files in the older nested format are still read.
 """
 
 from __future__ import annotations
@@ -44,27 +49,34 @@ from typing import NamedTuple, Optional
 
 from .lang import (
     And,
+    App,
     Atom,
+    Const,
     Exists,
     Forall,
     Formula,
     Implies,
     Not,
     Or,
-    Printer,
+    Quant,
     Reader,
     Sequent,
     Signature,
     Term,
     Var,
+    app,
     atom,
     conj,
+    const,
     disj,
+    exists,
     fold,
+    forall,
     formula_str,
     free_vars,
     fresh_name,
     imp,
+    is_variable_name,
     neg,
     sequent_str,
     subst_formula,
@@ -710,60 +722,113 @@ def check(p: Proof, theory) -> SizeStats:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: deterministic JSON with a fixed field order
-#   {"rule": ..., "instantiation": {...}?, "conclusion": "...", "premises": [...]}
+# Serialization: the proof DAG as flat, deterministic JSON
+#
+#   {"format": "feaslab-dag/1",
+#    "exprs": [...],   every distinct term and formula, once
+#    "nodes": [...]}   every distinct proof node, once; the root comes last
+#
+# An expression is a list headed by its kind:
+#
+#   ["var", name]  ["const", sym]  ["app", sym, t1, ..., tk]
+#   ["atom", pred, t1, ..., tk]  ["not", f]  ["and" | "or" | "imp", f, g]
+#   ["forall" | "exists", name, f]
+#
+# and a node is an object {"rule": tag, <rule data>, "ant": [f, ...],
+# "succ": [f, ...], "premises": [n, ...]}, whose rule data is "axiom" and
+# "subst" (variable -> t) for TheoryAxiom, "term": t for ForallLeft and
+# ExistsRight, "eigen": name for ForallRight and ExistsLeft, and nothing for
+# the other rules.  t, f and n are indices of earlier entries: a term, a
+# formula, a node.  A file's size tracks the DAG, not the tree, and reading
+# it builds each entry from its parts without the text parser.
+#
+# Files in the older nested format, one JSON object per proof occurrence
+# with its conclusion as text, are still read.
+
+FORMAT = "feaslab-dag/1"
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+_EXPR_KINDS = {
+    Var: "var",
+    Const: "const",
+    App: "app",
+    Atom: "atom",
+    Not: "not",
+    And: "and",
+    Or: "or",
+    Implies: "imp",
+    Forall: "forall",
+    Exists: "exists",
+}
+_CONNECTIVE_FACTORIES = {"not": neg, "and": conj, "or": disj, "imp": imp}
+
+# The fields of a node of each rule: four, and the rule data for the rules
+# that carry some.
+_RULE_DATA = {
+    "TheoryAxiom": ("axiom", "subst"),
+    **{tag: ("term",) for tag in _TERM_RULES},
+    **{tag: ("eigen",) for tag in _EIGEN_RULES},
+}
+_NODE_FIELDS = {
+    tag: frozenset(("rule", "ant", "succ", "premises") + _RULE_DATA.get(tag, ()))
+    for tag in RULE_TAGS
+}
 
 
-def proof_printer(p: Proof) -> Printer:
-    """One printer for the conclusions and witness terms of every node of p,
-    so that each formula and repeated subterm is rendered once."""
-    roots = []
-    for node in _iter_unique_nodes(p):
-        roots += node.conclusion.ant
-        roots += node.conclusion.succ
-        if node.rule.term is not None:
-            roots.append(node.rule.term)
-        if node.rule.subst:
-            roots += (t for _, t in node.rule.subst)
-    return Printer(roots)
-
-
-def _rule_inst_json(rule: Rule, printer: Printer) -> Optional[str]:
-    if rule.tag == "TheoryAxiom":
-        pairs = ",".join(
-            f"{json.dumps(v)}:{json.dumps(printer.text(t))}" for v, t in rule.subst
-        )
-        return f'{{"axiom":{json.dumps(rule.axiom)},"subst":{{{pairs}}}}}'
-    if rule.term is not None:
-        return f'{{"term":{json.dumps(printer.text(rule.term))}}}'
-    if rule.eigen is not None:
-        return f'{{"eigen":{json.dumps(rule.eigen)}}}'
-    return None
+def _expr_entry(x, ids: list) -> str:
+    cls = x.__class__
+    if cls is Var:
+        name = x.name
+    elif cls is Const or cls is App:
+        name = x.sym
+    elif cls is Atom:
+        name = x.pred
+    elif isinstance(x, Quant):
+        name = x.v
+    else:
+        return _dumps([_EXPR_KINDS[cls], *ids])
+    return _dumps([_EXPR_KINDS[cls], name, *ids])
 
 
 def serialize_proof(p: Proof) -> str:
-    printer = proof_printer(p)
-    out = []
-    stack = [("node", p)]
-    while stack:
-        op, x = stack.pop()
-        if op == "txt":
-            out.append(x)
-            continue
-        inst = _rule_inst_json(x.rule, printer)
-        head = f'{{"rule":{json.dumps(x.rule.tag)},'
-        if inst is not None:
-            head += f'"instantiation":{inst},'
-        head += f'"conclusion":{json.dumps(printer.sequent(x.conclusion))},"premises":['
-        out.append(head)
-        tail = [("txt", "]}")]
-        parts = []
-        for i, q in enumerate(x.premises):
-            if i:
-                parts.append(("txt", ","))
-            parts.append(("node", q))
-        stack.extend(reversed(parts + tail))
-    return "".join(out)
+    """The text of p's proof file, without its final newline: one line per
+    distinct term, formula and proof node."""
+    exprs: list = []
+    expr_ids: dict = {}
+    nodes: list = []
+
+    def expr_step(x, ids):
+        exprs.append(_expr_entry(x, ids))
+        return len(exprs) - 1
+
+    def ref(x) -> int:
+        return fold(x, expr_step, expr_ids)
+
+    def node_step(node, premises):
+        rule = node.rule
+        d = {"rule": rule.tag}
+        if rule.subst is not None:
+            d["axiom"] = rule.axiom
+            d["subst"] = {v: ref(t) for v, t in rule.subst}
+        elif rule.term is not None:
+            d["term"] = ref(rule.term)
+        elif rule.eigen is not None:
+            d["eigen"] = rule.eigen
+        d["ant"] = [ref(f) for f in node.conclusion.ant]
+        d["succ"] = [ref(f) for f in node.conclusion.succ]
+        d["premises"] = premises
+        nodes.append(_dumps(d))
+        return len(nodes) - 1
+
+    fold(p, node_step, {}, children=attrgetter("premises"))
+    return (
+        f'{{"format":{_dumps(FORMAT)},\n"exprs":[\n'
+        + ",\n".join(exprs)
+        + '\n],\n"nodes":[\n'
+        + ",\n".join(nodes)
+        + "\n]}"
+    )
 
 
 def proof_to_file(p: Proof, path: str):
@@ -773,27 +838,41 @@ def proof_to_file(p: Proof, path: str):
         fh.write(text)
 
 
-# json.loads recurses in C once per nesting level, two levels per proof
-# level.  On an 8 MB stack it overflowed between 64,000 and 68,000 levels
-# (32,000 to 34,000 proof levels); this recursion limit stops it at about
-# a third of that.
+# json.loads recurses in C once per nesting level.  A flat file nests four
+# levels; a nested one two per proof level, and on an 8 MB stack that
+# overflowed between 64,000 and 68,000 levels (32,000 to 34,000 proof
+# levels).  Only when the interpreter's own limit stops the reader is it
+# run again under this one, about a third of that.
 _JSON_DEPTH_LIMIT = 20_000
 
 
-def parse_proof(text: str, sig: Signature) -> Proof:
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(_JSON_DEPTH_LIMIT)
+def _load_json(text: str):
     try:
-        data = json.loads(text)
-    except RecursionError:
-        raise KernelError(
-            f"proof nested deeper than about {_JSON_DEPTH_LIMIT // 2} levels"
-        ) from None
+        try:
+            return json.loads(text)
+        except RecursionError:
+            pass
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(_JSON_DEPTH_LIMIT)
+        try:
+            return json.loads(text)
+        except RecursionError:
+            raise KernelError(
+                f"proof nested deeper than about {_JSON_DEPTH_LIMIT // 2} levels"
+            ) from None
+        finally:
+            sys.setrecursionlimit(old)
     except ValueError as e:
         raise KernelError(f"proof file is not valid JSON: {e}") from None
-    finally:
-        sys.setrecursionlimit(old)
-    return _proof_from_data(data, sig)
+
+
+def parse_proof(text: str, sig: Signature) -> Proof:
+    """Read a proof file's text under sig: the flat format when the file
+    names its format, else the nested one."""
+    data = _load_json(text)
+    if isinstance(data, dict) and "format" in data:
+        return _proof_from_flat(data, sig)
+    return _proof_from_nested(data, sig)
 
 
 def proof_from_file(path: str, sig: Signature) -> Proof:
@@ -812,7 +891,98 @@ def _field(d: dict, key: str, kind: type, default=None):
     return x
 
 
-def _proof_from_data(data, sig: Signature) -> Proof:
+_SORTS = {Term: "term", Formula: "formula", Proof: "node"}
+
+
+def _ref(table: list, r, sort: type, at: str):
+    """table[r], which must be an earlier entry of the given sort."""
+    if type(r) is not int or not 0 <= r < len(table):
+        raise KernelError(f"{at}: {r!r:.20} is not the index of an earlier entry")
+    x = table[r]
+    if not isinstance(x, sort):
+        raise KernelError(f"{at}: entry {r} is not a {_SORTS[sort]}")
+    return x
+
+
+def _name(x, sig: Signature, at: str) -> str:
+    if not (isinstance(x, str) and is_variable_name(x, sig)):
+        raise KernelError(f"{at}: {x!r:.20} is not a variable name in signature {sig.name}")
+    return x
+
+
+def _expr_from_flat(e, table: list, sig: Signature, at: str):
+    if not (isinstance(e, list) and e and isinstance(e[0], str)):
+        raise KernelError(f"{at} must be a JSON list headed by its kind")
+    kind, rest = e[0], e[1:]
+    n = len(rest)
+    if kind == "var" and n == 1:
+        return var(_name(rest[0], sig, at))
+    if kind in ("forall", "exists") and n == 2:
+        body = _ref(table, rest[1], Formula, at)
+        return (forall if kind == "forall" else exists)(_name(rest[0], sig, at), body)
+    if kind == "const" and n == 1:
+        if not (isinstance(rest[0], str) and rest[0] in sig.constants):
+            raise KernelError(f"{at}: {rest[0]!r:.20} is not a constant of {sig.name}")
+        return const(rest[0])
+    if kind in ("app", "atom") and n >= 1:
+        arities = sig.functions if kind == "app" else sig.predicates
+        sym = rest[0]
+        what = "function" if kind == "app" else "predicate"
+        if not (isinstance(sym, str) and sym in arities):
+            raise KernelError(f"{at}: {sym!r:.20} is not a {what} of {sig.name}")
+        if n - 1 != arities[sym]:
+            raise KernelError(f"{at}: {sym} expects {arities[sym]} arguments, got {n - 1}")
+        args = [_ref(table, r, Term, at) for r in rest[1:]]
+        return app(sym, *args) if kind == "app" else atom(sym, *args)
+    make = _CONNECTIVE_FACTORIES.get(kind)
+    if make is not None and n == (1 if kind == "not" else 2):
+        return make(*(_ref(table, r, Formula, at) for r in rest))
+    raise KernelError(f"{at}: no expression of kind {kind!r:.20} has {n} parts")
+
+
+def _node_from_flat(d, exprs: list, proofs: list, sig: Signature, at: str) -> Proof:
+    if not isinstance(d, dict):
+        raise KernelError(f"{at} must be a JSON object")
+    tag = d.get("rule")
+    fields = _NODE_FIELDS.get(tag) if isinstance(tag, str) else None
+    if fields is None:
+        raise KernelError(f"{at}: unknown rule tag {tag!r:.40}")
+    if d.keys() != fields:
+        raise KernelError(f"{at}: a {tag} node has exactly the fields {sorted(fields)}")
+    axiom = subst = term = eigen = None
+    if tag == "TheoryAxiom":
+        axiom = _field(d, "axiom", str)
+        pairs = _field(d, "subst", dict).items()
+        subst = tuple(sorted((v, _ref(exprs, r, Term, at)) for v, r in pairs))
+    elif "term" in d:
+        term = _ref(exprs, d["term"], Term, at)
+    elif "eigen" in d:
+        eigen = _name(d["eigen"], sig, at)
+    concl = Sequent(
+        [_ref(exprs, r, Formula, at) for r in _field(d, "ant", list)],
+        [_ref(exprs, r, Formula, at) for r in _field(d, "succ", list)],
+    )
+    premises = tuple(_ref(proofs, r, Proof, at) for r in _field(d, "premises", list))
+    return Proof(concl, Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen), premises)
+
+
+def _proof_from_flat(data: dict, sig: Signature) -> Proof:
+    if set(data) != {"format", "exprs", "nodes"}:
+        raise KernelError("a flat proof file has exactly the fields format, exprs and nodes")
+    if data["format"] != FORMAT:
+        raise KernelError(f"unknown proof format; this reader knows {FORMAT!r}")
+    exprs: list = []
+    for i, e in enumerate(_field(data, "exprs", list)):
+        exprs.append(_expr_from_flat(e, exprs, sig, f"expression {i}"))
+    proofs: list = []
+    for i, d in enumerate(_field(data, "nodes", list)):
+        proofs.append(_node_from_flat(d, exprs, proofs, sig, f"node {i}"))
+    if not proofs:
+        raise KernelError("proof file has no nodes")
+    return proofs[-1]
+
+
+def _proof_from_nested(data, sig: Signature) -> Proof:
     if not isinstance(data, dict):
         raise KernelError("proof file must contain a JSON object")
     reader = Reader(sig)

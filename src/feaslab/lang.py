@@ -507,8 +507,8 @@ class Sequent:
 # the interpreter allows to recurse, and both do the work for a repeated
 # subterm once: a Printer keeps the text of repeated nodes, a Reader
 # remembers the term of each group text it parsed.  The public `*_str` and
-# `parse_*` functions use a fresh one per call; the proof-file reader and
-# writer in the kernel share one across all the strings of a file.
+# `parse_*` functions use a fresh one per call; the kernel's reader of
+# nested proof files shares one Reader across all the strings of a file.
 
 # Binding levels of the infix operators.  Every one associates to the
 # right: its left operand binds at level + 1 and its right one at level.
@@ -649,12 +649,26 @@ def sequent_str(s: Sequent) -> str:
     return Printer(s.ant + s.succ).sequent(s)
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<and>/\\)|(?P<or>\\/)|(?P<turn>\|-)"
-    r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
+    rf"|(?P<int>\d+)|(?P<name>{_NAME})"
     r"|(?P<punct>[(),=~*+]))"
 )
+_NAME_RE = re.compile(_NAME)
 _PAREN_RE = re.compile(r"[()]")
+
+
+def is_variable_name(name: str, sig: Signature) -> bool:
+    """Whether the text syntax reads name as a variable under sig: an
+    identifier that is no symbol of sig and no quantifier keyword."""
+    return (
+        _NAME_RE.fullmatch(name) is not None
+        and name not in ("forall", "exists")
+        and name not in sig.constants
+        and name not in sig.functions
+        and name not in sig.predicates
+    )
 
 
 def _token(text: str, pos: int) -> tuple:
@@ -683,7 +697,8 @@ def _spells_unary(n: int, sig: Signature) -> bool:
 
 # The largest numeral literal the parser expands in unary: int_term builds
 # one node per unit (10**6 takes seconds and hundreds of MB).  The printer
-# writes s(...) and the constants, so proof files never need a larger one.
+# writes s(...) and the constants, so nested proof files never need a
+# larger one, and flat ones hold no literals.
 _MAX_UNARY_LITERAL = 10_000
 
 

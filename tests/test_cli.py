@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from feaslab import cli
 from feaslab.cutelim import BLOWUP_COLUMNS
-from feaslab.kernel import RULE_TAGS
+from feaslab.generators import gen_unary
+from feaslab.kernel import FORMAT, RULE_TAGS, KernelError, parse_proof
+from feaslab.lang import arith_signature
+from nested_format import serialize_nested
 
 
 def run(capsys, *argv):
@@ -237,13 +240,17 @@ def test_gen_deep_unary(capsys):
 
 
 def test_deep_input_is_one_error_line(tmp_path, capsys):
-    # terms 1000 levels deep parse and print without recursion
+    # terms 1000 levels deep parse and print without recursion, and a
+    # nested file 1000 proof levels deep is read under the JSON depth cap
     f = tmp_path / "unary.json"
     rc, _, _ = run(capsys, "gen", "unary", "1000", "--emit", str(f))
     assert rc == 0
-    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
-    assert rc == 0 and err == ""
-    assert out.rstrip().endswith("lines=2001")
+    nested = tmp_path / "nested.json"
+    nested.write_text(serialize_nested(gen_unary(1000).proof) + "\n")
+    for good in (f, nested):
+        rc, out, err = run(capsys, "check", str(good), "--theory", "arith")
+        assert rc == 0 and err == ""
+        assert out.rstrip().endswith("lines=2001")
     # proofs nested past the JSON reader's depth cap, and truncated files,
     # end in one error line
     deep = tmp_path / "deep.json"
@@ -286,20 +293,119 @@ def test_node_budget_env(monkeypatch, capsys):
     assert out.startswith("lines 55 -> 189")
 
 
-def test_cutfree_refuses_to_emit_past_the_budget(tmp_path, capsys):
-    # 602 DAG nodes, 6,597,069,766,653 lines once written out as a tree
+def test_cutfree_emits_a_cut_free_dag_past_the_budget(tmp_path, capsys):
+    # 602 DAG nodes, 6,597,069,766,653 lines as a tree: the file holds the DAG
     f = tmp_path / "cf.json"
     rc, out, err = run(capsys, "cutfree", "square-cut", "40", "--emit", str(f))
-    assert rc == 1 and out == ""
-    assert err == (
-        f"error: not writing {f}: the cut-free proof has 6597069766653 tree "
-        "lines, past the node budget of 1000000, and the file writes each "
-        "shared subproof once per occurrence\n"
+    assert rc == 0 and err == ""
+    assert out == (
+        "lines 405 -> 6597069766653, ratio=1.62891e+10, checked=ok\n"
+        f"wrote {f}\n"
     )
-    assert not f.exists()
-    rc, out, _ = run(capsys, "cutfree", "square-cut", "40")
+    assert f.stat().st_size < 20_000
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 0 and err == ""
+    assert out.startswith("ok: |- F(") and out.endswith(", lines=6597069766653\n")
+    rc, out, err = run(capsys, "cutfree", "--in", str(f), "--theory", "arith")
+    assert rc == 0 and err == ""
+    assert out == "lines 6597069766653 -> 6597069766653, ratio=1, checked=ok\n"
+
+
+def test_gen_emit_and_check_past_the_nested_depth_cap(tmp_path, capsys):
+    # a nested file of this proof nests past the JSON reader's depth cap; a
+    # flat one nests four levels whatever the proof's depth
+    f = tmp_path / "unary.json"
+    rc, _, _ = run(capsys, "gen", "unary", "12000", "--emit", str(f))
     assert rc == 0
-    assert out == "lines 405 -> 6597069766653, ratio=1.62891e+10, checked=ok\n"
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 0 and err == ""
+    assert out.endswith(", lines=24001\n")
+
+
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "check", exhausted)
+    rc, out, err = run(capsys, "gen", "unary", "3")
+    assert rc == 1 and out == ""
+    assert err == "error: out of memory\n"
+
+
+_F0 = (("const", "0"), ("atom", "F", 0))
+_AXIOM = {"rule": "LogicalAxiom", "ant": [1], "succ": [1], "premises": []}
+
+
+def _flat(exprs=_F0, nodes=(_AXIOM,)):
+    """A flat proof file: by default the logical axiom F(0) |- F(0)."""
+    return {"format": FORMAT, "exprs": list(exprs), "nodes": list(nodes)}
+
+# one flat file for each way of breaking the format
+FLAT_HOSTILE = [
+    # references: not an int, forward, out of range, of the wrong sort
+    _flat(nodes=[dict(_AXIOM, ant=[True])]),
+    _flat(nodes=[dict(_AXIOM, succ=[1.0])]),
+    _flat(nodes=[dict(_AXIOM, ant=["1"])]),
+    _flat(exprs=(("atom", "F", 1), ("const", "0")), nodes=[dict(_AXIOM, ant=[0], succ=[0])]),
+    _flat(nodes=[dict(_AXIOM, ant=[2], succ=[2])]),
+    _flat(nodes=[dict(_AXIOM, ant=[-1], succ=[-1])]),
+    _flat(nodes=[dict(_AXIOM, ant=[0], succ=[0])]),
+    _flat(exprs=_F0 + (("atom", "F", 1),)),
+    _flat(nodes=[{"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [1]}, _AXIOM]),
+    _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [1]}]),
+    _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [True]}]),
+    # symbols: not in the signature, or of the wrong arity
+    _flat(exprs=(("const", "zero"), ("atom", "F", 0))),
+    _flat(exprs=(("const", "0"), ("atom", "G", 0))),
+    _flat(exprs=(("const", "0"), ("app", "s", 0, 0), ("atom", "F", 1))),
+    _flat(exprs=(("const", "0"), ("atom", "F", 0, 0))),
+    _flat(exprs=(("var", "s"), ("atom", "F", 0))),
+    _flat(exprs=(("app", "s"), ("atom", "F", 0))),
+    # variable names: no identifier, or a signature symbol
+    _flat(exprs=(("var", "x y"), ("atom", "F", 0))),
+    _flat(exprs=(("var", "0"), ("atom", "F", 0))),
+    _flat(exprs=(("var", "F"), ("atom", "F", 0))),
+    _flat(exprs=(("var", 7), ("atom", "F", 0))),
+    _flat(exprs=_F0 + (("forall", "+", 1),), nodes=[dict(_AXIOM, ant=[2], succ=[2])]),
+    # expression kinds and shapes
+    _flat(exprs=(("const", "0"), ("atom", "F", 0), ("nand", 1, 1))),
+    _flat(exprs=(("const", "0"), ("atom", "F", 0), ("not", 1, 1))),
+    _flat(exprs=(("const", "0"), ("atom", "F", 0), ("and", 1))),
+    _flat(exprs=(("const", "0"), ("atom", "F", 0), [])),
+    _flat(exprs=(("const", "0"), ("atom", "F", 0), {"kind": "not"})),
+    # rule data: missing or extra for the tag, and unknown keys
+    _flat(nodes=[dict(_AXIOM, eigen="a")]),
+    _flat(nodes=[dict(_AXIOM, term=0)]),
+    _flat(nodes=[{"rule": "TheoryAxiom", "axiom": "F(0)", "succ": [1], "ant": [], "premises": []}]),
+    _flat(
+        exprs=_F0 + (("forall", "x", 1),),
+        nodes=[_AXIOM, {"rule": "ForallRight", "ant": [], "succ": [2], "premises": [0]}],
+    ),
+    _flat(
+        exprs=_F0 + (("forall", "x", 1),),
+        nodes=[_AXIOM, {"rule": "ForallRight", "eigen": "0", "ant": [2], "succ": [2], "premises": [0]}],
+    ),
+    _flat(nodes=[dict(_AXIOM, note="x")]),
+    _flat(nodes=[{"rule": "LogicalAxiom", "ant": [1], "succ": [1]}]),
+    _flat(nodes=[dict(_AXIOM, rule="Modus")]),
+    _flat(nodes=[[1, 1]]),
+    # the tables themselves
+    _flat(nodes=[]),
+    dict(_flat(), format="feaslab-dag/0"),
+    dict(_flat(), format=None),
+    dict(_flat(), extra=1),
+    {"format": FORMAT, "exprs": list(_F0)},
+    dict(_flat(), exprs={}),
+    dict(_flat(), nodes=_AXIOM),
+]
+
+
+def test_flat_hostile_files_fail_to_read():
+    sig = arith_signature()
+    assert parse_proof(json.dumps(_flat()), sig).rule.tag == "LogicalAxiom"
+    for case in FLAT_HOSTILE:
+        with pytest.raises(KernelError):
+            parse_proof(json.dumps(case), sig)
 
 
 def test_hostile_json_shapes_are_error_lines(tmp_path, capsys):
@@ -316,7 +422,7 @@ def test_hostile_json_shapes_are_error_lines(tmp_path, capsys):
         # numeral literals: nine digits spelled in unary, 20,000 digits for int()
         dict(leaf, conclusion="|- F(111111111)"),
         dict(leaf, conclusion="|- F(" + "7" * 20_000 + ")"),
-    ]
+    ] + FLAT_HOSTILE
     f = tmp_path / "hostile.json"
     for case in cases:
         f.write_text(json.dumps(case))

@@ -44,6 +44,7 @@ from feaslab.kernel import (
 from feaslab.lang import app, atom, const
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
+from nested_format import serialize_nested
 
 FIB = Mat2(2, 1, 1, 1)
 
@@ -106,8 +107,8 @@ def test_cut_free_output_keeps_sharing():
 
 
 def test_cut_free_serialization_frozen():
-    # sha256 of the concatenated cut-free proofs, frozen from the eliminator
-    # before its multicut was memoized
+    # sha256 of the concatenated cut-free proofs in the nested format,
+    # frozen from the eliminator before its multicut was memoized
     reps = (
         [gen_square_cut(n) for n in range(9)]
         + [gen_distorted(n) for n in range(8)]
@@ -117,7 +118,7 @@ def test_cut_free_serialization_frozen():
     )
     h = hashlib.sha256()
     for r in reps:
-        h.update(serialize_proof(eliminate_cuts(r.proof, r.theory)).encode())
+        h.update(serialize_nested(eliminate_cuts(r.proof, r.theory)).encode())
     assert h.hexdigest() == (
         "e6a77160d9e03caaf14c3cca26900daeb78adad60283ec648797e20542bbd877"
     )

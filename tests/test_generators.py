@@ -20,10 +20,11 @@ from feaslab.generators import (
     gen_square_cut,
     gen_unary,
 )
-from feaslab.kernel import _iter_unique_nodes, check, serialize_proof
+from feaslab.kernel import _iter_unique_nodes, check, parse_proof, serialize_proof
 from feaslab.lang import formula_str
 from feaslab.semantics import BSElement, ExtRational, Mat2, UndefinedOperation, mat2
 from feaslab.theories import group_feasibility
+from nested_format import serialize_nested
 
 FIB = Mat2(2, 1, 1, 1)
 
@@ -200,17 +201,29 @@ def _frozen_grid():
 
 
 def test_generated_proofs_frozen():
-    # every generated proof, byte for byte, and each one a tree: the
-    # generators build no shared subproofs, so distinct nodes = tree lines
-    digest = hashlib.sha256()
+    # every generated proof, byte for byte: in the nested format, whose text
+    # spells every formula out, and in its flat file.  Each one is a tree
+    # (the generators build no shared subproofs, so distinct nodes = tree
+    # lines), and its flat file reads back to the same bytes in both formats.
+    nested = hashlib.sha256()
+    flat = hashlib.sha256()
     count = 0
     for r in _frozen_grid():
-        digest.update((serialize_proof(r.proof) + "\n").encode())
+        text = serialize_nested(r.proof)
+        nested.update((text + "\n").encode())
+        flat_text = serialize_proof(r.proof)
+        flat.update((flat_text + "\n").encode())
         assert len(list(_iter_unique_nodes(r.proof))) == r.stats.lines
+        back = parse_proof(flat_text, r.theory.signature)
+        assert serialize_proof(back) == flat_text
+        assert serialize_nested(back) == text
         count += 1
     assert count == 62
-    assert digest.hexdigest() == (
+    assert nested.hexdigest() == (
         "71d51da92f2be8ec6ef174b7bcfa7e546f9d821342488926be19781f5abfb63d"
+    )
+    assert flat.hexdigest() == (
+        "81802e7d38302073f0c76a8b7aec777164e282b31fa4983716608a85e131ccd0"
     )
 
 

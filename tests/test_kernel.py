@@ -54,6 +54,8 @@ from feaslab.lang import (
 )
 from feaslab.generators import (
     gen_distorted,
+    gen_geometric,
+    gen_group_power,
     gen_matrix_power,
     gen_quantifier,
     gen_rational_orbit,
@@ -63,6 +65,8 @@ from feaslab.generators import (
 from feaslab.semantics import mat2
 from feaslab.theories import TheoryError, arith_feasibility, rational_feasibility
 from fractions import Fraction
+
+from nested_format import serialize_nested
 
 TH = arith_feasibility()
 SIG = TH.signature
@@ -275,6 +279,44 @@ def test_proof_file_round_trip(tmp_path):
     check(back, r.theory)
 
 
+_FAMILIES = {
+    "unary": (gen_unary, 40),
+    "geometric": (gen_geometric, 6),
+    "square-cut": (gen_square_cut, 6),
+    "quantifier": (gen_quantifier, 3),
+    "group-power": (lambda n: gen_group_power("x", n, mode="squaring"), 6),
+    "distorted": (gen_distorted, 5),
+    "matrix-power": (lambda n: gen_matrix_power(mat2(2, 1, 1, 1), n, mode="quantifier"), 2),
+    "rational-orbit": (lambda n: gen_rational_orbit(mat2(2, 1, 1, 1), "1/2", n), 2),
+}
+
+
+def _same_proofs(p: Proof, q: Proof):
+    """p and q have the same rule and conclusion at every tree position."""
+    stack = [(p, q)]
+    while stack:
+        a, b = stack.pop()
+        assert a.rule == b.rule
+        assert a.conclusion.ant == b.conclusion.ant
+        assert a.conclusion.succ == b.conclusion.succ
+        assert len(a.premises) == len(b.premises)
+        stack.extend(zip(a.premises, b.premises))
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(sorted(_FAMILIES)), data=st.data())
+def test_nested_file_converts_to_flat(family, data):
+    gen, top = _FAMILIES[family]
+    r = gen(data.draw(st.integers(1 if family == "geometric" else 0, top), label="n"))
+    sig = r.theory.signature
+    nested = parse_proof(serialize_nested(r.proof), sig)
+    flat = parse_proof(serialize_proof(nested), sig)
+    assert flat.conclusion.ant == r.proof.conclusion.ant
+    assert flat.conclusion.succ == r.proof.conclusion.succ
+    _same_proofs(nested, flat)
+    _same_proofs(r.proof, flat)
+
+
 def test_parse_proof_rejects_malformed():
     with pytest.raises(KernelError):
         parse_proof('{"rule": "NoSuchRule", "conclusion": "|- F(0)", "premises": []}', SIG)
@@ -379,10 +421,10 @@ def test_substitute_proof_matches_recursive_oracle(small_proofs, data):
     m2 = data.draw(mappings)
     memo = {}
     for m in (m1, m2, m1):
-        want = serialize_proof(substitute_proof_recursive(p, m))
-        assert serialize_proof(substitute_proof(p, m)) == want
+        want = serialize_nested(substitute_proof_recursive(p, m))
+        assert serialize_nested(substitute_proof(p, m)) == want
         # one memo shared by several calls gives the same proofs
-        assert serialize_proof(substitute_proof(p, m, memo)) == want
+        assert serialize_nested(substitute_proof(p, m, memo)) == want
 
 
 def test_substitute_proof_renames_clashing_eigenvariables(small_proofs):
@@ -393,7 +435,7 @@ def test_substitute_proof_renames_clashing_eigenvariables(small_proofs):
             continue
         for m in ({"x": var("a")}, {"y": app("s", var("a")), "a": const("0")}):
             out = substitute_proof(p, m)
-            assert serialize_proof(out) == serialize_proof(substitute_proof_recursive(p, m))
+            assert serialize_nested(out) == serialize_nested(substitute_proof_recursive(p, m))
             assert any(n.rule.eigen == "a'" for n in _iter_unique_nodes(out))
             seen += 1
     assert seen >= 4
