@@ -34,7 +34,7 @@ from .generators import (
     GENERATORS,
 )
 from .kernel import CheckError, KernelError, check, proof_from_file, proof_to_file
-from .lang import LangError, sequent_str
+from .lang import LangError, sequent_brief
 from .oracle import (
     OracleError,
     distortion_table,
@@ -110,7 +110,7 @@ def _cmd_check(args) -> int:
     theory = theory_from_selector(args.theory)
     p = proof_from_file(args.file, theory.signature)
     stats = check(p, theory)
-    print(f"ok: {sequent_str(p.conclusion)}, lines={stats.lines}")
+    print(f"ok: {sequent_brief(p.conclusion)}, lines={stats.lines}")
     return 0
 
 

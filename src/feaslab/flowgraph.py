@@ -15,11 +15,11 @@ multigraph.  Bridges are edges whose removal disconnects their component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .kernel import Proof, _iter_unique_nodes, analyze, step_edges
-from .lang import Printer
+from .kernel import Proof, analyze, step_edges
+from .lang import Formula, Printer
 
 Occ = Tuple[Tuple[int, ...], str, int]
 Edge = Tuple[Occ, Occ, str]
@@ -29,7 +29,7 @@ Edge = Tuple[Occ, Occ, str]
 class FlowGraph:
     nodes: List[Occ]
     edges: List[Edge]
-    labels: Dict[Occ, str] = field(default_factory=dict)
+    formulas: Dict[Occ, Formula]
 
     @property
     def node_count(self) -> int:
@@ -147,12 +147,8 @@ def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
     reading used by the checker's fallback applies.
     """
     nodes: List[Occ] = []
-    labels: Dict[Occ, str] = {}
+    formulas: Dict[Occ, Formula] = {}
     edges: List[Edge] = []
-    # one printer for every conclusion, so each formula is rendered once
-    printer = Printer(
-        f for node in _iter_unique_nodes(p) for f in node.conclusion.ant + node.conclusion.succ
-    )
     stack = [(p, ())]
     while stack:
         node, path = stack.pop()
@@ -161,14 +157,14 @@ def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
             for i, f in enumerate(fs):
                 occ = (path, side, i)
                 nodes.append(occ)
-                labels[occ] = printer.text(f)
+                formulas[occ] = f
         for end1, end2, tag in step_edges(node, analyze(node, theory)):
             edges.append((_to_global(end1, path), _to_global(end2, path), tag))
         for j, q in enumerate(node.premises):
             stack.append((q, path + (j,)))
     nodes.sort()
     edges.sort()
-    return FlowGraph(nodes=nodes, edges=edges, labels=labels)
+    return FlowGraph(nodes=nodes, edges=edges, formulas=formulas)
 
 
 def _to_global(end, path) -> Occ:
@@ -179,15 +175,17 @@ def _to_global(end, path) -> Occ:
 
 
 def emit_dot(g: FlowGraph, name: str = "flow") -> str:
-    """Deterministic Graphviz rendering of the occurrence graph."""
+    """Deterministic Graphviz rendering of the occurrence graph, each
+    occurrence labelled with its formula's text."""
+    # one printer for every formula, so each is rendered once
+    printer = Printer(g.formulas.values())
     order = {occ: k for k, occ in enumerate(sorted(g.nodes))}
     out = [f"graph {name} {{"]
     out.append("  node [shape=box, fontsize=10];")
     for occ in sorted(g.nodes):
         path, side, i = occ
         loc = ".".join(str(x) for x in path) or "root"
-        label = g.labels.get(occ, "")
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        label = printer.text(g.formulas[occ]).replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'  n{order[occ]} [label="{label}\\n{loc}:{side}{i}"];')
     for u, v, tag in sorted(g.edges):
         style = {

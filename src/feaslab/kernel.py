@@ -35,13 +35,12 @@ elimination all consume that step.
 Proof files keep the sharing: `serialize_proof` writes each distinct term,
 formula and proof node once, as a flat JSON table whose entries refer to
 earlier ones, and `parse_proof` rebuilds the DAG from those tables without
-the text parser.  Files in the older nested format are still read.
+the text parser.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -59,7 +58,6 @@ from .lang import (
     Not,
     Or,
     Quant,
-    Reader,
     Sequent,
     Signature,
     Term,
@@ -78,6 +76,7 @@ from .lang import (
     imp,
     is_variable_name,
     neg,
+    sequent_brief,
     sequent_str,
     subst_formula,
     subst_term,
@@ -522,7 +521,7 @@ def analyze(node: Proof, theory=None) -> Step:
 
 
 def _fail(node: Proof, msg: str):
-    raise CheckError(f"{node.rule.tag} at {sequent_str(node.conclusion)}: {msg}")
+    raise CheckError(f"{node.rule.tag} at {sequent_brief(node.conclusion)}: {msg}")
 
 
 def step_edges(node: Proof, step: Step) -> list:
@@ -741,9 +740,6 @@ def check(p: Proof, theory) -> SizeStats:
 # the other rules.  t, f and n are indices of earlier entries: a term, a
 # formula, a node.  A file's size tracks the DAG, not the tree, and reading
 # it builds each entry from its parts without the text parser.
-#
-# Files in the older nested format, one JSON object per proof occurrence
-# with its conclusion as text, are still read.
 
 FORMAT = "feaslab-dag/1"
 
@@ -838,41 +834,20 @@ def proof_to_file(p: Proof, path: str):
         fh.write(text)
 
 
-# json.loads recurses in C once per nesting level.  A flat file nests four
-# levels; a nested one two per proof level, and on an 8 MB stack that
-# overflowed between 64,000 and 68,000 levels (32,000 to 34,000 proof
-# levels).  Only when the interpreter's own limit stops the reader is it
-# run again under this one, about a third of that.
-_JSON_DEPTH_LIMIT = 20_000
-
-
-def _load_json(text: str):
+def parse_proof(text: str, sig: Signature) -> Proof:
+    """Read a proof file's text under sig."""
     try:
-        try:
-            return json.loads(text)
-        except RecursionError:
-            pass
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(_JSON_DEPTH_LIMIT)
-        try:
-            return json.loads(text)
-        except RecursionError:
-            raise KernelError(
-                f"proof nested deeper than about {_JSON_DEPTH_LIMIT // 2} levels"
-            ) from None
-        finally:
-            sys.setrecursionlimit(old)
+        data = json.loads(text)
+    except RecursionError:
+        # json.loads recurses once per nesting level; a flat file nests four
+        raise KernelError(
+            f"not a proof file: it nests too deeply; this reader knows {FORMAT!r}"
+        ) from None
     except ValueError as e:
         raise KernelError(f"proof file is not valid JSON: {e}") from None
-
-
-def parse_proof(text: str, sig: Signature) -> Proof:
-    """Read a proof file's text under sig: the flat format when the file
-    names its format, else the nested one."""
-    data = _load_json(text)
-    if isinstance(data, dict) and "format" in data:
-        return _proof_from_flat(data, sig)
-    return _proof_from_nested(data, sig)
+    if not (isinstance(data, dict) and "format" in data):
+        raise KernelError(f"not a proof file: it names no format; this reader knows {FORMAT!r}")
+    return _proof_from_flat(data, sig)
 
 
 def proof_from_file(path: str, sig: Signature) -> Proof:
@@ -883,9 +858,9 @@ def proof_from_file(path: str, sig: Signature) -> Proof:
 _JSON_KIND = {str: "string", list: "list", dict: "object"}
 
 
-def _field(d: dict, key: str, kind: type, default=None):
-    """d[key] (or default when absent), which must be a `kind`."""
-    x = d.get(key, default)
+def _field(d: dict, key: str, kind: type):
+    """d[key], which must be a `kind`."""
+    x = d[key]
     if not isinstance(x, kind):
         raise KernelError(f"proof field {key!r} must be a JSON {_JSON_KIND[kind]}")
     return x
@@ -980,54 +955,6 @@ def _proof_from_flat(data: dict, sig: Signature) -> Proof:
     if not proofs:
         raise KernelError("proof file has no nodes")
     return proofs[-1]
-
-
-def _proof_from_nested(data, sig: Signature) -> Proof:
-    if not isinstance(data, dict):
-        raise KernelError("proof file must contain a JSON object")
-    reader = Reader(sig)
-    done: dict = {}
-    stack = [(data, False)]
-    while stack:
-        d, expanded = stack.pop()
-        if not isinstance(d, dict):
-            raise KernelError("every proof node must be a JSON object")
-        if not expanded:
-            stack.append((d, True))
-            for q in reversed(_field(d, "premises", list, [])):
-                stack.append((q, False))
-            continue
-        if id(d) in done:
-            continue
-        extra = set(d) - {"rule", "instantiation", "conclusion", "premises"}
-        if extra:
-            raise KernelError(f"unknown proof fields {sorted(extra)}")
-        tag = d.get("rule")
-        if not isinstance(tag, str) or tag not in RULE_TAGS:
-            raise KernelError(f"unknown rule tag {tag!r}")
-        inst = d.get("instantiation")
-        axiom = subst = term = eigen = None
-        if tag == "TheoryAxiom":
-            if not isinstance(inst, dict) or set(inst) != {"axiom", "subst"}:
-                raise KernelError("TheoryAxiom needs {'axiom', 'subst'}")
-            axiom = _field(inst, "axiom", str)
-            terms = _field(inst, "subst", dict)
-            subst = tuple(sorted((v, reader.term(_field(terms, v, str))) for v in terms))
-        elif tag in _TERM_RULES:
-            if not isinstance(inst, dict) or set(inst) != {"term"}:
-                raise KernelError(f"{tag} needs a witness term")
-            term = reader.term(_field(inst, "term", str))
-        elif tag in _EIGEN_RULES:
-            if not isinstance(inst, dict) or set(inst) != {"eigen"}:
-                raise KernelError(f"{tag} needs an eigenvariable")
-            eigen = _field(inst, "eigen", str)
-        elif inst is not None:
-            raise KernelError(f"{tag} carries no instantiation")
-        concl = reader.sequent(_field(d, "conclusion", str, ""))
-        rule = Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen)
-        prem_proofs = tuple(done[id(q)] for q in d.get("premises", []))
-        done[id(d)] = Proof(concl, rule, prem_proofs)
-    return done[id(data)]
 
 
 # ---------------------------------------------------------------------------

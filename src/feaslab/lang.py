@@ -10,6 +10,7 @@ Main entry points
     var/const/app/atom/conj/disj/imp/neg/forall/exists   node factories
     parse_term / parse_formula / parse_sequent           text -> objects
     term_str / formula_str / sequent_str                 objects -> text
+    sequent_brief(s)                                     text, or its size
     substitute(phi, v, t)                                capture-avoiding
     fold(x, step, memo)                                  one value per DAG node
     free_vars, dag_size, tree_size, int_term
@@ -25,7 +26,7 @@ import re
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 class LangError(Exception):
@@ -351,9 +352,13 @@ def dag_size(x) -> int:
 _tree_size_cache: dict = {}
 
 
+def _tree_step(x, sizes):
+    return 1 + sum(sizes)
+
+
 def tree_size(x) -> int:
     """Node count of the fully unshared tree (no exp expansion)."""
-    return fold(x, lambda y, sizes: 1 + sum(sizes), _tree_size_cache)
+    return fold(x, _tree_step, _tree_size_cache)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +509,10 @@ class Sequent:
 # Printing and parsing
 #
 # Both walk with explicit stacks, since shared terms nest far deeper than
-# the interpreter allows to recurse, and both do the work for a repeated
-# subterm once: a Printer keeps the text of repeated nodes, a Reader
-# remembers the term of each group text it parsed.  The public `*_str` and
-# `parse_*` functions use a fresh one per call; the kernel's reader of
-# nested proof files shares one Reader across all the strings of a file.
+# the interpreter allows to recurse.  A Printer renders a repeated subterm
+# once and keeps its text; the parser reads the text it is given, so its
+# time is linear in the text, which for a shared term is the tree.  Proof
+# files are read without it (see `kernel.parse_proof`).
 
 # Binding levels of the infix operators.  Every one associates to the
 # right: its left operand binds at level + 1 and its right one at level.
@@ -649,6 +653,22 @@ def sequent_str(s: Sequent) -> str:
     return Printer(s.ant + s.succ).sequent(s)
 
 
+# The most nodes a sequent may have, written out as a tree, for
+# `sequent_brief` to print it.  A short proof of a huge value concludes a
+# sequent whose tree has billions of nodes but whose DAG has a few dozen.
+_MAX_PRINTED_NODES = 10**6
+
+
+def sequent_brief(s: Sequent) -> str:
+    """The text of s, or a one-line summary of its size when its text
+    would spell out more than _MAX_PRINTED_NODES nodes."""
+    memo: dict = {}
+    nodes = sum(fold(f, _tree_step, memo) for f in s.ant + s.succ)
+    if nodes <= _MAX_PRINTED_NODES:
+        return sequent_str(s)
+    return f"<sequent of {nodes} nodes as a tree, {len(memo)} distinct>"
+
+
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<and>/\\)|(?P<or>\\/)|(?P<turn>\|-)"
@@ -697,8 +717,8 @@ def _spells_unary(n: int, sig: Signature) -> bool:
 
 # The largest numeral literal the parser expands in unary: int_term builds
 # one node per unit (10**6 takes seconds and hundreds of MB).  The printer
-# writes s(...) and the constants, so nested proof files never need a
-# larger one, and flat ones hold no literals.
+# writes s(...) and the constants, so printed text never needs a larger
+# one, and proof files hold no literals.
 _MAX_UNARY_LITERAL = 10_000
 
 
@@ -728,31 +748,12 @@ def int_term(n: int, sig: Signature) -> Term:
     raise LangError(f"signature {sig.name} cannot express the numeral {n}")
 
 
-# A group is a parenthesized term or a function application.  Readers key
-# the groups they parsed by where the first ')' lies in the group and the
-# text up to it, at most _KEY_CHARS characters, and then by length.  The
-# key comes from str.find and a short slice; nested groups differ in it, so
-# a chain of them never shares a key.  Only when groups share a key is the
-# length looked for, by matching the parenthesis, and a hit whose key does
-# not cover the whole text is confirmed in full.
-_KEY_CHARS = 32
-
-
-def _group_key(text: str, start: int):
-    off = text.find(")", start) - start
-    if off < 0:
-        return None
-    return (text[start : start + min(_KEY_CHARS, off + 1)], off)
-
-
 class _Parser:
-    """One string being parsed, one token at a time, under sig; `groups` is
-    the memo of the Reader that owns the string."""
+    """One string being parsed, one token at a time, under sig."""
 
-    def __init__(self, text: str, sig: Signature, groups: dict):
+    def __init__(self, text: str, sig: Signature):
         self.text = text
         self.sig = sig
-        self.groups = groups
         self.close: dict = {}  # '(' position -> matching ')' position or -1
         self.tok = _token(text, 0)
 
@@ -770,39 +771,6 @@ class _Parser:
         kind, v, pos, _ = self.tok
         if kind != "eof":
             raise ParseError(f"trailing input {v!r}", pos)
-
-    # -- groups --------------------------------------------------------------
-    def recalled(self, start: int, open_pos: int):
-        """(length, term) of the group at start, whose '(' is at open_pos,
-        when the same text was parsed before, else None."""
-        text = self.text
-        key = _group_key(text, start)
-        seen = self.groups.get(key) if key else None
-        if not seen:
-            return None
-        if len(seen) == 1:
-            ((n, (src, off, t)),) = seen.items()
-        else:
-            n = self.matching(open_pos) + 1 - start
-            hit = seen.get(n)
-            if hit is None:
-                return None
-            src, off, t = hit
-        if n != len(key[0]) and not text.startswith(src[off : off + n], start):
-            return None
-        return n, t
-
-    def recall(self, start: int, open_pos: int) -> Optional[Term]:
-        """The term of a group parsed before, skipping its text untokenized."""
-        hit = self.recalled(start, open_pos)
-        if hit is None:
-            return None
-        self.tok = _token(self.text, start + hit[0])
-        return hit[1]
-
-    def remember(self, start: int, end: int, t: Term):
-        seen = self.groups.setdefault(_group_key(self.text, start), {})
-        seen[end - start] = (self.text, start, t)
 
     def matching(self, pos: int) -> int:
         """Position of the ')' matching the '(' at pos, or -1.  One scan
@@ -832,12 +800,10 @@ class _Parser:
         while True:
             kind, v, pos, _ = self.tok
             if v == "(":
-                t = self.recall(pos, pos)
-                if t is None:
-                    self.next()
-                    frames.append((pos, None, None, vals, ops))
-                    vals, ops = [], []
-                    continue
+                self.next()
+                frames.append((pos, None, None, vals, ops))
+                vals, ops = [], []
+                continue
             elif kind == "int":
                 self.next()
                 t = int_term(self.literal(v, pos), sig)
@@ -845,12 +811,10 @@ class _Parser:
                 raise ParseError(f"expected a term, found {v!r}", pos)
             elif v in funcs:
                 self.next()
-                t = self.recall(pos, self.tok[2]) if self.tok[1] == "(" else None
-                if t is None:
-                    self.expect("(")
-                    frames.append((pos, v, [], vals, ops))
-                    vals, ops = [], []
-                    continue
+                self.expect("(")
+                frames.append((pos, v, [], vals, ops))
+                vals, ops = [], []
+                continue
             elif v in consts:
                 self.next()
                 t = const(v)
@@ -882,7 +846,6 @@ class _Parser:
                         self.next()
                         vals, ops = [], []
                         break
-                end = self.tok[3]
                 self.expect(")")
                 frames.pop()
                 if f is not None:
@@ -891,7 +854,6 @@ class _Parser:
                             f"{f} expects {funcs[f]} arguments, got {len(args)}", start
                         )
                     t = app(f, *args)
-                self.remember(start, end, t)
 
     def literal(self, v: str, pos: int) -> int:
         """The value of the numeral literal v at pos, refused when it is
@@ -958,8 +920,7 @@ class _Parser:
     def paren_is_formula(self) -> bool:
         # '=', '+' or '*' after the matching ')' makes the group a term
         pos = self.tok[2]
-        hit = self.recalled(pos, pos)
-        end = pos + hit[0] if hit else self.matching(pos) + 1
+        end = self.matching(pos) + 1
         if end == 0:
             raise ParseError("unbalanced parentheses", pos)
         return _token(self.text, end)[1] not in ("=", "+", "*")
@@ -1006,44 +967,26 @@ class _Parser:
         return Sequent(ant, succ)
 
 
-class Reader:
-    """Parses the term, formula and sequent strings of one source under one
-    signature, and remembers every group it parsed, so that a group text
-    seen before, in any of those strings, costs one comparison."""
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self._groups: dict = {}
-
-    def term(self, text: str) -> Term:
-        return self._read(text, _Parser.term)
-
-    def formula(self, text: str) -> Formula:
-        return self._read(text, _Parser.formula)
-
-    def sequent(self, text: str) -> Sequent:
-        return self._read(text, _Parser.sequent)
-
-    def _read(self, text: str, what):
-        try:
-            p = _Parser(text, self.sig, self._groups)
-            out = what(p)
-            p.done()
-        except LangError:
-            # the first character that starts no token is the error to
-            # report, wherever the other error lies
-            _check_characters(text)
-            raise
-        return out
+def _read(text: str, sig: Signature, what):
+    try:
+        p = _Parser(text, sig)
+        out = what(p)
+        p.done()
+    except LangError:
+        # the first character that starts no token is the error to
+        # report, wherever the other error lies
+        _check_characters(text)
+        raise
+    return out
 
 
 def parse_term(text: str, sig: Signature) -> Term:
-    return Reader(sig).term(text)
+    return _read(text, sig, _Parser.term)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    return Reader(sig).formula(text)
+    return _read(text, sig, _Parser.formula)
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    return Reader(sig).sequent(text)
+    return _read(text, sig, _Parser.sequent)

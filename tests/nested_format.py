@@ -6,7 +6,7 @@ proof occurrence, in a fixed field order
     {"rule": ..., "instantiation": {...}?, "conclusion": "...", "premises": [...]}
 
 with every conclusion, witness and substitution term as text.  The kernel
-still reads such files.  The frozen digests of the generated and cut-free
+no longer reads such files.  The frozen digests of the generated and cut-free
 proofs hash this writer's bytes, so they keep pinning the proofs
 themselves across changes of the file format.
 """

@@ -108,6 +108,14 @@ def test_flow_stats(capsys):
     assert out == "nodes=45 edges=48 components=1 cycles=4 bridges=22\n"
 
 
+def test_flow_matrix_power_builds_no_labels(capsys):
+    # the entry terms of FIB^(2^22) are small DAGs and astronomically large
+    # trees; only --dot prints them
+    rc, out, err = run(capsys, "flow", "matrix-power", "22")
+    assert rc == 0 and err == ""
+    assert out == "nodes=4179 edges=4508 components=1 cycles=330 bridges=306\n"
+
+
 def test_flow_dot_output(tmp_path, capsys):
     dot = tmp_path / "g.dot"
     rc, out, _ = run(capsys, "flow", "unary", "2", "--dot", str(dot))
@@ -240,19 +248,15 @@ def test_gen_deep_unary(capsys):
 
 
 def test_deep_input_is_one_error_line(tmp_path, capsys):
-    # terms 1000 levels deep parse and print without recursion, and a
-    # nested file 1000 proof levels deep is read under the JSON depth cap
+    # terms 1000 levels deep are written and read without recursion
     f = tmp_path / "unary.json"
     rc, _, _ = run(capsys, "gen", "unary", "1000", "--emit", str(f))
     assert rc == 0
-    nested = tmp_path / "nested.json"
-    nested.write_text(serialize_nested(gen_unary(1000).proof) + "\n")
-    for good in (f, nested):
-        rc, out, err = run(capsys, "check", str(good), "--theory", "arith")
-        assert rc == 0 and err == ""
-        assert out.rstrip().endswith("lines=2001")
-    # proofs nested past the JSON reader's depth cap, and truncated files,
-    # end in one error line
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 0 and err == ""
+    assert out.rstrip().endswith("lines=2001")
+    # JSON nested far deeper than a flat file, and a file in the nested
+    # format, are no proof files; a truncated file is no JSON
     deep = tmp_path / "deep.json"
     n = 60_000
     deep.write_text(
@@ -260,13 +264,18 @@ def test_deep_input_is_one_error_line(tmp_path, capsys):
         + '{"rule":"LogicalAxiom","conclusion":"F(0) |- F(0)","premises":[]}'
         + "]}" * n
     )
-    cut = tmp_path / "cut.json"
-    cut.write_text(f.read_text()[:5000])
-    for bad in (deep, cut):
+    nested = tmp_path / "nested.json"
+    nested.write_text(serialize_nested(gen_unary(1000).proof) + "\n")
+    for bad in (deep, nested):
         rc, out, err = run(capsys, "check", str(bad), "--theory", "arith")
         assert rc == 1 and out == ""
-        assert err.startswith("error:")
-        assert err.count("\n") == 1
+        assert err.startswith("error: not a proof file: ") and err.count("\n") == 1
+        assert f"this reader knows {FORMAT!r}" in err
+    cut = tmp_path / "cut.json"
+    cut.write_text(f.read_text()[:5000])
+    rc, out, err = run(capsys, "check", str(cut), "--theory", "arith")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: proof file is not valid JSON") and err.count("\n") == 1
 
 
 def test_emit_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -312,14 +321,25 @@ def test_cutfree_emits_a_cut_free_dag_past_the_budget(tmp_path, capsys):
 
 
 def test_gen_emit_and_check_past_the_nested_depth_cap(tmp_path, capsys):
-    # a nested file of this proof nests past the JSON reader's depth cap; a
-    # flat one nests four levels whatever the proof's depth
+    # a nested file of this proof would nest 24,000 levels deep, past what
+    # json.loads reads; a flat one nests four levels whatever the proof's depth
     f = tmp_path / "unary.json"
     rc, _, _ = run(capsys, "gen", "unary", "12000", "--emit", str(f))
     assert rc == 0
     rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
     assert rc == 0 and err == ""
     assert out.endswith(", lines=24001\n")
+
+
+def test_check_prints_a_huge_end_sequent_as_its_size(tmp_path, capsys):
+    # a 6.9 KB file proving F(x^4294967296): the term is a DAG of a few
+    # dozen nodes, and a tree of 2^32 leaves
+    f = tmp_path / "g.json"
+    rc, _, _ = run(capsys, "gen", "group-power", "5", "--mode", "quantifier", "--emit", str(f))
+    assert rc == 0
+    rc, out, err = run(capsys, "check", str(f), "--theory", "group:free:x")
+    assert rc == 0 and err == ""
+    assert out == "ok: <sequent of 8589934592 nodes as a tree, 34 distinct>, lines=64\n"
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from dataclasses import astuple
 
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feaslab.cutelim import _State, _reapply
 from feaslab.kernel import (
+    FORMAT,
     RULE_TAGS,
     CheckError,
     KernelError,
@@ -305,25 +307,41 @@ def _same_proofs(p: Proof, q: Proof):
 
 @settings(max_examples=40, deadline=None)
 @given(family=st.sampled_from(sorted(_FAMILIES)), data=st.data())
-def test_nested_file_converts_to_flat(family, data):
+def test_flat_file_round_trip(family, data):
     gen, top = _FAMILIES[family]
     r = gen(data.draw(st.integers(1 if family == "geometric" else 0, top), label="n"))
-    sig = r.theory.signature
-    nested = parse_proof(serialize_nested(r.proof), sig)
-    flat = parse_proof(serialize_proof(nested), sig)
-    assert flat.conclusion.ant == r.proof.conclusion.ant
-    assert flat.conclusion.succ == r.proof.conclusion.succ
-    _same_proofs(nested, flat)
-    _same_proofs(r.proof, flat)
+    _same_proofs(r.proof, parse_proof(serialize_proof(r.proof), r.theory.signature))
 
 
 def test_parse_proof_rejects_malformed():
-    with pytest.raises(KernelError):
-        parse_proof('{"rule": "NoSuchRule", "conclusion": "|- F(0)", "premises": []}', SIG)
-    with pytest.raises(KernelError):
-        parse_proof('{"rule": "Cut", "conclusion": "|- F(0)", "premises": []}', SIG)
-    with pytest.raises(KernelError):
-        parse_proof('[1, 2]', SIG)
+    def flat(*nodes):
+        exprs = [["const", "0"], ["atom", "F", 0]]
+        return json.dumps({"format": FORMAT, "exprs": exprs, "nodes": nodes})
+
+    leaf = {"rule": "LogicalAxiom", "ant": [1], "succ": [1], "premises": []}
+    assert parse_proof(flat(leaf), SIG).conclusion == Sequent([F(const("0"))], [F(const("0"))])
+    with pytest.raises(KernelError, match="unknown rule tag"):
+        parse_proof(flat(dict(leaf, rule="NoSuchRule")), SIG)
+    with pytest.raises(KernelError, match="Cut takes 2 premises, got 0"):
+        parse_proof(flat({"rule": "Cut", "ant": [], "succ": [1], "premises": []}), SIG)
+    with pytest.raises(KernelError, match="premises"):
+        parse_proof(flat(leaf, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": 0}), SIG)
+    # no format named: a JSON list, or a file in the nested format
+    for text in ("[1, 2]", serialize_nested(gen_unary(1).proof)):
+        with pytest.raises(KernelError, match=f"names no format; this reader knows '{FORMAT}'"):
+            parse_proof(text, SIG)
+
+
+def test_check_error_names_a_huge_conclusion_by_its_size():
+    # the end sequent of a proof of F(x^4294967296) is a tree of 2^33 nodes
+    r = gen_group_power("x", 5, mode="quantifier")
+    bad = Proof(r.proof.conclusion, Rule("WeakenRight"), (r.proof.premises[0],))
+    with pytest.raises(CheckError) as exc:
+        check(bad, r.theory)
+    assert str(exc.value) == (
+        "WeakenRight at <sequent of 8589934592 nodes as a tree, 34 distinct>: "
+        "weakening context mismatch"
+    )
 
 
 def test_substitute_proof_keeps_validity():

@@ -16,7 +16,6 @@ from feaslab.lang import (
     Or,
     ParseError,
     Quant,
-    Reader,
     Sequent,
     Var,
     arith_signature,
@@ -41,6 +40,7 @@ from feaslab.lang import (
     parse_term,
     plus,
     rational_signature,
+    sequent_brief,
     sequent_str,
     subst_formula,
     subst_term,
@@ -356,19 +356,6 @@ def test_text_round_trip_is_identity(name, data):
     assert back.ant == seq.ant and back.succ == seq.succ
 
 
-@pytest.mark.parametrize("name", sorted(SIGNATURES))
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_one_reader_across_strings_is_identity(name, data):
-    # the memo carries group texts from one string to the next
-    sig = SIGNATURES[name]
-    terms = data.draw(st.lists(sig_terms_shared(sig), min_size=1, max_size=8))
-    reader = Reader(sig)
-    for t in terms + terms[::-1]:
-        assert reader.term(term_str(t)) is t
-        assert reader.formula(formula_str(atom("F", t))) is atom("F", t)
-
-
 @pytest.fixture
 def default_recursion_limit():
     old = sys.getrecursionlimit()
@@ -453,14 +440,18 @@ def test_memo_is_per_signature():
         parse_term(text, group)  # no s, no 0
     g = parse_term("(x * y) * (x * y)", group)
     assert g.args[0].args[0] is const("x")
-    # one reader per signature, fed the same strings in turn
-    ra, rg = Reader(SIG), Reader(group)
-    for _ in range(2):
-        assert ra.term("(x * y) * (x * y)") is mul(mul(var("x"), var("y")), mul(var("x"), var("y")))
-        assert rg.term("(x * y) * (x * y)") is g
-        with pytest.raises(ParseError):
-            rg.term("s(0) * (x * y)")
-        assert ra.term("s(0) * (x * y)") is mul(app("s", const("0")), mul(var("x"), var("y")))
+
+
+def test_sequent_brief_prints_up_to_a_node_limit(monkeypatch):
+    import feaslab.lang as lang
+
+    t = squared(var("u"), 3)  # 15 nodes as a tree, 4 distinct
+    s = Sequent([atom("F", var("u"))], [atom("F", t)])  # 2 + 16 nodes
+    assert sequent_brief(s) == sequent_str(s)
+    monkeypatch.setattr(lang, "_MAX_PRINTED_NODES", 18)
+    assert sequent_brief(s) == sequent_str(s)
+    monkeypatch.setattr(lang, "_MAX_PRINTED_NODES", 17)
+    assert sequent_brief(s) == "<sequent of 18 nodes as a tree, 6 distinct>"
 
 
 # messages and positions as the recursive-descent parser gave them

@@ -93,6 +93,46 @@ def cycles(graph: dict) -> set:
     }
 
 
+def limit_raisers(tree, module: str) -> set:
+    """(module, innermost enclosing function) of every mention of
+    setrecursionlimit in tree, as an attribute, a name or an import."""
+    found = set()
+    stack = [(tree, "<module>")]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = None
+        if name == "setrecursionlimit":
+            found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            stack.append((child, child.name if isinstance(child, _FUNCTIONS) else owner))
+    return found
+
+
+def test_recursion_limit_is_raised_only_by_eliminate_cuts():
+    # a raised limit lets a recursive walker grow the C stack past its size;
+    # the multicut is the one walker left that needs it (ROADMAP item 4)
+    found = set()
+    for path in sorted(Path(feaslab.__file__).parent.glob("*.py")):
+        found |= limit_raisers(ast.parse(path.read_text()), path.stem)
+    assert found == {("cutelim", "eliminate_cuts")}
+    sample = ast.parse(
+        "import sys\n"
+        "from sys import setrecursionlimit as raise_limit\n"
+        "def f():\n"
+        "    def g():\n"
+        "        sys.setrecursionlimit(10)\n"
+        "    return g\n"
+    )
+    assert limit_raisers(sample, "m") == {("m", "<module>"), ("m", "g")}
+
+
 def test_no_new_recursion():
     assert cycles(call_graph(package_trees())) == set(ALLOWED)
 
