@@ -80,7 +80,7 @@ from .lang import (
     formula_str,
     free_vars,
     fresh_name,
-    sequent_str,
+    sequent_brief,
     substitute,
     var,
 )
@@ -115,8 +115,8 @@ class _State:
 
     mcut_memo maps (id(p1), id(a), id(p2), k) to (result, p1, a, p2); keeping
     the argument objects alive means no id is reused while the memo lives.
-    subst_memo is substitute_proof's memo, shared by every substitution of
-    the run.
+    subst_memo is substitute_proof's memo, keyed by (proof node, mapping
+    items) pairs and shared by every substitution of the run.
     Ticks count the DAG nodes built, multicut memo misses and rebuilt
     inferences; more than `budget` of them abort the run.  `cut` is
     (index, total, formula) of the cut being eliminated, for the message.
@@ -343,61 +343,70 @@ def _names_around(*proofs) -> set:
 
 
 def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
-    """Commute p1 until its last rule introduces a on the right."""
-    st.tick()
-    tag = p1.rule.tag
-    if tag in ("LogicalAxiom", "EqOracle"):
-        raise FragmentError("cut formula of this shape cannot head an axiom leaf")
-    if tag == "TheoryAxiom":
-        if not p1.premises:
-            raise FragmentError("theory leaves conclude atoms only")
-        step = None
-        phis, _psi = st.theory.instantiate(p1.rule.axiom, p1.rule.subst_dict())
-    else:
-        step = analyze(p1)
-        on_a = step.principal is a
-        if on_a and tag in ("ImpliesRight", "ForallRight"):
-            return p1
-        if on_a and tag == "WeakenRight":
-            q = p1.premises[0]
-            if isinstance(a, Implies):
-                body = weaken_right(weaken_left(q, a.left), a.right)
-                return implies_right(body, a.left, a.right)
-            if isinstance(a, Forall):
-                e = fresh_name("w", _names_around(p1))
-                body = weaken_right(q, substitute(a.body, a.v, var(e)))
-                return forall_right(body, a, e)
-            raise FragmentError("cannot principalize a weakened cut formula of this shape")
-        if on_a and tag == "ContractRight":
-            raise FragmentError(
-                "right contraction on the cut formula is outside the supported fragment"
-            )
-    for j, q in enumerate(p1.premises):
-        if step is None:
-            kept = _count(q.conclusion.succ, a) - (1 if phis[j] is a else 0)
+    """Commute p1 until its last rule introduces a on the right.
+
+    The first loop walks down the premise that keeps a, one level per
+    inference, to a proof whose last rule introduces a; the second
+    rebuilds the inferences passed on the way back up, over that proof's
+    premise, and introduces a again at the bottom."""
+    path = []  # (node, step, j): node's premise j keeps a
+    while True:
+        st.tick()
+        tag = p1.rule.tag
+        if tag in ("LogicalAxiom", "EqOracle"):
+            raise FragmentError("cut formula of this shape cannot head an axiom leaf")
+        if tag == "TheoryAxiom":
+            if not p1.premises:
+                raise FragmentError("theory leaves conclude atoms only")
+            step = None
+            phis, _psi = st.theory.instantiate(p1.rule.axiom, p1.rule.subst_dict())
         else:
-            kept = _kept(p1, step, j, "R", a)
-        if kept <= 0:
-            continue
-        qp = _principalize_right(q, a, st)
-        inner = qp.premises[0]
-        if qp.rule.tag == "ForallRight":
-            e = qp.rule.eigen
-            outer_names = _names_around(p1)
-            for sib in p1.premises:
-                outer_names |= _names_around(sib)
+            step = analyze(p1)
+            on_a = step.principal is a
+            if on_a and tag in ("ImpliesRight", "ForallRight"):
+                head = p1
+                break
+            if on_a and tag == "WeakenRight":
+                q = p1.premises[0]
+                if isinstance(a, Implies):
+                    body = weaken_right(weaken_left(q, a.left), a.right)
+                    head = implies_right(body, a.left, a.right)
+                elif isinstance(a, Forall):
+                    e = fresh_name("w", _names_around(p1))
+                    body = weaken_right(q, substitute(a.body, a.v, var(e)))
+                    head = forall_right(body, a, e)
+                else:
+                    raise FragmentError("cannot principalize a weakened cut formula of this shape")
+                break
+            if on_a and tag == "ContractRight":
+                raise FragmentError(
+                    "right contraction on the cut formula is outside the supported fragment"
+                )
+        for j, q in enumerate(p1.premises):
+            if step is None:
+                kept = _count(q.conclusion.succ, a) - (1 if phis[j] is a else 0)
+            else:
+                kept = _kept(p1, step, j, "R", a)
+            if kept > 0:
+                break
+        else:
+            raise FragmentError(
+                f"cannot locate {formula_str(a)} for principalization in {tag}"
+            )
+        path.append((p1, step, j))
+        p1 = q
+    for p1, step, j in reversed(path):
+        inner = head.premises[0]
+        e = head.rule.eigen  # None when head is ImpliesRight
+        if e is not None:
+            outer_names = _names_around(p1, *p1.premises)
             if e in outer_names:
                 e2 = fresh_name(e, outer_names)
                 inner = substitute_proof(inner, {e: var(e2)}, st.subst_memo)
                 e = e2
-            rebuilt = _reapply(p1, step, _swap(p1.premises, j, inner), st)
-            return forall_right(rebuilt, a, e)
-        # ImpliesRight
         rebuilt = _reapply(p1, step, _swap(p1.premises, j, inner), st)
-        return implies_right(rebuilt, a.left, a.right)
-    raise FragmentError(
-        f"cannot locate {formula_str(a)} for principalization in {tag}"
-    )
+        head = implies_right(rebuilt, a.left, a.right) if e is None else forall_right(rebuilt, a, e)
+    return head
 
 
 def _swap(premises: tuple, j: int, new) -> tuple:
@@ -471,7 +480,7 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
                 if out.conclusion != node.conclusion:
                     raise KernelError(
                         "internal: cut elimination changed the sequent from "
-                        f"{sequent_str(node.conclusion)} to {sequent_str(out.conclusion)}"
+                        f"{sequent_brief(node.conclusion)} to {sequent_brief(out.conclusion)}"
                     )
             elif all(x is y for x, y in zip(prems, node.premises)):
                 out = node

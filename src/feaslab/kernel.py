@@ -72,12 +72,11 @@ from .lang import (
     forall,
     formula_str,
     free_vars,
-    fresh_name,
     imp,
     is_variable_name,
     neg,
+    rebind,
     sequent_brief,
-    sequent_str,
     subst_formula,
     subst_term,
     substitute,
@@ -179,7 +178,7 @@ class Proof:
         raise AttributeError("proofs are immutable")
 
     def __repr__(self):
-        return f"<Proof {self.rule.tag}: {sequent_str(self.conclusion)}>"
+        return f"<Proof {self.rule.tag}: {sequent_brief(self.conclusion)}>"
 
 
 # ---------------------------------------------------------------------------
@@ -961,72 +960,54 @@ def _proof_from_flat(data: dict, sig: Signature) -> Proof:
 # Proof-level substitution (used by cut elimination at quantifier steps)
 
 
+def _binder_scope(node: Proof):
+    return (f for q in node.premises for f in q.conclusion.ant + q.conclusion.succ)
+
+
+def _proof_subst_children(pair):
+    node, key = pair
+    if not key:
+        return ()
+    if node.rule.eigen is not None:
+        key = rebind(node.rule.eigen, key, _binder_scope(node))[1]
+    return tuple((q, key) for q in node.premises)
+
+
+def _proof_subst_step(pair, premises: list) -> Proof:
+    node, key = pair
+    if not key:
+        return node
+    rule = node.rule
+    m = dict(key)
+    if rule.eigen is not None:
+        e = rebind(rule.eigen, key, _binder_scope(node))[0]
+        if e != rule.eigen:
+            rule = Rule(rule.tag, eigen=e)
+    elif rule.term is not None:
+        rule = Rule(rule.tag, term=subst_term(rule.term, m))
+    elif rule.subst is not None:
+        rule = Rule(
+            rule.tag,
+            axiom=rule.axiom,
+            subst=tuple((v, subst_term(t, m)) for v, t in rule.subst),
+        )
+    concl = Sequent(
+        tuple(subst_formula(f, m) for f in node.conclusion.ant),
+        tuple(subst_formula(f, m) for f in node.conclusion.succ),
+    )
+    return Proof(concl, rule, tuple(premises))
+
+
 def substitute_proof(p: Proof, mapping: dict, memo: Optional[dict] = None) -> Proof:
     """Apply a variable -> term substitution throughout a proof.
 
-    Eigenvariables act as binders for their subtree: mapped names stop at
-    the binding node, and eigenvariables clashing with incoming terms are
-    renamed on the way.
-
-    The result is a function of (node, mapping), so `memo` may be shared by
-    many calls: it maps (id(node), mapping items) to (result, node), and
-    keeping the node alive means no id is reused while the memo lives.
-    Explicit stack: proofs nest deeper than the interpreter may recurse.
+    Eigenvariables bind their subtree as quantifiers bind their body
+    (`lang.rebind`): mapped names stop at the binding node, and an
+    eigenvariable clashing with an incoming term is renamed in the same
+    pass.  The proof is folded over (node, key) pairs, key the sorted
+    mapping items, so the result is a function of the pair and `memo`
+    may be shared by many calls.
     """
-    if memo is None:
-        memo = {}
-
-    def done(q: Proof, key: tuple):
-        if not key:
-            return q
-        hit = memo.get((id(q), key))
-        return None if hit is None else hit[0]
-
-    root = (p, tuple(sorted(mapping.items())))
-    stack = [root]
-    while stack:
-        node, key = stack[-1]
-        if done(node, key) is not None:
-            stack.pop()
-            continue
-        rule = node.rule
-        prems = node.premises
-        sub = key
-        if rule.eigen is not None:
-            e = rule.eigen
-            sub = tuple(kv for kv in key if kv[0] != e)
-            if any(e in free_vars(v) for _, v in sub):
-                avoid = {k for k, _ in sub}
-                for _, v in sub:
-                    avoid |= free_vars(v)
-                for q in prems:
-                    for f in q.conclusion.ant + q.conclusion.succ:
-                        avoid |= free_vars(f)
-                e2 = fresh_name(e, avoid)
-                rename = ((e, var(e2)),)
-                renamed = [done(q, rename) for q in prems]
-                if None in renamed:
-                    stack.extend((q, rename) for q in prems)
-                    continue
-                prems = renamed
-                rule = Rule(rule.tag, eigen=e2)
-        new = [done(q, sub) for q in prems]
-        if None in new:
-            stack.extend((q, sub) for q in prems)
-            continue
-        m = dict(key)
-        if rule.term is not None:
-            rule = Rule(rule.tag, term=subst_term(rule.term, m))
-        elif rule.subst is not None:
-            rule = Rule(
-                rule.tag,
-                axiom=rule.axiom,
-                subst=tuple((v, subst_term(t, m)) for v, t in rule.subst),
-            )
-        concl = Sequent(
-            tuple(subst_formula(f, m) for f in node.conclusion.ant),
-            tuple(subst_formula(f, m) for f in node.conclusion.succ),
-        )
-        memo[(id(node), key)] = (Proof(concl, rule, tuple(new)), node)
-        stack.pop()
-    return done(*root)
+    key = tuple(sorted(mapping.items()))
+    memo = {} if memo is None else memo
+    return fold((p, key), _proof_subst_step, memo, _proof_subst_children)

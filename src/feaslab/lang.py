@@ -16,8 +16,9 @@ Main entry points
     free_vars, dag_size, tree_size, int_term
 
 Every walker that computes a value per node (free variables, tree size,
-substitution, and the evaluators in `semantics`) is a `fold`: one
-memoized, iterative post-order pass over the DAG.
+substitution over (node, mapping) pairs, and the evaluators in
+`semantics`) is a `fold`: one memoized, iterative post-order pass over
+the DAG.
 """
 
 from __future__ import annotations
@@ -372,96 +373,79 @@ def fresh_name(base: str, avoid) -> str:
     return cand
 
 
-# interned inputs make substitution a pure function of (node, mapping), so
-# per-mapping memos persist for the process lifetime; repeated
-# instantiations of the same lemma body then cost one dict probe per node
-_mapping_memos: dict = {}
+# Substitution is one fold over (node, key) pairs, where key is the sorted
+# tuple of the (name, term) items that act on node: each name occurs free in
+# node and none maps to its own variable.  Interned inputs make the result a
+# pure function of the pair, so one memo serves the process lifetime and
+# repeated instantiations of a lemma body cost one probe per pair.
+_subst_memo: dict = {}
 
 
-def _live_mapping(x, mapping: dict) -> dict:
+def _live(x, key: tuple) -> tuple:
     fv = free_vars(x)
-    return {
-        k: v
-        for k, v in mapping.items()
-        if k in fv and not (isinstance(v, Var) and v.name == k)
-    }
+    if len(key) == 1:
+        return key if key[0][0] in fv else ()
+    return tuple(kv for kv in key if kv[0] in fv)
 
 
-def _shared_memo(mapping: dict) -> dict:
-    key = tuple(sorted(mapping.items()))
-    memo = _mapping_memos.get(key)
-    if memo is None:
-        memo = _mapping_memos[key] = {}
-    return memo
+def rebind(v: str, key: tuple, scope) -> tuple:
+    """(name, key) for a binder of v over the terms and formulas in scope,
+    under the substitution key: v leaves the key, and when a mapped term
+    mentions v the binder takes a fresh name, avoiding the names around,
+    and the key gains v := that name.  Renaming and substitution thus
+    happen in one pass.  Quantifiers and eigenvariables bind alike."""
+    key = tuple(kv for kv in key if kv[0] != v)
+    clash = set().union(*(free_vars(t) for _, t in key))
+    if v not in clash:
+        return v, key
+    avoid = clash.union(k for k, _ in key)
+    for x in scope:
+        avoid |= free_vars(x)
+    nv = fresh_name(v, avoid)
+    return nv, tuple(sorted(key + ((v, var(nv)),)))
 
 
 _CONNECTIVE_FACTORIES = {Not: neg, And: conj, Or: disj, Implies: imp}
 
 
-def _substitution(mapping: dict):
-    """The step and the children of the fold that applies mapping, a live
-    mapping.  The body of a quantifier is a child only when it is
-    substituted under mapping too: its variable is not mapped and
-    captures no variable of a term mapped below it.  `_subst_quant`
-    handles any other quantifier on its own."""
-
-    def children(x):
-        if x.__class__ is Forall or x.__class__ is Exists:
-            return (x.body,) if _passes_through(x, mapping) else ()
-        return _children(x)
-
-    def step(x, kids):
-        cls = x.__class__
-        if cls is Var:
-            return mapping.get(x.name, x)
-        if cls is Const:
-            return x
-        if cls is App or cls is Atom:
-            if kids == list(x.args):  # terms compare by identity
-                return x
-            return app(x.sym, *kids) if cls is App else atom(x.pred, *kids)
-        if cls is Forall:
-            return forall(x.v, kids[0]) if kids else _subst_quant(x, mapping)
-        if cls is Exists:
-            return exists(x.v, kids[0]) if kids else _subst_quant(x, mapping)
-        return _CONNECTIVE_FACTORIES[cls](*kids)
-
-    return step, children
+def _subst_children(pair):
+    x, key = pair
+    if not key:
+        return ()
+    if x.__class__ is Forall or x.__class__ is Exists:
+        return ((x.body, _live(x.body, rebind(x.v, key, (x.body,))[1])),)
+    return [(c, _live(c, key)) for c in _children(x)]
 
 
-def _passes_through(q: Quant, mapping: dict) -> bool:
-    fv = free_vars(q.body)
-    if q.v in mapping and q.v in fv:
-        return False
-    below = [t for k, t in mapping.items() if k in fv and k != q.v]
-    return bool(below) and not any(q.v in free_vars(t) for t in below)
-
-
-def _subst_quant(q: Quant, mapping: dict) -> Formula:
-    """q under mapping, when its body is not substituted under mapping."""
-    inner = {k: v for k, v in mapping.items() if k != q.v and k in free_vars(q.body)}
-    if not inner:
-        return q
-    bound, body = q.v, q.body
-    clash = set().union(*(free_vars(v) for v in inner.values()))
-    if bound in clash:
-        # rename the bound variable before substituting under it
-        avoid = clash | free_vars(body) | set(inner)
-        nb = fresh_name(bound, avoid)
-        body = subst_formula(body, {bound: var(nb)})
-        bound = nb
-    make = forall if q.__class__ is Forall else exists
-    return make(bound, subst_formula(body, inner))
+def _subst_step(pair, kids):
+    x, key = pair
+    if not key:
+        return x
+    cls = x.__class__
+    if cls is Var:
+        return key[0][1]  # the one live item names x
+    if cls is App:
+        return app(x.sym, *kids)
+    if cls is Atom:
+        return atom(x.pred, *kids)
+    if cls is Forall:
+        return forall(rebind(x.v, key, (x.body,))[0], kids[0])
+    if cls is Exists:
+        return exists(rebind(x.v, key, (x.body,))[0], kids[0])
+    return _CONNECTIVE_FACTORIES[cls](*kids)
 
 
 def subst_formula(x, mapping: dict):
     """x, a term or formula, with each free variable named in mapping
     replaced by its term, renaming bound variables as needed."""
-    mapping = _live_mapping(x, mapping)
-    if not mapping:
-        return x
-    step, children = _substitution(mapping)
-    return fold(x, step, _shared_memo(mapping), children)
+    fv = free_vars(x)
+    key = tuple(
+        sorted(
+            (k, t) for k, t in mapping.items()
+            if k in fv and not (t.__class__ is Var and t.name == k)
+        )
+    )
+    return fold((x, key), _subst_step, _subst_memo, _subst_children) if key else x
 
 
 subst_term = subst_formula

@@ -13,8 +13,16 @@ from hypothesis import given, settings, strategies as st
 from feaslab import cli
 from feaslab.cutelim import BLOWUP_COLUMNS
 from feaslab.generators import gen_unary
-from feaslab.kernel import FORMAT, RULE_TAGS, KernelError, parse_proof
-from feaslab.lang import arith_signature
+from feaslab.kernel import (
+    FORMAT,
+    RULE_TAGS,
+    KernelError,
+    forall_left,
+    logical_axiom,
+    parse_proof,
+    serialize_proof,
+)
+from feaslab.lang import arith_signature, atom, forall, plus, substitute, var
 from nested_format import serialize_nested
 
 
@@ -276,6 +284,21 @@ def test_deep_input_is_one_error_line(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(cut), "--theory", "arith")
     assert rc == 1 and out == ""
     assert err.startswith("error: proof file is not valid JSON") and err.count("\n") == 1
+
+
+def test_check_instantiates_past_deep_capturing_quantifiers(tmp_path, capsys):
+    # forall x over 400 nested forall y around F(x + y), instantiated with
+    # y: every binder is renamed, and no walker recurses per quantifier
+    phi = atom("F", plus(var("x"), var("y")))
+    for _ in range(400):
+        phi = forall("y", phi)
+    inst = substitute(phi, "x", var("y"))
+    p = forall_left(logical_axiom(inst), forall("x", phi), var("y"))
+    f = tmp_path / "capture.json"
+    f.write_text(serialize_proof(p))
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 0 and err == ""
+    assert out.startswith("ok: forall x (forall y (") and out.endswith(", lines=2\n")
 
 
 def test_emit_failure_leaves_no_file(tmp_path, capsys, monkeypatch):

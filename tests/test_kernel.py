@@ -335,6 +335,7 @@ def test_parse_proof_rejects_malformed():
 def test_check_error_names_a_huge_conclusion_by_its_size():
     # the end sequent of a proof of F(x^4294967296) is a tree of 2^33 nodes
     r = gen_group_power("x", 5, mode="quantifier")
+    assert repr(r.proof) == "<Proof Cut: <sequent of 8589934592 nodes as a tree, 34 distinct>>"
     bad = Proof(r.proof.conclusion, Rule("WeakenRight"), (r.proof.premises[0],))
     with pytest.raises(CheckError) as exc:
         check(bad, r.theory)

@@ -281,10 +281,12 @@ SIGNATURES = {
     "rat": rational_signature(),
 }
 VARS = ("u", "v", "w")
+# the names fresh_name picks for u, so that renamed binders meet them
+PRIMED = VARS + ("u'", "u''")
 
 
-def sig_terms(sig):
-    leaves = st.sampled_from([var(v) for v in VARS] + [const(c) for c in sig.constants])
+def sig_terms(sig, names=VARS):
+    leaves = st.sampled_from([var(v) for v in names] + [const(c) for c in sig.constants])
     funcs = sorted(sig.functions.items())
 
     def apps(kids):
@@ -301,15 +303,15 @@ def squared(t, k):
     return t
 
 
-def sig_terms_shared(sig):
+def sig_terms_shared(sig, names=VARS):
     # squaring shares every stage: the printed text doubles per stage
-    return st.builds(squared, sig_terms(sig), st.integers(0, 5))
+    return st.builds(squared, sig_terms(sig, names), st.integers(0, 5))
 
 
-def sig_formulas(sig):
+def sig_formulas(sig, names=VARS):
     preds = sorted(sig.predicates.items())
     atoms = st.sampled_from(preds).flatmap(
-        lambda pk: st.tuples(*[sig_terms_shared(sig)] * pk[1]).map(
+        lambda pk: st.tuples(*[sig_terms_shared(sig, names)] * pk[1]).map(
             lambda args: atom(pk[0], *args)
         )
     )
@@ -320,8 +322,8 @@ def sig_formulas(sig):
             | st.builds(disj, kids, kids)
             | st.builds(conj, kids, kids)
             | st.builds(neg, kids)
-            | st.builds(forall, st.sampled_from(VARS), kids)
-            | st.builds(exists, st.sampled_from(VARS), kids)
+            | st.builds(forall, st.sampled_from(names), kids)
+            | st.builds(exists, st.sampled_from(names), kids)
         )
 
     return st.recursive(atoms, compound, max_leaves=6)
@@ -331,12 +333,15 @@ def sig_formulas(sig):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_subst_matches_the_recursive_reference(name, data):
-    # mapped terms mention the variables the formulas bind: captures happen
+    # mapped terms mention the variables the formulas bind: captures happen,
+    # and the fresh names of renamed binders are in use already
     sig = SIGNATURES[name]
-    mapping = data.draw(st.dictionaries(st.sampled_from(VARS), sig_terms(sig), max_size=3))
-    phi = data.draw(sig_formulas(sig))
+    mapping = data.draw(
+        st.dictionaries(st.sampled_from(PRIMED), sig_terms(sig, PRIMED), max_size=3)
+    )
+    phi = data.draw(sig_formulas(sig, PRIMED))
     assert subst_formula(phi, mapping) is ref_subst(phi, mapping)
-    t = data.draw(sig_terms_shared(sig))
+    t = data.draw(sig_terms_shared(sig, PRIMED))
     assert subst_term(t, mapping) is ref_subst(t, mapping)
 
 
@@ -425,6 +430,17 @@ def test_deep_chains_round_trip_without_recursion(name, default_recursion_limit)
         assert inner.v == f"b{i}"
         inner = inner.body
     assert inner is forall("b0'", atom("F", var("b0")))
+    if name == "arith":
+        # every binder captures: each is renamed, in one pass
+        depth = 50_000
+        nest = atom("F", plus(var("x"), var("y")))
+        for _ in range(depth):
+            nest = forall("y", nest)
+        inner = subst_formula(nest, {"x": var("y")})
+        for _ in range(depth):
+            assert inner.v == "y'"
+            inner = inner.body
+        assert inner is atom("F", plus(var("y"), var("y'")))
     # a squaring chain shares each stage twice: long text, small DAG
     sq = squared(var("u"), 16)
     assert parse_term(term_str(sq), sig) is sq

@@ -20,7 +20,6 @@ ALLOWED = {
     frozenset({"_mcut", "_mcut_step", "_reduce_forall", "_reduce_implies"}): (
         "multicut: a few frames per inference of the cut-free premise it reduces; ROADMAP item 4"
     ),
-    frozenset({"_principalize_right"}): "one frame per inference it commutes past, like _mcut; ROADMAP item 4",
     frozenset({"_rat_construction"}): "one frame per node of a small matrix-entry term",
     frozenset({"nat_eq"}): "one frame per level of a power tower",
     frozenset({"nat_log2"}): "one frame per level of a power tower",
@@ -28,10 +27,6 @@ ALLOWED = {
     frozenset({"_big_shift"}): "one frame per level of a power tower",
     frozenset({"make_tower", "nat_add", "nat_mul"}): "one level per power tower",
     frozenset({"rational_term"}): "one level, for the sign of a negative rational",
-    frozenset({"subst_formula", "_substitution", "_subst_quant"}): (
-        "one level per quantifier that a substitution must rename or cross; "
-        "unbounded on input (CHANGES.md FOUND line)"
-    ),
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
