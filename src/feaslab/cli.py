@@ -154,10 +154,13 @@ def _cmd_flow(args) -> int:
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise GeneratorError(f"bench range must be n or a..b with integers, got {text!r}") from None
 
 
 def _cmd_bench(args) -> int:
@@ -221,9 +224,12 @@ def _cmd_oracle(args) -> int:
                 f"{r.conjugated_length} {dist}"
             )
         return 0
-    costs = tuple(int(x) for x in args.costs.split(","))
-    if len(costs) != 3:
-        raise OracleError("--costs needs three integers: succ,plus,times")
+    try:
+        costs = tuple(int(x) for x in args.costs.split(","))
+    except ValueError:
+        raise OracleError(f"--costs needs integers succ,plus,times, got {args.costs!r}") from None
+    if args.enum and costs != (1, 1, 1):
+        raise OracleError("--enum counts unit-cost proof lines and takes only --costs 1,1,1")
     best = min_tree_derivation(args.n, costs)
     print(f"min-lines F({args.n}) = {best}")
     if args.enum:

@@ -17,9 +17,7 @@ short proofs and short conjugated words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from .generators import gen_distorted
 from .kernel import Proof, size, theory_apply, theory_leaf
@@ -36,6 +34,9 @@ from .semantics import (
     word_mul,
 )
 from .theories import arith_feasibility
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OracleError(Exception):
@@ -56,11 +57,19 @@ def min_tree_table(n_max: int, costs: Tuple[int, int, int] = (1, 1, 1), bound: i
       c[n] = min(c[n-1] + succ, min over a+b=n of c[a]+c[b]+plus,
                  min over a*b=n of c[a]+c[b]+times).
     Subtrees are counted with multiplicity (tree lines, no sharing).
+    Costs must be nonnegative, or a longer derivation scores lower.
+
+    numpy is imported here, not at module level: it is half the start-up
+    time of `import feaslab`, and only this table needs it.
     """
     if n_max < 0:
         raise OracleError("n must be nonnegative")
     if n_max > bound:
         raise OracleError(f"n={n_max} exceeds the table bound {bound}")
+    if len(costs) != 3 or any(x < 0 for x in costs):
+        raise OracleError(f"costs must be three nonnegative integers succ,plus,times, got {tuple(costs)}")
+    import numpy as np
+
     succ_c, plus_c, times_c = costs
     c = np.zeros(n_max + 1, dtype=np.int64)
     c[0] = 1

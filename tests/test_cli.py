@@ -161,6 +161,13 @@ def test_bench_fragment_status(capsys):
     assert rows[1][-1] == "fragment-exceeded"
 
 
+@pytest.mark.parametrize("bad", ["3..x", "", "x", "1..2..3", "..3"])
+def test_bench_bad_range_is_one_error_line(capsys, bad):
+    rc, out, err = run(capsys, "bench", "square-cut", bad)
+    assert rc == 1 and out == ""
+    assert err == f"error: bench range must be n or a..b with integers, got {bad!r}\n"
+
+
 def test_orbit_iteration(capsys):
     rc, out, _ = run(capsys, "orbit", "--n", "3", "--gen", "2")
     assert rc == 0
@@ -205,6 +212,34 @@ def test_oracle_costs_and_distortion(capsys):
         "1 17 (4, 0) 5 4",
         "2 23 (16, 0) 9 8",
     ]
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        ("1,x,1", "--costs needs integers succ,plus,times, got '1,x,1'"),
+        ("", "--costs needs integers succ,plus,times, got ''"),
+        ("1,1", "costs must be three nonnegative integers succ,plus,times, got (1, 1)"),
+        ("1,1,1,1", "costs must be three nonnegative integers succ,plus,times, got (1, 1, 1, 1)"),
+        ("-1,1,1", "costs must be three nonnegative integers succ,plus,times, got (-1, 1, 1)"),
+    ],
+)
+def test_oracle_bad_costs_are_one_error_line(capsys, costs, message):
+    # negative costs printed "min-lines F(16) = -15"
+    rc, out, err = run(capsys, "oracle", "16", f"--costs={costs}")
+    assert rc == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_oracle_enum_refuses_weighted_costs(capsys):
+    # the enumerated proof counts unit-cost lines: comparing it with a
+    # weighted table reported a MISMATCH that was no fault of either side
+    rc, out, err = run(capsys, "oracle", "16", "--costs", "1,1,0", "--enum")
+    assert rc == 1 and out == ""
+    assert err == "error: --enum counts unit-cost proof lines and takes only --costs 1,1,1\n"
+    rc, out, _ = run(capsys, "oracle", "16", "--costs", "1,1,1", "--enum")
+    assert rc == 0
+    assert out == "min-lines F(16) = 11\nenumerated proof lines = 11 (match)\n"
 
 
 def test_torus_table(capsys):

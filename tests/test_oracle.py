@@ -69,6 +69,13 @@ def test_table_bounds():
         min_tree_derivation(-3)
 
 
+@pytest.mark.parametrize("costs", [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, 1)])
+def test_table_refuses_negative_or_missing_costs(costs):
+    # a negative cost would score a longer derivation lower: F(16) came out -15
+    with pytest.raises(OracleError, match="nonnegative"):
+        min_tree_table(16, costs=costs)
+
+
 # ---------------------------------------------------------------------------
 # word metric
 
