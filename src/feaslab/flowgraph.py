@@ -1,12 +1,17 @@
 """Logical flow graphs over sequent proofs.
 
 Nodes are formula occurrences: one per formula per sequent in the proof
-tree, addressed by (path, side, index) where path is the tuple of premise
-positions from the root, side is "L" or "R", and index is the position
-within the antecedent or succedent.  Edges follow the checker's occurrence
-accounting: ancestry for context formulas and introductions, axiom-link
-across axiom leaves, cut-link between the two cut occurrences, and
-contraction-merge where two occurrences collapse into one.
+tree.  Edges follow the checker's occurrence accounting: ancestry for
+context formulas and introductions, axiom-link across axiom leaves,
+cut-link between the two cut occurrences, and contraction-merge where two
+occurrences collapse into one.
+
+The graph numbers the occurrences with integers and keeps its edges as
+parallel integer lists; its statistics run on those.  Each sequent of the
+tree is a block of consecutive ids, antecedent first.  The path-addressed
+view, where an occurrence is (path, side, index) with path the tuple of
+premise positions from the root and side "L" or "R", is built from the
+blocks only when it is read (`nodes`, `edges`, `formulas`, `emit_dot`).
 
 Cycles appear exactly where contractions share material across branches;
 the cycle count is the first Betti number E - V + C of the undirected
@@ -15,53 +20,96 @@ multigraph.  Bridges are edges whose removal disconnects their component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
 from .kernel import Proof, analyze, step_edges
-from .lang import Formula, Printer
+from .lang import Printer
 
-Occ = Tuple[Tuple[int, ...], str, int]
-Edge = Tuple[Occ, Occ, str]
+TAGS = ("ancestry", "axiom-link", "cut-link", "contraction-merge")
+_TAG_ID = {tag: k for k, tag in enumerate(TAGS)}
 
 
-@dataclass
 class FlowGraph:
-    nodes: List[Occ]
-    edges: List[Edge]
-    formulas: Dict[Occ, Formula]
+    """The occurrence graph of one proof tree, on integer ids.
+
+    Blocks are (parent block, premise index, proof node), one per node of
+    the tree in id order: block 0 is the root sequent, and each block's
+    occurrences take the ids after the previous block's.  Edge k joins
+    occurrences us[k] and vs[k] with tag TAGS[tags[k]].
+    """
+
+    def __init__(self, blocks: list, node_count: int, us: list, vs: list, tags: list):
+        self._blocks = blocks
+        self._n = node_count
+        self._us, self._vs, self._tags = us, vs, tags
+        self._adj = None
+        self._view = None
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return self._n
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._us)
 
-    def _adjacency(self):
-        adj: Dict[Occ, list] = {u: [] for u in self.nodes}
-        for eid, (u, v, _tag) in enumerate(self.edges):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return adj
+    @property
+    def nodes(self) -> list:
+        """Sorted occurrences (path, side, index)."""
+        return self._tuples()[0]
+
+    @property
+    def edges(self) -> list:
+        """Sorted edges (occurrence, occurrence, tag)."""
+        return self._tuples()[1]
+
+    @property
+    def formulas(self) -> dict:
+        """Occurrence -> its formula."""
+        return self._tuples()[2]
+
+    def _tuples(self) -> tuple:
+        """Replay the blocks into the path-addressed view, once."""
+        if self._view is None:
+            paths = []
+            occs = []
+            formulas = {}
+            for parent, j, node in self._blocks:
+                path = paths[parent] + (j,) if paths else ()
+                paths.append(path)
+                c = node.conclusion
+                for side, fs in (("L", c.ant), ("R", c.succ)):
+                    for i, f in enumerate(fs):
+                        occ = (path, side, i)
+                        occs.append(occ)
+                        formulas[occ] = f
+            edges = sorted(
+                (occs[u], occs[v], TAGS[t]) for u, v, t in zip(self._us, self._vs, self._tags)
+            )
+            occs.sort()
+            self._view = (occs, edges, formulas)
+        return self._view
+
+    def _adjacency(self) -> list:
+        """Per occurrence, the ids of its edges (a self-loop twice); built once."""
+        if self._adj is None:
+            adj = [[] for _ in range(self._n)]
+            for e, (u, v) in enumerate(zip(self._us, self._vs)):
+                adj[u].append(e)
+                adj[v].append(e)
+            self._adj = adj
+        return self._adj
 
     def component_count(self) -> int:
-        adj = self._adjacency()
-        seen = set()
-        comps = 0
-        for start in self.nodes:
-            if start in seen:
-                continue
-            comps += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                u = stack.pop()
-                for v, _eid in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
+        """Connected components, by union-find with path halving."""
+        parent = list(range(self._n))
+        comps = self._n
+        for u, v in zip(self._us, self._vs):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                comps -= 1
         return comps
 
     def cycle_count(self) -> int:
@@ -71,20 +119,20 @@ class FlowGraph:
     def cycle_rank_by_forest(self) -> int:
         """Independent recount: edges left out of a spanning forest."""
         adj = self._adjacency()
-        seen = set()
-        used_edges = set()
+        us, vs = self._us, self._vs
+        seen = bytearray(self._n)
         tree_edges = 0
-        for start in self.nodes:
-            if start in seen:
+        for start in range(self._n):
+            if seen[start]:
                 continue
-            seen.add(start)
+            seen[start] = 1
             stack = [start]
             while stack:
                 u = stack.pop()
-                for v, eid in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        used_edges.add(eid)
+                for e in adj[u]:
+                    v = us[e] + vs[e] - u
+                    if not seen[v]:
+                        seen[v] = 1
                         tree_edges += 1
                         stack.append(v)
         return self.edge_count - tree_edges
@@ -92,48 +140,50 @@ class FlowGraph:
     def bridge_count(self) -> int:
         """Bridges of the multigraph (parallel edges are never bridges)."""
         adj = self._adjacency()
-        disc: Dict[Occ, int] = {}
-        low: Dict[Occ, int] = {}
+        us, vs = self._us, self._vs
+        disc = [-1] * self._n
+        low = [0] * self._n
         timer = 0
         bridges = 0
-        for start in self.nodes:
-            if start in disc:
+        for start in range(self._n):
+            if disc[start] >= 0:
                 continue
             # iterative DFS; each frame remembers the edge id used to enter
             stack = [(start, -1, iter(adj[start]))]
             disc[start] = low[start] = timer
             timer += 1
             while stack:
-                u, in_eid, it = stack[-1]
-                advanced = False
-                for v, eid in it:
-                    if eid == in_eid:
+                u, in_e, it = stack[-1]
+                for e in it:
+                    if e == in_e:
                         continue
+                    v = us[e] + vs[e] - u
                     if v == u:
                         continue  # self-loop
-                    if v not in disc:
+                    if disc[v] < 0:
                         disc[v] = low[v] = timer
                         timer += 1
-                        stack.append((v, eid, iter(adj[v])))
-                        advanced = True
+                        stack.append((v, e, iter(adj[v])))
                         break
-                    low[u] = min(low[u], disc[v])
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
-                        bridges += 1
+                    if disc[v] < low[u]:
+                        low[u] = disc[v]
+                else:
+                    stack.pop()
+                    if stack:
+                        parent = stack[-1][0]
+                        if low[u] < low[parent]:
+                            low[parent] = low[u]
+                        if low[u] > disc[parent]:
+                            bridges += 1
         return bridges
 
     def stats(self) -> dict:
+        comps = self.component_count()
         return {
             "nodes": self.node_count,
             "edges": self.edge_count,
-            "components": self.component_count(),
-            "cycles": self.cycle_count(),
+            "components": comps,
+            "cycles": self.edge_count - self.node_count + comps,
             "bridges": self.bridge_count(),
         }
 
@@ -141,37 +191,59 @@ class FlowGraph:
 def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
     """Walk the proof tree and assemble the occurrence graph.
 
-    Shared subproofs are visited once per occurrence (path addressing), so
-    the cost tracks the logical line count, not the DAG size.  Passing the
-    theory tightens theory-axiom matching; without it the structural
-    reading used by the checker's fallback applies.
+    A subproof shared in the DAG is visited once per occurrence in the
+    tree, so the graph has as many vertices as the tree has formula
+    occurrences; the walk costs time linear in that number.  Each distinct
+    node is analyzed once, and every tree occurrence of it shifts the same
+    local edges to its own block.  Passing the theory tightens theory-axiom
+    matching; without it the structural reading used by the checker's
+    fallback applies.
     """
-    nodes: List[Occ] = []
-    formulas: Dict[Occ, Formula] = {}
-    edges: List[Edge] = []
-    stack = [(p, ())]
+    blocks = [(-1, 0, p)]
+    n = _sequent_size(p)
+    us: list = []
+    vs: list = []
+    tags: list = []
+    local: dict = {}  # id(node) -> (conclusion size, local edges), for this call
+    stack = [(p, 0, 0)]  # (node, its block, the block's first id)
     while stack:
-        node, path = stack.pop()
-        c = node.conclusion
-        for side, fs in (("L", c.ant), ("R", c.succ)):
-            for i, f in enumerate(fs):
-                occ = (path, side, i)
-                nodes.append(occ)
-                formulas[occ] = f
-        for end1, end2, tag in step_edges(node, analyze(node, theory)):
-            edges.append((_to_global(end1, path), _to_global(end2, path), tag))
+        node, b, first = stack.pop()
+        info = local.get(id(node))
+        if info is None:
+            info = local[id(node)] = _local_edges(node, analyze(node, theory))
+        nc, edges = info
+        shift = n - nc  # local ids from nc on are the premises' blocks, from id n on
         for j, q in enumerate(node.premises):
-            stack.append((q, path + (j,)))
-    nodes.sort()
-    edges.sort()
-    return FlowGraph(nodes=nodes, edges=edges, formulas=formulas)
+            blocks.append((b, j, q))
+            stack.append((q, len(blocks) - 1, n))
+            n += _sequent_size(q)
+        for a, c, t in edges:
+            us.append(a + (first if a < nc else shift))
+            vs.append(c + (first if c < nc else shift))
+            tags.append(t)
+    return FlowGraph(blocks, n, us, vs, tags)
 
 
-def _to_global(end, path) -> Occ:
-    where, side, i = end
-    if where == "c":
-        return (path, side, i)
-    return (path + (where,), side, i)
+def _sequent_size(node: Proof) -> int:
+    c = node.conclusion
+    return len(c.ant) + len(c.succ)
+
+
+def _local_edges(node: Proof, step) -> tuple:
+    """(conclusion size, edges) of one inference over local ids: the
+    conclusion's occurrences first, then each premise's, each sequent
+    antecedent first; tags are indexes into TAGS."""
+    start = {}  # (where, side) -> local id of that side's first occurrence
+    k = 0
+    for where, s in (("c", node.conclusion), *enumerate(q.conclusion for q in node.premises)):
+        start[where, "L"] = k
+        start[where, "R"] = k = k + len(s.ant)
+        k += len(s.succ)
+    edges = tuple(
+        (start[w1, s1] + i1, start[w2, s2] + i2, _TAG_ID[tag])
+        for (w1, s1, i1), (w2, s2, i2), tag in step_edges(node, step)
+    )
+    return _sequent_size(node), edges
 
 
 def emit_dot(g: FlowGraph, name: str = "flow") -> str:

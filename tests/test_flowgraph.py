@@ -1,19 +1,28 @@
-"""Occurrence graphs: frozen counts, the Euler identity, dot output."""
+"""Occurrence graphs: frozen counts, the Euler identity, dot output, and
+agreement with the path-addressed oracle and with networkx."""
 
 import hashlib
+import tracemalloc
 
+import pytest
+
+import feaslab.flowgraph as flowgraph
+from feaslab.cutelim import eliminate_cuts
 from feaslab.flowgraph import build_flow_graph, emit_dot
 from feaslab.generators import (
     gen_distorted,
+    gen_geometric,
     gen_group_power,
     gen_matrix_power,
     gen_quantifier,
+    gen_rational_orbit,
     gen_square_cut,
     gen_unary,
 )
-from feaslab.kernel import cut, logical_axiom
+from feaslab.kernel import _iter_unique_nodes, cut, logical_axiom, size
 from feaslab.lang import atom, const
 from feaslab.semantics import Mat2
+from flow_oracle import build_oracle_graph
 
 FIB = Mat2(2, 1, 1, 1)
 
@@ -88,12 +97,39 @@ def test_theory_argument_matches_structural_reading():
     assert with_theory == without
 
 
-def test_shared_subproofs_counted_per_occurrence():
-    # gen_distorted builds the conjugator proof twice as one shared object
-    rep = gen_distorted(2)
-    g = build_flow_graph(rep.proof)
-    assert g.node_count > rep.stats.lines  # at least one occ per line
+def test_shared_subproofs_counted_per_occurrence(monkeypatch):
+    # generated proofs are trees; the cut-free square-cut proof is a DAG
+    rep = gen_square_cut(4)
+    cf = eliminate_cuts(rep.proof, rep.theory)
+    distinct = sum(1 for _ in _iter_unique_nodes(cf))
+    assert (distinct, size(cf).lines) == (15, 93)
+    analyzed = []
+    real = flowgraph.analyze
+
+    def counting(node, theory=None):
+        analyzed.append(node)
+        return real(node, theory)
+
+    monkeypatch.setattr(flowgraph, "analyze", counting)
+    g = build_flow_graph(cf, rep.theory)
+    assert g.node_count == 93  # one occurrence per line of the tree
     assert len(set(g.nodes)) == g.node_count  # paths disambiguate
+    assert len(analyzed) == len({id(q) for q in analyzed}) == distinct
+
+
+def test_deep_tree_memory_is_linear():
+    # path tuples made the unary graph's memory grow with the square of its
+    # depth: over 1 GB for n = 8000
+    proof = gen_unary(8000).proof
+    tracemalloc.start()
+    try:
+        g = build_flow_graph(proof)
+        s = g.stats()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s["nodes"] == 24001 and s["cycles"] == 0
+    assert peak < 1000 * s["nodes"]
 
 
 def test_emit_dot_deterministic():
@@ -115,3 +151,57 @@ def test_flow_graphs_frozen(small_proofs):
         for th in (theory, None):
             h.update(emit_dot(build_flow_graph(p, th)).encode())
     assert h.hexdigest() == "e4a435fe6c9b12ac6bf7ca3d864c405dc41408e94fb27a416bdb0f13261c6bdb"
+
+
+def _survey_items():
+    """Every generator family at a small n."""
+    return [
+        gen_unary(4),
+        gen_geometric(4),
+        gen_square_cut(3),
+        gen_quantifier(2),
+        gen_group_power("x", 4, mode="linear"),
+        gen_group_power("x", 3, mode="squaring"),
+        gen_group_power("x", 2, mode="quantifier"),
+        gen_distorted(3),
+        gen_matrix_power(FIB, 2),
+        gen_matrix_power(FIB, 1, mode="quantifier"),
+        gen_rational_orbit(FIB, 0, 2),
+    ]
+
+
+@pytest.fixture(scope="module")
+def oracle_inputs(small_proofs):
+    """(proof, theory) pairs: small_proofs, the survey families at small n,
+    and the cut-free DAGs of square-cut 6 and quantifier 2."""
+    out = list(small_proofs)
+    out += [(r.proof, r.theory) for r in _survey_items()]
+    for r in (gen_square_cut(6), gen_quantifier(2)):
+        out.append((eliminate_cuts(r.proof, r.theory), r.theory))
+    return out
+
+
+def test_matches_path_addressed_oracle(oracle_inputs):
+    for p, theory in oracle_inputs:
+        for th in (theory, None):
+            g, want = build_flow_graph(p, th), build_oracle_graph(p, th)
+            assert g.nodes == want.nodes
+            assert g.edges == want.edges
+            assert g.formulas == want.formulas
+            assert g.stats() == want.stats()
+            assert g.cycle_rank_by_forest() == want.cycle_rank_by_forest()
+            assert emit_dot(g) == emit_dot(want)
+
+
+def test_matches_networkx(oracle_inputs):
+    nx = pytest.importorskip("networkx")
+    for p, theory in oracle_inputs:
+        g = build_flow_graph(p, theory)
+        h = nx.MultiGraph()
+        h.add_nodes_from(g.nodes)
+        h.add_edges_from((u, v) for u, v, _tag in g.edges)
+        forest = sum(1 for _ in nx.minimum_spanning_edges(h, data=False))
+        s = g.stats()
+        assert s["components"] == nx.number_connected_components(h)
+        assert s["bridges"] == sum(1 for _ in nx.bridges(h))
+        assert s["cycles"] == h.number_of_edges() - forest
