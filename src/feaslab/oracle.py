@@ -16,8 +16,11 @@ short proofs and short conjugated words.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from itertools import islice
+from operator import add
+from typing import Optional, Sequence, Tuple
 
 from .generators import gen_distorted
 from .kernel import Proof, size, theory_apply, theory_leaf
@@ -35,9 +38,6 @@ from .semantics import (
 )
 from .theories import arith_feasibility
 
-if TYPE_CHECKING:
-    import numpy as np
-
 
 class OracleError(Exception):
     pass
@@ -50,46 +50,84 @@ class RadiusExhausted(OracleError):
 DEFAULT_BOUND = 100_000
 
 
-def min_tree_table(n_max: int, costs: Tuple[int, int, int] = (1, 1, 1), bound: int = DEFAULT_BOUND) -> np.ndarray:
-    """Minimal derivation-tree lines for F(0)..F(n_max).
+def min_tree_table(n_max: int, costs: Tuple[int, int, int] = (1, 1, 1), bound: int = DEFAULT_BOUND) -> list[int]:
+    """Minimal derivation-tree lines for F(0)..F(n_max), as exact ints.
 
     c[0] = 1 for the base axiom; then
       c[n] = min(c[n-1] + succ, min over a+b=n of c[a]+c[b]+plus,
-                 min over a*b=n of c[a]+c[b]+times).
+                 min over a*b=n of c[a]+c[b]+times),
+    with a, b >= 1 in the sum and a, b >= 2 in the product.
     Subtrees are counted with multiplicity (tree lines, no sharing).
-    Costs must be nonnegative, or a longer derivation scores lower.
+    Costs must be nonnegative ints, or a longer derivation scores lower.
 
-    numpy is imported here, not at module level: it is half the start-up
-    time of `import feaslab`, and only this table needs it.
+    Products are pushed forward: once c[e] is known, every d*e <= n_max
+    with 2 <= d <= e is offered c[d] + c[e] + times, about
+    n_max*ln(n_max)/2 offers in all instead of a trial division per n.
+    The addition split is where the work is, and two prunings keep it
+    small without changing any value:
+
+    - Chain prune.  Successor steps give c[n-1] <= c[n-a] + (a-1)*succ,
+      so a split a + (n-a) can beat c[n-1] + succ only if
+      c[a] + plus < a*succ.  And if a >= 2 and c[a] = c[a-1] + succ, the
+      split (a-1) + (n-a) gives c[n-1] <= c[a] - succ + c[n-a] + plus, so
+      the split cannot beat c[n-1] + succ either.  Only the "useful" k, with
+      c[k] + plus < k*succ and c[k] < c[k-1] + succ, enter the candidate
+      list, and both sides of an improving split are useful.  When
+      successors are cheap (costs 1,0,10**6: c[n] = n+1) no k is, and the
+      table is linear instead of quadratic.
+    - Value prune.  The side of an improving split with the smaller value
+      v has 2*v + plus < best, where best is c[n-1] + succ or the best
+      product.  The useful k are kept sorted by value, so one bisection
+      finds every k that can be that side; the other side is n-k.
+
+    The enumerator below scores every split with no pruning, and the
+    tests compare the table with an unpruned dynamic program.
     """
     if n_max < 0:
         raise OracleError("n must be nonnegative")
     if n_max > bound:
         raise OracleError(f"n={n_max} exceeds the table bound {bound}")
-    if len(costs) != 3 or any(x < 0 for x in costs):
-        raise OracleError(f"costs must be three nonnegative integers succ,plus,times, got {tuple(costs)}")
-    import numpy as np
+    costs = tuple(costs)
+    if len(costs) != 3 or any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in costs):
+        raise OracleError(f"costs must be three nonnegative integers succ,plus,times, got {costs}")
 
     succ_c, plus_c, times_c = costs
-    c = np.zeros(n_max + 1, dtype=np.int64)
-    c[0] = 1
+    c = [1] * (n_max + 1)
+    product: list[Optional[int]] = [None] * (n_max + 1)
+    # the useful k >= 1 and their values, sorted by value, then by k
+    values: list[int] = []
+    useful: list[int] = []
+    value_of = c.__getitem__
     for n in range(1, n_max + 1):
-        best = int(c[n - 1]) + succ_c
-        half = n // 2
-        if half >= 1:
-            adds = c[1 : half + 1] + c[n - 1 : n - half - 1 : -1]
-            best = min(best, int(adds.min()) + plus_c)
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                best = min(best, int(c[d]) + int(c[n // d]) + times_c)
-            d += 1
+        chain = c[n - 1] + succ_c
+        best = chain
+        p = product[n]
+        if p is not None and p < best:
+            best = p
+        count = bisect_right(values, (best - plus_c - 1) // 2)
+        if count:
+            other = map(value_of, map(n.__sub__, islice(useful, count)))
+            split = min(map(add, islice(values, count), other)) + plus_c
+            if split < best:
+                best = split
         c[n] = best
+        if best < chain and best < n * succ_c - plus_c:
+            i = bisect_right(values, best)
+            values.insert(i, best)
+            useful.insert(i, n)
+        with_times = best + times_c
+        m = n + n
+        for d in range(2, min(n, n_max // n) + 1):
+            offer = c[d] + with_times
+            p = product[m]
+            if p is None or offer < p:
+                product[m] = offer
+            m += n
     return c
 
 
 def min_tree_derivation(n: int, costs: Tuple[int, int, int] = (1, 1, 1), bound: int = DEFAULT_BOUND) -> int:
-    return int(min_tree_table(n, costs, bound)[n])
+    return min_tree_table(n, costs, bound)[n]
 
 
 def enumerate_min_proof(n: int, limit: int = 4096) -> Proof:

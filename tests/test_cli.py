@@ -231,6 +231,21 @@ def test_oracle_bad_costs_are_one_error_line(capsys, costs, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "n, costs, value",
+    [
+        # an int64 table wrapped this to -9223372036854775805 and exited 0
+        (3, "3074457345618258603,0,1000", 9223372036854775810),
+        # and this one ended in an OverflowError traceback
+        (5, "4611686018427387904,1,1", 23058430092136939521),
+    ],
+)
+def test_oracle_costs_beyond_int64_are_exact(capsys, n, costs, value):
+    rc, out, err = run(capsys, "oracle", str(n), "--costs", costs)
+    assert rc == 0 and err == ""
+    assert out == f"min-lines F({n}) = {value}\n"
+
+
 def test_oracle_enum_refuses_weighted_costs(capsys):
     # the enumerated proof counts unit-cost lines: comparing it with a
     # weighted table reported a MISMATCH that was no fault of either side

@@ -1,7 +1,10 @@
 """Minimal-derivation baselines and word-metric distances."""
 
-import numpy as np
+from math import isqrt
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feaslab.kernel import check
 from feaslab.lang import group_signature, parse_term
@@ -22,10 +25,22 @@ from feaslab.theories import arith_feasibility
 MIN_LINES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 10, 11, 10, 11, 12, 11, 11]
 
 
+def naive_table(n_max, costs):
+    """The recurrence with every split scored: no pruning, quadratic."""
+    succ_c, plus_c, times_c = costs
+    c = [1]
+    for n in range(1, n_max + 1):
+        options = [c[n - 1] + succ_c]
+        options += [c[a] + c[n - a] + plus_c for a in range(1, n // 2 + 1)]
+        options += [c[d] + c[n // d] + times_c for d in range(2, isqrt(n) + 1) if n % d == 0]
+        c.append(min(options))
+    return c
+
+
 def test_min_tree_table_golden():
     c = min_tree_table(16)
-    assert c.dtype == np.int64
-    assert list(c) == MIN_LINES
+    assert type(c) is list and all(type(x) is int for x in c)
+    assert c == MIN_LINES
     # spot checks: 9 = 3*3 beats eight successors, 16 = 4*4 via two squarings
     assert c[9] == 9
     assert c[16] == 11
@@ -74,6 +89,38 @@ def test_table_refuses_negative_or_missing_costs(costs):
     # a negative cost would score a longer derivation lower: F(16) came out -15
     with pytest.raises(OracleError, match="nonnegative"):
         min_tree_table(16, costs=costs)
+
+
+@pytest.mark.parametrize("costs", [(0.5, 0.5, 0.5), (1, 1.0, 1), (True, 1, 1), ("1", 1, 1)])
+def test_table_refuses_non_int_costs(costs):
+    # (0.5, 0.5, 0.5) was truncated into an int64 array and gave all 1s
+    with pytest.raises(OracleError, match="nonnegative integers"):
+        min_tree_table(16, costs=costs)
+
+
+@settings(deadline=None)
+@given(
+    n_max=st.integers(0, 400),
+    costs=st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12)),
+)
+def test_table_matches_unpruned_dp(n_max, costs):
+    assert min_tree_table(n_max, costs) == naive_table(n_max, costs)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [(1, 1, 1), (1, 1, 0), (1, 0, 10**6), (100, 1, 1)],
+    ids=["unit", "free-times", "linear", "costly-successor"],
+)
+def test_named_regimes_match_unpruned_dp(costs):
+    assert min_tree_table(2000, costs) == naive_table(2000, costs)
+
+
+def test_table_is_exact_beyond_int64():
+    # an int64 table wrapped to -9223372036854775805 here
+    big = 3074457345618258603
+    assert min_tree_table(3, (big, 0, 1000)) == [1, 1 + big, 1 + 2 * big, 1 + 3 * big]
+    assert min_tree_derivation(5, (2**62, 1, 1)) == 1 + 5 * 2**62
 
 
 # ---------------------------------------------------------------------------

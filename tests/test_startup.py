@@ -1,10 +1,11 @@
-"""Importing the package, and running any command but the DP oracle, leaves numpy unloaded.
+"""Importing the package and running its commands, the DP oracle included, never loads numpy.
 
-numpy is about half the start-up time of `import feaslab`, and only
-`oracle.min_tree_table` uses it, so that function imports it when called.
-A module-level `import numpy` anywhere in the package, or in anything it
-imports, would put the cost back on every CLI call; this test runs a fresh
-interpreter, since the test process itself has numpy loaded long before.
+The package depends on nothing outside the standard library: numpy was
+once imported for `oracle.min_tree_table` alone, at about half the
+start-up time of `import feaslab`.  A stray `import numpy` anywhere in the
+package, or in anything it imports, would put that cost back; this test
+runs a fresh interpreter, since the test process itself may have numpy
+loaded long before.
 """
 
 import json
@@ -27,15 +28,20 @@ with contextlib.redirect_stdout(out):
     report["gen_rc"] = feaslab.cli.main(["gen", "square-cut", "3"])
 report["gen_out"] = out.getvalue()
 report["after_gen"] = "numpy" in sys.modules
-c = feaslab.min_tree_table(16)
+c = feaslab.min_tree_table(4096)
 report["after_table"] = "numpy" in sys.modules
-report["dtype"] = str(c.dtype)
-report["table"] = [int(x) for x in c]
+report["table_type"] = type(c).__name__
+report["table"] = c[:17]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    report["oracle_rc"] = feaslab.cli.main(["oracle", "4096"])
+report["oracle_out"] = out.getvalue()
+report["after_oracle"] = "numpy" in sys.modules
 print(json.dumps(report))
 """
 
 
-def test_numpy_loads_only_for_the_dp_table():
+def test_no_command_loads_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -47,6 +53,9 @@ def test_numpy_loads_only_for_the_dp_table():
     assert report["gen_rc"] == 0
     assert report["gen_out"] == "F(256), lines=35, cuts=11, contractions=3\n"
     assert report["after_gen"] is False
-    assert report["after_table"] is True
-    assert report["dtype"] == "int64"
+    assert report["after_table"] is False
+    assert report["table_type"] == "list"
     assert report["table"] == MIN_LINES
+    assert report["oracle_rc"] == 0
+    assert report["oracle_out"] == "min-lines F(4096) = 35\n"
+    assert report["after_oracle"] is False
