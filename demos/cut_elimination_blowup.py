@@ -19,8 +19,8 @@ cf = eliminate_cuts(rep.proof, th)
 assert cf.conclusion == rep.proof.conclusion
 print("cut-free n=3 re-checked:", check(cf, th).lines, "lines")
 
-# a node budget guards against runaway blowup; FEASLAB_NODE_BUDGET does
-# the same thing from the environment
+# a node budget guards against runaway blowup; `feaslab cutfree --budget`
+# sets the same bound from the command line
 try:
     eliminate_cuts(gen_square_cut(8).proof, th, budget=100)
 except NodeBudgetError as e:

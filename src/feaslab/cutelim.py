@@ -8,12 +8,13 @@ and are reported as out of fragment).
 The engine is a multiplicity-aware multicut: mcut(p1, A, p2, k) removes k
 antecedent occurrences of A from p2, pasting p1's context k times.  Left
 contractions on the cut formula bump k instead of re-cutting a grown
-proof, which keeps the recursion descending and makes termination a plain
-lexicographic argument (cut-formula depth, then p2 structure).  Multicut
-results are memoized for the length of one eliminate_cuts call, keyed on
-the identity of (p1, A, p2) and k, so a subproof shared in the input DAG is
-reduced once and its result stays shared in the output: work and memory
-track the DAG while the logical line count grows exponentially.
+proof, which keeps the reduction descending and makes termination a plain
+lexicographic argument (cut-formula depth, then p2 structure).  Multicuts
+are frames on an explicit stack, not Python calls, and their results are
+memoized for the length of one eliminate_cuts call, keyed on the identity
+of (p1, A, p2) and k, so a subproof shared in the input DAG is reduced
+once and its result stays shared in the output: work and memory track the
+DAG while the logical line count grows exponentially.
 
 Each rule's principal formula and consumed occurrences come from the
 kernel's `analyze` step; applied theory axioms take theirs from the rule's
@@ -29,7 +30,7 @@ with the derivation grafted into the matching slot.
 Eigenvariable substitutions (`substitute_proof`) share one memo per call
 too.
 
-A node budget (default 10^6, FEASLAB_NODE_BUDGET overrides) bounds the DAG
+A node budget (default 10^6, the `budget` argument overrides) bounds the DAG
 nodes built: multicut memo misses plus rebuilt inferences.  An elimination
 that would build more aborts with NodeBudgetError.  The line count of the
 output is not bounded; `size` counts it as an exact int, `count_text`
@@ -40,8 +41,6 @@ prints its ratio to the input's without going through a float.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -77,6 +76,8 @@ from .lang import (
     Formula,
     Implies,
     Sequent,
+    _children,
+    fold,
     formula_str,
     free_vars,
     fresh_name,
@@ -95,26 +96,17 @@ class NodeBudgetError(Exception):
 
 
 DEFAULT_NODE_BUDGET = 10**6
-_BUDGET_ENV = "FEASLAB_NODE_BUDGET"
 
 
 def node_budget(override: Optional[int] = None) -> int:
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise NodeBudgetError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
-    return DEFAULT_NODE_BUDGET
+    return DEFAULT_NODE_BUDGET if override is None else int(override)
 
 
 class _State:
     """Per-call state of one eliminate_cuts run.
 
-    mcut_memo maps (id(p1), id(a), id(p2), k) to (result, p1, a, p2); keeping
-    the argument objects alive means no id is reused while the memo lives.
+    mcut_memo maps multicut arguments (p1, a, p2, k) to the result; proofs
+    and formulas hash and compare by identity, and the key keeps them alive.
     subst_memo is substitute_proof's memo, keyed by (proof node, mapping
     items) pairs and shared by every substitution of the run.
     Ticks count the DAG nodes built, multicut memo misses and rebuilt
@@ -144,13 +136,16 @@ class _State:
 
 
 def _in_fragment(f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return True
-    if isinstance(f, Implies):
-        return _in_fragment(f.left) and _in_fragment(f.right)
-    if isinstance(f, Forall):
-        return _in_fragment(f.body)
-    return False
+    return fold(f, _fragment_step, {}, _fragment_children)
+
+
+def _fragment_step(g, vals) -> bool:
+    return isinstance(g, (Atom, Implies, Forall)) and all(vals)
+
+
+def _fragment_children(g) -> tuple:
+    # an atom's value does not depend on its terms
+    return () if g.__class__ is Atom else _children(g)
 
 
 def _count(fs: tuple, f: Formula) -> int:
@@ -220,20 +215,30 @@ def _mcut(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     further a's that are to be kept); the result proves
     Gamma^k, Pi |- Delta^k, Lambda.  Both inputs are cut-free.
 
-    The result depends only on the arguments and the theory, so it is
-    memoized per elimination: a subproof shared in the DAG is reduced once
-    and its result is shared in the output.
+    Each multicut is a `_mcut_step` frame on an explicit stack that yields
+    the (p1, a, p2, k) of each multicut it needs and is sent its result.
+    Results are memoized per elimination, probed before a frame is made, so
+    a subproof shared in the DAG is reduced once and shared in the output.
     """
-    key = (id(p1), id(a), id(p2), k)
-    hit = st.mcut_memo.get(key)
-    if hit is not None:
-        return hit[0]
-    out = _mcut_step(p1, a, p2, k, st)
-    st.mcut_memo[key] = (out, p1, a, p2)
-    return out
+    stack = []  # (args, frame) of each frame waiting on a result
+    call = (p1, a, p2, k)
+    while True:
+        out = st.mcut_memo.get(call)
+        if out is None:  # a new frame starts on None
+            stack.append((call, _mcut_step(*call, st)))
+        while stack:  # run the top frame to its next call or its end
+            args, frame = stack[-1]
+            try:
+                call = frame.send(out)
+                break
+            except StopIteration as stop:
+                st.mcut_memo[args] = out = stop.value
+                stack.pop()
+        else:
+            return out
 
 
-def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
+def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
     st.tick()
     if k == 0:
         return p2
@@ -280,7 +285,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     on_a = step is not None and step.principal is a
 
     if on_a and tag == "WeakenLeft":
-        inner = _mcut(p1, a, p2.premises[0], k - 1, st)
+        inner = yield (p1, a, p2.premises[0], k - 1)
         gamma = p1.conclusion.ant
         delta = _remove_one(p1.conclusion.succ, a)
         for f in gamma:
@@ -292,9 +297,9 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     if on_a and tag == "ContractLeft":
         if k < _count(p2.conclusion.ant, a):
             # enough untouched copies remain to contract afterwards
-            inner = _mcut(p1, a, p2.premises[0], k, st)
+            inner = yield (p1, a, p2.premises[0], k)
             return contract_left(inner, a)
-        inner = _mcut(p1, a, p2.premises[0], k + 1, st)
+        inner = yield (p1, a, p2.premises[0], k + 1)
         for f in p1.conclusion.ant:
             inner = contract_left(inner, f)
         for f in _remove_one(p1.conclusion.succ, a):
@@ -304,9 +309,9 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     # principal on the left of p2?  Fragment cut formulas are never
     # principal for AndLeft, OrLeft, NotLeft or ExistsLeft.
     if on_a and tag == "ImpliesLeft":
-        return _reduce_implies(p1, a, p2, k, st)
+        return (yield from _reduce_implies(p1, a, p2, k, st))
     if on_a and tag == "ForallLeft":
-        return _reduce_forall(p1, a, p2, k, st)
+        return (yield from _reduce_forall(p1, a, p2, k, st))
 
     # context commutation: distribute the quota over the premises
     if tag in ("ForallRight", "ExistsLeft"):
@@ -326,7 +331,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
         avail = _count(q.conclusion.ant, a) if step is None else _kept(p2, step, j, "L", a)
         take = min(avail, remaining)
         remaining -= take
-        new_premises.append(_mcut(p1, a, q, take, st))
+        new_premises.append((yield (p1, a, q, take)))
     if remaining:
         raise FragmentError(
             f"cut formula {formula_str(a)} is tied to rule {tag} in an unsupported way"
@@ -413,8 +418,8 @@ def _swap(premises: tuple, j: int, new) -> tuple:
     return premises[:j] + (new,) + premises[j + 1 :]
 
 
-def _reduce_implies(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
-    """p2 ends with ImpliesLeft on a = B -> C."""
+def _reduce_implies(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
+    """Frame part for p2 ending with ImpliesLeft on a = B -> C."""
     q0, q1 = p2.premises
     k0_avail = _count(q0.conclusion.ant, a)
     k1_avail = _count(q1.conclusion.ant, a)
@@ -423,31 +428,31 @@ def _reduce_implies(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Pro
     ctx = k - 1 if principal else k
     k0 = min(k0_avail, ctx)
     k1 = min(k1_avail, ctx - k0)
-    q0p = _mcut(p1, a, q0, k0, st)
-    q1p = _mcut(p1, a, q1, k1, st)
+    q0p = yield (p1, a, q0, k0)
+    q1p = yield (p1, a, q1, k1)
     if not principal:
         return implies_left(q0p, q1p, a.left, a.right)
     head = _principalize_right(p1, a, st)
     r = head.premises[0]  # B, Gamma |- Delta0, C
-    step1 = _mcut(q0p, a.left, r, 1, st)
-    return _mcut(step1, a.right, q1p, 1, st)
+    step1 = yield (q0p, a.left, r, 1)
+    return (yield (step1, a.right, q1p, 1))
 
 
-def _reduce_forall(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
-    """p2 ends with ForallLeft on a = forall x B, witness t."""
+def _reduce_forall(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
+    """Frame part for p2 ending with ForallLeft on a = forall x B, witness t."""
     (q,) = p2.premises
     t = p2.rule.term
     inst = substitute(a.body, a.v, t)
     avail = _count(q.conclusion.ant, a) - (1 if inst is a else 0)
     principal = k > avail
     ctx = k - 1 if principal else k
-    qp = _mcut(p1, a, q, ctx, st)
+    qp = yield (p1, a, q, ctx)
     if not principal:
         return forall_left(qp, a, t)
     head = _principalize_right(p1, a, st)
     r = head.premises[0]
     r_inst = substitute_proof(r, {head.rule.eigen: t}, st.subst_memo)
-    return _mcut(r_inst, inst, qp, 1, st)
+    return (yield (r_inst, inst, qp, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -458,38 +463,33 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
     """Innermost-first cut elimination; returns a cut-free proof of the
     same end sequent.  Raises FragmentError/NodeBudgetError as documented."""
     st = _State(theory, node_budget(budget))
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 200_000))
-    try:
-        nodes = list(_iter_unique_nodes(p))
-        total = sum(1 for node in nodes if node.rule.tag == "Cut")
-        index = 0
-        done: dict = {}
-        for node in nodes:
-            prems = tuple(done[id(q)] for q in node.premises)
-            if node.rule.tag == "Cut":
-                a = analyze(node).principal
-                if not _in_fragment(a):
-                    raise FragmentError(
-                        f"cut formula {formula_str(a)} lies outside the "
-                        "atom/implication/forall fragment"
-                    )
-                index += 1
-                st.cut = (index, total, a)
-                out = _mcut(prems[0], a, prems[1], 1, st)
-                if out.conclusion != node.conclusion:
-                    raise KernelError(
-                        "internal: cut elimination changed the sequent from "
-                        f"{sequent_brief(node.conclusion)} to {sequent_brief(out.conclusion)}"
-                    )
-            elif all(x is y for x, y in zip(prems, node.premises)):
-                out = node
-            else:
-                out = Proof(node.conclusion, node.rule, prems)
-            done[id(node)] = out
-        return done[id(p)]
-    finally:
-        sys.setrecursionlimit(old)
+    nodes = list(_iter_unique_nodes(p))
+    total = sum(1 for node in nodes if node.rule.tag == "Cut")
+    index = 0
+    done: dict = {}
+    for node in nodes:
+        prems = tuple(done[id(q)] for q in node.premises)
+        if node.rule.tag == "Cut":
+            a = analyze(node).principal
+            if not _in_fragment(a):
+                raise FragmentError(
+                    f"cut formula {formula_str(a)} lies outside the "
+                    "atom/implication/forall fragment"
+                )
+            index += 1
+            st.cut = (index, total, a)
+            out = _mcut(prems[0], a, prems[1], 1, st)
+            if out.conclusion != node.conclusion:
+                raise KernelError(
+                    "internal: cut elimination changed the sequent from "
+                    f"{sequent_brief(node.conclusion)} to {sequent_brief(out.conclusion)}"
+                )
+        elif all(x is y for x, y in zip(prems, node.premises)):
+            out = node
+        else:
+            out = Proof(node.conclusion, node.rule, prems)
+        done[id(node)] = out
+    return done[id(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -364,13 +364,11 @@ def test_emit_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
     assert not f.exists()
 
 
-def test_node_budget_env(monkeypatch, capsys):
-    monkeypatch.setenv("FEASLAB_NODE_BUDGET", "50")
-    rc, _, err = run(capsys, "cutfree", "square-cut", "5")
+def test_node_budget_env(capsys):
+    rc, _, err = run(capsys, "cutfree", "square-cut", "5", "--budget", "50")
     assert rc == 1
     assert "budget" in err
-    monkeypatch.setenv("FEASLAB_NODE_BUDGET", "10000")
-    rc, out, _ = run(capsys, "cutfree", "square-cut", "5")
+    rc, out, _ = run(capsys, "cutfree", "square-cut", "5", "--budget", "10000")
     assert rc == 0
     assert out.startswith("lines 55 -> 189")
 

@@ -16,10 +16,6 @@ from pathlib import Path
 import feaslab
 
 ALLOWED = {
-    frozenset({"_in_fragment"}): "one frame per connective of a cut formula; goes with ROADMAP item 2",
-    frozenset({"_mcut", "_mcut_step", "_reduce_forall", "_reduce_implies"}): (
-        "multicut: a few frames per inference of the cut-free premise it reduces; ROADMAP item 4"
-    ),
     frozenset({"_rat_construction"}): "one frame per node of a small matrix-entry term",
     frozenset({"nat_eq"}): "one frame per level of a power tower",
     frozenset({"nat_log2"}): "one frame per level of a power tower",
@@ -110,13 +106,13 @@ def limit_raisers(tree, module: str) -> set:
     return found
 
 
-def test_recursion_limit_is_raised_only_by_eliminate_cuts():
-    # a raised limit lets a recursive walker grow the C stack past its size;
-    # the multicut is the one walker left that needs it (ROADMAP item 4)
+def test_recursion_limit_is_never_raised():
+    # a raised limit lets a recursive walker grow the C stack past its size,
+    # and changes the interpreter for the whole process
     found = set()
     for path in sorted(Path(feaslab.__file__).parent.glob("*.py")):
         found |= limit_raisers(ast.parse(path.read_text()), path.stem)
-    assert found == {("cutelim", "eliminate_cuts")}
+    assert found == set()
     sample = ast.parse(
         "import sys\n"
         "from sys import setrecursionlimit as raise_limit\n"
