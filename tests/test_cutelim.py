@@ -164,7 +164,8 @@ def test_simple_cut_collapses_to_axiom():
 
 def test_deep_multicut_runs_at_the_default_recursion_limit(monkeypatch):
     # the cut formula A rides through 3,000 weakening/contraction pairs on
-    # B, so the multicut descends 6,000 inferences of a narrow proof
+    # B, so the multicut descends 6,000 inferences of a narrow proof; a
+    # raised recursion limit would hide a recursive multicut, so none takes
     monkeypatch.setattr(sys, "setrecursionlimit", lambda limit: None)
     th = arith_feasibility()
     a, b = atom("F", const("0")), atom("F", app("s", const("0")))
@@ -196,7 +197,6 @@ def test_node_budget_argument():
 
 
 def test_node_budget_environment():
-    # the budget comes from the argument alone, never from the environment
     assert node_budget() == 10**6
     assert node_budget(123) == 123
 
