@@ -6,17 +6,20 @@ from feaslab.flowgraph import build_flow_graph, emit_dot
 from feaslab.generators import gen_square_cut, gen_unary
 
 # a contraction-free proof is a forest
-g = build_flow_graph(gen_unary(6).proof)
+rep = gen_unary(6)
+g = build_flow_graph(rep.proof, rep.theory)
 print("unary:", g.stats())
 
 # each squaring stage contracts once and closes two independent cycles
 for n in (1, 2, 4, 8):
-    g = build_flow_graph(gen_square_cut(n).proof)
+    rep = gen_square_cut(n)
+    g = build_flow_graph(rep.proof, rep.theory)
     s = g.stats()
     print(f"square-cut n={n}: cycles={s['cycles']} bridges={s['bridges']}")
 
 # two independent counts of the first Betti number agree
-g = build_flow_graph(gen_square_cut(3).proof)
+rep = gen_square_cut(3)
+g = build_flow_graph(rep.proof, rep.theory)
 assert g.cycle_count() == g.cycle_rank_by_forest()
 print("Euler identity holds: E - V + C =", g.cycle_count())
 

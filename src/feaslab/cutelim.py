@@ -17,11 +17,11 @@ once and its result stays shared in the output: work and memory track the
 DAG while the logical line count grows exponentially.
 
 Each rule's principal formula and consumed occurrences come from the
-kernel's `analyze` step; applied theory axioms take theirs from the rule's
-instantiation instead, which is cheaper than re-validating it.  A logical
-inference is rebuilt over new premises by `kernel.introduce`, from its rule
-and principal formula, so its shape comes from the kernel's rule table;
-only cut, weakening and contraction have rebuild entries here.
+kernel's `analyze` step, read against the theory, applied theory axioms
+included.  A logical inference is rebuilt over new premises by
+`kernel.introduce`, from its rule and principal formula, so its shape
+comes from the kernel's rule table; only cut, weakening and contraction
+have rebuild entries here.
 
 Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
@@ -172,10 +172,10 @@ _REBUILD = {
 }
 
 
-def _reapply(node: Proof, step: Optional[Step], new_premises: tuple, st: _State) -> Proof:
+def _reapply(node: Proof, step: Step, new_premises: tuple, st: _State) -> Proof:
     """Rebuild node's inference over replacement premises (contexts may
-    have changed; the principal formula comes from the node's step, which
-    applied theory axioms do without)."""
+    have changed; the principal formula comes from the node's step, and an
+    applied theory axiom is re-instantiated from its rule)."""
     st.tick()
     tag = node.rule.tag
     if tag == "TheoryAxiom":
@@ -249,7 +249,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
     r1 = p1.rule.tag
     if r1 == "LogicalAxiom":
         return p2
-    if r1 == "WeakenRight" and analyze(p1).principal is a:
+    if r1 == "WeakenRight" and analyze(p1, st.theory).principal is a:
         inner = p1.premises[0]
         gamma = p1.conclusion.ant
         delta = _remove_one(p1.conclusion.succ, a)
@@ -280,9 +280,8 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
     if tag == "Cut":
         raise KernelError("multicut premises must be cut-free")
 
-    # applied theory axioms consume succedents only, so they need no step
-    step = None if tag == "TheoryAxiom" else analyze(p2)
-    on_a = step is not None and step.principal is a
+    step = analyze(p2, st.theory)
+    on_a = step.principal is a
 
     if on_a and tag == "WeakenLeft":
         inner = yield (p1, a, p2.premises[0], k - 1)
@@ -328,8 +327,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
     remaining = k
     new_premises = []
     for j, q in enumerate(p2.premises):
-        avail = _count(q.conclusion.ant, a) if step is None else _kept(p2, step, j, "L", a)
-        take = min(avail, remaining)
+        take = min(_kept(p2, step, j, "L", a), remaining)
         remaining -= take
         new_premises.append((yield (p1, a, q, take)))
     if remaining:
@@ -360,39 +358,31 @@ def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
         tag = p1.rule.tag
         if tag in ("LogicalAxiom", "EqOracle"):
             raise FragmentError("cut formula of this shape cannot head an axiom leaf")
-        if tag == "TheoryAxiom":
-            if not p1.premises:
-                raise FragmentError("theory leaves conclude atoms only")
-            step = None
-            phis, _psi = st.theory.instantiate(p1.rule.axiom, p1.rule.subst_dict())
-        else:
-            step = analyze(p1)
-            on_a = step.principal is a
-            if on_a and tag in ("ImpliesRight", "ForallRight"):
-                head = p1
-                break
-            if on_a and tag == "WeakenRight":
-                q = p1.premises[0]
-                if isinstance(a, Implies):
-                    body = weaken_right(weaken_left(q, a.left), a.right)
-                    head = implies_right(body, a.left, a.right)
-                elif isinstance(a, Forall):
-                    e = fresh_name("w", _names_around(p1))
-                    body = weaken_right(q, substitute(a.body, a.v, var(e)))
-                    head = forall_right(body, a, e)
-                else:
-                    raise FragmentError("cannot principalize a weakened cut formula of this shape")
-                break
-            if on_a and tag == "ContractRight":
-                raise FragmentError(
-                    "right contraction on the cut formula is outside the supported fragment"
-                )
-        for j, q in enumerate(p1.premises):
-            if step is None:
-                kept = _count(q.conclusion.succ, a) - (1 if phis[j] is a else 0)
+        if tag == "TheoryAxiom" and not p1.premises:
+            raise FragmentError("theory leaves conclude atoms only")
+        step = analyze(p1, st.theory)
+        on_a = step.principal is a
+        if on_a and tag in ("ImpliesRight", "ForallRight"):
+            head = p1
+            break
+        if on_a and tag == "WeakenRight":
+            q = p1.premises[0]
+            if isinstance(a, Implies):
+                body = weaken_right(weaken_left(q, a.left), a.right)
+                head = implies_right(body, a.left, a.right)
+            elif isinstance(a, Forall):
+                e = fresh_name("w", _names_around(p1))
+                body = weaken_right(q, substitute(a.body, a.v, var(e)))
+                head = forall_right(body, a, e)
             else:
-                kept = _kept(p1, step, j, "R", a)
-            if kept > 0:
+                raise FragmentError("cannot principalize a weakened cut formula of this shape")
+            break
+        if on_a and tag == "ContractRight":
+            raise FragmentError(
+                "right contraction on the cut formula is outside the supported fragment"
+            )
+        for j, q in enumerate(p1.premises):
+            if _kept(p1, step, j, "R", a) > 0:
                 break
         else:
             raise FragmentError(
@@ -470,7 +460,7 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
     for node in nodes:
         prems = tuple(done[id(q)] for q in node.premises)
         if node.rule.tag == "Cut":
-            a = analyze(node).principal
+            a = analyze(node, theory).principal
             if not _in_fragment(a):
                 raise FragmentError(
                     f"cut formula {formula_str(a)} lies outside the "

@@ -188,16 +188,14 @@ class FlowGraph:
         }
 
 
-def build_flow_graph(p: Proof, theory=None) -> FlowGraph:
+def build_flow_graph(p: Proof, theory) -> FlowGraph:
     """Walk the proof tree and assemble the occurrence graph.
 
     A subproof shared in the DAG is visited once per occurrence in the
     tree, so the graph has as many vertices as the tree has formula
     occurrences; the walk costs time linear in that number.  Each distinct
-    node is analyzed once, and every tree occurrence of it shifts the same
-    local edges to its own block.  Passing the theory tightens theory-axiom
-    matching; without it the structural reading used by the checker's
-    fallback applies.
+    node is analyzed once, against the theory, and every tree occurrence
+    of it shifts the same local edges to its own block.
     """
     blocks = [(-1, 0, p)]
     n = _sequent_size(p)

@@ -26,11 +26,11 @@ like |- F(n) possible at all; with leaves only, no right rule could ever
 discharge the antecedents.
 
 `analyze` is the single source of truth for rule correctness and for the
-occurrence-level correspondences.  It validates one inference and returns
-its `Step`: the principal formula, its occurrence in the conclusion, the
-premise occurrences the rule consumes and the tag of the edges that link
-them.  The checker, the flow-graph builder (through `step_edges`) and cut
-elimination all consume that step.
+occurrence-level correspondences.  It validates one inference against the
+theory and returns its `Step`: the principal formula, its occurrence in
+the conclusion, the premise occurrences the rule consumes and the tag of
+the edges that link them.  The checker, the flow-graph builder (through `step_edges`) and cut
+elimination all consume that step, for every rule.
 
 Proof files keep the sharing: `serialize_proof` writes each distinct term,
 formula and proof node once, as a flat JSON table whose entries refer to
@@ -400,15 +400,13 @@ def _same(xs: tuple, ys: tuple) -> bool:
     return len(xs) == len(ys) and sorted(map(id, xs)) == sorted(map(id, ys))
 
 
-def analyze(node: Proof, theory=None) -> Step:
-    """Validate one inference step and return its Step.
+def analyze(node: Proof, theory) -> Step:
+    """Validate one inference step against the theory and return its Step.
 
     Raises CheckError naming the node when the step is not a valid
     instance of its rule.  When several formulas could be principal, the
     first match wins, in conclusion order (for Cut, in the order of the
-    left premise's succedent).  When no theory is given,
-    theory-axiom steps are matched structurally (shape only), which
-    suffices for flow building on canonically built proofs.
+    left premise's succedent).
     """
     tag = node.rule.tag
     c = node.conclusion
@@ -426,10 +424,9 @@ def analyze(node: Proof, theory=None) -> Step:
         f = c.succ[0]
         if not (isinstance(f, Atom) and f.pred == "="):
             fail("equality oracle concludes an equation")
-        if theory is not None:
-            verdict = theory.oracle(f.args[0], f.args[1])
-            if verdict != "equal":
-                fail(f"oracle verdict for {formula_str(f)} is {verdict!r}")
+        verdict = theory.oracle(f.args[0], f.args[1])
+        if verdict != "equal":
+            fail(f"oracle verdict for {formula_str(f)} is {verdict!r}")
         return Step(f, ("c", "R", 0), (), "axiom-link")
 
     if tag == "TheoryAxiom":
@@ -579,53 +576,32 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
     fail = lambda msg: _fail(node, msg)
     if not c.succ:
         fail("theory axiom concludes a formula on the right")
-    if theory is not None:
-        name = node.rule.axiom
-        if name not in theory.axioms:
-            fail(f"unknown axiom {name!r}")
-        subst = node.rule.subst_dict()
-        schema = theory.axioms[name]
-        if set(subst) != set(schema.vars):
-            fail(f"instantiation must cover exactly {schema.vars}")
-        phis, psi = theory.instantiate(name, subst)
-        theory.validate_instantiation(name, subst, psi)
-        if not node.premises:
-            if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
-                fail("leaf does not match the instantiated schema")
-            return Step(psi, ("c", "R", 0), _leaf_links(c), "axiom-link")
-        if len(node.premises) != len(phis):
-            fail(f"applied form needs {len(phis)} premises")
-        consumed = []
-        for k, q in enumerate(node.premises):
-            i = _first_index(q.conclusion.succ, phis[k])
-            if i < 0:
-                fail(f"premise {k} must prove {formula_str(phis[k])} on the right")
-            consumed.append((k, "R", i))
-        ant = tuple(f for q in node.premises for f in q.conclusion.ant)
-        succ = tuple(f for q in node.premises for f in q.conclusion.succ)
-        if not _same(ant, c.ant) or not _same(succ + (psi,), c.succ + phis):
-            fail("applied form context mismatch")
-        return Step(psi, ("c", "R", _first_index(c.succ, psi)), tuple(consumed), "axiom-link")
-    # no theory: structural fallback used by flow building
-    psi_at = len(c.succ) - 1
+    name = node.rule.axiom
+    if name not in theory.axioms:
+        fail(f"unknown axiom {name!r}")
+    subst = node.rule.subst_dict()
+    schema = theory.axioms[name]
+    if set(subst) != set(schema.vars):
+        fail(f"instantiation must cover exactly {schema.vars}")
+    phis, psi = theory.instantiate(name, subst)
+    theory.validate_instantiation(name, subst, psi)
     if not node.premises:
-        return Step(c.succ[psi_at], ("c", "R", psi_at), _leaf_links(c), "axiom-link")
-    leftover = Counter()
-    for q in node.premises:
-        leftover += Counter(q.conclusion.succ)
-    leftover -= Counter(c.succ) - Counter((c.succ[psi_at],))
+        if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
+            fail("leaf does not match the instantiated schema")
+        return Step(psi, ("c", "R", 0), _leaf_links(c), "axiom-link")
+    if len(node.premises) != len(phis):
+        fail(f"applied form needs {len(phis)} premises")
     consumed = []
     for k, q in enumerate(node.premises):
-        pick = -1
-        for i, f in enumerate(q.conclusion.succ):
-            if leftover.get(f, 0) > 0:
-                pick = i
-                leftover[f] -= 1
-                break
-        if pick < 0:
-            fail("cannot infer the consumed succedents without a theory")
-        consumed.append((k, "R", pick))
-    return Step(c.succ[psi_at], ("c", "R", psi_at), tuple(consumed), "axiom-link")
+        i = _first_index(q.conclusion.succ, phis[k])
+        if i < 0:
+            fail(f"premise {k} must prove {formula_str(phis[k])} on the right")
+        consumed.append((k, "R", i))
+    ant = tuple(f for q in node.premises for f in q.conclusion.ant)
+    succ = tuple(f for q in node.premises for f in q.conclusion.succ)
+    if not _same(ant, c.ant) or not _same(succ + (psi,), c.succ + phis):
+        fail("applied form context mismatch")
+    return Step(psi, ("c", "R", _first_index(c.succ, psi)), tuple(consumed), "axiom-link")
 
 
 # ---------------------------------------------------------------------------
@@ -640,21 +616,11 @@ class SizeStats:
 
 
 def _iter_unique_nodes(p: Proof):
-    """Distinct Proof objects, premises before conclusions."""
-    seen = set()
-    stack = [(p, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            yield node
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for q in node.premises:
-            if id(q) not in seen:
-                stack.append((q, False))
+    """Distinct Proof objects, premises before conclusions, the last
+    premise's subproof first."""
+    memo: dict = {}
+    fold(p, lambda node, vals: None, memo, children=lambda node: node.premises[::-1])
+    return iter(memo)
 
 
 def _size_step(node: Proof, vals: list) -> tuple:

@@ -339,15 +339,9 @@ def free_vars(x) -> frozenset:
 
 def dag_size(x) -> int:
     """Number of distinct nodes in the term/formula DAG."""
-    seen = set()
-    stack = [x]
-    while stack:
-        y = stack.pop()
-        if id(y) in seen:
-            continue
-        seen.add(id(y))
-        stack.extend(_children(y))
-    return len(seen)
+    memo: dict = {}
+    fold(x, lambda y, vals: None, memo)
+    return len(memo)
 
 
 _tree_size_cache: dict = {}

@@ -396,11 +396,18 @@ class ExtRational:
 INF = ExtRational(None)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SemanticsError(f"not a rational number: {text!r}") from None
+
+
 def parse_ext_rational(text: str) -> ExtRational:
     text = text.strip()
     if text == "inf":
         return INF
-    return ExtRational(Fraction(text))
+    return ExtRational(_fraction(text))
 
 
 # interned terms are immutable, so values can be cached for the process
@@ -540,7 +547,7 @@ def parse_mat2(text: str) -> Mat2:
         parts = row.split()
         if len(parts) != 2:
             raise SemanticsError(f"expected two entries per row in {text!r}")
-        entries.extend(Fraction(p) for p in parts)
+        entries.extend(_fraction(p) for p in parts)
     return Mat2(*entries)
 
 

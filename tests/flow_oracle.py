@@ -132,7 +132,7 @@ class OracleGraph:
         }
 
 
-def build_oracle_graph(p: Proof, theory=None) -> OracleGraph:
+def build_oracle_graph(p: Proof, theory) -> OracleGraph:
     """Walk the proof tree and assemble the occurrence graph, analyzing
     every tree occurrence of a node afresh and addressing each formula
     occurrence by its path."""

@@ -228,10 +228,12 @@ def test_criterion_07_torus_growth():
 
 def test_criterion_08_flow_cycles():
     for n in range(1, 11):
-        assert build_flow_graph(gen_unary(n).proof).cycle_count() == 0
+        rep = gen_unary(n)
+        assert build_flow_graph(rep.proof, rep.theory).cycle_count() == 0
     prev = 0
     for n in range(1, 11):
-        g = build_flow_graph(gen_square_cut(n).proof)
+        rep = gen_square_cut(n)
+        g = build_flow_graph(rep.proof, rep.theory)
         c = g.cycle_count()
         assert c > 0 and c >= prev
         assert c == 2 * n

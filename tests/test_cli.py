@@ -187,6 +187,23 @@ def test_orbit_through_infinity(capsys):
     assert out.splitlines() == ["0 0", "1 inf", "2 0"]
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("orbit", "--x", "1/0"), "1/0"),
+        (("orbit", "--x", "abc"), "abc"),
+        (("orbit", "--x", "nan"), "nan"),
+        (("gen", "matrix-power", "1", "--matrix", "(1/0 1; 1 1)"), "1/0"),
+        (("cutfree", "rational-orbit", "1", "--x", "1/0"), "1/0"),
+    ],
+)
+def test_malformed_rational_is_one_error_line(capsys, argv, text):
+    # each ended in a ZeroDivisionError or ValueError traceback from Fraction
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: not a rational number: {text!r}\n"
+
+
 def test_oracle_with_enumeration(capsys):
     rc, out, _ = run(capsys, "oracle", "16", "--enum")
     assert rc == 0

@@ -22,6 +22,7 @@ from feaslab.generators import (
 from feaslab.kernel import _iter_unique_nodes, cut, logical_axiom, size
 from feaslab.lang import atom, const
 from feaslab.semantics import Mat2
+from feaslab.theories import arith_feasibility
 from flow_oracle import build_oracle_graph
 
 FIB = Mat2(2, 1, 1, 1)
@@ -30,7 +31,7 @@ FIB = Mat2(2, 1, 1, 1)
 def test_single_cut_graph():
     a = atom("F", const("0"))
     p = cut(logical_axiom(a), logical_axiom(a), a)
-    g = build_flow_graph(p)
+    g = build_flow_graph(p, arith_feasibility())
     # root sequent has 1 occurrence, each axiom leaf 2, plus cut-link
     assert g.stats() == {
         "nodes": 6,
@@ -47,10 +48,12 @@ def test_single_cut_graph():
 
 def test_unary_graphs_are_trees():
     for n in range(1, 11):
-        g = build_flow_graph(gen_unary(n).proof)
+        rep = gen_unary(n)
+        g = build_flow_graph(rep.proof, rep.theory)
         assert g.cycle_count() == 0
         assert g.component_count() == 1
-    g = build_flow_graph(gen_unary(5).proof)
+    rep = gen_unary(5)
+    g = build_flow_graph(rep.proof, rep.theory)
     assert g.node_count == 16
     assert g.edge_count == 15
 
@@ -58,7 +61,8 @@ def test_unary_graphs_are_trees():
 def test_square_cut_cycles_grow_linearly():
     # one contraction per squaring stage closes two independent cycles
     for n in (1, 2, 3, 5, 10):
-        g = build_flow_graph(gen_square_cut(n).proof)
+        rep = gen_square_cut(n)
+        g = build_flow_graph(rep.proof, rep.theory)
         s = g.stats()
         assert s["components"] == 1
         assert s["cycles"] == 2 * n
@@ -68,33 +72,27 @@ def test_square_cut_cycles_grow_linearly():
 def test_cycles_nondecreasing_and_positive():
     prev = 0
     for n in range(1, 11):
-        c = build_flow_graph(gen_square_cut(n).proof).cycle_count()
+        rep = gen_square_cut(n)
+        c = build_flow_graph(rep.proof, rep.theory).cycle_count()
         assert c > 0
         assert c >= prev
         prev = c
 
 
 def test_euler_identity_across_families():
-    proofs = [
-        gen_unary(4).proof,
-        gen_square_cut(3).proof,
-        gen_quantifier(1).proof,
-        gen_group_power("x", 3, mode="squaring").proof,
-        gen_group_power("x", 1, mode="quantifier").proof,
-        gen_distorted(2).proof,
-        gen_matrix_power(FIB, 1).proof,
+    reports = [
+        gen_unary(4),
+        gen_square_cut(3),
+        gen_quantifier(1),
+        gen_group_power("x", 3, mode="squaring"),
+        gen_group_power("x", 1, mode="quantifier"),
+        gen_distorted(2),
+        gen_matrix_power(FIB, 1),
     ]
-    for p in proofs:
-        g = build_flow_graph(p)
+    for rep in reports:
+        g = build_flow_graph(rep.proof, rep.theory)
         assert g.cycle_count() == g.cycle_rank_by_forest()
         assert g.cycle_count() == g.edge_count - g.node_count + g.component_count()
-
-
-def test_theory_argument_matches_structural_reading():
-    rep = gen_square_cut(2)
-    with_theory = build_flow_graph(rep.proof, rep.theory).stats()
-    without = build_flow_graph(rep.proof).stats()
-    assert with_theory == without
 
 
 def test_shared_subproofs_counted_per_occurrence(monkeypatch):
@@ -106,7 +104,7 @@ def test_shared_subproofs_counted_per_occurrence(monkeypatch):
     analyzed = []
     real = flowgraph.analyze
 
-    def counting(node, theory=None):
+    def counting(node, theory):
         analyzed.append(node)
         return real(node, theory)
 
@@ -120,10 +118,10 @@ def test_shared_subproofs_counted_per_occurrence(monkeypatch):
 def test_deep_tree_memory_is_linear():
     # path tuples made the unary graph's memory grow with the square of its
     # depth: over 1 GB for n = 8000
-    proof = gen_unary(8000).proof
+    rep = gen_unary(8000)
     tracemalloc.start()
     try:
-        g = build_flow_graph(proof)
+        g = build_flow_graph(rep.proof, rep.theory)
         s = g.stats()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -134,8 +132,8 @@ def test_deep_tree_memory_is_linear():
 
 def test_emit_dot_deterministic():
     rep = gen_square_cut(1)
-    g1 = build_flow_graph(rep.proof)
-    g2 = build_flow_graph(rep.proof)
+    g1 = build_flow_graph(rep.proof, rep.theory)
+    g2 = build_flow_graph(rep.proof, rep.theory)
     assert emit_dot(g1) == emit_dot(g2)
     text = emit_dot(g1, name="blowup")
     assert text.startswith("graph blowup {")
@@ -145,12 +143,11 @@ def test_emit_dot_deterministic():
 
 
 def test_flow_graphs_frozen(small_proofs):
-    # pins every occurrence, label, edge and tag, with and without the theory
+    # pins every occurrence, label, edge and tag
     h = hashlib.sha256()
     for p, theory in small_proofs:
-        for th in (theory, None):
-            h.update(emit_dot(build_flow_graph(p, th)).encode())
-    assert h.hexdigest() == "e4a435fe6c9b12ac6bf7ca3d864c405dc41408e94fb27a416bdb0f13261c6bdb"
+        h.update(emit_dot(build_flow_graph(p, theory)).encode())
+    assert h.hexdigest() == "982d1184800c6ed30e6017b7746e8da183b6a1530c1f1926036f82f75e2ab6c2"
 
 
 def _survey_items():
@@ -183,14 +180,13 @@ def oracle_inputs(small_proofs):
 
 def test_matches_path_addressed_oracle(oracle_inputs):
     for p, theory in oracle_inputs:
-        for th in (theory, None):
-            g, want = build_flow_graph(p, th), build_oracle_graph(p, th)
-            assert g.nodes == want.nodes
-            assert g.edges == want.edges
-            assert g.formulas == want.formulas
-            assert g.stats() == want.stats()
-            assert g.cycle_rank_by_forest() == want.cycle_rank_by_forest()
-            assert emit_dot(g) == emit_dot(want)
+        g, want = build_flow_graph(p, theory), build_oracle_graph(p, theory)
+        assert g.nodes == want.nodes
+        assert g.edges == want.edges
+        assert g.formulas == want.formulas
+        assert g.stats() == want.stats()
+        assert g.cycle_rank_by_forest() == want.cycle_rank_by_forest()
+        assert emit_dot(g) == emit_dot(want)
 
 
 def test_matches_networkx(oracle_inputs):
