@@ -18,10 +18,11 @@ DAG while the logical line count grows exponentially.
 
 Each rule's principal formula and consumed occurrences come from the
 kernel's `analyze` step, read against the theory, applied theory axioms
-included.  A logical inference is rebuilt over new premises by
-`kernel.introduce`, from its rule and principal formula, so its shape
-comes from the kernel's rule table; only cut, weakening and contraction
-have rebuild entries here.
+included; for an input that `check` verified against the same theory
+object, that is the Step check recorded.  A logical inference is rebuilt
+over new premises by `kernel.introduce`, from its rule and principal
+formula, so its shape comes from the kernel's rule table; only cut,
+weakening and contraction have rebuild entries here.
 
 Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom

@@ -29,8 +29,12 @@ discharge the antecedents.
 occurrence-level correspondences.  It validates one inference against the
 theory and returns its `Step`: the principal formula, its occurrence in
 the conclusion, the premise occurrences the rule consumes and the tag of
-the edges that link them.  The checker, the flow-graph builder (through `step_edges`) and cut
-elimination all consume that step, for every rule.
+the edges that link them.  The checker, the flow-graph builder (through
+`step_edges`) and cut elimination all consume that step, for every rule.
+`check` records each Step it verifies on the node, with the theory
+object, and `analyze` returns the record for that same theory: after
+`check`, the flow graph and cut elimination read the proof's Steps
+instead of re-deriving them.
 
 Proof files keep the sharing: `serialize_proof` writes each distinct term,
 formula and proof node once, as a flat JSON table whose entries refer to
@@ -162,23 +166,37 @@ class Rule:
 
 class Proof:
     """One node of a proof DAG.  Premises may be shared as Python objects;
-    all size accounting still counts them once per occurrence."""
+    all size accounting still counts them once per occurrence.
 
-    __slots__ = ("conclusion", "rule", "premises")
+    `_checked` is (theory, Step) once `check` has verified the node against
+    that theory object, else None; `analyze` returns the recorded Step for
+    the same theory.  The record lives exactly as long as the node.
+    """
+
+    __slots__ = ("conclusion", "rule", "premises", "_checked")
 
     def __init__(self, conclusion: Sequent, rule: Rule, premises: tuple = ()):
         expected = _ARITY.get(rule.tag)
         if expected is not None and len(premises) != expected:
             raise KernelError(f"{rule.tag} takes {expected} premises, got {len(premises)}")
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", tuple(premises))
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_premises(self, tuple(premises))
+        _set_checked(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("proofs are immutable")
 
     def __repr__(self):
         return f"<Proof {self.rule.tag}: {sequent_brief(self.conclusion)}>"
+
+
+# The slots' own setters: they pass by the raising __setattr__, and cost
+# less than object.__setattr__, which looks the name up on every call.
+_set_conclusion = Proof.conclusion.__set__
+_set_rule = Proof.rule.__set__
+_set_premises = Proof.premises.__set__
+_set_checked = Proof._checked.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +425,19 @@ def analyze(node: Proof, theory) -> Step:
     instance of its rule.  When several formulas could be principal, the
     first match wins, in conclusion order (for Cut, in the order of the
     left premise's succedent).
+
+    A node that `check` verified against this same theory object returns
+    the Step recorded then, without analyzing again: nodes are immutable
+    and formulas interned, so the Step cannot have changed.  Against any
+    other theory the node is analyzed afresh.  Errors are never recorded.
     """
+    rec = node._checked
+    if rec is not None and rec[0] is theory:
+        return rec[1]
+    return _analyze(node, theory)
+
+
+def _analyze(node: Proof, theory) -> Step:
     tag = node.rule.tag
     c = node.conclusion
     ps = [q.conclusion for q in node.premises]
@@ -615,11 +645,15 @@ class SizeStats:
     contraction_count: int
 
 
+def _premises_reversed(node: Proof) -> tuple:
+    return node.premises[::-1]
+
+
 def _iter_unique_nodes(p: Proof):
     """Distinct Proof objects, premises before conclusions, the last
     premise's subproof first."""
     memo: dict = {}
-    fold(p, lambda node, vals: None, memo, children=lambda node: node.premises[::-1])
+    fold(p, lambda node, vals: None, memo, children=_premises_reversed)
     return iter(memo)
 
 
@@ -671,18 +705,31 @@ def _wellformed(root, sig: Signature, memo: set):
 
 
 def check(p: Proof, theory) -> SizeStats:
-    """Validate every inference in p against the theory; return sizes."""
+    """Validate every inference in p against the theory; return sizes.
+
+    One fold over the DAG visits each distinct node once, in the order of
+    `_iter_unique_nodes`, so the first error reported is that of the first
+    bad node in that order.  On each node it verifies, check records the
+    Step together with the theory object (`Proof._checked`), and `analyze`
+    on that node and theory returns it: the flow-graph builder and cut
+    elimination read what check verified instead of verifying it again.
+    """
+    sig = theory.signature
     wf_memo: set = set()
-    for node in _iter_unique_nodes(p):
+
+    def step(node: Proof, vals: list) -> tuple:
         for f in node.conclusion.ant + node.conclusion.succ:
-            _wellformed(f, theory.signature, wf_memo)
+            _wellformed(f, sig, wf_memo)
         if node.rule.term is not None:
-            _wellformed(node.rule.term, theory.signature, wf_memo)
+            _wellformed(node.rule.term, sig, wf_memo)
         if node.rule.subst is not None:
             for _, t in node.rule.subst:
-                _wellformed(t, theory.signature, wf_memo)
-        analyze(node, theory)
-    return size(p)
+                _wellformed(t, sig, wf_memo)
+        _set_checked(node, (theory, analyze(node, theory)))
+        return _size_step(node, vals)
+
+    lines, cuts, contractions = fold(p, step, {}, children=_premises_reversed)
+    return SizeStats(lines=lines, cut_count=cuts, contraction_count=contractions)
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,9 @@ def _children(x):
     raise LangError(f"not a term or formula: {x!r}")
 
 
+_MISSING = object()  # memo values may be None
+
+
 def fold(x, step, memo: dict, children=_children):
     """memo[x] = step(x, [memo[c] for c in children(x)]), computed for
     every node below x that memo lacks, children first.
@@ -305,10 +308,9 @@ def fold(x, step, memo: dict, children=_children):
     can be walked once `children` is given (`kernel.size` folds a proof
     DAG over its premises).
     """
-    try:
-        return memo[x]
-    except KeyError:
-        pass
+    out = memo.get(x, _MISSING)
+    if out is not _MISSING:
+        return out
     stack = [(x, children(x))]  # nodes entered, not finished
     while stack:
         y, kids = stack[-1]

@@ -80,7 +80,15 @@ class AxiomSchema:
 
 
 class Theory:
-    """Signature + axiom schemas + equality oracle."""
+    """Signature + axiom schemas + equality oracle.
+
+    A theory keeps the instances it has built: `instantiate` stores the
+    (antecedent, succedent) of each successful instantiation under the
+    axiom name and the substituted terms in the schema's variable order,
+    and a repeated instantiation returns the stored pair.  Terms and
+    formulas are interned, so the pair is the one a fresh theory would
+    build.  The table holds formulas and terms, never proofs.
+    """
 
     def __init__(
         self,
@@ -97,6 +105,7 @@ class Theory:
         self._oracle = oracle
         self._evaluate = evaluate
         self._validate = validate
+        self._instances: dict = {}
 
     def oracle(self, lhs: Term, rhs: Term) -> str:
         if lhs is rhs:
@@ -109,7 +118,10 @@ class Theory:
         return self._evaluate(t)
 
     def instantiate(self, name: str, subst: dict):
-        """(antecedent formulas, succedent formula) of an instance."""
+        """(antecedent formulas, succedent formula) of an instance.
+
+        The arguments are validated on every call, so a bad instantiation
+        raises TheoryError each time; only a successful one is stored."""
         schema = self.axioms.get(name)
         if schema is None:
             raise TheoryError(f"theory {self.name} has no axiom {name!r}")
@@ -120,9 +132,13 @@ class Theory:
         for v, t in subst.items():
             if not isinstance(t, Term):
                 raise TheoryError(f"instantiation for {v} is not a term")
-        ant = tuple(subst_formula(f, subst) for f in schema.antecedent)
-        succ = subst_formula(schema.succedent, subst)
-        return ant, succ
+        # one flat tuple, the smallest key that names the instance
+        key = (name, *map(subst.__getitem__, schema.vars))
+        out = self._instances.get(key)
+        if out is None:
+            ant = tuple(subst_formula(f, subst) for f in schema.antecedent)
+            out = self._instances[key] = (ant, subst_formula(schema.succedent, subst))
+        return out
 
     def validate_instantiation(self, name: str, subst: dict, succedent: Formula):
         """Raise TheoryError for an inadmissible instance; succedent is

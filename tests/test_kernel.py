@@ -1,12 +1,16 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import astuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from feaslab.cutelim import _State, _reapply
+from feaslab import kernel
+from feaslab.cutelim import _State, _reapply, eliminate_cuts
+from feaslab.flowgraph import build_flow_graph, emit_dot
 from feaslab.kernel import (
     FORMAT,
     RULE_TAGS,
@@ -65,7 +69,12 @@ from feaslab.generators import (
     gen_unary,
 )
 from feaslab.semantics import mat2
-from feaslab.theories import TheoryError, arith_feasibility, rational_feasibility
+from feaslab.theories import (
+    TheoryError,
+    arith_feasibility,
+    group_feasibility,
+    rational_feasibility,
+)
 from fractions import Fraction
 
 from nested_format import serialize_nested
@@ -565,3 +574,105 @@ def test_analyze_verdicts_frozen(small_proofs):
     assert (records, accepted) == (3001, 441)
     assert h.hexdigest() == "9b310d19b3affa33e39268af106a2257efc8ec7c10bebfe542888919a0d11e3f"
 
+
+
+# ---------------------------------------------------------------------------
+# Steps recorded by check
+
+
+def _counting_analysis(monkeypatch) -> list:
+    """Patch the kernel's analysis behind `analyze`; returns the list of
+    nodes it is run on."""
+    seen = []
+    real = kernel._analyze
+
+    def counting(node, theory):
+        seen.append(node)
+        return real(node, theory)
+
+    monkeypatch.setattr(kernel, "_analyze", counting)
+    return seen
+
+
+def test_a_rejected_inference_stays_rejected():
+    leaf = theory_leaf(TH, "F(0)", {})
+    ok = theory_apply(TH, "F:successor", {"x": int_term(0, SIG)}, [leaf])
+    bad = Proof(Sequent((), (F(int_term(2, SIG)),)), ok.rule, ok.premises)
+    messages = []
+    for judge in (check, check, analyze):
+        with pytest.raises(CheckError) as info:
+            judge(bad, TH)
+        messages.append(str(info.value))
+    assert messages == [messages[0]] * 3
+    assert "applied form context mismatch" in messages[0]
+    # the premise was verified and recorded on the way; the root never is
+    assert leaf._checked[0] is TH and bad._checked is None
+
+
+def test_a_record_serves_only_its_theory(monkeypatch):
+    p = theory_apply(TH, "F:successor", {"x": int_term(0, SIG)}, [theory_leaf(TH, "F(0)", {})])
+    check(p, TH)
+    seen = _counting_analysis(monkeypatch)
+    assert analyze(p, TH) is p._checked[1]
+    assert seen == []
+    # another theory object is asked afresh and gives its own verdict
+    assert analyze(p, arith_feasibility()) == analyze(p, TH)
+    assert seen == [p]
+    with pytest.raises(CheckError, match="unknown axiom 'F:successor'"):
+        analyze(p, group_feasibility(("x",)))
+    assert p._checked[0] is TH
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_square_cut(3),
+        lambda: gen_quantifier(1),
+        lambda: gen_group_power("x", 1, mode="quantifier"),
+        lambda: gen_distorted(1),
+    ],
+)
+def test_check_records_serve_flow_graphs_and_cut_elimination(monkeypatch, make):
+    rep = make()
+    p, th = rep.proof, rep.theory
+    check(p, th)
+    nodes = set(_iter_unique_nodes(p))
+    seen = _counting_analysis(monkeypatch)
+    g = build_flow_graph(p, th)
+    cf = eliminate_cuts(p, th)
+    assert not nodes.intersection(seen)
+    # a fresh theory of the same kind analyzes every node again, to the
+    # same graph and the same cut-free proof
+    fresh = make().theory
+    g_fresh = build_flow_graph(p, fresh)
+    assert nodes <= set(seen)
+    assert emit_dot(g) == emit_dot(g_fresh)
+    assert g.stats() == g_fresh.stats()
+    assert serialize_proof(cf) == serialize_proof(eliminate_cuts(p, fresh))
+
+
+def test_dropped_checked_proofs_free_their_memory():
+    # a record points from the node to the theory, never back, so a
+    # long-lived theory keeps no checked proof alive
+    th = arith_feasibility()
+
+    def checked_proofs():
+        proofs = [gen_square_cut(4).proof for _ in range(200)]
+        for p in proofs:
+            check(p, th)
+        return proofs
+
+    checked_proofs()  # fill the intern tables and th's instances first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        proofs = checked_proofs()
+        held = tracemalloc.get_traced_memory()[0] - base
+        del proofs
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held > 1_000_000
+    assert kept < held / 50

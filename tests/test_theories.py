@@ -219,14 +219,42 @@ def test_instantiate_axiom_without_variables():
 
 
 def test_instantiate_rejects_wrong_variables():
-    with pytest.raises(TheoryError):
-        ARITH.instantiate("F:plus", {"x": num(1)})  # y missing
-    with pytest.raises(TheoryError):
-        ARITH.instantiate("F:successor", {"x": num(1), "y": num(2)})
-    with pytest.raises(TheoryError):
-        ARITH.instantiate("F:nope", {})
-    with pytest.raises(TheoryError):
-        ARITH.instantiate("F:successor", {"x": "not a term"})
+    cases = [
+        ("F:plus", {"x": num(1)}),  # y missing
+        ("F:successor", {"x": num(1), "y": num(2)}),
+        ("F:nope", {}),
+        ("F:successor", {"x": "not a term"}),
+        ("F:successor", {"x": [num(1)]}),  # unhashable, still no term
+    ]
+    for name, subst in cases:
+        messages = []
+        for _ in range(2):  # a failed instantiation is never stored
+            with pytest.raises(TheoryError) as info:
+                ARITH.instantiate(name, subst)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+
+_instance_terms = st.recursive(
+    st.sampled_from([var("x"), var("y"), var("z"), num(0), num(2)]),
+    lambda kids: st.tuples(st.sampled_from(["s", "+", "*"]), kids, kids).map(
+        lambda f: app(f[0], f[1]) if f[0] == "s" else app(f[0], f[1], f[2])
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ARITH.axioms)), _instance_terms, _instance_terms)
+def test_a_stored_instance_is_a_fresh_theorys_instance(name, t, u):
+    # ARITH lives for the whole session, so it has seen many instances
+    subst = dict(zip(ARITH.axioms[name].vars, (t, u)))
+    ant, succ = ARITH.instantiate(name, subst)
+    assert ARITH.instantiate(name, dict(reversed(subst.items()))) == (ant, succ)
+    fresh_ant, fresh_succ = arith_feasibility().instantiate(name, subst)
+    assert len(ant) == len(fresh_ant)
+    assert all(f is g for f, g in zip(ant, fresh_ant))
+    assert succ is fresh_succ
 
 
 def validate(th, name, subst):
