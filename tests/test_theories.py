@@ -247,7 +247,7 @@ _instance_terms = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(ARITH.axioms)), _instance_terms, _instance_terms)
 def test_a_stored_instance_is_a_fresh_theorys_instance(name, t, u):
-    # ARITH lives for the whole session, so it has seen many instances
+    # ARITH is shared by every test of this module, so it has seen many instances
     subst = dict(zip(ARITH.axioms[name].vars, (t, u)))
     ant, succ = ARITH.instantiate(name, subst)
     assert ARITH.instantiate(name, dict(reversed(subst.items()))) == (ant, succ)
