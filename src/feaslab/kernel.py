@@ -45,7 +45,6 @@ the text parser.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -136,32 +135,91 @@ _TERM_RULES = ("ForallLeft", "ExistsRight")
 _EIGEN_RULES = ("ForallRight", "ExistsLeft")
 
 
-@dataclass(frozen=True)
-class Rule:
-    tag: str
-    axiom: Optional[str] = None  # TheoryAxiom: schema name
-    subst: Optional[tuple] = None  # TheoryAxiom: sorted (var, Term) pairs
-    term: Optional[Term] = None  # ForallLeft / ExistsRight witness
-    eigen: Optional[str] = None  # ForallRight / ExistsLeft eigenvariable
+# The fields each rule tag sets, as flags (axiom, subst, term, eigen).
+_RULE_SHAPES = {
+    tag: (tag == "TheoryAxiom", tag == "TheoryAxiom", tag in _TERM_RULES, tag in _EIGEN_RULES)
+    for tag in RULE_TAGS
+}
 
-    def __post_init__(self):
-        if self.tag not in RULE_TAGS:
-            raise KernelError(f"unknown rule tag {self.tag!r}")
-        if (self.axiom is not None or self.subst is not None) and self.tag != "TheoryAxiom":
-            raise KernelError(f"{self.tag} carries no axiom data")
-        if self.tag == "TheoryAxiom" and (self.axiom is None or self.subst is None):
-            raise KernelError("TheoryAxiom needs an axiom name and substitution")
-        if self.term is not None and self.tag not in _TERM_RULES:
-            raise KernelError(f"{self.tag} carries no witness term")
-        if self.tag in _TERM_RULES and self.term is None:
-            raise KernelError(f"{self.tag} needs a witness term")
-        if self.eigen is not None and self.tag not in _EIGEN_RULES:
-            raise KernelError(f"{self.tag} carries no eigenvariable")
-        if self.tag in _EIGEN_RULES and self.eigen is None:
-            raise KernelError(f"{self.tag} needs an eigenvariable")
+
+def _rule_error(tag, has_axiom: bool, has_subst: bool, has_term: bool, has_eigen: bool) -> str:
+    """Why a rule cannot have this tag and set these fields."""
+    if tag not in RULE_TAGS:
+        return f"unknown rule tag {tag!r}"
+    if (has_axiom or has_subst) and tag != "TheoryAxiom":
+        return f"{tag} carries no axiom data"
+    if tag == "TheoryAxiom" and not (has_axiom and has_subst):
+        return "TheoryAxiom needs an axiom name and substitution"
+    if has_term and tag not in _TERM_RULES:
+        return f"{tag} carries no witness term"
+    if tag in _TERM_RULES and not has_term:
+        return f"{tag} needs a witness term"
+    if has_eigen and tag not in _EIGEN_RULES:
+        return f"{tag} carries no eigenvariable"
+    return f"{tag} needs an eigenvariable"
+
+
+class Rule:
+    """The rule of one inference: its tag and the data the tag needs.
+
+    axiom and subst (sorted (variable, Term) pairs) for TheoryAxiom, the
+    witness term for ForallLeft and ExistsRight, the eigenvariable for
+    ForallRight and ExistsLeft; every other field is None.  Rules are
+    immutable, equal when their fields are, and hash alike then.  The
+    kernel's constructors share one Rule per tag that carries no data.
+    """
+
+    __slots__ = ("tag", "axiom", "subst", "term", "eigen")
+
+    def __init__(
+        self,
+        tag: str,
+        axiom: Optional[str] = None,
+        subst: Optional[tuple] = None,
+        term: Optional[Term] = None,
+        eigen: Optional[str] = None,
+    ):
+        has = (axiom is not None, subst is not None, term is not None, eigen is not None)
+        if _RULE_SHAPES.get(tag) != has:
+            raise KernelError(_rule_error(tag, *has))
+        _set_tag(self, tag)
+        _set_axiom(self, axiom)
+        _set_subst(self, subst)
+        _set_term(self, term)
+        _set_eigen(self, eigen)
+
+    def __setattr__(self, *a):
+        raise AttributeError("rules are immutable")
+
+    def _fields(self) -> tuple:
+        return (self.tag, self.axiom, self.subst, self.term, self.eigen)
+
+    def __eq__(self, other):
+        if other.__class__ is not Rule:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"Rule(tag={self.tag!r}, axiom={self.axiom!r}, subst={self.subst!r}, "
+            f"term={self.term!r}, eigen={self.eigen!r})"
+        )
 
     def subst_dict(self) -> dict:
         return dict(self.subst or ())
+
+
+_set_tag = Rule.tag.__set__
+_set_axiom = Rule.axiom.__set__
+_set_subst = Rule.subst.__set__
+_set_term = Rule.term.__set__
+_set_eigen = Rule.eigen.__set__
+
+# One shared Rule per tag whose rule carries no data.
+_PLAIN_RULES = {tag: Rule(tag) for tag, shape in _RULE_SHAPES.items() if not any(shape)}
 
 
 class Proof:
@@ -223,15 +281,16 @@ def _first_index(fs: tuple, f: Formula, skip: int = -1) -> int:
 
 
 def logical_axiom(a: Formula) -> Proof:
-    return Proof(Sequent((a,), (a,)), Rule("LogicalAxiom"))
+    return Proof(Sequent((a,), (a,)), _PLAIN_RULES["LogicalAxiom"])
 
 
 def eq_leaf(lhs: Term, rhs: Term) -> Proof:
-    return Proof(Sequent((), (atom("=", lhs, rhs),)), Rule("EqOracle"))
+    return Proof(Sequent((), (atom("=", lhs, rhs),)), _PLAIN_RULES["EqOracle"])
 
 
 def _rule_subst(subst: dict) -> tuple:
-    return tuple(sorted(subst.items(), key=lambda kv: kv[0]))
+    # the variable names differ, so sorting never compares two terms
+    return tuple(sorted(subst.items()))
 
 
 def theory_leaf(theory, name: str, subst: dict) -> Proof:
@@ -263,29 +322,31 @@ def theory_apply(theory, name: str, subst: dict, premises) -> Proof:
 def cut(p1: Proof, p2: Proof, a: Formula) -> Proof:
     ant = p1.conclusion.ant + _remove_one(p2.conclusion.ant, a)
     succ = _remove_one(p1.conclusion.succ, a) + p2.conclusion.succ
-    return Proof(Sequent(ant, succ), Rule("Cut"), (p1, p2))
+    return Proof(Sequent(ant, succ), _PLAIN_RULES["Cut"], (p1, p2))
 
 
 def weaken_left(p: Proof, a: Formula) -> Proof:
-    return Proof(Sequent((a,) + p.conclusion.ant, p.conclusion.succ), Rule("WeakenLeft"), (p,))
+    c = p.conclusion
+    return Proof(Sequent((a,) + c.ant, c.succ), _PLAIN_RULES["WeakenLeft"], (p,))
 
 
 def weaken_right(p: Proof, a: Formula) -> Proof:
-    return Proof(Sequent(p.conclusion.ant, p.conclusion.succ + (a,)), Rule("WeakenRight"), (p,))
+    c = p.conclusion
+    return Proof(Sequent(c.ant, c.succ + (a,)), _PLAIN_RULES["WeakenRight"], (p,))
 
 
 def contract_left(p: Proof, a: Formula) -> Proof:
     ant = _remove_one(p.conclusion.ant, a)
     if _first_index(ant, a) < 0:
         raise KernelError("contraction needs two occurrences")
-    return Proof(Sequent(ant, p.conclusion.succ), Rule("ContractLeft"), (p,))
+    return Proof(Sequent(ant, p.conclusion.succ), _PLAIN_RULES["ContractLeft"], (p,))
 
 
 def contract_right(p: Proof, a: Formula) -> Proof:
     succ = _remove_one(p.conclusion.succ, a)
     if _first_index(succ, a) < 0:
         raise KernelError("contraction needs two occurrences")
-    return Proof(Sequent(p.conclusion.ant, succ), Rule("ContractRight"), (p,))
+    return Proof(Sequent(p.conclusion.ant, succ), _PLAIN_RULES["ContractRight"], (p,))
 
 
 def _parts(f: Formula, witness: Optional[Term]) -> tuple:
@@ -336,35 +397,35 @@ def introduce(rule: Rule, premises: tuple, f: Formula) -> Proof:
 
 
 def and_left(p: Proof, a: Formula, b: Formula) -> Proof:
-    return introduce(Rule("AndLeft"), (p,), conj(a, b))
+    return introduce(_PLAIN_RULES["AndLeft"], (p,), conj(a, b))
 
 
 def and_right(p1: Proof, p2: Proof, a: Formula, b: Formula) -> Proof:
-    return introduce(Rule("AndRight"), (p1, p2), conj(a, b))
+    return introduce(_PLAIN_RULES["AndRight"], (p1, p2), conj(a, b))
 
 
 def or_right(p: Proof, a: Formula, b: Formula) -> Proof:
-    return introduce(Rule("OrRight"), (p,), disj(a, b))
+    return introduce(_PLAIN_RULES["OrRight"], (p,), disj(a, b))
 
 
 def or_left(p1: Proof, p2: Proof, a: Formula, b: Formula) -> Proof:
-    return introduce(Rule("OrLeft"), (p1, p2), disj(a, b))
+    return introduce(_PLAIN_RULES["OrLeft"], (p1, p2), disj(a, b))
 
 
 def implies_right(p: Proof, a: Formula, b: Formula) -> Proof:
-    return introduce(Rule("ImpliesRight"), (p,), imp(a, b))
+    return introduce(_PLAIN_RULES["ImpliesRight"], (p,), imp(a, b))
 
 
 def implies_left(p1: Proof, p2: Proof, a: Formula, b: Formula) -> Proof:
-    return introduce(Rule("ImpliesLeft"), (p1, p2), imp(a, b))
+    return introduce(_PLAIN_RULES["ImpliesLeft"], (p1, p2), imp(a, b))
 
 
 def not_left(p: Proof, a: Formula) -> Proof:
-    return introduce(Rule("NotLeft"), (p,), neg(a))
+    return introduce(_PLAIN_RULES["NotLeft"], (p,), neg(a))
 
 
 def not_right(p: Proof, a: Formula) -> Proof:
-    return introduce(Rule("NotRight"), (p,), neg(a))
+    return introduce(_PLAIN_RULES["NotRight"], (p,), neg(a))
 
 
 def forall_left(p: Proof, qf: Forall, t: Term) -> Proof:
@@ -418,6 +479,20 @@ def _same(xs: tuple, ys: tuple) -> bool:
     return len(xs) == len(ys) and sorted(map(id, xs)) == sorted(map(id, ys))
 
 
+def _difference(xs: tuple, ys: tuple) -> tuple:
+    """(xs - ys, ys - xs) as multisets of formulas: the formulas each tuple
+    has more often than the other, repeated by the excess.  Both are empty
+    exactly when _same(xs, ys)."""
+    count: dict = {}
+    for x in xs:
+        count[x] = count.get(x, 0) + 1
+    for y in ys:
+        count[y] = count.get(y, 0) - 1
+    more = [f for f, n in count.items() if n > 0 for _ in range(n)]
+    fewer = [f for f, n in count.items() if n < 0 for _ in range(-n)]
+    return more, fewer
+
+
 def analyze(node: Proof, theory) -> Step:
     """Validate one inference step against the theory and return its Step.
 
@@ -438,76 +513,89 @@ def analyze(node: Proof, theory) -> Step:
 
 
 def _analyze(node: Proof, theory) -> Step:
-    tag = node.rule.tag
+    return _ANALYZERS.get(node.rule.tag, _analyze_intro)(node, theory)
+
+
+def _analyze_logical_axiom(node: Proof, theory) -> Step:
     c = node.conclusion
-    ps = [q.conclusion for q in node.premises]
-    fail = lambda msg: _fail(node, msg)
+    if len(c.ant) != 1 or len(c.succ) != 1 or c.ant[0] is not c.succ[0]:
+        _fail(node, "logical axiom must be A |- A")
+    return Step(c.succ[0], ("c", "R", 0), (("c", "L", 0),), "axiom-link")
 
-    if tag == "LogicalAxiom":
-        if len(c.ant) != 1 or len(c.succ) != 1 or c.ant[0] is not c.succ[0]:
-            fail("logical axiom must be A |- A")
-        return Step(c.succ[0], ("c", "R", 0), (("c", "L", 0),), "axiom-link")
 
-    if tag == "EqOracle":
-        if c.ant or len(c.succ) != 1:
-            fail("equality oracle concludes a single equation")
-        f = c.succ[0]
-        if not (isinstance(f, Atom) and f.pred == "="):
-            fail("equality oracle concludes an equation")
-        verdict = theory.oracle(f.args[0], f.args[1])
-        if verdict != "equal":
-            fail(f"oracle verdict for {formula_str(f)} is {verdict!r}")
-        return Step(f, ("c", "R", 0), (), "axiom-link")
+def _analyze_eq_oracle(node: Proof, theory) -> Step:
+    c = node.conclusion
+    if c.ant or len(c.succ) != 1:
+        _fail(node, "equality oracle concludes a single equation")
+    f = c.succ[0]
+    if not (isinstance(f, Atom) and f.pred == "="):
+        _fail(node, "equality oracle concludes an equation")
+    verdict = theory.oracle(f.args[0], f.args[1])
+    if verdict != "equal":
+        _fail(node, f"oracle verdict for {formula_str(f)} is {verdict!r}")
+    return Step(f, ("c", "R", 0), (), "axiom-link")
 
-    if tag == "TheoryAxiom":
-        return _analyze_theory_axiom(node, theory)
 
-    # The multiset checks below read "premises = conclusion + consumed -
-    # principal" with every term moved to the side where it is added.
+# The multiset checks below read "premises = conclusion + consumed -
+# principal" with every term moved to the side where it is added.
 
-    if tag == "Cut":
-        for i, f in enumerate(ps[0].succ):
-            j = _first_index(ps[1].ant, f)
-            if j < 0:
-                continue
-            if _same(ps[0].ant + ps[1].ant, c.ant + (f,)) and _same(
-                ps[0].succ + ps[1].succ, c.succ + (f,)
-            ):
-                return Step(f, None, ((0, "R", i), (1, "L", j)), "cut-link")
-        fail("no cut formula matches the premises")
 
-    if tag in ("WeakenLeft", "WeakenRight"):
-        side = "L" if tag == "WeakenLeft" else "R"
-        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
-        diff = Counter(cs) - Counter(pside)
-        if len(diff) != 1 or set(diff.values()) != {1}:
-            fail("weakening must add exactly one formula")
-        (f,) = diff
-        if not _same(pside + (f,), cs):
-            fail("weakening context mismatch")
-        if not _same(co, po):
-            fail("weakening must leave the other side unchanged")
-        return Step(f, ("c", side, _first_index(cs, f)), (), "ancestry")
+def _analyze_cut(node: Proof, theory) -> Step:
+    c = node.conclusion
+    p0, p1 = node.premises[0].conclusion, node.premises[1].conclusion
+    for i, f in enumerate(p0.succ):
+        j = _first_index(p1.ant, f)
+        if j < 0:
+            continue
+        if _same(p0.ant + p1.ant, c.ant + (f,)) and _same(p0.succ + p1.succ, c.succ + (f,)):
+            return Step(f, None, ((0, "R", i), (1, "L", j)), "cut-link")
+    _fail(node, "no cut formula matches the premises")
 
-    if tag in ("ContractLeft", "ContractRight"):
-        side = "L" if tag == "ContractLeft" else "R"
-        (cs, co), (pside, po) = _sides(c, side), _sides(ps[0], side)
-        diff = Counter(pside) - Counter(cs)
-        if len(diff) != 1 or set(diff.values()) != {1}:
-            fail("contraction must merge exactly one duplicate")
-        (f,) = diff
-        jc = _first_index(cs, f)
-        if jc < 0:
-            fail("contracted formula must remain in the conclusion")
-        if not _same(co, po):
-            fail("contraction must leave the other side unchanged")
-        i1 = _first_index(pside, f)
-        i2 = _first_index(pside, f, skip=i1)
-        return Step(f, ("c", side, jc), ((0, side, i1), (0, side, i2)), "contraction-merge")
 
+def _analyze_weakening(node: Proof, theory) -> Step:
+    side = "L" if node.rule.tag == "WeakenLeft" else "R"
+    cs, co = _sides(node.conclusion, side)
+    pside, po = _sides(node.premises[0].conclusion, side)
+    more, fewer = _difference(cs, pside)
+    if len(more) != 1:
+        _fail(node, "weakening must add exactly one formula")
+    (f,) = more
+    if fewer:
+        _fail(node, "weakening context mismatch")
+    if not _same(co, po):
+        _fail(node, "weakening must leave the other side unchanged")
+    return Step(f, ("c", side, _first_index(cs, f)), (), "ancestry")
+
+
+def _analyze_contraction(node: Proof, theory) -> Step:
+    """The premise side must be the conclusion side plus one more copy of
+    a formula the conclusion side still holds, the other side unchanged."""
+    side = "L" if node.rule.tag == "ContractLeft" else "R"
+    cs, co = _sides(node.conclusion, side)
+    pside, po = _sides(node.premises[0].conclusion, side)
+    more, fewer = _difference(pside, cs)
+    if len(more) != 1:
+        _fail(node, "contraction must merge exactly one duplicate")
+    (f,) = more
+    jc = _first_index(cs, f)
+    if jc < 0:
+        _fail(node, "contracted formula must remain in the conclusion")
+    if not _same(co, po):
+        _fail(node, "contraction must leave the other side unchanged")
+    if fewer:
+        _fail(node, "contraction context mismatch")
+    i1 = _first_index(pside, f)
+    i2 = _first_index(pside, f, skip=i1)
+    return Step(f, ("c", side, jc), ((0, side, i1), (0, side, i2)), "contraction-merge")
+
+
+def _analyze_intro(node: Proof, theory) -> Step:
+    tag = node.rule.tag
     intro = _INTRO.get(tag)
     if intro is None:
-        fail(f"unhandled rule {tag}")
+        _fail(node, f"unhandled rule {tag}")
+    c = node.conclusion
+    ps = [q.conclusion for q in node.premises]
     cls, side, places, what = intro
     witness = _witness(node.rule)
     p_ant = p_succ = ()
@@ -537,13 +625,14 @@ def _analyze(node: Proof, theory) -> Step:
                 ok = _same(p_ant, c_ant) and _same(p_succ + (f,), c_succ)
             if not ok:
                 continue
-            if node.rule.eigen is not None:
+            eigen = node.rule.eigen
+            if eigen is not None:
                 for g in c.ant + c.succ:
-                    if node.rule.eigen in free_vars(g):
-                        fail(f"eigenvariable {node.rule.eigen} occurs free in the conclusion")
+                    if eigen in free_vars(g):
+                        _fail(node, f"eigenvariable {eigen} occurs free in the conclusion")
             return Step(f, ("c", side, i), tuple(consumed), "ancestry")
     # "an" before the binary connectives' rules, "a" before the others
-    fail(f"no {what} matches {'an' if len(places) == 2 else 'a'} {tag} step")
+    _fail(node, f"no {what} matches {'an' if len(places) == 2 else 'a'} {tag} step")
 
 
 def _fail(node: Proof, msg: str):
@@ -603,35 +692,47 @@ def _leaf_links(c: Sequent) -> tuple:
 
 def _analyze_theory_axiom(node: Proof, theory) -> Step:
     c = node.conclusion
-    fail = lambda msg: _fail(node, msg)
     if not c.succ:
-        fail("theory axiom concludes a formula on the right")
+        _fail(node, "theory axiom concludes a formula on the right")
     name = node.rule.axiom
     if name not in theory.axioms:
-        fail(f"unknown axiom {name!r}")
+        _fail(node, f"unknown axiom {name!r}")
     subst = node.rule.subst_dict()
     schema = theory.axioms[name]
     if set(subst) != set(schema.vars):
-        fail(f"instantiation must cover exactly {schema.vars}")
+        _fail(node, f"instantiation must cover exactly {schema.vars}")
     phis, psi = theory.instantiate(name, subst)
     theory.validate_instantiation(name, subst, psi)
     if not node.premises:
         if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
-            fail("leaf does not match the instantiated schema")
+            _fail(node, "leaf does not match the instantiated schema")
         return Step(psi, ("c", "R", 0), _leaf_links(c), "axiom-link")
     if len(node.premises) != len(phis):
-        fail(f"applied form needs {len(phis)} premises")
+        _fail(node, f"applied form needs {len(phis)} premises")
     consumed = []
     for k, q in enumerate(node.premises):
         i = _first_index(q.conclusion.succ, phis[k])
         if i < 0:
-            fail(f"premise {k} must prove {formula_str(phis[k])} on the right")
+            _fail(node, f"premise {k} must prove {formula_str(phis[k])} on the right")
         consumed.append((k, "R", i))
     ant = tuple(f for q in node.premises for f in q.conclusion.ant)
     succ = tuple(f for q in node.premises for f in q.conclusion.succ)
     if not _same(ant, c.ant) or not _same(succ + (psi,), c.succ + phis):
-        fail("applied form context mismatch")
+        _fail(node, "applied form context mismatch")
     return Step(psi, ("c", "R", _first_index(c.succ, psi)), tuple(consumed), "axiom-link")
+
+
+# The analysis of each rule that is not a logical one (those: _analyze_intro).
+_ANALYZERS = {
+    "LogicalAxiom": _analyze_logical_axiom,
+    "EqOracle": _analyze_eq_oracle,
+    "TheoryAxiom": _analyze_theory_axiom,
+    "Cut": _analyze_cut,
+    "WeakenLeft": _analyze_weakening,
+    "WeakenRight": _analyze_weakening,
+    "ContractLeft": _analyze_contraction,
+    "ContractRight": _analyze_contraction,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -688,19 +789,19 @@ def _wellformed(root, sig: Signature, memo: set):
         if id(f) in memo:
             continue
         memo.add(id(f))
-        if isinstance(f, Atom):
-            if f.pred not in sig.predicates or sig.predicates[f.pred] != len(f.args):
+        cls = f.__class__
+        if cls is Var:
+            continue
+        if cls is Const:
+            if f.sym not in sig.constants:
+                raise CheckError(f"constant {f.sym!r} not in signature {sig.name}")
+            continue
+        if cls is App:
+            if sig.functions.get(f.sym) != len(f.args):
+                raise CheckError(f"function {f.sym!r} does not fit signature {sig.name}")
+        elif cls is Atom:
+            if sig.predicates.get(f.pred) != len(f.args):
                 raise CheckError(f"predicate {f.pred!r} does not fit signature {sig.name}")
-        if isinstance(f, Term):
-            if isinstance(f, Var):
-                continue
-            if hasattr(f, "args"):
-                sym = f.sym
-                if sym not in sig.functions or sig.functions[sym] != len(f.args):
-                    raise CheckError(f"function {sym!r} does not fit signature {sig.name}")
-            else:
-                if f.sym not in sig.constants:
-                    raise CheckError(f"constant {f.sym!r} not in signature {sig.name}")
         stack.extend(reversed(_children(f)))
 
 
@@ -713,19 +814,25 @@ def check(p: Proof, theory) -> SizeStats:
     Step together with the theory object (`Proof._checked`), and `analyze`
     on that node and theory returns it: the flow-graph builder and cut
     elimination read what check verified instead of verifying it again.
+    Each distinct term and formula is checked against the signature once.
     """
     sig = theory.signature
     wf_memo: set = set()
 
     def step(node: Proof, vals: list) -> tuple:
+        rule = node.rule
         for f in node.conclusion.ant + node.conclusion.succ:
-            _wellformed(f, sig, wf_memo)
-        if node.rule.term is not None:
-            _wellformed(node.rule.term, sig, wf_memo)
-        if node.rule.subst is not None:
-            for _, t in node.rule.subst:
-                _wellformed(t, sig, wf_memo)
-        _set_checked(node, (theory, analyze(node, theory)))
+            if id(f) not in wf_memo:
+                _wellformed(f, sig, wf_memo)
+        if rule.term is not None and id(rule.term) not in wf_memo:
+            _wellformed(rule.term, sig, wf_memo)
+        if rule.subst is not None:
+            for _, t in rule.subst:
+                if id(t) not in wf_memo:
+                    _wellformed(t, sig, wf_memo)
+        rec = node._checked
+        if rec is None or rec[0] is not theory:
+            _set_checked(node, (theory, _analyze(node, theory)))
         return _size_step(node, vals)
 
     lines, cuts, contractions = fold(p, step, {}, children=_premises_reversed)
@@ -950,7 +1057,8 @@ def _node_from_flat(d, exprs: list, proofs: list, sig: Signature, at: str) -> Pr
         [_ref(exprs, r, Formula, at) for r in _field(d, "succ", list)],
     )
     premises = tuple(_ref(proofs, r, Proof, at) for r in _field(d, "premises", list))
-    return Proof(concl, Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen), premises)
+    rule = _PLAIN_RULES.get(tag) or Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen)
+    return Proof(concl, rule, premises)
 
 
 def _proof_from_flat(data: dict, sig: Signature) -> Proof:

@@ -5,6 +5,16 @@ Terms and formulas are hash-consed: the factory functions (`var`, `const`,
 *same* Python object.  Equality is therefore identity, sharing is maximal,
 and substitution preserves the DAG structure.
 
+Interning takes no lock and stays one object per structure across
+threads.  A factory probes its table and, on a miss, builds a candidate
+and stores it with `dict.setdefault`, which returns the object already
+stored when another thread stored one first; that thread's object wins
+and the candidate is dropped.  The keys are strings and tuples of
+strings and interned nodes, which hash and compare in C (nodes by
+identity), so the probe and the `setdefault` are each one atomic
+dictionary operation: no thread can see a key half stored, and no two
+objects can be stored under one key.
+
 Main entry points
 -----------------
     var/const/app/atom/conj/disj/imp/neg/forall/exists   node factories
@@ -25,7 +35,6 @@ from __future__ import annotations
 
 import re
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -96,9 +105,9 @@ def rational_signature() -> Signature:
 
 
 # ---------------------------------------------------------------------------
-# Interned terms and formulas.  Construction must go through the factories.
+# Interned terms and formulas.  Construction must go through the factories,
+# which probe, then `setdefault` on a miss (see the module docstring).
 
-_lock = threading.Lock()
 _term_table: dict = {}
 _formula_table: dict = {}
 
@@ -141,29 +150,25 @@ class App(Term):
         raise AttributeError("terms are immutable")
 
 
-def _intern(table, key, make):
-    with _lock:
-        obj = table.get(key)
-        if obj is None:
-            obj = make()
-            table[key] = obj
-        return obj
-
-
 def var(name: str) -> Var:
-    return _intern(_term_table, ("v", name), lambda: Var(name))
+    key = ("v", name)
+    obj = _term_table.get(key)
+    return obj if obj is not None else _term_table.setdefault(key, Var(name))
 
 
 def const(sym: str) -> Const:
-    return _intern(_term_table, ("c", sym), lambda: Const(sym))
+    key = ("c", sym)
+    obj = _term_table.get(key)
+    return obj if obj is not None else _term_table.setdefault(key, Const(sym))
 
 
 def app(sym: str, *args: Term) -> App:
-    args = tuple(args)
     for a in args:
         if not isinstance(a, Term):
             raise LangError(f"non-term argument {a!r} to {sym}")
-    return _intern(_term_table, ("a", sym, args), lambda: App(sym, args))
+    key = ("a", sym, args)
+    obj = _term_table.get(key)
+    return obj if obj is not None else _term_table.setdefault(key, App(sym, args))
 
 
 def mul(a: Term, b: Term) -> App:
@@ -245,32 +250,45 @@ class Exists(Quant):
 
 
 def atom(pred: str, *args: Term) -> Atom:
-    args = tuple(args)
-    return _intern(_formula_table, ("at", pred, args), lambda: Atom(pred, args))
+    key = ("at", pred, args)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, Atom(pred, args))
 
 
 def neg(body: Formula) -> Not:
-    return _intern(_formula_table, ("not", body), lambda: Not(body))
+    key = ("not", body)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, Not(body))
 
 
 def conj(left: Formula, right: Formula) -> And:
-    return _intern(_formula_table, ("and", left, right), lambda: And(left, right))
+    key = ("and", left, right)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, And(left, right))
 
 
 def disj(left: Formula, right: Formula) -> Or:
-    return _intern(_formula_table, ("or", left, right), lambda: Or(left, right))
+    key = ("or", left, right)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, Or(left, right))
 
 
 def imp(left: Formula, right: Formula) -> Implies:
-    return _intern(_formula_table, ("imp", left, right), lambda: Implies(left, right))
+    key = ("imp", left, right)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, Implies(left, right))
 
 
 def forall(v: str, body: Formula) -> Forall:
-    return _intern(_formula_table, ("all", v, body), lambda: Forall(v, body))
+    key = ("all", v, body)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, Forall(v, body))
 
 
 def exists(v: str, body: Formula) -> Exists:
-    return _intern(_formula_table, ("ex", v, body), lambda: Exists(v, body))
+    key = ("ex", v, body)
+    obj = _formula_table.get(key)
+    return obj if obj is not None else _formula_table.setdefault(key, Exists(v, body))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +354,8 @@ def _fv_step(x, vals):
 
 def free_vars(x) -> frozenset:
     """Free variable names of a term or formula (cached per object)."""
-    return fold(x, _fv_step, _fv_cache)
+    out = _fv_cache.get(x)
+    return out if out is not None else fold(x, _fv_step, _fv_cache)
 
 
 def dag_size(x) -> int:
@@ -460,29 +479,43 @@ class Sequent:
     """Two-sided sequent with multiset semantics.
 
     The antecedent/succedent tuples keep construction order (useful for
-    occurrence tracking), but equality and hashing ignore order.
+    occurrence tracking), but equality and hashing ignore order.  The
+    order-free key, the sorted ids of each side, is computed on the first
+    comparison or hash: most sequents are never compared.
     """
 
     __slots__ = ("ant", "succ", "_key")
 
     def __init__(self, ant: Iterable[Formula], succ: Iterable[Formula]):
-        object.__setattr__(self, "ant", tuple(ant))
-        object.__setattr__(self, "succ", tuple(succ))
-        akey = tuple(sorted(map(id, self.ant)))
-        skey = tuple(sorted(map(id, self.succ)))
-        object.__setattr__(self, "_key", (akey, skey))
+        _set_ant(self, tuple(ant))
+        _set_succ(self, tuple(succ))
 
     def __setattr__(self, *a):
         raise AttributeError("sequents are immutable")
 
+    def _order_free(self) -> tuple:
+        """(sorted ids of the antecedent, sorted ids of the succedent)."""
+        try:
+            return self._key
+        except AttributeError:
+            key = (tuple(sorted(map(id, self.ant))), tuple(sorted(map(id, self.succ))))
+            _set_key(self, key)
+            return key
+
     def __eq__(self, other):
-        return isinstance(other, Sequent) and self._key == other._key
+        return isinstance(other, Sequent) and self._order_free() == other._order_free()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self._order_free())
 
     def __repr__(self):
         return sequent_str(self)
+
+
+# The slots' own setters pass by the raising __setattr__.
+_set_ant = Sequent.ant.__set__
+_set_succ = Sequent.succ.__set__
+_set_key = Sequent._key.__set__
 
 
 # ---------------------------------------------------------------------------

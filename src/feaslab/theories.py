@@ -120,11 +120,21 @@ class Theory:
     def instantiate(self, name: str, subst: dict):
         """(antecedent formulas, succedent formula) of an instance.
 
-        The arguments are validated on every call, so a bad instantiation
-        raises TheoryError each time; only a successful one is stored."""
+        A stored instance is found before the arguments are validated:
+        only valid arguments are stored, so a hit whose subst has exactly
+        the schema's variables is valid.  Every other call validates, so
+        a bad instantiation raises TheoryError each time."""
         schema = self.axioms.get(name)
         if schema is None:
             raise TheoryError(f"theory {self.name} has no axiom {name!r}")
+        try:
+            # one flat tuple, the smallest key that names the instance
+            key = (name, *map(subst.__getitem__, schema.vars))
+            out = self._instances.get(key)
+        except (KeyError, TypeError):  # a variable missing, a value unhashable
+            out = None
+        if out is not None and len(subst) == len(schema.vars):
+            return out
         if set(subst) != set(schema.vars):
             raise TheoryError(
                 f"axiom {name} expects variables {schema.vars}, got {tuple(sorted(subst))}"
@@ -132,12 +142,8 @@ class Theory:
         for v, t in subst.items():
             if not isinstance(t, Term):
                 raise TheoryError(f"instantiation for {v} is not a term")
-        # one flat tuple, the smallest key that names the instance
-        key = (name, *map(subst.__getitem__, schema.vars))
-        out = self._instances.get(key)
-        if out is None:
-            ant = tuple(subst_formula(f, subst) for f in schema.antecedent)
-            out = self._instances[key] = (ant, subst_formula(schema.succedent, subst))
+        ant = tuple(subst_formula(f, subst) for f in schema.antecedent)
+        out = self._instances[key] = (ant, subst_formula(schema.succedent, subst))
         return out
 
     def validate_instantiation(self, name: str, subst: dict, succedent: Formula):

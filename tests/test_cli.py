@@ -316,6 +316,24 @@ def test_check_rejects_an_undefined_conclusion(tmp_path, capsys):
     assert err == "error: undefined operation in instantiation of F:invert: 1/0 is undefined\n"
 
 
+def test_check_rejects_a_contraction_that_adds_a_formula(tmp_path, capsys):
+    # F(0) |- F(0), weakened to F(0), F(0) |- F(0), "contracted" to
+    # F(0), F(y) |- F(0): F(y) comes from no premise
+    f = tmp_path / "contract.json"
+    f.write_text(
+        '{"format":"feaslab-dag/1",\n"exprs":[\n'
+        '["const","0"],\n["atom","F",0],\n["var","y"],\n["atom","F",2]\n'
+        '],\n"nodes":[\n'
+        '{"rule":"LogicalAxiom","ant":[1],"succ":[1],"premises":[]},\n'
+        '{"rule":"WeakenLeft","ant":[1,1],"succ":[1],"premises":[0]},\n'
+        '{"rule":"ContractLeft","ant":[1,3],"succ":[1],"premises":[1]}\n'
+        ']}\n'
+    )
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 1 and out == ""
+    assert err == "error: ContractLeft at F(0), F(y) |- F(0): contraction context mismatch\n"
+
+
 def test_gen_deep_unary(capsys):
     rc, out, err = run(capsys, "gen", "unary", "1200")
     assert rc == 0 and err == ""

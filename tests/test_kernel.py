@@ -3,7 +3,9 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
+from itertools import product
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -43,6 +45,7 @@ from feaslab.kernel import (
 )
 from feaslab.lang import (
     Sequent,
+    fold as lang_fold,
     app,
     atom,
     const,
@@ -68,7 +71,7 @@ from feaslab.generators import (
     gen_square_cut,
     gen_unary,
 )
-from feaslab.semantics import mat2
+from feaslab.semantics import Mat2, mat2
 from feaslab.theories import (
     TheoryError,
     arith_feasibility,
@@ -556,9 +559,11 @@ def _tampered(node: Proof):
 def test_analyze_verdicts_frozen(small_proofs):
     # pins analyze's verdict on every node of small_proofs and on tampered
     # copies of it, against its theory: the Step and its edges for an
-    # accepted case, the exception type and message otherwise
+    # accepted case, the exception type and message otherwise.  The
+    # accepted count per rule tag names the rule whose verdicts moved.
     h = hashlib.sha256()
     records = accepted = 0
+    by_tag = Counter()
     for p, theory in small_proofs:
         for node in _iter_unique_nodes(p):
             for case in _tampered(node):
@@ -567,13 +572,178 @@ def test_analyze_verdicts_frozen(small_proofs):
                     edges = step_edges(case, step)
                     rec = (formula_str(step.principal), step.at, step.consumed, step.link, edges)
                     accepted += 1
+                    by_tag[case.rule.tag] += 1
                 except KernelError as e:
                     rec = (type(e).__name__, str(e))
                 h.update(repr(rec).encode() + b"\n")
                 records += 1
-    assert (records, accepted) == (3001, 441)
-    assert h.hexdigest() == "9b310d19b3affa33e39268af106a2257efc8ec7c10bebfe542888919a0d11e3f"
+    assert dict(by_tag) == {
+        "AndLeft": 6,
+        "AndRight": 19,
+        "ContractLeft": 22,
+        "ContractRight": 2,
+        "Cut": 87,
+        "EqOracle": 9,
+        "ExistsLeft": 2,
+        "ExistsRight": 2,
+        "ForallLeft": 10,
+        "ForallRight": 8,
+        "ImpliesLeft": 9,
+        "ImpliesRight": 7,
+        "LogicalAxiom": 40,
+        "NotLeft": 1,
+        "NotRight": 1,
+        "OrLeft": 1,
+        "OrRight": 1,
+        "TheoryAxiom": 156,
+        "WeakenLeft": 1,
+        "WeakenRight": 3,
+    }
+    assert (records, accepted) == (3001, 387)
+    assert h.hexdigest() == "bd6f40de89aa3d87c5d7dd2f826d04523c651703587907cb8ee559d19f2b63ab"
 
+
+
+# ---------------------------------------------------------------------------
+# The per-node fast paths, each against the path it replaced
+
+
+_POOL = [F(int_term(i, SIG)) for i in range(4)]
+_formula_lists = st.lists(st.sampled_from(_POOL), max_size=8).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formula_lists, _formula_lists)
+def test_difference_is_the_exact_counter_difference(xs, ys):
+    more, fewer = kernel._difference(xs, ys)
+    assert Counter(more) == Counter(xs) - Counter(ys)
+    assert Counter(fewer) == Counter(ys) - Counter(xs)
+    assert (not more and not fewer) == kernel._same(xs, ys)
+
+
+@dataclass(frozen=True)
+class _DataclassRule:
+    """Rule as a frozen dataclass validating field by field: the reference
+    for the table-driven Rule."""
+
+    tag: str
+    axiom: Optional[str] = None
+    subst: Optional[tuple] = None
+    term: Optional[object] = None
+    eigen: Optional[str] = None
+
+    def __post_init__(self):
+        term_rules, eigen_rules = ("ForallLeft", "ExistsRight"), ("ForallRight", "ExistsLeft")
+        if self.tag not in RULE_TAGS:
+            raise KernelError(f"unknown rule tag {self.tag!r}")
+        if (self.axiom is not None or self.subst is not None) and self.tag != "TheoryAxiom":
+            raise KernelError(f"{self.tag} carries no axiom data")
+        if self.tag == "TheoryAxiom" and (self.axiom is None or self.subst is None):
+            raise KernelError("TheoryAxiom needs an axiom name and substitution")
+        if self.term is not None and self.tag not in term_rules:
+            raise KernelError(f"{self.tag} carries no witness term")
+        if self.tag in term_rules and self.term is None:
+            raise KernelError(f"{self.tag} needs a witness term")
+        if self.eigen is not None and self.tag not in eigen_rules:
+            raise KernelError(f"{self.tag} carries no eigenvariable")
+        if self.tag in eigen_rules and self.eigen is None:
+            raise KernelError(f"{self.tag} needs an eigenvariable")
+
+
+def _built(cls, args: tuple):
+    """cls(*args), or the text of the KernelError it raises."""
+    try:
+        return cls(*args)
+    except KernelError as e:
+        return str(e)
+
+
+def _fields(rule) -> tuple:
+    return (rule.tag, rule.axiom, rule.subst, rule.term, rule.eigen)
+
+
+_TAGS = sorted(RULE_TAGS) + ["NoSuchRule"]
+_RULE_DATA_VALUES = (
+    ("F:plus", "F:times"),
+    ((("x", const("0")),), ()),
+    (const("0"), var("x")),
+    ("a", "b"),
+)
+
+
+def test_rule_validates_every_tag_and_data_like_the_dataclass():
+    for tag, present in product(_TAGS, product((False, True), repeat=4)):
+        args = (tag, *(vals[0] if p else None for vals, p in zip(_RULE_DATA_VALUES, present)))
+        new, ref = _built(Rule, args), _built(_DataclassRule, args)
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert _fields(new) == _fields(ref)
+            assert kernel._PLAIN_RULES.get(tag, new) == new
+            assert hash(kernel._PLAIN_RULES.get(tag, new)) == hash(new)
+
+
+_rule_args = st.tuples(
+    st.sampled_from(_TAGS), *(st.sampled_from((None,) + vals) for vals in _RULE_DATA_VALUES)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rule_args, _rule_args)
+def test_rules_compare_and_hash_like_the_dataclass(args1, args2):
+    new1, ref1 = _built(Rule, args1), _built(_DataclassRule, args1)
+    new2, ref2 = _built(Rule, args2), _built(_DataclassRule, args2)
+    assert isinstance(new1, str) == isinstance(ref1, str)
+    assert isinstance(new2, str) == isinstance(ref2, str)
+    if isinstance(ref1, str):
+        assert new1 == ref1
+    elif not isinstance(ref2, str):
+        assert (new1 == new2) == (ref1 == ref2)
+        if new1 == new2:
+            assert hash(new1) == hash(new2)
+        assert new1 != ref1  # a Rule equals only Rules
+
+
+def test_rules_are_immutable():
+    rule = Rule("ForallLeft", term=const("0"))
+    with pytest.raises(AttributeError):
+        rule.term = var("x")
+    assert rule.term is const("0")
+
+
+def test_building_and_checking_pay_no_per_node_overhead(monkeypatch):
+    # the largest matrix-power-quantifier proof of the survey: building it
+    # makes no Rule without data (those are shared), and checking it asks
+    # _wellformed once per distinct term or formula at most
+    built = []
+    real_init = Rule.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(args[1:] + tuple(kw.values()))
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(Rule, "__init__", counting_init)
+    rep = gen_matrix_power(Mat2(2, 1, 1, 1), 6, mode="quantifier")
+    assert built and all(any(x is not None for x in data) for data in built)
+
+    roots = []
+    real_wellformed = kernel._wellformed
+
+    def counting_wellformed(root, sig, memo):
+        roots.append(root)
+        real_wellformed(root, sig, memo)
+
+    monkeypatch.setattr(kernel, "_wellformed", counting_wellformed)
+    check(rep.proof, rep.theory)
+    below: dict = {}
+    nodes = list(_iter_unique_nodes(rep.proof))
+    for node in nodes:
+        rule = node.rule
+        data = [t for _, t in rule.subst or ()] + [rule.term] * (rule.term is not None)
+        for x in node.conclusion.ant + node.conclusion.succ + tuple(data):
+            lang_fold(x, lambda y, vals: None, below)
+    assert len({id(x) for x in roots}) == len(roots) <= len(below)
+    assert len(roots) < len(nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,6 +191,73 @@ def test_sequent_multiset_equality():
     assert Sequent((a, b), (a,)) == Sequent((b, a), (a,))
     assert Sequent((a, a), (b,)) != Sequent((a,), (b,))
     assert hash(Sequent((a, b), ())) == hash(Sequent((b, a), ()))
+
+
+_SEQUENT_POOL = [atom("F", t) for t in (const("0"), var("x"), var("y"), var("z"))]
+_formula_tuples = st.lists(st.sampled_from(_SEQUENT_POOL), max_size=5).map(tuple)
+
+
+def _eager_key(s: Sequent) -> tuple:
+    """The order-free key every Sequent once computed on construction."""
+    return (tuple(sorted(map(id, s.ant))), tuple(sorted(map(id, s.succ))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formula_tuples, _formula_tuples, _formula_tuples, _formula_tuples)
+def test_lazy_sequent_key_matches_the_eager_one(a1, s1, a2, s2):
+    x, y = Sequent(a1, s1), Sequent(a2, s2)
+    same = _eager_key(x) == _eager_key(y)
+    assert (x == y) == same == (y == x)
+    assert (x != y) == (not same)
+    assert hash(x) == hash(_eager_key(x))
+    if same:
+        assert hash(x) == hash(y)
+    # the key, once computed, serves every later comparison
+    assert (x == y) == same and x == Sequent(a1[::-1], s1[::-1])
+    assert x != (a1, s1)
+
+
+def _interned_batch(prefix: str) -> list:
+    """300 new terms and formulas, all named after prefix."""
+    out = []
+    for i in range(60):
+        x = var(f"{prefix}{i}")
+        t = app("s", mul(x, const("0")))
+        f = atom("F", t)
+        g = forall(f"{prefix}{i}", imp(f, conj(f, neg(atom("=", t, x)))))
+        out += [x, t, f, g, exists(f"{prefix}{i}", disj(g, f))]
+    return out
+
+
+def test_interning_across_threads():
+    # 4 threads intern the same few hundred new terms and formulas at
+    # once, switching threads often; every structure comes back as one
+    # object, the one a later call in one thread finds
+    threads = 4
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(3):
+            prefix = f"threads{r}_v"
+            barrier = threading.Barrier(threads, timeout=60)
+            results = [None] * threads
+
+            def work(k):
+                barrier.wait()
+                results[k] = _interned_batch(prefix)
+
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+            assert not any(w.is_alive() for w in workers)
+            again = _interned_batch(prefix)
+            assert len(again) == 300
+            for objs in zip(again, *results):
+                assert all(o is objs[0] for o in objs)
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_sequents_immutable():

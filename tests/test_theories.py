@@ -257,6 +257,52 @@ def test_a_stored_instance_is_a_fresh_theorys_instance(name, t, u):
     assert succ is fresh_succ
 
 
+def _instantiated(th, name, subst):
+    """The instance, or the type and text of the error instantiate raises."""
+    try:
+        return th.instantiate(name, subst)
+    except Exception as e:
+        return (type(e).__name__, str(e))
+
+
+_bad_values = st.sampled_from(["not a term", [num(1)], 3, None, {"x": num(1)}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(ARITH.axioms)),
+    _instance_terms,
+    _instance_terms,
+    st.sampled_from(["extra", "missing", "renamed", "bad value", "unknown axiom", "none"]),
+    _bad_values,
+)
+def test_a_stored_instance_never_admits_a_bad_call(name, t, u, change, bad):
+    # the probe that finds stored instances must refuse what validation
+    # refuses: ARITH has stored the good instance, a fresh theory has not
+    vs = ARITH.axioms[name].vars
+    good = dict(zip(vs, (t, u)))
+    ARITH.instantiate(name, good)
+    subst = dict(good)
+    if change == "extra":
+        subst["z"] = t
+    elif change == "missing" and vs:
+        del subst[vs[-1]]
+    elif change == "renamed" and vs:
+        subst["z"] = subst.pop(vs[0])
+    elif change == "bad value" and vs:
+        subst[vs[0]] = bad
+    elif change == "unknown axiom":
+        name = name + "'"
+    for _ in range(2):
+        got = _instantiated(ARITH, name, subst)
+        want = _instantiated(arith_feasibility(), name, subst)
+        if isinstance(want[1], str):
+            assert got == want and want[0] == "TheoryError"
+        else:  # unchanged, or a schema without variables had none to change
+            assert subst == good and name in ARITH.axioms
+            assert got[1] is want[1] and all(f is g for f, g in zip(got[0], want[0]))
+
+
 def validate(th, name, subst):
     """Validate an instance the way check does, with its succedent."""
     th.validate_instantiation(name, subst, th.instantiate(name, subst)[1])
