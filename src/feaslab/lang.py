@@ -25,10 +25,15 @@ Main entry points
     fold(x, step, memo)                                  one value per DAG node
     free_vars, dag_size, tree_size, int_term
 
-Every walker that computes a value per node (free variables, tree size,
+Every node keeps its free-variable names, computed by its constructor
+from its children's sets.  The set objects are shared: every closed node
+has one empty set, a node whose child holds all its variables has that
+child's set, and so does a quantifier whose variable is not free in its
+body.  Every walker that computes any other value per node (tree size,
 substitution over (node, mapping) pairs, and the evaluators in
 `semantics`) is a `fold`: one memoized, iterative post-order pass over
-the DAG.
+the DAG.  Substitution's memo, `_subst_memo`, lasts for the process; the
+other walkers here take a new memo per call.
 """
 
 from __future__ import annotations
@@ -112,11 +117,37 @@ _term_table: dict = {}
 _formula_table: dict = {}
 
 
-class Term:
+# The free-variable set of every closed term and formula.
+_CLOSED = frozenset()
+
+
+def _union(nodes) -> frozenset:
+    """The union of the nodes' free-variable sets.  A node whose set holds
+    all the others lends its own, so a parent shares its child's set
+    wherever the child has every variable, and a closed node has _CLOSED."""
+    out = _CLOSED
+    for x in nodes:
+        fv = x._fv
+        if not fv <= out:
+            out = fv if out <= fv else out | fv
+    return out
+
+
+class _Node:
+    """A term or formula.  _fv holds its free-variable names, set once by
+    its constructor from its children's (see _union)."""
+
+    __slots__ = ("_fv",)
+
+
+_set_fv = _Node._fv.__set__  # passes by the raising __setattr__
+
+
+class Term(_Node):
     __slots__ = ()
 
     def __repr__(self):
-        return term_str(self)
+        return _brief("term", (self,), term_str, self)
 
 
 class Var(Term):
@@ -124,6 +155,7 @@ class Var(Term):
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
+        _set_fv(self, frozenset((name,)))
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
@@ -134,6 +166,7 @@ class Const(Term):
 
     def __init__(self, sym: str):
         object.__setattr__(self, "sym", sym)
+        _set_fv(self, _CLOSED)
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
@@ -145,6 +178,7 @@ class App(Term):
     def __init__(self, sym: str, args: tuple):
         object.__setattr__(self, "sym", sym)
         object.__setattr__(self, "args", args)
+        _set_fv(self, _union(args))
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
@@ -179,11 +213,11 @@ def plus(a: Term, b: Term) -> App:
     return app("+", a, b)
 
 
-class Formula:
+class Formula(_Node):
     __slots__ = ()
 
     def __repr__(self):
-        return formula_str(self)
+        return _brief("formula", (self,), formula_str, self)
 
 
 class Atom(Formula):
@@ -192,6 +226,7 @@ class Atom(Formula):
     def __init__(self, pred, args):
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "args", args)
+        _set_fv(self, _union(args))
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
@@ -202,6 +237,7 @@ class Not(Formula):
 
     def __init__(self, body):
         object.__setattr__(self, "body", body)
+        _set_fv(self, body._fv)
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
@@ -213,6 +249,7 @@ class BinOp(Formula):
     def __init__(self, left, right):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        _set_fv(self, _union((left, right)))
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
@@ -236,6 +273,10 @@ class Quant(Formula):
     def __init__(self, v, body):
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "body", body)
+        fv = body._fv
+        if v in fv:
+            fv = fv - {v} if len(fv) > 1 else _CLOSED
+        _set_fv(self, fv)
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
@@ -342,20 +383,9 @@ def fold(x, step, memo: dict, children=_children):
     return memo[x]
 
 
-_fv_cache: dict = {}
-
-
-def _fv_step(x, vals):
-    if x.__class__ is Var:
-        return frozenset((x.name,))
-    out = frozenset().union(*vals)
-    return out - {x.v} if isinstance(x, Quant) else out
-
-
 def free_vars(x) -> frozenset:
-    """Free variable names of a term or formula (cached per object)."""
-    out = _fv_cache.get(x)
-    return out if out is not None else fold(x, _fv_step, _fv_cache)
+    """Free variable names of a term or formula, kept on the node."""
+    return x._fv
 
 
 def dag_size(x) -> int:
@@ -365,16 +395,13 @@ def dag_size(x) -> int:
     return len(memo)
 
 
-_tree_size_cache: dict = {}
-
-
 def _tree_step(x, sizes):
     return 1 + sum(sizes)
 
 
 def tree_size(x) -> int:
     """Node count of the fully unshared tree (no exp expansion)."""
-    return fold(x, _tree_step, _tree_size_cache)
+    return fold(x, _tree_step, {})
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +536,7 @@ class Sequent:
         return hash(self._order_free())
 
     def __repr__(self):
-        return sequent_str(self)
+        return sequent_brief(self)
 
 
 # The slots' own setters pass by the raising __setattr__.
@@ -672,14 +699,20 @@ def sequent_str(s: Sequent) -> str:
 _MAX_PRINTED_NODES = 10**6
 
 
+def _brief(what: str, roots: tuple, show, x) -> str:
+    """show(x), or a one-line summary of the size of x when its text would
+    spell out more than _MAX_PRINTED_NODES nodes of the roots."""
+    memo: dict = {}
+    nodes = sum(fold(r, _tree_step, memo) for r in roots)
+    if nodes <= _MAX_PRINTED_NODES:
+        return show(x)
+    return f"<{what} of {nodes} nodes as a tree, {len(memo)} distinct>"
+
+
 def sequent_brief(s: Sequent) -> str:
     """The text of s, or a one-line summary of its size when its text
     would spell out more than _MAX_PRINTED_NODES nodes."""
-    memo: dict = {}
-    nodes = sum(fold(f, _tree_step, memo) for f in s.ant + s.succ)
-    if nodes <= _MAX_PRINTED_NODES:
-        return sequent_str(s)
-    return f"<sequent of {nodes} nodes as a tree, {len(memo)} distinct>"
+    return _brief("sequent", s.ant + s.succ, sequent_str, s)
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"

@@ -8,8 +8,10 @@ The budget counts DAG nodes built (multicut memo misses plus rebuilt
 inferences), not the tree lines of the output.
 """
 
+import gc
 import hashlib
 import sys
+import tracemalloc
 
 import pytest
 
@@ -324,3 +326,33 @@ def test_commutation_keeps_consumed_occurrences():
     cf = eliminate_cuts(p, th)
     assert cf.conclusion == p.conclusion
     assert check(cf, th).cut_count == 0
+
+
+# generate -> check -> eliminate_cuts -> check, every result dropped
+REPEATED_GRID = [(gen_square_cut, range(9)), (gen_quantifier, range(3)), (gen_distorted, range(5))]
+
+
+def _run_repeated_grid():
+    for gen, ns in REPEATED_GRID:
+        for n in ns:
+            rep = gen(n)
+            check(rep.proof, rep.theory)
+            assert cut_free_lines(rep) > 0
+
+
+def test_a_repeated_run_holds_no_more_memory():
+    # the first run may fill caches whose lifetime is the process; a second
+    # run of the same grid finds what it needs there and keeps nothing new
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        held = []
+        for _ in range(2):
+            _run_repeated_grid()
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held[1] <= held[0] + 64 * 1024, held

@@ -1,9 +1,12 @@
+import os
+import subprocess
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import feaslab
 from feaslab.lang import (
     And,
     App,
@@ -27,6 +30,7 @@ from feaslab.lang import (
     dag_size,
     disj,
     exists,
+    fold,
     forall,
     formula_str,
     free_vars,
@@ -172,6 +176,27 @@ def test_substitution_preserves_sharing():
     # the 2^41-leaf tree must stay a 40-ish node DAG
     assert dag_size(out) <= dag_size(w) + 2
     assert isinstance(out, App)
+
+
+def test_free_variable_sets_are_shared():
+    # one empty set for every closed node; a node whose child holds all its
+    # variables, or a quantifier whose variable is not free, shares the set
+    x, y = var("x"), var("y")
+    closed = [
+        const("0"),
+        app("s", const("0")),
+        atom("F", const("0")),
+        forall("x", atom("F", x)),
+        exists("y", conj(atom("=", y, y), neg(atom("F", const("0"))))),
+    ]
+    assert free_vars(closed[0]) == frozenset()
+    assert all(free_vars(c) is free_vars(closed[0]) for c in closed)
+    assert free_vars(app("+", x, const("0"))) is free_vars(x)
+    assert free_vars(forall("y", atom("F", x))) is free_vars(atom("F", x))
+    xy = app("*", x, y)
+    assert free_vars(xy) == frozenset({"x", "y"})
+    assert free_vars(imp(atom("F", y), atom("F", xy))) is free_vars(xy)
+    assert free_vars(forall("y", atom("F", xy))) == frozenset({"x"})
 
 
 def test_deep_shared_terms_do_not_recurse():
@@ -413,6 +438,39 @@ def test_subst_matches_the_recursive_reference(name, data):
     assert subst_term(t, mapping) is ref_subst(t, mapping)
 
 
+def _fv_step(x, vals):
+    if x.__class__ is Var:
+        return frozenset((x.name,))
+    out = frozenset().union(*vals)
+    return out - {x.v} if isinstance(x, Quant) else out
+
+
+def ref_free_vars(x) -> dict:
+    """{node: its free variables} for every node below x, by a fold over
+    the children: the way free variables were computed before each node
+    kept its own set, kept as its oracle."""
+    memo: dict = {}
+    fold(x, _fv_step, memo)
+    return memo
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_free_vars_match_the_fold_reference(name, data):
+    # the formulas bind the variables their terms use, and substitution
+    # captures and renames binders, so nested and primed binders occur
+    sig = SIGNATURES[name]
+    mapping = data.draw(
+        st.dictionaries(st.sampled_from(PRIMED), sig_terms(sig, PRIMED), max_size=3)
+    )
+    phi = data.draw(sig_formulas(sig, PRIMED))
+    t = data.draw(sig_terms_shared(sig, PRIMED))
+    for root in (phi, t, subst_formula(phi, mapping), subst_term(t, mapping)):
+        for node, fv in ref_free_vars(root).items():
+            assert free_vars(node) == fv
+
+
 @pytest.mark.parametrize("name", sorted(SIGNATURES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -534,8 +592,48 @@ def test_sequent_brief_prints_up_to_a_node_limit(monkeypatch):
     assert sequent_brief(s) == sequent_str(s)
     monkeypatch.setattr(lang, "_MAX_PRINTED_NODES", 18)
     assert sequent_brief(s) == sequent_str(s)
+    assert repr(s) == sequent_str(s) and repr(t) == term_str(t)
     monkeypatch.setattr(lang, "_MAX_PRINTED_NODES", 17)
     assert sequent_brief(s) == "<sequent of 18 nodes as a tree, 6 distinct>"
+    assert repr(s) == sequent_brief(s)
+    assert repr(s.succ[0]) == formula_str(s.succ[0])
+    monkeypatch.setattr(lang, "_MAX_PRINTED_NODES", 15)
+    assert repr(s.succ[0]) == "<formula of 16 nodes as a tree, 5 distinct>"
+    assert repr(t) == term_str(t)
+    monkeypatch.setattr(lang, "_MAX_PRINTED_NODES", 14)
+    assert repr(t) == "<term of 15 nodes as a tree, 4 distinct>"
+
+
+# the reprs of a matrix-power proof's conclusion, its formula and its
+# largest term, which are about 10**39 nodes as trees, in a process whose
+# address space is capped: a repr that writes the tree out fails there
+REPR_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from feaslab.generators import gen_matrix_power
+from feaslab.lang import Term, fold, tree_size
+from feaslab.semantics import Mat2
+s = gen_matrix_power(Mat2(2, 1, 1, 1), 6, mode="quantifier").proof.conclusion
+nodes = {}
+fold(s.succ[0], lambda y, vals: None, nodes)
+t = max((y for y in nodes if isinstance(y, Term)), key=tree_size)
+print(repr(s))
+print(repr(s.succ[0]))
+print(repr(t))
+"""
+
+
+def test_repr_of_a_huge_tree_is_a_summary():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(feaslab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", REPR_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert [line.split(" of ")[0] for line in lines] == ["<sequent", "<formula", "<term"]
+    assert all(line.endswith(" distinct>") and len(line) < 100 for line in lines)
 
 
 # messages and positions as the recursive-descent parser gave them
