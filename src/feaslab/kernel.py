@@ -261,18 +261,25 @@ _set_checked = Proof._checked.__set__
 # Multiset helpers (formulas are interned, so hashing is identity-based)
 
 
+# Terms and formulas define no __eq__, so the tuple methods `in` and
+# `index` compare them by identity, in C.
+
+
 def _remove_one(fs: tuple, f: Formula) -> tuple:
-    for i, g in enumerate(fs):
-        if g is f:
-            return fs[:i] + fs[i + 1 :]
-    raise KernelError(f"formula {formula_str(f)} not present")
+    if f not in fs:
+        raise KernelError(f"formula {formula_str(f)} not present")
+    i = fs.index(f)
+    return fs[:i] + fs[i + 1 :]
 
 
 def _first_index(fs: tuple, f: Formula, skip: int = -1) -> int:
-    for i, g in enumerate(fs):
-        if g is f and i != skip:
-            return i
-    return -1
+    """The index of the first occurrence of f in fs other than skip, or -1."""
+    if f not in fs:
+        return -1
+    i = fs.index(f)
+    if i != skip:
+        return i
+    return fs.index(f, i + 1) if f in fs[i + 1 :] else -1
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +482,13 @@ def _sides(s: Sequent, side: str) -> tuple:
 
 
 def _same(xs: tuple, ys: tuple) -> bool:
-    """Multiset equality of formula tuples (formulas are interned)."""
-    return len(xs) == len(ys) and sorted(map(id, xs)) == sorted(map(id, ys))
+    """Multiset equality of formula tuples (formulas are interned).
+
+    Equal tuples are tried first: the analyzers pass the two sides in the
+    order the constructors build them, so a node built by the kernel
+    passes with one comparison in C, and any other order falls back to
+    comparing the sorted ids."""
+    return xs == ys or len(xs) == len(ys) and sorted(map(id, xs)) == sorted(map(id, ys))
 
 
 def _difference(xs: tuple, ys: tuple) -> tuple:
@@ -491,6 +503,21 @@ def _difference(xs: tuple, ys: tuple) -> tuple:
     more = [f for f, n in count.items() if n > 0 for _ in range(n)]
     fewer = [f for f, n in count.items() if n < 0 for _ in range(-n)]
     return more, fewer
+
+
+def _one_more(xs: tuple, ys: tuple) -> tuple:
+    """_difference(xs, ys), tried first in the layout of the weakening and
+    contraction constructors: ys is xs without the formula at the first
+    index where the two differ."""
+    if len(xs) == len(ys) + 1:
+        d = 0
+        for y in ys:
+            if y is not xs[d]:
+                break
+            d += 1
+        if _same(xs[:d] + xs[d + 1 :], ys):
+            return [xs[d]], []
+    return _difference(xs, ys)
 
 
 def analyze(node: Proof, theory) -> Step:
@@ -536,8 +563,10 @@ def _analyze_eq_oracle(node: Proof, theory) -> Step:
     return Step(f, ("c", "R", 0), (), "axiom-link")
 
 
-# The multiset checks below read "premises = conclusion + consumed -
-# principal" with every term moved to the side where it is added.
+# The multiset checks below read "premises - consumed = conclusion -
+# principal": each side of the conclusion against the premises' sides
+# without the occurrences the rule consumes, removed at the indices found
+# for them, concatenated in the order the constructors concatenate them.
 
 
 def _analyze_cut(node: Proof, theory) -> Step:
@@ -547,7 +576,9 @@ def _analyze_cut(node: Proof, theory) -> Step:
         j = _first_index(p1.ant, f)
         if j < 0:
             continue
-        if _same(p0.ant + p1.ant, c.ant + (f,)) and _same(p0.succ + p1.succ, c.succ + (f,)):
+        if _same(p0.ant + p1.ant[:j] + p1.ant[j + 1 :], c.ant) and _same(
+            p0.succ[:i] + p0.succ[i + 1 :] + p1.succ, c.succ
+        ):
             return Step(f, None, ((0, "R", i), (1, "L", j)), "cut-link")
     _fail(node, "no cut formula matches the premises")
 
@@ -556,7 +587,7 @@ def _analyze_weakening(node: Proof, theory) -> Step:
     side = "L" if node.rule.tag == "WeakenLeft" else "R"
     cs, co = _sides(node.conclusion, side)
     pside, po = _sides(node.premises[0].conclusion, side)
-    more, fewer = _difference(cs, pside)
+    more, fewer = _one_more(cs, pside)
     if len(more) != 1:
         _fail(node, "weakening must add exactly one formula")
     (f,) = more
@@ -573,7 +604,7 @@ def _analyze_contraction(node: Proof, theory) -> Step:
     side = "L" if node.rule.tag == "ContractLeft" else "R"
     cs, co = _sides(node.conclusion, side)
     pside, po = _sides(node.premises[0].conclusion, side)
-    more, fewer = _difference(pside, cs)
+    more, fewer = _one_more(pside, cs)
     if len(more) != 1:
         _fail(node, "contraction must merge exactly one duplicate")
     (f,) = more
@@ -598,31 +629,28 @@ def _analyze_intro(node: Proof, theory) -> Step:
     ps = [q.conclusion for q in node.premises]
     cls, side, places, what = intro
     witness = _witness(node.rule)
-    p_ant = p_succ = ()
-    for q in ps:
-        p_ant += q.ant
-        p_succ += q.succ
-    for i, f in enumerate(c.ant if side == "L" else c.succ):
+    cs = c.ant if side == "L" else c.succ
+    for i, f in enumerate(cs):
         if not isinstance(f, cls):
             continue
         # each part at its first occurrence not taken by the part before it
         consumed = []
-        c_ant, c_succ = c.ant, c.succ
         for (k, s), part in zip(places, _parts(f, witness)):
             skip = consumed[-1][2] if consumed and consumed[-1][:2] == (k, s) else -1
             j = _first_index(ps[k].ant if s == "L" else ps[k].succ, part, skip)
             if j < 0:
                 break
             consumed.append((k, s, j))
-            if s == "L":
-                c_ant += (part,)
-            else:
-                c_succ += (part,)
         else:
+            rest = {"L": [q.ant for q in ps], "R": [q.succ for q in ps]}
+            for k, s, j in sorted(consumed, reverse=True):  # later indices first
+                fs = rest[s][k]
+                rest[s][k] = fs[:j] + fs[j + 1 :]
+            ant, succ = sum(rest["L"], ()), sum(rest["R"], ())
             if side == "L":
-                ok = _same(p_ant + (f,), c_ant) and _same(p_succ, c_succ)
+                ok = _same(ant, cs[:i] + cs[i + 1 :]) and _same(succ, c.succ)
             else:
-                ok = _same(p_ant, c_ant) and _same(p_succ + (f,), c_succ)
+                ok = _same(ant, c.ant) and _same(succ, cs[:i] + cs[i + 1 :])
             if not ok:
                 continue
             eigen = node.rule.eigen
@@ -710,14 +738,16 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
     if len(node.premises) != len(phis):
         _fail(node, f"applied form needs {len(phis)} premises")
     consumed = []
+    ant = succ = ()
     for k, q in enumerate(node.premises):
-        i = _first_index(q.conclusion.succ, phis[k])
+        qs = q.conclusion.succ
+        i = _first_index(qs, phis[k])
         if i < 0:
             _fail(node, f"premise {k} must prove {formula_str(phis[k])} on the right")
         consumed.append((k, "R", i))
-    ant = tuple(f for q in node.premises for f in q.conclusion.ant)
-    succ = tuple(f for q in node.premises for f in q.conclusion.succ)
-    if not _same(ant, c.ant) or not _same(succ + (psi,), c.succ + phis):
+        ant += q.conclusion.ant
+        succ += qs[:i] + qs[i + 1 :]
+    if not _same(ant, c.ant) or not _same(succ + (psi,), c.succ):
         _fail(node, "applied form context mismatch")
     return Step(psi, ("c", "R", _first_index(c.succ, psi)), tuple(consumed), "axiom-link")
 
@@ -782,13 +812,13 @@ def size(p: Proof) -> SizeStats:
 
 def _wellformed(root, sig: Signature, memo: set):
     """Check every symbol below root against sig, in pre-order; memo holds
-    the ids of (interned) terms and formulas already checked."""
+    the (interned) terms and formulas already checked."""
     stack = [root]
     while stack:
         f = stack.pop()
-        if id(f) in memo:
+        if f in memo:
             continue
-        memo.add(id(f))
+        memo.add(f)
         cls = f.__class__
         if cls is Var:
             continue
@@ -808,34 +838,55 @@ def _wellformed(root, sig: Signature, memo: set):
 def check(p: Proof, theory) -> SizeStats:
     """Validate every inference in p against the theory; return sizes.
 
-    One fold over the DAG visits each distinct node once, in the order of
+    One walk over the DAG visits each distinct node once, in the order of
     `_iter_unique_nodes`, so the first error reported is that of the first
     bad node in that order.  On each node it verifies, check records the
     Step together with the theory object (`Proof._checked`), and `analyze`
     on that node and theory returns it: the flow-graph builder and cut
     elimination read what check verified instead of verifying it again.
     Each distinct term and formula is checked against the signature once.
+
+    The walk is written out rather than a `lang.fold`: with no callback
+    and no list of child values per node it costs about half as much per
+    node, and checking is the one walk every proof goes through.
     """
     sig = theory.signature
     wf_memo: set = set()
-
-    def step(node: Proof, vals: list) -> tuple:
-        rule = node.rule
-        for f in node.conclusion.ant + node.conclusion.succ:
-            if id(f) not in wf_memo:
-                _wellformed(f, sig, wf_memo)
-        if rule.term is not None and id(rule.term) not in wf_memo:
-            _wellformed(rule.term, sig, wf_memo)
-        if rule.subst is not None:
-            for _, t in rule.subst:
-                if id(t) not in wf_memo:
-                    _wellformed(t, sig, wf_memo)
-        rec = node._checked
-        if rec is None or rec[0] is not theory:
-            _set_checked(node, (theory, _analyze(node, theory)))
-        return _size_step(node, vals)
-
-    lines, cuts, contractions = fold(p, step, {}, children=_premises_reversed)
+    sizes: dict = {}  # node -> (lines, cuts, contractions) of its tree
+    stack = [p]  # nodes entered, not finished: a path down from p
+    while stack:
+        node = stack[-1]
+        premises = node.premises
+        for q in premises[::-1]:  # enter the last premise not finished
+            if q not in sizes:
+                stack.append(q)
+                break
+        else:
+            stack.pop()
+            c = node.conclusion
+            for f in c.ant + c.succ:
+                if f not in wf_memo:
+                    _wellformed(f, sig, wf_memo)
+            rule = node.rule
+            if rule.term is not None and rule.term not in wf_memo:
+                _wellformed(rule.term, sig, wf_memo)
+            if rule.subst is not None:
+                for _, t in rule.subst:
+                    if t not in wf_memo:
+                        _wellformed(t, sig, wf_memo)
+            rec = node._checked
+            if rec is None or rec[0] is not theory:
+                _set_checked(node, (theory, _analyze(node, theory)))
+            tag = rule.tag
+            lines, cuts = 1, int(tag == "Cut")
+            contractions = int(tag in ("ContractLeft", "ContractRight"))
+            for q in premises:  # a premise used twice counts twice
+                sub_lines, sub_cuts, sub_contractions = sizes[q]
+                lines += sub_lines
+                cuts += sub_cuts
+                contractions += sub_contractions
+            sizes[node] = (lines, cuts, contractions)
+    lines, cuts, contractions = sizes[p]
     return SizeStats(lines=lines, cut_count=cuts, contraction_count=contractions)
 
 

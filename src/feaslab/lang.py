@@ -6,7 +6,8 @@ Terms and formulas are hash-consed: the factory functions (`var`, `const`,
 and substitution preserves the DAG structure.
 
 Interning takes no lock and stays one object per structure across
-threads.  A factory probes its table and, on a miss, builds a candidate
+threads.  A factory probes its table and, on a miss, checks that its
+arguments are terms or formulas (LangError otherwise), builds a candidate
 and stores it with `dict.setdefault`, which returns the object already
 stored when another thread stored one first; that thread's object wins
 and the candidate is dropped.  The keys are strings and tuples of
@@ -140,7 +141,9 @@ class _Node:
     __slots__ = ("_fv",)
 
 
-_set_fv = _Node._fv.__set__  # passes by the raising __setattr__
+# Each slot's own setter passes by the raising __setattr__ and costs less
+# than object.__setattr__, which looks the name up on every call.
+_set_fv = _Node._fv.__set__
 
 
 class Term(_Node):
@@ -154,34 +157,52 @@ class Var(Term):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        _set_name(self, name)
         _set_fv(self, frozenset((name,)))
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
 
 
+_set_name = Var.name.__set__
+
+
 class Const(Term):
     __slots__ = ("sym",)
 
     def __init__(self, sym: str):
-        object.__setattr__(self, "sym", sym)
+        _set_const_sym(self, sym)
         _set_fv(self, _CLOSED)
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
 
 
+_set_const_sym = Const.sym.__set__
+
+
 class App(Term):
     __slots__ = ("sym", "args")
 
     def __init__(self, sym: str, args: tuple):
-        object.__setattr__(self, "sym", sym)
-        object.__setattr__(self, "args", args)
+        _set_app_sym(self, sym)
+        _set_app_args(self, args)
         _set_fv(self, _union(args))
 
     def __setattr__(self, *a):
         raise AttributeError("terms are immutable")
+
+
+_set_app_sym = App.sym.__set__
+_set_app_args = App.args.__set__
+
+
+def _expect(cls, xs: tuple, head: str):
+    """Raise LangError unless every x in xs is a cls, Term or Formula.  A
+    factory asks only on a miss: a key found in its table holds nodes."""
+    for x in xs:
+        if not isinstance(x, cls):
+            raise LangError(f"non-{cls.__name__.lower()} argument {x!r} to {head}")
 
 
 def var(name: str) -> Var:
@@ -197,12 +218,12 @@ def const(sym: str) -> Const:
 
 
 def app(sym: str, *args: Term) -> App:
-    for a in args:
-        if not isinstance(a, Term):
-            raise LangError(f"non-term argument {a!r} to {sym}")
     key = ("a", sym, args)
     obj = _term_table.get(key)
-    return obj if obj is not None else _term_table.setdefault(key, App(sym, args))
+    if obj is None:
+        _expect(Term, args, sym)
+        obj = _term_table.setdefault(key, App(sym, args))
+    return obj
 
 
 def mul(a: Term, b: Term) -> App:
@@ -224,35 +245,46 @@ class Atom(Formula):
     __slots__ = ("pred", "args")
 
     def __init__(self, pred, args):
-        object.__setattr__(self, "pred", pred)
-        object.__setattr__(self, "args", args)
+        _set_pred(self, pred)
+        _set_atom_args(self, args)
         _set_fv(self, _union(args))
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
 
 
+_set_pred = Atom.pred.__set__
+_set_atom_args = Atom.args.__set__
+
+
 class Not(Formula):
     __slots__ = ("body",)
 
     def __init__(self, body):
-        object.__setattr__(self, "body", body)
+        _set_not_body(self, body)
         _set_fv(self, body._fv)
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
 
 
+_set_not_body = Not.body.__set__
+
+
 class BinOp(Formula):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _set_left(self, left)
+        _set_right(self, right)
         _set_fv(self, _union((left, right)))
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
+
+
+_set_left = BinOp.left.__set__
+_set_right = BinOp.right.__set__
 
 
 class And(BinOp):
@@ -271,8 +303,8 @@ class Quant(Formula):
     __slots__ = ("v", "body")
 
     def __init__(self, v, body):
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "body", body)
+        _set_v(self, v)
+        _set_quant_body(self, body)
         fv = body._fv
         if v in fv:
             fv = fv - {v} if len(fv) > 1 else _CLOSED
@@ -280,6 +312,10 @@ class Quant(Formula):
 
     def __setattr__(self, *a):
         raise AttributeError("formulas are immutable")
+
+
+_set_v = Quant.v.__set__
+_set_quant_body = Quant.body.__set__
 
 
 class Forall(Quant):
@@ -293,43 +329,64 @@ class Exists(Quant):
 def atom(pred: str, *args: Term) -> Atom:
     key = ("at", pred, args)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, Atom(pred, args))
+    if obj is None:
+        _expect(Term, args, pred)
+        obj = _formula_table.setdefault(key, Atom(pred, args))
+    return obj
 
 
 def neg(body: Formula) -> Not:
     key = ("not", body)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, Not(body))
+    if obj is None:
+        _expect(Formula, (body,), "neg")
+        obj = _formula_table.setdefault(key, Not(body))
+    return obj
 
 
 def conj(left: Formula, right: Formula) -> And:
     key = ("and", left, right)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, And(left, right))
+    if obj is None:
+        _expect(Formula, (left, right), "conj")
+        obj = _formula_table.setdefault(key, And(left, right))
+    return obj
 
 
 def disj(left: Formula, right: Formula) -> Or:
     key = ("or", left, right)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, Or(left, right))
+    if obj is None:
+        _expect(Formula, (left, right), "disj")
+        obj = _formula_table.setdefault(key, Or(left, right))
+    return obj
 
 
 def imp(left: Formula, right: Formula) -> Implies:
     key = ("imp", left, right)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, Implies(left, right))
+    if obj is None:
+        _expect(Formula, (left, right), "imp")
+        obj = _formula_table.setdefault(key, Implies(left, right))
+    return obj
 
 
 def forall(v: str, body: Formula) -> Forall:
     key = ("all", v, body)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, Forall(v, body))
+    if obj is None:
+        _expect(Formula, (body,), "forall")
+        obj = _formula_table.setdefault(key, Forall(v, body))
+    return obj
 
 
 def exists(v: str, body: Formula) -> Exists:
     key = ("ex", v, body)
     obj = _formula_table.get(key)
-    return obj if obj is not None else _formula_table.setdefault(key, Exists(v, body))
+    if obj is None:
+        _expect(Formula, (body,), "exists")
+        obj = _formula_table.setdefault(key, Exists(v, body))
+    return obj
 
 
 # ---------------------------------------------------------------------------

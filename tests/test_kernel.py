@@ -227,6 +227,29 @@ def test_check_names_the_first_foreign_symbol():
         check(logical_axiom(F(t)), TH)
 
 
+def test_check_reports_the_first_bad_node_in_visiting_order():
+    # two bad axioms, one under each premise of a cut: check names the one
+    # under the last premise, the first bad node _iter_unique_nodes reaches
+    a, b, c, d = (F(int_term(i, SIG)) for i in range(4))
+    bad_left = Proof(Sequent((a,), (b,)), Rule("LogicalAxiom"))
+    bad_right = Proof(Sequent((b,), (c,)), Rule("LogicalAxiom"))
+    root = cut(weaken_left(bad_left, d), weaken_left(bad_right, d), b)
+    first_bad = None
+    for node in _iter_unique_nodes(root):
+        try:
+            kernel._analyze(node, TH)
+        except CheckError as e:
+            first_bad = (node, str(e))
+            break
+    assert first_bad[0] is bad_right
+    with pytest.raises(CheckError) as info:
+        check(root, TH)
+    assert str(info.value) == first_bad[1]
+    assert str(info.value).startswith("LogicalAxiom at F(s(0)) |- F(s(s(0))): ")
+    # the walk stops there: no node after it in that order is verified
+    assert [q._checked for q in root.premises] == [None, None]
+
+
 def test_size_counts():
     r = gen_square_cut(3)
     st = size(r.proof)
@@ -619,6 +642,82 @@ def test_difference_is_the_exact_counter_difference(xs, ys):
     assert Counter(more) == Counter(xs) - Counter(ys)
     assert Counter(fewer) == Counter(ys) - Counter(xs)
     assert (not more and not fewer) == kernel._same(xs, ys)
+
+
+def _sorted_same(xs: tuple, ys: tuple) -> bool:
+    """Multiset equality by sorted ids alone, without the layout test."""
+    return len(xs) == len(ys) and sorted(map(id, xs)) == sorted(map(id, ys))
+
+
+def _verdict(node: Proof, theory):
+    """The Step the kernel's analysis gives node, or its error's type and
+    text.  Records are bypassed, so the analysis always runs."""
+    try:
+        return kernel._analyze(node, theory)
+    except KernelError as e:
+        return (type(e).__name__, str(e))
+
+
+def _shuffled(node: Proof, rng) -> Proof:
+    """node with each side of its conclusion and of its premises'
+    conclusions put in an order drawn from rng."""
+
+    def mix(fs: tuple) -> tuple:
+        fs = list(fs)
+        rng.shuffle(fs)
+        return tuple(fs)
+
+    def remake(q: Proof, premises: tuple) -> Proof:
+        return Proof(Sequent(mix(q.conclusion.ant), mix(q.conclusion.succ)), q.rule, premises)
+
+    return remake(node, tuple(remake(q, q.premises) for q in node.premises))
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_layout_tests_agree_with_the_multiset_tests(small_proofs, data):
+    # every node of a small proof and its tampered variants, as built and
+    # with their sides shuffled so that the constructors' layout misses:
+    # the analysis gives what it gives with every layout test missing,
+    # multiset equality by sorted ids and _difference alone
+    p, theory = data.draw(st.sampled_from(small_proofs))
+    rng = data.draw(st.randoms(use_true_random=False))
+    cases = [case for node in _iter_unique_nodes(p) for case in _tampered(node)]
+    cases += [_shuffled(case, rng) for case in cases]
+    fast = [_verdict(case, theory) for case in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_same", _sorted_same)
+        mp.setattr(kernel, "_one_more", kernel._difference)
+        slow = [_verdict(case, theory) for case in cases]
+    assert fast == slow
+
+
+def test_kernel_built_proofs_pass_the_layout_tests(small_proofs, monkeypatch):
+    # the fast path is the one taken: every inference of the small proofs,
+    # cut-free ones included, passes with _same reduced to tuple equality
+    # and no _difference to fall back on
+    def no_difference(xs, ys):
+        raise AssertionError("fell back to _difference")
+
+    expected = [_verdict(node, th) for p, th in small_proofs for node in _iter_unique_nodes(p)]
+    monkeypatch.setattr(kernel, "_same", tuple.__eq__)
+    monkeypatch.setattr(kernel, "_difference", no_difference)
+    got = [_verdict(node, th) for p, th in small_proofs for node in _iter_unique_nodes(p)]
+    assert got == expected
+    assert all(isinstance(step, kernel.Step) for step in got)
+
+
+def test_check_counts_a_premise_used_twice_twice(small_proofs):
+    a = F(const("0"))
+    ax = logical_axiom(a)
+    both = implies_left(ax, ax, a, a)
+    twice = cut(both, both, a)
+    assert check(twice, TH) == size(twice)
+    assert astuple(check(twice, TH)) == (7, 1, 0)
+    for p, theory in small_proofs:
+        assert check(p, theory) == size(p)
 
 
 @dataclass(frozen=True)

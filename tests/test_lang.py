@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -71,6 +72,50 @@ def test_interning_gives_identity():
     assert a is b
     assert atom("F", a) is atom("F", b)
     assert forall("x", atom("F", var("x"))) is forall("x", atom("F", var("x")))
+
+
+_ZERO, _F0 = const("0"), atom("F", const("0"))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: app("s", 5), "non-term argument 5 to s"),
+        (lambda: app("+", _ZERO, _F0), "non-term argument F(0) to +"),
+        (lambda: atom("F", 5), "non-term argument 5 to F"),
+        (lambda: atom("=", _ZERO, _F0), "non-term argument F(0) to ="),
+        (lambda: neg(5), "non-formula argument 5 to neg"),
+        (lambda: conj(_F0, 6), "non-formula argument 6 to conj"),
+        (lambda: disj(None, _F0), "non-formula argument None to disj"),
+        (lambda: imp(_ZERO, _F0), "non-formula argument 0 to imp"),
+        (lambda: forall("x", "F(x)"), "non-formula argument 'F(x)' to forall"),
+        (lambda: exists("x", var("x")), "non-formula argument x to exists"),
+    ],
+)
+def test_factories_refuse_arguments_of_the_wrong_kind(make, message):
+    # asked on every miss, so a refused key is never stored
+    for _ in range(2):
+        with pytest.raises(LangError, match=re.escape(message)):
+            make()
+
+
+@pytest.mark.parametrize(
+    "node, field",
+    [
+        (var("x"), "name"),
+        (_ZERO, "sym"),
+        (app("s", _ZERO), "args"),
+        (_F0, "pred"),
+        (neg(_F0), "body"),
+        (conj(_F0, _F0), "left"),
+        (forall("x", _F0), "v"),
+    ],
+)
+def test_nodes_are_immutable(node, field):
+    before = getattr(node, field)
+    with pytest.raises(AttributeError):
+        setattr(node, field, before)
+    assert getattr(node, field) is before
 
 
 def test_parse_term_round_trip():
