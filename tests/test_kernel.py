@@ -273,8 +273,8 @@ def expanded_counts(p):
 
 
 def test_size_matches_tree_expansion(small_proofs):
-    for p, _ in small_proofs:
-        assert astuple(size(p)) == expanded_counts(p)
+    for p, theory in small_proofs:
+        assert astuple(size(p)) == astuple(check(p, theory)) == expanded_counts(p)
 
 
 def test_size_counts_shared_subtrees_per_occurrence():
@@ -284,9 +284,8 @@ def test_size_counts_shared_subtrees_per_occurrence():
     assert size(c).lines == 3
     k = contract_left(weaken_left(c, a), a)  # a |- a, with c inside
     top = cut(k, k, a)  # k twice, so c twice
-    check(top, TH)
     assert len(list(_iter_unique_nodes(top))) == 5
-    assert astuple(size(top)) == expanded_counts(top) == (11, 3, 2)
+    assert astuple(size(top)) == astuple(check(top, TH)) == expanded_counts(top) == (11, 3, 2)
 
 
 def test_serialize_round_trip_families():
@@ -707,17 +706,6 @@ def test_kernel_built_proofs_pass_the_layout_tests(small_proofs, monkeypatch):
     got = [_verdict(node, th) for p, th in small_proofs for node in _iter_unique_nodes(p)]
     assert got == expected
     assert all(isinstance(step, kernel.Step) for step in got)
-
-
-def test_check_counts_a_premise_used_twice_twice(small_proofs):
-    a = F(const("0"))
-    ax = logical_axiom(a)
-    both = implies_left(ax, ax, a, a)
-    twice = cut(both, both, a)
-    assert check(twice, TH) == size(twice)
-    assert astuple(check(twice, TH)) == (7, 1, 0)
-    for p, theory in small_proofs:
-        assert check(p, theory) == size(p)
 
 
 @dataclass(frozen=True)
