@@ -137,7 +137,8 @@ class _State:
 
 
 def _in_fragment(f: Formula) -> bool:
-    return fold(f, _fragment_step, {}, _fragment_children)
+    # most cut formulas are atoms, which a fold would answer at about ten times the cost
+    return f.__class__ is Atom or fold(f, _fragment_step, {}, _fragment_children)
 
 
 def _fragment_step(g, vals) -> bool:

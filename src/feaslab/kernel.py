@@ -295,22 +295,14 @@ def eq_leaf(lhs: Term, rhs: Term) -> Proof:
     return Proof(Sequent((), (atom("=", lhs, rhs),)), _PLAIN_RULES["EqOracle"])
 
 
-def _rule_subst(subst: dict) -> tuple:
-    # the variable names differ, so sorting never compares two terms
-    return tuple(sorted(subst.items()))
-
-
 def theory_leaf(theory, name: str, subst: dict) -> Proof:
-    ant, succ = theory.instantiate(name, subst)
-    return Proof(
-        Sequent(ant, (succ,)),
-        Rule("TheoryAxiom", axiom=name, subst=_rule_subst(subst)),
-    )
+    ant, succ, _, rule = theory.instance(name, subst)
+    return Proof(Sequent(ant, (succ,)), rule)
 
 
 def theory_apply(theory, name: str, subst: dict, premises) -> Proof:
     premises = tuple(premises)
-    phis, psi = theory.instantiate(name, subst)
+    phis, psi, _, rule = theory.instance(name, subst)
     if len(premises) != len(phis):
         raise KernelError(f"{name} applied form needs {len(phis)} premises")
     ant = []
@@ -319,11 +311,7 @@ def theory_apply(theory, name: str, subst: dict, premises) -> Proof:
         ant.extend(p.conclusion.ant)
         succ.extend(_remove_one(p.conclusion.succ, phi))
     succ.append(psi)
-    return Proof(
-        Sequent(tuple(ant), tuple(succ)),
-        Rule("TheoryAxiom", axiom=name, subst=_rule_subst(subst)),
-        premises,
-    )
+    return Proof(Sequent(tuple(ant), tuple(succ)), rule, premises)
 
 
 def cut(p1: Proof, p2: Proof, a: Formula) -> Proof:
@@ -714,8 +702,13 @@ def _ancestry(node: Proof, step: Step) -> list:
     return edges
 
 
-def _leaf_links(c: Sequent) -> tuple:
-    return tuple(("c", "L", i) for i in range(len(c.ant)))
+# The links of a theory-axiom leaf's antecedent occurrences, for the
+# antecedents of every schema in the package; longer ones build theirs.
+_LEAF_LINKS = tuple(("c", "L", i) for i in range(4))
+
+
+def _leaf_links(n: int) -> tuple:
+    return _LEAF_LINKS[:n] if n <= len(_LEAF_LINKS) else tuple(("c", "L", i) for i in range(n))
 
 
 def _analyze_theory_axiom(node: Proof, theory) -> Step:
@@ -723,18 +716,22 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
     if not c.succ:
         _fail(node, "theory axiom concludes a formula on the right")
     name = node.rule.axiom
-    if name not in theory.axioms:
-        _fail(node, f"unknown axiom {name!r}")
-    subst = node.rule.subst_dict()
-    schema = theory.axioms[name]
-    if set(subst) != set(schema.vars):
-        _fail(node, f"instantiation must cover exactly {schema.vars}")
-    phis, psi = theory.instantiate(name, subst)
+    # a rule naming a stored instance names it by exactly the schema's variables
+    found = theory.stored_instance(name, node.rule.subst)
+    if found is None:
+        if name not in theory.axioms:
+            _fail(node, f"unknown axiom {name!r}")
+        subst = node.rule.subst_dict()
+        schema = theory.axioms[name]
+        if set(subst) != set(schema.vars):
+            _fail(node, f"instantiation must cover exactly {schema.vars}")
+        found = theory.instance(name, subst)
+    phis, psi, subst, _ = found
     theory.validate_instantiation(name, subst, psi)
     if not node.premises:
         if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
             _fail(node, "leaf does not match the instantiated schema")
-        return Step(psi, ("c", "R", 0), _leaf_links(c), "axiom-link")
+        return Step(psi, ("c", "R", 0), _leaf_links(len(phis)), "axiom-link")
     if len(node.premises) != len(phis):
         _fail(node, f"applied form needs {len(phis)} premises")
     consumed = []

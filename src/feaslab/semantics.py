@@ -258,9 +258,11 @@ _nat_step = _closed_step(
 )
 
 
-def eval_nat(t: Term) -> Big:
-    """Value of a closed arithmetic term over 0, s, +, *, exp."""
-    return fold(t, _nat_step, {})
+def eval_nat(t: Term, memo: Optional[dict] = None) -> Big:
+    """Value of a closed arithmetic term over 0, s, +, *, exp.  memo maps
+    terms to their values and keeps the values computed, also those
+    computed before an error; a call without one uses its own."""
+    return fold(t, _nat_step, {} if memo is None else memo)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ F(huge) never computes the huge value; only a residue of 0 under inv or
 times inf falls back to exact evaluation, and verdicts and messages are
 those of exact evaluation.
 
+An axiom schema compiles itself into construction steps when it is made
+(see `AxiomSchema`), so an instance costs one `app` or `atom` call per
+subterm that mentions a schema variable, and a theory keeps every
+instance it builds.  The arithmetic theory keeps the values of the closed terms its
+oracle has evaluated, as the rational validator keeps its residues: both
+caches live exactly as long as their theory.
+
 Oracle verdicts are "equal", "unequal" or "undecided"; proofs may only
 rely on "equal".  For open terms the oracles stay sound and answer
 "undecided" unless a term-level law applies:
@@ -23,13 +30,15 @@ rely on "equal".  For open terms the oracles stay sound and answer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import semantics
+from .kernel import Rule
 from .lang import (
     App,
+    Atom,
     Const,
     Formula,
     Signature,
@@ -46,7 +55,6 @@ from .lang import (
     mul,
     plus,
     rational_signature,
-    subst_formula,
     var,
 )
 from .semantics import (
@@ -73,21 +81,49 @@ class UnsupportedPresentation(TheoryError):
 
 @dataclass(frozen=True)
 class AxiomSchema:
+    """A named axiom schema: antecedent formulas and one succedent formula
+    over the schema variables vars, each an atom.
+
+    A schema compiles itself when it is made (see `_compile`), and raises
+    TheoryError when a formula is not an atom.  Schemas are immutable, so
+    the package makes its fixed ones once and every theory shares them."""
+
     name: str
     vars: tuple
     antecedent: tuple  # formulas over the schema variables
     succedent: Formula
+    steps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", _compile(self))
+
+
+class Instance(NamedTuple):
+    """One instance of an axiom schema, as its theory keeps it: the
+    instantiated antecedent formulas and succedent, the substitution (a
+    dict of its own, in variable-name order, for the validator) and the
+    kernel Rule that names it, shared by every proof node of the instance."""
+
+    ant: tuple
+    succ: Formula
+    subst: dict
+    rule: Rule
 
 
 class Theory:
     """Signature + axiom schemas + equality oracle.
 
-    A theory keeps the instances it has built: `instantiate` stores the
-    (antecedent, succedent) of each successful instantiation under the
-    axiom name and the substituted terms in the schema's variable order,
-    and a repeated instantiation returns the stored pair.  Terms and
-    formulas are interned, so the pair is the one a fresh theory would
-    build.  The table holds formulas and terms, never proofs.
+    Building an instance runs the schema's compiled steps over the
+    substituted terms: no generic substitution, and, since terms and
+    formulas are interned, the very objects `subst_formula` would build.
+
+    A theory keeps the instances it has built: `instance` stores the
+    Instance of each successful instantiation under the axiom name and
+    the substituted terms in the schema's variable order, and under the
+    axiom name and its rule's sorted (variable, term) pairs, where
+    `stored_instance` finds it.  A repeated instantiation returns the
+    stored Instance.  The tables hold formulas, terms and rules, never
+    proofs.
     """
 
     def __init__(
@@ -106,6 +142,7 @@ class Theory:
         self._evaluate = evaluate
         self._validate = validate
         self._instances: dict = {}
+        self._by_rule: dict = {}
 
     def oracle(self, lhs: Term, rhs: Term) -> str:
         if lhs is rhs:
@@ -117,8 +154,8 @@ class Theory:
             raise TheoryError(f"theory {self.name} has no evaluator")
         return self._evaluate(t)
 
-    def instantiate(self, name: str, subst: dict):
-        """(antecedent formulas, succedent formula) of an instance.
+    def instance(self, name: str, subst: dict) -> Instance:
+        """The Instance of axiom name under subst (variable -> term).
 
         A stored instance is found before the arguments are validated:
         only valid arguments are stored, so a hit whose subst has exactly
@@ -142,9 +179,27 @@ class Theory:
         for v, t in subst.items():
             if not isinstance(t, Term):
                 raise TheoryError(f"instantiation for {v} is not a term")
-        ant = tuple(subst_formula(f, subst) for f in schema.antecedent)
-        out = self._instances[key] = (ant, subst_formula(schema.succedent, subst))
+        ant, succ = _build(schema.steps, key[1:])
+        pairs = tuple(sorted(subst.items()))  # the names differ: no term is compared
+        rule = Rule("TheoryAxiom", axiom=name, subst=pairs)
+        out = self._instances[key] = self._by_rule[name, pairs] = Instance(
+            ant, succ, dict(pairs), rule
+        )
         return out
+
+    def instantiate(self, name: str, subst: dict):
+        """(antecedent formulas, succedent formula) of an instance."""
+        ant, succ, _, _ = self.instance(name, subst)
+        return ant, succ
+
+    def stored_instance(self, name, pairs) -> Optional[Instance]:
+        """The stored Instance of axiom name whose sorted (variable, term)
+        pairs are pairs, as a rule carries them; None when this theory has
+        built none, or the arguments cannot name one."""
+        try:
+            return self._by_rule.get((name, pairs))
+        except TypeError:  # an unhashable name or pair
+            return None
 
     def validate_instantiation(self, name: str, subst: dict, succedent: Formula):
         """Raise TheoryError for an inadmissible instance; succedent is
@@ -153,19 +208,77 @@ class Theory:
             self._validate(name, subst, succedent)
 
 
+def _compile(schema: AxiomSchema) -> tuple:
+    """(constants, steps, antecedent registers, succedent register): the
+    construction of an instance of schema.
+
+    An instance is built in a list of registers that holds first the
+    substituted terms, in the order of schema.vars, then the constants,
+    the subterms that mention no schema variable, as they are; each step
+    (factory, symbol, argument registers) appends one node, its arguments
+    first, one `app` or `atom` call per subterm that mentions a schema
+    variable."""
+    formulas = (*schema.antecedent, schema.succedent)
+    for f in formulas:
+        if f.__class__ is not Atom:
+            raise TheoryError(f"axiom {schema.name}: schema formula {f!r} is not an atom")
+    names = frozenset(schema.vars)
+    reg = {var(v): i for i, v in enumerate(schema.vars)}  # nodes seen, variables numbered
+    consts, nodes = [], []
+    stack = list(formulas)
+    while stack:  # post-order: a node goes back under its children
+        x = stack.pop()
+        if x in reg:
+            continue
+        if names.isdisjoint(free_vars(x)):
+            reg[x] = None
+            consts.append(x)
+            continue
+        todo = [c for c in x.args if c not in reg]
+        if todo:
+            stack.append(x)
+            stack += todo
+            continue
+        reg[x] = None
+        nodes.append(x)
+    for i, x in enumerate(consts + nodes, len(schema.vars)):
+        reg[x] = i
+    steps = []
+    for x in nodes:
+        args = tuple(map(reg.__getitem__, x.args))
+        steps.append((app, x.sym, args) if x.__class__ is App else (atom, x.pred, args))
+    ant = tuple(map(reg.__getitem__, schema.antecedent))
+    return tuple(consts), tuple(steps), ant, reg[schema.succedent]
+
+
+def _build(compiled: tuple, terms: tuple) -> tuple:
+    """(antecedent, succedent) of the instance whose terms for the
+    schema's variables are terms, by the compiled steps."""
+    consts, steps, ant, succ = compiled
+    regs = [*terms, *consts]
+    get = regs.__getitem__
+    for make, head, args in steps:
+        regs.append(make(head, *map(get, args)))
+    return tuple(map(get, ant)), regs[succ]
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic feasibility
 
 
-def _nat_oracle(lhs: Term, rhs: Term) -> str:
+def _nat_oracle(lhs: Term, rhs: Term, memo: Optional[dict] = None) -> str:
+    """The arithmetic verdict on lhs = rhs.  memo maps closed terms to
+    their values (see `eval_nat`); a call without one uses its own."""
+    if memo is None:
+        memo = {}
     if not free_vars(lhs) and not free_vars(rhs):
-        return _closed_verdict(lhs, rhs)
-    return "equal" if _congruent(lhs, rhs) else "undecided"
+        return _closed_verdict(lhs, rhs, memo)
+    return "equal" if _congruent(lhs, rhs, memo) else "undecided"
 
 
-def _closed_verdict(lhs: Term, rhs: Term) -> str:
+def _closed_verdict(lhs: Term, rhs: Term, memo: dict) -> str:
     try:
-        return "equal" if nat_eq(eval_nat(lhs), eval_nat(rhs)) else "unequal"
+        return "equal" if nat_eq(eval_nat(lhs, memo), eval_nat(rhs, memo)) else "unequal"
     except EvalBudgetError:
         return "undecided"
 
@@ -202,11 +315,12 @@ def _square_law(lhs: Term, rhs: Term) -> bool:
     return _numeral_value(rhs.args[1]) == 2
 
 
-def _congruent(lhs: Term, rhs: Term) -> bool:
-    """Whether lhs = rhs is shown: a closed pair by evaluation, an open one
-    by identity, the exp law, the square law, or congruence on argument
-    pairs.  Every pair on the stack must be shown, so one seen before is
-    skipped, and shared terms cost one visit per distinct pair."""
+def _congruent(lhs: Term, rhs: Term, memo: dict) -> bool:
+    """Whether lhs = rhs is shown: a closed pair by evaluation (values in
+    memo), an open one by identity, the exp law, the square law, or
+    congruence on argument pairs.  Every pair on the stack must be shown,
+    so one seen before is skipped, and shared terms cost one visit per
+    distinct pair."""
     seen = set()
     todo = [(lhs, rhs)]
     while todo:
@@ -216,7 +330,7 @@ def _congruent(lhs: Term, rhs: Term) -> bool:
         seen.add(pair)
         a, b = pair
         if not free_vars(a) and not free_vars(b):
-            if _closed_verdict(a, b) != "equal":
+            if _closed_verdict(a, b, memo) != "equal":
                 return False
         elif a is b or _exp_law(a, b) or _exp_law(b, a) or _square_law(a, b) or _square_law(b, a):
             continue
@@ -227,24 +341,28 @@ def _congruent(lhs: Term, rhs: Term) -> bool:
     return True
 
 
-def _schemas_arith():
+def _schemas_arith() -> tuple:
     x, y = var("x"), var("y")
     Fx, Fy = atom("F", x), atom("F", y)
-    return [
+    return (
         AxiomSchema("F(0)", (), (), atom("F", const("0"))),
         AxiomSchema("F:equality", ("x", "y"), (atom("=", x, y), Fx), Fy),
         AxiomSchema("F:successor", ("x",), (Fx,), atom("F", app("s", x))),
         AxiomSchema("F:plus", ("x", "y"), (Fx, Fy), atom("F", plus(x, y))),
         AxiomSchema("F:times", ("x", "y"), (Fx, Fy), atom("F", mul(x, y))),
-    ]
+    )
+
+
+_ARITH_SCHEMAS = _schemas_arith()
 
 
 def arith_feasibility() -> Theory:
+    values: dict = {}  # closed term -> value, for as long as the theory
     return Theory(
         "arith",
         arith_signature(),
-        _schemas_arith(),
-        _nat_oracle,
+        _ARITH_SCHEMAS,
+        lambda lhs, rhs: _nat_oracle(lhs, rhs, values),
         evaluate=eval_nat,
     )
 
@@ -274,18 +392,23 @@ def _bs_oracle(lhs: Term, rhs: Term) -> str:
         return "undecided"
 
 
-def _schemas_group(generators, pred="F"):
+def _group_rules() -> tuple:
     x, y = var("x"), var("y")
-    Px, Py = atom(pred, x), atom(pred, y)
-    out = [AxiomSchema(f"{pred}(e)", (), (), atom(pred, const("e")))]
-    for g in generators:
-        out.append(AxiomSchema(f"{pred}({g})", (), (), atom(pred, const(g))))
-    out += [
-        AxiomSchema(f"{pred}:equality", ("x", "y"), (atom("=", x, y), Px), Py),
-        AxiomSchema(f"{pred}:composition", ("x", "y"), (Px, Py), atom(pred, mul(x, y))),
-        AxiomSchema(f"{pred}:inverse", ("x",), (Px,), atom(pred, app("inv", x))),
-    ]
-    return out
+    Fx, Fy = atom("F", x), atom("F", y)
+    return (
+        AxiomSchema("F:equality", ("x", "y"), (atom("=", x, y), Fx), Fy),
+        AxiomSchema("F:composition", ("x", "y"), (Fx, Fy), atom("F", mul(x, y))),
+        AxiomSchema("F:inverse", ("x",), (Fx,), atom("F", app("inv", x))),
+    )
+
+
+_GROUP_RULES = _group_rules()
+_F_E = AxiomSchema("F(e)", (), (), atom("F", const("e")))
+
+
+def _schemas_group(generators) -> list:
+    gens = [AxiomSchema(f"F({g})", (), (), atom("F", const(g))) for g in generators]
+    return [_F_E, *gens, *_GROUP_RULES]
 
 
 def group_feasibility(generators: Iterable[str], presentation: str = "free") -> Theory:
@@ -353,28 +476,11 @@ def triviality_theory(
     if presentation != "free":
         raise UnsupportedPresentation("triviality layers sit over a free presentation")
     sig = group_signature(gens, with_triviality=True)
-    x, y, w, u, v = (var(n) for n in ("x", "y", "w", "u", "v"))
-    Tw, Tu = atom("T", w), atom("T", u)
     schemas = _schemas_group(gens)
-    schemas.append(AxiomSchema("T(e)", (), (), atom("T", const("e"))))
+    schemas.append(_T_E)
     for i, t in enumerate(rel_terms, start=1):
         schemas.append(AxiomSchema(f"T(r{i})", (), (), atom("T", t)))
-    schemas += [
-        AxiomSchema("T:equality", ("w", "u"), (atom("=", w, u), Tw), Tu),
-        AxiomSchema("T:composition", ("w", "u"), (Tw, Tu), atom("T", mul(w, u))),
-        AxiomSchema("T:inverse", ("w",), (Tw,), atom("T", app("inv", w))),
-    ]
-    conj_ant = (Tw, atom("F", v)) if restricted_conjugation else (Tw,)
-    conj_vars = ("w", "v")
-    schemas.append(
-        AxiomSchema(
-            "T:conjugation", conj_vars, conj_ant, atom("T", mul(mul(v, w), app("inv", v)))
-        )
-    )
-    schemas += [
-        AxiomSchema("FT:absorb-right", ("w", "u"), (atom("F", w), Tu), atom("F", mul(w, u))),
-        AxiomSchema("FT:absorb-left", ("w", "u"), (atom("F", w), Tu), atom("F", mul(u, w))),
-    ]
+    schemas += _TRIVIALITY_RULES[bool(restricted_conjugation)]
     return Theory(
         "group:triviality",
         sig,
@@ -382,6 +488,26 @@ def triviality_theory(
         _free_oracle,
         evaluate=lambda t: eval_group_free(t),
     )
+
+
+def _triviality_rules(restricted_conjugation: bool) -> tuple:
+    w, u, v = var("w"), var("u"), var("v")
+    Tw, Tu = atom("T", w), atom("T", u)
+    conj_ant = (Tw, atom("F", v)) if restricted_conjugation else (Tw,)
+    return (
+        AxiomSchema("T:equality", ("w", "u"), (atom("=", w, u), Tw), Tu),
+        AxiomSchema("T:composition", ("w", "u"), (Tw, Tu), atom("T", mul(w, u))),
+        AxiomSchema("T:inverse", ("w",), (Tw,), atom("T", app("inv", w))),
+        AxiomSchema(
+            "T:conjugation", ("w", "v"), conj_ant, atom("T", mul(mul(v, w), app("inv", v)))
+        ),
+        AxiomSchema("FT:absorb-right", ("w", "u"), (atom("F", w), Tu), atom("F", mul(w, u))),
+        AxiomSchema("FT:absorb-left", ("w", "u"), (atom("F", w), Tu), atom("F", mul(u, w))),
+    )
+
+
+_TRIVIALITY_RULES = {r: _triviality_rules(r) for r in (False, True)}
+_T_E = AxiomSchema("T(e)", (), (), atom("T", const("e")))
 
 
 def _constants_step(t, syms):
@@ -425,10 +551,10 @@ def _rat_validator() -> Callable[[str, dict, Formula], None]:
     return validate
 
 
-def _schemas_rat():
+def _schemas_rat() -> tuple:
     x, y = var("x"), var("y")
     Fx, Fy = atom("F", x), atom("F", y)
-    return [
+    return (
         AxiomSchema("F(0)", (), (), atom("F", const("0"))),
         AxiomSchema("F(1)", (), (), atom("F", const("1"))),
         AxiomSchema("F:equality", ("x", "y"), (atom("=", x, y), Fx), Fy),
@@ -436,14 +562,17 @@ def _schemas_rat():
         AxiomSchema("F:times", ("x", "y"), (Fx, Fy), atom("F", mul(x, y))),
         AxiomSchema("F:negate", ("x",), (Fx,), atom("F", app("neg", x))),
         AxiomSchema("F:invert", ("x",), (Fx,), atom("F", app("inv", x))),
-    ]
+    )
+
+
+_RAT_SCHEMAS = _schemas_rat()
 
 
 def rational_feasibility() -> Theory:
     return Theory(
         "rat",
         rational_signature(),
-        _schemas_rat(),
+        _RAT_SCHEMAS,
         _rat_oracle,
         evaluate=eval_rat,
         validate=_rat_validator(),

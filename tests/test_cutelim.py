@@ -15,6 +15,7 @@ import tracemalloc
 
 import pytest
 
+from feaslab import cutelim
 from feaslab.cutelim import (
     BLOWUP_COLUMNS,
     FragmentError,
@@ -44,7 +45,7 @@ from feaslab.kernel import (
     theory_leaf,
     weaken_left,
 )
-from feaslab.lang import app, atom, const
+from feaslab.lang import app, atom, conj, const, exists, forall, imp, neg, var
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
 from nested_format import serialize_nested
@@ -189,6 +190,21 @@ def test_matrix_proofs_are_out_of_fragment():
     rep = gen_matrix_power(FIB, 1)
     with pytest.raises(FragmentError):
         eliminate_cuts(rep.proof, rep.theory)
+
+
+def test_fragment_membership(monkeypatch):
+    # an atom is answered without a fold; a compound formula by its
+    # connectives, whatever its terms
+    a, b = atom("F", const("0")), atom("F", var("x"))
+    inside = [a, imp(a, b), forall("x", imp(b, a)), forall("x", forall("y", b))]
+    outside = [conj(a, b), neg(a), exists("x", b), imp(a, conj(a, a)), forall("x", neg(b))]
+    assert [cutelim._in_fragment(f) for f in inside + outside] == [True] * 4 + [False] * 5
+
+    def no_fold(*args):
+        raise AssertionError("folded an atom")
+
+    monkeypatch.setattr(cutelim, "fold", no_fold)
+    assert cutelim._in_fragment(a) and cutelim._in_fragment(b)
 
 
 def test_node_budget_argument():

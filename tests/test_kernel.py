@@ -73,6 +73,7 @@ from feaslab.generators import (
 )
 from feaslab.semantics import Mat2, mat2
 from feaslab.theories import (
+    Theory,
     TheoryError,
     arith_feasibility,
     group_feasibility,
@@ -706,6 +707,97 @@ def test_kernel_built_proofs_pass_the_layout_tests(small_proofs, monkeypatch):
     got = [_verdict(node, th) for p, th in small_proofs for node in _iter_unique_nodes(p)]
     assert got == expected
     assert all(isinstance(step, kernel.Step) for step in got)
+
+
+def _rule_variants(rule: Rule):
+    """(axiom, subst) for a TheoryAxiom rule: its own, then unsorted, a
+    pair dropped, one added, one renamed, one repeated, a value that is
+    no term, the pairs as a list, and an unknown axiom name."""
+    pairs = rule.subst
+    t = pairs[0][1] if pairs else const("0")
+    yield rule.axiom, pairs
+    yield rule.axiom, pairs[::-1]
+    yield rule.axiom, pairs[:-1]
+    yield rule.axiom, tuple(sorted(pairs + (("z", t),)))
+    if pairs:
+        yield rule.axiom, (("z", t),) + pairs[1:]
+        yield rule.axiom, pairs[:1] + pairs
+        yield rule.axiom, ((pairs[0][0], 5),) + pairs[1:]
+    yield rule.axiom, list(pairs)
+    yield rule.axiom + "'", pairs
+
+
+def _theory_verdict(node: Proof, theory):
+    try:
+        return kernel._analyze(node, theory)
+    except (KernelError, TheoryError) as e:
+        return (type(e).__name__, str(e))
+
+
+def test_stored_instances_give_the_verdicts_of_the_substitution_checks(small_proofs):
+    # every TheoryAxiom node of the small proofs, its instance stored, with
+    # its rule's substitution changed: the analysis gives what it gives
+    # when the stored-instance probe always misses and the substitution
+    # is checked as a dict against the schema's variables
+    cases = []
+    for p, theory in small_proofs:
+        for node in _iter_unique_nodes(p):
+            if node.rule.tag == "TheoryAxiom":
+                for name, subst in _rule_variants(node.rule):
+                    rule = Rule("TheoryAxiom", axiom=name, subst=subst)
+                    cases.append((Proof(node.conclusion, rule, node.premises), theory))
+    fast = [_theory_verdict(case, th) for case, th in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Theory, "stored_instance", lambda self, name, pairs: None)
+        slow = [_theory_verdict(case, th) for case, th in cases]
+    assert fast == slow
+    errors = [v[1] for v in fast if not isinstance(v, kernel.Step)]
+    steps = [v for v in fast if isinstance(v, kernel.Step)]
+    assert len(steps) > len(cases) // 4
+    for text in (
+        "instantiation must cover exactly ('x', 'y')",
+        "instantiation must cover exactly ('x',)",
+        "unknown axiom \"F:plus'\"",
+        "instantiation for x is not a term",
+    ):
+        assert any(text in e for e in errors), text
+
+
+def test_an_instance_has_one_rule(monkeypatch):
+    # leaves and applied forms of one instance share the Rule their theory
+    # made with the instance, the one sorted pairs name
+    th = arith_feasibility()
+    u, t = int_term(2, SIG), int_term(3, SIG)
+    a = theory_leaf(th, "F:plus", {"y": t, "x": u})
+    b = theory_leaf(th, "F:plus", {"x": u, "y": t})
+    pu = theory_leaf(th, "F:successor", {"x": int_term(1, SIG)})
+    c = theory_apply(th, "F:plus", {"x": u, "y": t}, [pu, logical_axiom(F(t))])
+    assert a.rule is b.rule is c.rule
+    assert a.rule == Rule("TheoryAxiom", axiom="F:plus", subst=(("x", u), ("y", t)))
+    built = []
+    real_init = Rule.__init__
+    monkeypatch.setattr(
+        Rule, "__init__", lambda self, *a, **kw: built.append(a) or real_init(self, *a, **kw)
+    )
+    for _ in range(3):
+        theory_leaf(th, "F:plus", {"x": u, "y": t})
+    assert built == []
+
+
+def test_every_theory_axiom_is_validated(monkeypatch):
+    # the stored instances spare the substitution checks, not validation
+    rep = gen_rational_orbit(Mat2(2, 1, 1, 1), 0, 3)
+    calls = []
+    real = Theory.validate_instantiation
+    monkeypatch.setattr(
+        Theory, "validate_instantiation", lambda self, *a: calls.append(a) or real(self, *a)
+    )
+    check(rep.proof, rep.theory)
+    nodes = [n for n in _iter_unique_nodes(rep.proof) if n.rule.tag == "TheoryAxiom"]
+    assert len(calls) == len(nodes) > 0
+    for (name, subst, succ), node in zip(calls, nodes):
+        assert name == node.rule.axiom and subst == node.rule.subst_dict()
+        assert succ is rep.theory.instantiate(name, subst)[1]
 
 
 @dataclass(frozen=True)

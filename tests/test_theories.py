@@ -15,10 +15,12 @@ from feaslab.lang import (
     const,
     formula_str,
     free_vars,
+    imp,
     int_term,
     mul,
     parse_term,
     plus,
+    subst_formula,
     term_str,
     var,
 )
@@ -37,6 +39,8 @@ from feaslab.semantics import (
     nat_eq,
 )
 from feaslab.theories import (
+    AxiomSchema,
+    Theory,
     TheoryError,
     UnsupportedPresentation,
     arith_feasibility,
@@ -202,6 +206,55 @@ def test_arith_oracle_huge_towers():
     assert ARITH.oracle(t1, t2) == "equal"
 
 
+def _pair_runs():
+    """Runs of equations drawn from one small pool, so that they share
+    subterms, and repeated: a theory's value memo then serves most of each."""
+    return st.lists(_pairs, min_size=1, max_size=8).map(lambda run: run + run[::-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_runs())
+def test_an_arith_theorys_values_keep_its_verdicts(run):
+    th = arith_feasibility()
+    for lhs, rhs in run:
+        assert th.oracle(lhs, rhs) == ref_nat_oracle(lhs, rhs)
+        assert th.oracle(rhs, lhs) == ref_nat_oracle(rhs, lhs)
+
+
+def test_a_budget_error_stays_undecided(monkeypatch):
+    two = num(2)
+    tower = app("exp", two, app("exp", two, num(40)))
+    over = plus(tower, num(1))  # no exact representation: EvalBudgetError
+    th = arith_feasibility()
+    calls = []
+    real = semantics._nat_step
+    monkeypatch.setattr(semantics, "_nat_step", lambda t, vals: calls.append(t) or real(t, vals))
+    for _ in range(3):
+        assert th.oracle(over, num(7)) == "undecided"
+        assert th.oracle(app("s", over), app("s", num(7))) == "undecided"
+        assert th.oracle(mul(tower, tower), app("exp", two, app("exp", two, num(41)))) == "equal"
+    # each value is computed once; the failing sum is tried on every call
+    assert calls.count(over) == 6 and calls.count(tower) == 1
+    assert calls.count(num(7)) == 1 and calls.count(app("s", num(7))) == 1
+
+
+def test_two_theories_never_share_values(monkeypatch):
+    memos = []
+    real = theories.eval_nat
+    monkeypatch.setattr(theories, "eval_nat", lambda t, memo=None: memos.append(memo) or real(t, memo))
+    a, b = arith_feasibility(), arith_feasibility()
+    six = mul(num(2), num(3))
+    assert a.oracle(six, num(6)) == "equal"
+    assert a.oracle(plus(num(1), num(2)), num(3)) == "equal"
+    assert b.oracle(six, num(6)) == "equal"
+    assert _nat_oracle(six, num(6)) == _nat_oracle(six, num(6)) == "equal"  # two arguments
+    assert all(m is memos[0] for m in memos[:4])  # a keeps one memo across calls
+    assert memos[4] is memos[5] and memos[4] is not memos[0]
+    assert memos[6] is memos[7] and memos[8] is memos[9] and memos[6] is not memos[8]
+    assert not ({id(m) for m in memos[6:]} & {id(memos[0]), id(memos[4])})
+    assert memos[0][six] == 6 and memos[4][six] == 6
+
+
 # ---------------------------------------------------------------------------
 # instantiation
 
@@ -301,6 +354,74 @@ def test_a_stored_instance_never_admits_a_bad_call(name, t, u, change, bad):
         else:  # unchanged, or a schema without variables had none to change
             assert subst == good and name in ARITH.axioms
             assert got[1] is want[1] and all(f is g for f, g in zip(got[0], want[0]))
+
+
+# every theory of the package, made fresh for each example
+_THEORIES = {
+    "arith": arith_feasibility,
+    "rat": rational_feasibility,
+    "group:free": lambda: group_feasibility(("x", "y"), presentation="free"),
+    "group:bs12": lambda: group_feasibility(("x", "y"), presentation="bs12"),
+    "triviality": lambda: triviality_theory([[("x", 1), ("y", 1), ("x", -1), ("y", -2)]]),
+    "triviality, restricted": lambda: triviality_theory(
+        [[("x", 2)], [("y", 3)]], restricted_conjugation=True
+    ),
+}
+
+
+def _signature_terms(sig):
+    """Closed and open terms over sig, in the variables of every schema
+    (x, y, w, u, v) and one more (z)."""
+    leaves = [var(n) for n in "xyzwuv"] + [const(c) for c in sig.constants]
+    ops = sorted(sig.functions.items())
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.sampled_from(ops).flatmap(
+            lambda op: st.tuples(*[kids] * op[1]).map(lambda args: app(op[0], *args))
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_THEORIES)), st.data())
+def test_compiled_instances_are_the_substituted_schemas(which, data):
+    # the compiled construction against the generic substitution, on a
+    # fresh theory: each variable goes to itself, to another schema
+    # variable (x -> y with y -> x) or to a drawn term
+    th = _THEORIES[which]()
+    name = data.draw(st.sampled_from(sorted(th.axioms)))
+    schema = th.axioms[name]
+    vs = schema.vars
+    terms = _signature_terms(th.signature)
+    subst = {}
+    for i, v in enumerate(vs):
+        kind = data.draw(st.sampled_from(["itself", "next", "term"]))
+        if kind == "term":
+            subst[v] = data.draw(terms)
+        else:
+            subst[v] = var(v if kind == "itself" else vs[(i + 1) % len(vs)])
+    ant, succ = th.instantiate(name, subst)
+    want = [subst_formula(f, subst) for f in schema.antecedent]
+    assert len(ant) == len(want) and all(f is g for f, g in zip(ant, want))
+    assert succ is subst_formula(schema.succedent, subst)
+    # a rule's sorted pairs find the same stored instance
+    found = th.stored_instance(name, tuple(sorted(subst.items())))
+    assert found is th.instance(name, subst) and found.rule.subst == tuple(sorted(subst.items()))
+    unsorted = tuple(sorted(subst.items()))[::-1]
+    assert th.stored_instance(name, unsorted) is (found if len(vs) < 2 else None)
+
+
+def test_a_schema_formula_must_be_an_atom():
+    F = atom("F", var("x"))
+    for bad in (conj(F, F), imp(F, F)):
+        with pytest.raises(TheoryError, match="is not an atom"):
+            AxiomSchema("bad", ("x",), (F,), bad)
+        with pytest.raises(TheoryError, match="is not an atom"):
+            AxiomSchema("bad", ("x",), (bad,), F)
+    good = AxiomSchema("good", ("x",), (F,), F)
+    th = Theory("one", ARITH.signature, [good], _nat_oracle)
+    assert th.instantiate("good", {"x": num(3)}) == ((atom("F", num(3)),), atom("F", num(3)))
 
 
 def validate(th, name, subst):
