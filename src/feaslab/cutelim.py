@@ -18,11 +18,10 @@ DAG while the logical line count grows exponentially.
 
 Each rule's principal formula and consumed occurrences come from the
 kernel's `analyze` step, read against the theory, applied theory axioms
-included; for an input that `check` verified against the same theory
-object, that is the Step check recorded.  A logical inference is rebuilt
-over new premises by `kernel.introduce`, from its rule and principal
-formula, so its shape comes from the kernel's rule table; only cut,
-weakening and contraction have rebuild entries here.
+included.  A logical inference is rebuilt over new premises by
+`kernel.introduce`, from its rule and principal formula, so its shape
+comes from the kernel's rule table; only cut, weakening and contraction
+have rebuild entries here.
 
 Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
@@ -56,6 +55,7 @@ from .kernel import (
     _iter_unique_nodes,
     _remove_one,
     analyze,
+    check,
     contract_left,
     contract_right,
     cut,
@@ -65,7 +65,6 @@ from .kernel import (
     implies_right,
     introduce,
     logical_axiom,
-    size,
     substitute_proof,
     theory_apply,
     weaken_left,
@@ -541,8 +540,11 @@ def ratio_text(num: int, den: int) -> str:
 def blowup_report(make_report, ns, budget: Optional[int] = None, timings: bool = False):
     """Rows comparing generated proofs against their cut-free forms.
 
-    make_report: n -> GenReport.  Budget or fragment failures are flagged
-    in the status column rather than aborting the sweep.  wall_time_ms
+    make_report: n -> GenReport.  Both counts come from `check`, on the
+    generated proof and on its cut-free form, so a row reports only proofs
+    the kernel accepted; a rejected one raises CheckError.  Budget or
+    fragment failures are flagged in the status column rather than
+    aborting the sweep.  wall_time_ms
     stays empty unless timings is requested, keeping default output
     byte-reproducible.
     """
@@ -550,13 +552,13 @@ def blowup_report(make_report, ns, budget: Optional[int] = None, timings: bool =
     for n in ns:
         t0 = time.perf_counter()
         rep = make_report(n)
-        stats = rep.stats
+        stats = check(rep.proof, rep.theory)
         lines_cf = None
         ratio = None
         status = "ok"
         try:
             cf = eliminate_cuts(rep.proof, rep.theory, budget)
-            lines_cf = size(cf).lines
+            lines_cf = check(cf, rep.theory).lines
             ratio = _quotient(lines_cf, stats.lines)
         except NodeBudgetError:
             status = "budget-exceeded"

@@ -194,9 +194,8 @@ def build_flow_graph(p: Proof, theory) -> FlowGraph:
     A subproof shared in the DAG is visited once per occurrence in the
     tree, so the graph has as many vertices as the tree has formula
     occurrences; the walk costs time linear in that number.  Each distinct
-    node is analyzed once, against the theory (a node `check` verified
-    against this theory object gives the Step it recorded), and every tree
-    occurrence of it shifts the same local edges to its own block.
+    node is analyzed once, against the theory, and every tree occurrence
+    of it shifts the same local edges to its own block.
     """
     blocks = [(-1, 0, p)]
     n = _sequent_size(p)

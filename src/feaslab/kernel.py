@@ -30,11 +30,8 @@ occurrence-level correspondences.  It validates one inference against the
 theory and returns its `Step`: the principal formula, its occurrence in
 the conclusion, the premise occurrences the rule consumes and the tag of
 the edges that link them.  The checker, the flow-graph builder (through
-`step_edges`) and cut elimination all consume that step, for every rule.
-`check` records each Step it verifies on the node, with the theory
-object, and `analyze` returns the record for that same theory: after
-`check`, the flow graph and cut elimination read the proof's Steps
-instead of re-deriving them.
+`step_edges`) and cut elimination all consume that step, for every rule,
+and each of them analyzes the nodes it reads for itself.
 
 Proof files keep the sharing: `serialize_proof` writes each distinct term,
 formula and proof node once, as a flat JSON table whose entries refer to
@@ -225,13 +222,9 @@ _PLAIN_RULES = {tag: Rule(tag) for tag, shape in _RULE_SHAPES.items() if not any
 class Proof:
     """One node of a proof DAG.  Premises may be shared as Python objects;
     all size accounting still counts them once per occurrence.
-
-    `_checked` is (theory, Step) once `check` has verified the node against
-    that theory object, else None; `analyze` returns the recorded Step for
-    the same theory.  The record lives exactly as long as the node.
     """
 
-    __slots__ = ("conclusion", "rule", "premises", "_checked")
+    __slots__ = ("conclusion", "rule", "premises")
 
     def __init__(self, conclusion: Sequent, rule: Rule, premises: tuple = ()):
         expected = _ARITY.get(rule.tag)
@@ -240,7 +233,6 @@ class Proof:
         _set_conclusion(self, conclusion)
         _set_rule(self, rule)
         _set_premises(self, tuple(premises))
-        _set_checked(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("proofs are immutable")
@@ -254,7 +246,6 @@ class Proof:
 _set_conclusion = Proof.conclusion.__set__
 _set_rule = Proof.rule.__set__
 _set_premises = Proof.premises.__set__
-_set_checked = Proof._checked.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +506,7 @@ def analyze(node: Proof, theory) -> Step:
     instance of its rule.  When several formulas could be principal, the
     first match wins, in conclusion order (for Cut, in the order of the
     left premise's succedent).
-
-    A node that `check` verified against this same theory object returns
-    the Step recorded then, without analyzing again: nodes are immutable
-    and formulas interned, so the Step cannot have changed.  Against any
-    other theory the node is analyzed afresh.  Errors are never recorded.
     """
-    rec = node._checked
-    if rec is not None and rec[0] is theory:
-        return rec[1]
-    return _analyze(node, theory)
-
-
-def _analyze(node: Proof, theory) -> Step:
     return _ANALYZERS.get(node.rule.tag, _analyze_intro)(node, theory)
 
 
@@ -837,11 +816,8 @@ def check(p: Proof, theory) -> SizeStats:
 
     One walk over the DAG visits each distinct node once, in the order of
     `_iter_unique_nodes`, so the first error reported is that of the first
-    bad node in that order.  On each node it verifies, check records the
-    Step together with the theory object (`Proof._checked`), and `analyze`
-    on that node and theory returns it: the flow-graph builder and cut
-    elimination read what check verified instead of verifying it again.
-    Each distinct term and formula is checked against the signature once.
+    bad node in that order.  Each distinct term and formula is checked
+    against the signature once.
 
     The walk is written out rather than a `lang.fold`: with no callback
     and no list of child values per node it costs about half as much per
@@ -871,9 +847,7 @@ def check(p: Proof, theory) -> SizeStats:
                 for _, t in rule.subst:
                     if t not in wf_memo:
                         _wellformed(t, sig, wf_memo)
-            rec = node._checked
-            if rec is None or rec[0] is not theory:
-                _set_checked(node, (theory, _analyze(node, theory)))
+            analyze(node, theory)
             tag = rule.tag
             lines, cuts = 1, int(tag == "Cut")
             contractions = int(tag in ("ContractLeft", "ContractRight"))

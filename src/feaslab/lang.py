@@ -89,7 +89,12 @@ def arith_signature() -> Signature:
 
 
 def group_signature(generators: Iterable[str], with_triviality: bool = False) -> Signature:
+    """The group signature over the generators, each a name the text
+    syntax reads as one symbol."""
     gens = tuple(generators)
+    for g in gens:
+        if not _is_name(g):
+            raise LangError(f"generator {g!r} is not a name: use letters, digits, _ and '")
     preds = {"=": 2, "F": 1}
     if with_triviality:
         preds["T"] = 1
@@ -782,12 +787,17 @@ _NAME_RE = re.compile(_NAME)
 _PAREN_RE = re.compile(r"[()]")
 
 
+def _is_name(name: str) -> bool:
+    """Whether the text syntax reads name as one symbol or variable: an
+    identifier and no quantifier keyword."""
+    return _NAME_RE.fullmatch(name) is not None and name not in ("forall", "exists")
+
+
 def is_variable_name(name: str, sig: Signature) -> bool:
-    """Whether the text syntax reads name as a variable under sig: an
-    identifier that is no symbol of sig and no quantifier keyword."""
+    """Whether the text syntax reads name as a variable under sig: a name
+    that is no symbol of sig."""
     return (
-        _NAME_RE.fullmatch(name) is not None
-        and name not in ("forall", "exists")
+        _is_name(name)
         and name not in sig.constants
         and name not in sig.functions
         and name not in sig.predicates

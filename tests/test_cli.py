@@ -10,13 +10,15 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feaslab import cli
+from feaslab import cli, cutelim
 from feaslab.cutelim import BLOWUP_COLUMNS
 from feaslab.generators import gen_unary
 from feaslab.kernel import (
     FORMAT,
     RULE_TAGS,
     KernelError,
+    Proof,
+    Rule,
     forall_left,
     logical_axiom,
     parse_proof,
@@ -161,11 +163,41 @@ def test_bench_fragment_status(capsys):
     assert rows[1][-1] == "fragment-exceeded"
 
 
+def test_bench_checks_the_cut_free_proof(capsys, monkeypatch):
+    # a cut-free form the kernel rejects was reported with status ok
+    def wrong(p, theory, budget=None):
+        return Proof(p.conclusion, Rule("LogicalAxiom"))
+
+    monkeypatch.setattr(cutelim, "eliminate_cuts", wrong)
+    rc, out, err = run(capsys, "bench", "square-cut", "2")
+    assert rc == 1 and out == ""
+    assert err == "error: LogicalAxiom at |- F(exp(exp(s(s(0)), s(s(0))), s(s(0)))): logical axiom must be A |- A\n"
+
+
 @pytest.mark.parametrize("bad", ["3..x", "", "x", "1..2..3", "..3"])
 def test_bench_bad_range_is_one_error_line(capsys, bad):
     rc, out, err = run(capsys, "bench", "square-cut", bad)
     assert rc == 1 and out == ""
     assert err == f"error: bench range must be n or a..b with integers, got {bad!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        # written a proof file that check then rejected
+        (("gen", "group-power", "2", "--letter", "x,y"), "x,y"),
+        # printed F((x) * x)) * x) * x)) and F(^4)
+        (("gen", "group-power", "2", "--letter", "x)"), "x)"),
+        (("gen", "group-power", "2", "--letter", ""), ""),
+        # built a theory whose constant reads as a quantifier
+        (("check", "proof.json", "--theory", "group:free:forall"), "forall"),
+        (("gen", "group-power", "2", "--letter", "exists"), "exists"),
+    ],
+)
+def test_a_generator_the_syntax_cannot_read_is_one_error_line(capsys, argv, name):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == f"error: generator {name!r} is not a name: use letters, digits, _ and '\n"
 
 
 def test_orbit_iteration(capsys):

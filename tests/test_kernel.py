@@ -228,27 +228,30 @@ def test_check_names_the_first_foreign_symbol():
         check(logical_axiom(F(t)), TH)
 
 
-def test_check_reports_the_first_bad_node_in_visiting_order():
+def test_check_reports_the_first_bad_node_in_visiting_order(monkeypatch):
     # two bad axioms, one under each premise of a cut: check names the one
     # under the last premise, the first bad node _iter_unique_nodes reaches
     a, b, c, d = (F(int_term(i, SIG)) for i in range(4))
     bad_left = Proof(Sequent((a,), (b,)), Rule("LogicalAxiom"))
     bad_right = Proof(Sequent((b,), (c,)), Rule("LogicalAxiom"))
     root = cut(weaken_left(bad_left, d), weaken_left(bad_right, d), b)
+    order = list(_iter_unique_nodes(root))
     first_bad = None
-    for node in _iter_unique_nodes(root):
+    for node in order:
         try:
-            kernel._analyze(node, TH)
+            analyze(node, TH)
         except CheckError as e:
             first_bad = (node, str(e))
             break
     assert first_bad[0] is bad_right
+    seen = []
+    monkeypatch.setattr(kernel, "analyze", lambda node, th: seen.append(node) or analyze(node, th))
     with pytest.raises(CheckError) as info:
         check(root, TH)
     assert str(info.value) == first_bad[1]
     assert str(info.value).startswith("LogicalAxiom at F(s(0)) |- F(s(s(0))): ")
-    # the walk stops there: no node after it in that order is verified
-    assert [q._checked for q in root.premises] == [None, None]
+    # the walk stops there: no node after it in that order is analyzed
+    assert seen == order[: order.index(bad_right) + 1]
 
 
 def test_size_counts():
@@ -651,9 +654,9 @@ def _sorted_same(xs: tuple, ys: tuple) -> bool:
 
 def _verdict(node: Proof, theory):
     """The Step the kernel's analysis gives node, or its error's type and
-    text.  Records are bypassed, so the analysis always runs."""
+    text."""
     try:
-        return kernel._analyze(node, theory)
+        return analyze(node, theory)
     except KernelError as e:
         return (type(e).__name__, str(e))
 
@@ -729,7 +732,7 @@ def _rule_variants(rule: Rule):
 
 def _theory_verdict(node: Proof, theory):
     try:
-        return kernel._analyze(node, theory)
+        return analyze(node, theory)
     except (KernelError, TheoryError) as e:
         return (type(e).__name__, str(e))
 
@@ -746,6 +749,10 @@ def test_stored_instances_give_the_verdicts_of_the_substitution_checks(small_pro
                 for name, subst in _rule_variants(node.rule):
                     rule = Rule("TheoryAxiom", axiom=name, subst=subst)
                     cases.append((Proof(node.conclusion, rule, node.premises), theory))
+    # one applied instance against its theory, a second arith theory and a
+    # group theory, which has no such axiom
+    p = theory_apply(TH, "F:successor", {"x": int_term(0, SIG)}, [theory_leaf(TH, "F(0)", {})])
+    cases += [(p, TH), (p, arith_feasibility()), (p, group_feasibility(("x",)))]
     fast = [_theory_verdict(case, th) for case, th in cases]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Theory, "stored_instance", lambda self, name, pairs: None)
@@ -754,7 +761,9 @@ def test_stored_instances_give_the_verdicts_of_the_substitution_checks(small_pro
     errors = [v[1] for v in fast if not isinstance(v, kernel.Step)]
     steps = [v for v in fast if isinstance(v, kernel.Step)]
     assert len(steps) > len(cases) // 4
+    assert isinstance(fast[-3], kernel.Step) and fast[-2] == fast[-3]
     for text in (
+        "unknown axiom 'F:successor'",
         "instantiation must cover exactly ('x', 'y')",
         "instantiation must cover exactly ('x',)",
         "unknown axiom \"F:plus'\"",
@@ -929,21 +938,7 @@ def test_building_and_checking_pay_no_per_node_overhead(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Steps recorded by check
-
-
-def _counting_analysis(monkeypatch) -> list:
-    """Patch the kernel's analysis behind `analyze`; returns the list of
-    nodes it is run on."""
-    seen = []
-    real = kernel._analyze
-
-    def counting(node, theory):
-        seen.append(node)
-        return real(node, theory)
-
-    monkeypatch.setattr(kernel, "_analyze", counting)
-    return seen
+# Verdicts across checks, readers and theory objects
 
 
 def test_a_rejected_inference_stays_rejected():
@@ -957,22 +952,6 @@ def test_a_rejected_inference_stays_rejected():
         messages.append(str(info.value))
     assert messages == [messages[0]] * 3
     assert "applied form context mismatch" in messages[0]
-    # the premise was verified and recorded on the way; the root never is
-    assert leaf._checked[0] is TH and bad._checked is None
-
-
-def test_a_record_serves_only_its_theory(monkeypatch):
-    p = theory_apply(TH, "F:successor", {"x": int_term(0, SIG)}, [theory_leaf(TH, "F(0)", {})])
-    check(p, TH)
-    seen = _counting_analysis(monkeypatch)
-    assert analyze(p, TH) is p._checked[1]
-    assert seen == []
-    # another theory object is asked afresh and gives its own verdict
-    assert analyze(p, arith_feasibility()) == analyze(p, TH)
-    assert seen == [p]
-    with pytest.raises(CheckError, match="unknown axiom 'F:successor'"):
-        analyze(p, group_feasibility(("x",)))
-    assert p._checked[0] is TH
 
 
 @pytest.mark.parametrize(
@@ -984,27 +963,23 @@ def test_a_record_serves_only_its_theory(monkeypatch):
         lambda: gen_distorted(1),
     ],
 )
-def test_check_records_serve_flow_graphs_and_cut_elimination(monkeypatch, make):
+def test_a_fresh_theory_gives_the_same_flow_graph_and_cut_free_proof(make):
+    # after check against one theory object, a fresh theory of the same
+    # kind reads the proof to the same graph and the same cut-free proof
     rep = make()
     p, th = rep.proof, rep.theory
     check(p, th)
-    nodes = set(_iter_unique_nodes(p))
-    seen = _counting_analysis(monkeypatch)
     g = build_flow_graph(p, th)
     cf = eliminate_cuts(p, th)
-    assert not nodes.intersection(seen)
-    # a fresh theory of the same kind analyzes every node again, to the
-    # same graph and the same cut-free proof
     fresh = make().theory
     g_fresh = build_flow_graph(p, fresh)
-    assert nodes <= set(seen)
     assert emit_dot(g) == emit_dot(g_fresh)
     assert g.stats() == g_fresh.stats()
     assert serialize_proof(cf) == serialize_proof(eliminate_cuts(p, fresh))
 
 
 def test_dropped_checked_proofs_free_their_memory():
-    # a record points from the node to the theory, never back, so a
+    # checking leaves no reference from the theory to the proof, so a
     # long-lived theory keeps no checked proof alive
     th = arith_feasibility()
 
