@@ -544,9 +544,8 @@ def blowup_report(make_report, ns, budget: Optional[int] = None, timings: bool =
     generated proof and on its cut-free form, so a row reports only proofs
     the kernel accepted; a rejected one raises CheckError.  Budget or
     fragment failures are flagged in the status column rather than
-    aborting the sweep.  wall_time_ms
-    stays empty unless timings is requested, keeping default output
-    byte-reproducible.
+    aborting the sweep.  wall_time_ms stays empty unless timings is
+    requested, keeping default output byte-reproducible.
     """
     rows = []
     for n in ns:

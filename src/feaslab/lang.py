@@ -94,7 +94,9 @@ def group_signature(generators: Iterable[str], with_triviality: bool = False) ->
     gens = tuple(generators)
     for g in gens:
         if not _is_name(g):
-            raise LangError(f"generator {g!r} is not a name: use letters, digits, _ and '")
+            raise LangError(
+                f"generator {g!r} is not a name: a letter or _, then letters, digits, _ or '"
+            )
     preds = {"=": 2, "F": 1}
     if with_triviality:
         preds["T"] = 1

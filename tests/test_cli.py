@@ -171,7 +171,10 @@ def test_bench_checks_the_cut_free_proof(capsys, monkeypatch):
     monkeypatch.setattr(cutelim, "eliminate_cuts", wrong)
     rc, out, err = run(capsys, "bench", "square-cut", "2")
     assert rc == 1 and out == ""
-    assert err == "error: LogicalAxiom at |- F(exp(exp(s(s(0)), s(s(0))), s(s(0)))): logical axiom must be A |- A\n"
+    assert err == (
+        "error: LogicalAxiom at |- F(exp(exp(s(s(0)), s(s(0))), s(s(0)))): "
+        "logical axiom must be A |- A\n"
+    )
 
 
 @pytest.mark.parametrize("bad", ["3..x", "", "x", "1..2..3", "..3"])
@@ -197,7 +200,9 @@ def test_bench_bad_range_is_one_error_line(capsys, bad):
 def test_a_generator_the_syntax_cannot_read_is_one_error_line(capsys, argv, name):
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == ""
-    assert err == f"error: generator {name!r} is not a name: use letters, digits, _ and '\n"
+    assert err == (
+        f"error: generator {name!r} is not a name: a letter or _, then letters, digits, _ or '\n"
+    )
 
 
 def test_orbit_iteration(capsys):
