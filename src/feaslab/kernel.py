@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -881,22 +882,32 @@ def check(p: Proof, theory) -> SizeStats:
 # the other rules.  t, f and n are indices of earlier entries: a term, a
 # formula, a node.  A file's size tracks the DAG, not the tree, and reading
 # it builds each entry from its parts without the text parser.
+#
+# The writer formats each line itself: strings through the JSON encoder's
+# own escaping under its default ensure_ascii=True, ints through str.  So a
+# file is byte for byte what one encoder call per entry, with separators
+# (",", ":"), would write, without the cost of such a call.  The reader
+# checks each list of references (a node's ant, succ and premises, an
+# expression's parts) in one pass; the first bad reference gets the message
+# `_ref` gives for it alone.
 
 FORMAT = "feaslab-dag/1"
 
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
-
+# each expression class's kind, quoted
 _EXPR_KINDS = {
-    Var: "var",
-    Const: "const",
-    App: "app",
-    Atom: "atom",
-    Not: "not",
-    And: "and",
-    Or: "or",
-    Implies: "imp",
-    Forall: "forall",
-    Exists: "exists",
+    cls: _quote(kind)
+    for cls, kind in (
+        (Var, "var"),
+        (Const, "const"),
+        (App, "app"),
+        (Atom, "atom"),
+        (Not, "not"),
+        (And, "and"),
+        (Or, "or"),
+        (Implies, "imp"),
+        (Forall, "forall"),
+        (Exists, "exists"),
+    )
 }
 _CONNECTIVE_FACTORIES = {"not": neg, "and": conj, "or": disj, "imp": imp}
 
@@ -924,8 +935,8 @@ def _expr_entry(x, ids: list) -> str:
     elif isinstance(x, Quant):
         name = x.v
     else:
-        return _dumps([_EXPR_KINDS[cls], *ids])
-    return _dumps([_EXPR_KINDS[cls], name, *ids])
+        return f"[{','.join([_EXPR_KINDS[cls], *ids])}]"
+    return f"[{','.join([_EXPR_KINDS[cls], _quote(name), *ids])}]"
 
 
 def serialize_proof(p: Proof) -> str:
@@ -937,30 +948,35 @@ def serialize_proof(p: Proof) -> str:
 
     def expr_step(x, ids):
         exprs.append(_expr_entry(x, ids))
-        return len(exprs) - 1
+        return str(len(exprs) - 1)
 
-    def ref(x) -> int:
-        return fold(x, expr_step, expr_ids)
+    def ref(x) -> str:
+        return expr_ids.get(x) or fold(x, expr_step, expr_ids)
 
     def node_step(node, premises):
         rule = node.rule
-        d = {"rule": rule.tag}
+        data = ""
         if rule.subst is not None:
-            d["axiom"] = rule.axiom
-            d["subst"] = {v: ref(t) for v, t in rule.subst}
+            # a JSON object names each variable once: one that a hand-built
+            # rule repeats keeps its last term, as `Rule.subst_dict` does
+            ids = {v: ref(t) for v, t in rule.subst}
+            subst = ",".join([f"{_quote(v)}:{i}" for v, i in ids.items()])
+            data = f',"axiom":{_quote(rule.axiom)},"subst":{{{subst}}}'
         elif rule.term is not None:
-            d["term"] = ref(rule.term)
+            data = f',"term":{ref(rule.term)}'
         elif rule.eigen is not None:
-            d["eigen"] = rule.eigen
-        d["ant"] = [ref(f) for f in node.conclusion.ant]
-        d["succ"] = [ref(f) for f in node.conclusion.succ]
-        d["premises"] = premises
-        nodes.append(_dumps(d))
-        return len(nodes) - 1
+            data = f',"eigen":{_quote(rule.eigen)}'
+        ant = ",".join([ref(f) for f in node.conclusion.ant])
+        succ = ",".join([ref(f) for f in node.conclusion.succ])
+        nodes.append(
+            f'{{"rule":{_quote(rule.tag)}{data},"ant":[{ant}],"succ":[{succ}],'
+            f'"premises":[{",".join(premises)}]}}'
+        )
+        return str(len(nodes) - 1)
 
     fold(p, node_step, {}, children=attrgetter("premises"))
     return (
-        f'{{"format":{_dumps(FORMAT)},\n"exprs":[\n'
+        f'{{"format":{_quote(FORMAT)},\n"exprs":[\n'
         + ",\n".join(exprs)
         + '\n],\n"nodes":[\n'
         + ",\n".join(nodes)
@@ -971,7 +987,7 @@ def serialize_proof(p: Proof) -> str:
 def proof_to_file(p: Proof, path: str):
     # the text is built first, so a failure leaves no partial file behind
     text = serialize_proof(p) + "\n"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -992,8 +1008,12 @@ def parse_proof(text: str, sig: Signature) -> Proof:
 
 
 def proof_from_file(path: str, sig: Signature) -> Proof:
-    with open(path) as fh:
-        return parse_proof(fh.read(), sig)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise KernelError(f"proof file is not UTF-8: {e}") from None
+    return parse_proof(text, sig)
 
 
 _JSON_KIND = {str: "string", list: "list", dict: "object"}
@@ -1018,6 +1038,21 @@ def _ref(table: list, r, sort: type, at: str):
     if not isinstance(x, sort):
         raise KernelError(f"{at}: entry {r} is not a {_SORTS[sort]}")
     return x
+
+
+def _refs(table: list, rs: list, sort: type, at: str) -> list:
+    """[table[r] for r in rs], checked as `_ref` checks each r in one pass;
+    the first bad r raises `_ref`'s message."""
+    n = len(table)
+    out = []
+    for r in rs:
+        if type(r) is int and 0 <= r < n:
+            x = table[r]
+            if isinstance(x, sort):
+                out.append(x)
+                continue
+        _ref(table, r, sort, at)
+    return out
 
 
 def _name(x, sig: Signature, at: str) -> str:
@@ -1048,11 +1083,11 @@ def _expr_from_flat(e, table: list, sig: Signature, at: str):
             raise KernelError(f"{at}: {sym!r:.20} is not a {what} of {sig.name}")
         if n - 1 != arities[sym]:
             raise KernelError(f"{at}: {sym} expects {arities[sym]} arguments, got {n - 1}")
-        args = [_ref(table, r, Term, at) for r in rest[1:]]
+        args = _refs(table, rest[1:], Term, at)
         return app(sym, *args) if kind == "app" else atom(sym, *args)
     make = _CONNECTIVE_FACTORIES.get(kind)
     if make is not None and n == (1 if kind == "not" else 2):
-        return make(*(_ref(table, r, Formula, at) for r in rest))
+        return make(*_refs(table, rest, Formula, at))
     raise KernelError(f"{at}: no expression of kind {kind!r:.20} has {n} parts")
 
 
@@ -1075,10 +1110,10 @@ def _node_from_flat(d, exprs: list, proofs: list, sig: Signature, at: str) -> Pr
     elif "eigen" in d:
         eigen = _name(d["eigen"], sig, at)
     concl = Sequent(
-        [_ref(exprs, r, Formula, at) for r in _field(d, "ant", list)],
-        [_ref(exprs, r, Formula, at) for r in _field(d, "succ", list)],
+        _refs(exprs, _field(d, "ant", list), Formula, at),
+        _refs(exprs, _field(d, "succ", list), Formula, at),
     )
-    premises = tuple(_ref(proofs, r, Proof, at) for r in _field(d, "premises", list))
+    premises = tuple(_refs(proofs, _field(d, "premises", list), Proof, at))
     rule = _PLAIN_RULES.get(tag) or Rule(tag, axiom=axiom, subst=subst, term=term, eigen=eigen)
     return Proof(concl, rule, premises)
 

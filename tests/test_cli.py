@@ -503,72 +503,175 @@ def _flat(exprs=_F0, nodes=(_AXIOM,)):
     """A flat proof file: by default the logical axiom F(0) |- F(0)."""
     return {"format": FORMAT, "exprs": list(exprs), "nodes": list(nodes)}
 
-# one flat file for each way of breaking the format
+_LEAF_FIELDS = "node 0: a LogicalAxiom node has exactly the fields ['ant', 'premises', 'rule', 'succ']"
+
+# one flat file for each way of breaking the format, with the message it gets
 FLAT_HOSTILE = [
     # references: not an int, forward, out of range, of the wrong sort
-    _flat(nodes=[dict(_AXIOM, ant=[True])]),
-    _flat(nodes=[dict(_AXIOM, succ=[1.0])]),
-    _flat(nodes=[dict(_AXIOM, ant=["1"])]),
-    _flat(exprs=(("atom", "F", 1), ("const", "0")), nodes=[dict(_AXIOM, ant=[0], succ=[0])]),
-    _flat(nodes=[dict(_AXIOM, ant=[2], succ=[2])]),
-    _flat(nodes=[dict(_AXIOM, ant=[-1], succ=[-1])]),
-    _flat(nodes=[dict(_AXIOM, ant=[0], succ=[0])]),
-    _flat(exprs=_F0 + (("atom", "F", 1),)),
-    _flat(nodes=[{"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [1]}, _AXIOM]),
-    _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [1]}]),
-    _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [True]}]),
+    (_flat(nodes=[dict(_AXIOM, ant=[True])]), "node 0: True is not the index of an earlier entry"),
+    (_flat(nodes=[dict(_AXIOM, succ=[1.0])]), "node 0: 1.0 is not the index of an earlier entry"),
+    (_flat(nodes=[dict(_AXIOM, ant=["1"])]), "node 0: '1' is not the index of an earlier entry"),
+    (
+        _flat(exprs=(("atom", "F", 1), ("const", "0")), nodes=[dict(_AXIOM, ant=[0], succ=[0])]),
+        "expression 0: 1 is not the index of an earlier entry",
+    ),
+    (
+        _flat(nodes=[dict(_AXIOM, ant=[2], succ=[2])]),
+        "node 0: 2 is not the index of an earlier entry",
+    ),
+    (
+        _flat(nodes=[dict(_AXIOM, ant=[-1], succ=[-1])]),
+        "node 0: -1 is not the index of an earlier entry",
+    ),
+    (_flat(nodes=[dict(_AXIOM, ant=[0], succ=[0])]), "node 0: entry 0 is not a formula"),
+    (_flat(exprs=_F0 + (("atom", "F", 1),)), "expression 2: entry 1 is not a term"),
+    (
+        _flat(nodes=[{"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [1]}, _AXIOM]),
+        "node 0: 1 is not the index of an earlier entry",
+    ),
+    (
+        _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [1]}]),
+        "node 1: 1 is not the index of an earlier entry",
+    ),
+    (
+        _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [True]}]),
+        "node 1: True is not the index of an earlier entry",
+    ),
+    # a bad reference after good ones in a longer list
+    (_flat(nodes=[dict(_AXIOM, ant=[1, 1, 7])]), "node 0: 7 is not the index of an earlier entry"),
+    (
+        _flat(nodes=[_AXIOM, {"rule": "WeakenLeft", "ant": [1, 1], "succ": [1], "premises": [0, True]}]),
+        "node 1: True is not the index of an earlier entry",
+    ),
+    (_flat(nodes=[dict(_AXIOM, succ=[1, -1])]), "node 0: -1 is not the index of an earlier entry"),
+    (_flat(nodes=[dict(_AXIOM, ant=[1, 0])]), "node 0: entry 0 is not a formula"),
+    (_flat(exprs=_F0 + (("app", "+", 0, 1),)), "expression 2: entry 1 is not a term"),
+    (_flat(exprs=_F0 + (("and", 1, 0),)), "expression 2: entry 0 is not a formula"),
     # symbols: not in the signature, or of the wrong arity
-    _flat(exprs=(("const", "zero"), ("atom", "F", 0))),
-    _flat(exprs=(("const", "0"), ("atom", "G", 0))),
-    _flat(exprs=(("const", "0"), ("app", "s", 0, 0), ("atom", "F", 1))),
-    _flat(exprs=(("const", "0"), ("atom", "F", 0, 0))),
-    _flat(exprs=(("var", "s"), ("atom", "F", 0))),
-    _flat(exprs=(("app", "s"), ("atom", "F", 0))),
+    (
+        _flat(exprs=(("const", "zero"), ("atom", "F", 0))),
+        "expression 0: 'zero' is not a constant of arith",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "G", 0))),
+        "expression 1: 'G' is not a predicate of arith",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("app", "s", 0, 0), ("atom", "F", 1))),
+        "expression 1: s expects 1 arguments, got 2",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "F", 0, 0))),
+        "expression 1: F expects 1 arguments, got 2",
+    ),
+    (
+        _flat(exprs=(("var", "s"), ("atom", "F", 0))),
+        "expression 0: 's' is not a variable name in signature arith",
+    ),
+    (_flat(exprs=(("app", "s"), ("atom", "F", 0))), "expression 0: s expects 1 arguments, got 0"),
     # variable names: no identifier, or a signature symbol
-    _flat(exprs=(("var", "x y"), ("atom", "F", 0))),
-    _flat(exprs=(("var", "0"), ("atom", "F", 0))),
-    _flat(exprs=(("var", "F"), ("atom", "F", 0))),
-    _flat(exprs=(("var", 7), ("atom", "F", 0))),
-    _flat(exprs=_F0 + (("forall", "+", 1),), nodes=[dict(_AXIOM, ant=[2], succ=[2])]),
+    (
+        _flat(exprs=(("var", "x y"), ("atom", "F", 0))),
+        "expression 0: 'x y' is not a variable name in signature arith",
+    ),
+    (
+        _flat(exprs=(("var", "0"), ("atom", "F", 0))),
+        "expression 0: '0' is not a variable name in signature arith",
+    ),
+    (
+        _flat(exprs=(("var", "F"), ("atom", "F", 0))),
+        "expression 0: 'F' is not a variable name in signature arith",
+    ),
+    (
+        _flat(exprs=(("var", 7), ("atom", "F", 0))),
+        "expression 0: 7 is not a variable name in signature arith",
+    ),
+    (
+        _flat(exprs=_F0 + (("forall", "+", 1),), nodes=[dict(_AXIOM, ant=[2], succ=[2])]),
+        "expression 2: '+' is not a variable name in signature arith",
+    ),
     # expression kinds and shapes
-    _flat(exprs=(("const", "0"), ("atom", "F", 0), ("nand", 1, 1))),
-    _flat(exprs=(("const", "0"), ("atom", "F", 0), ("not", 1, 1))),
-    _flat(exprs=(("const", "0"), ("atom", "F", 0), ("and", 1))),
-    _flat(exprs=(("const", "0"), ("atom", "F", 0), [])),
-    _flat(exprs=(("const", "0"), ("atom", "F", 0), {"kind": "not"})),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "F", 0), ("nand", 1, 1))),
+        "expression 2: no expression of kind 'nand' has 2 parts",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "F", 0), ("not", 1, 1))),
+        "expression 2: no expression of kind 'not' has 2 parts",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "F", 0), ("and", 1))),
+        "expression 2: no expression of kind 'and' has 1 parts",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "F", 0), [])),
+        "expression 2 must be a JSON list headed by its kind",
+    ),
+    (
+        _flat(exprs=(("const", "0"), ("atom", "F", 0), {"kind": "not"})),
+        "expression 2 must be a JSON list headed by its kind",
+    ),
     # rule data: missing or extra for the tag, and unknown keys
-    _flat(nodes=[dict(_AXIOM, eigen="a")]),
-    _flat(nodes=[dict(_AXIOM, term=0)]),
-    _flat(nodes=[{"rule": "TheoryAxiom", "axiom": "F(0)", "succ": [1], "ant": [], "premises": []}]),
-    _flat(
-        exprs=_F0 + (("forall", "x", 1),),
-        nodes=[_AXIOM, {"rule": "ForallRight", "ant": [], "succ": [2], "premises": [0]}],
+    (
+        _flat(nodes=[dict(_AXIOM, eigen="a")]),
+        _LEAF_FIELDS,
     ),
-    _flat(
-        exprs=_F0 + (("forall", "x", 1),),
-        nodes=[_AXIOM, {"rule": "ForallRight", "eigen": "0", "ant": [2], "succ": [2], "premises": [0]}],
+    (
+        _flat(nodes=[dict(_AXIOM, term=0)]),
+        _LEAF_FIELDS,
     ),
-    _flat(nodes=[dict(_AXIOM, note="x")]),
-    _flat(nodes=[{"rule": "LogicalAxiom", "ant": [1], "succ": [1]}]),
-    _flat(nodes=[dict(_AXIOM, rule="Modus")]),
-    _flat(nodes=[[1, 1]]),
+    (
+        _flat(nodes=[{"rule": "TheoryAxiom", "axiom": "F(0)", "succ": [1], "ant": [], "premises": []}]),
+        "node 0: a TheoryAxiom node has exactly the fields ['ant', 'axiom', 'premises', 'rule', 'subst', 'succ']",
+    ),
+    (
+        _flat(
+            exprs=_F0 + (("forall", "x", 1),),
+            nodes=[_AXIOM, {"rule": "ForallRight", "ant": [], "succ": [2], "premises": [0]}],
+        ),
+        "node 1: a ForallRight node has exactly the fields ['ant', 'eigen', 'premises', 'rule', 'succ']",
+    ),
+    (
+        _flat(
+            exprs=_F0 + (("forall", "x", 1),),
+            nodes=[_AXIOM, {"rule": "ForallRight", "eigen": "0", "ant": [2], "succ": [2], "premises": [0]}],
+        ),
+        "node 1: '0' is not a variable name in signature arith",
+    ),
+    (
+        _flat(nodes=[dict(_AXIOM, note="x")]),
+        _LEAF_FIELDS,
+    ),
+    (
+        _flat(nodes=[{"rule": "LogicalAxiom", "ant": [1], "succ": [1]}]),
+        _LEAF_FIELDS,
+    ),
+    (_flat(nodes=[dict(_AXIOM, rule="Modus")]), "node 0: unknown rule tag 'Modus'"),
+    (_flat(nodes=[[1, 1]]), "node 0 must be a JSON object"),
     # the tables themselves
-    _flat(nodes=[]),
-    dict(_flat(), format="feaslab-dag/0"),
-    dict(_flat(), format=None),
-    dict(_flat(), extra=1),
-    {"format": FORMAT, "exprs": list(_F0)},
-    dict(_flat(), exprs={}),
-    dict(_flat(), nodes=_AXIOM),
+    (_flat(nodes=[]), "proof file has no nodes"),
+    (
+        dict(_flat(), format="feaslab-dag/0"),
+        "unknown proof format; this reader knows 'feaslab-dag/1'",
+    ),
+    (dict(_flat(), format=None), "unknown proof format; this reader knows 'feaslab-dag/1'"),
+    (dict(_flat(), extra=1), "a flat proof file has exactly the fields format, exprs and nodes"),
+    (
+        {"format": FORMAT, "exprs": list(_F0)},
+        "a flat proof file has exactly the fields format, exprs and nodes",
+    ),
+    (dict(_flat(), exprs={}), "proof field 'exprs' must be a JSON list"),
+    (dict(_flat(), nodes=_AXIOM), "proof field 'nodes' must be a JSON list"),
 ]
 
 
 def test_flat_hostile_files_fail_to_read():
     sig = arith_signature()
     assert parse_proof(json.dumps(_flat()), sig).rule.tag == "LogicalAxiom"
-    for case in FLAT_HOSTILE:
-        with pytest.raises(KernelError):
+    for case, message in FLAT_HOSTILE:
+        with pytest.raises(KernelError) as info:
             parse_proof(json.dumps(case), sig)
+        assert str(info.value) == message
 
 
 def test_hostile_json_shapes_are_error_lines(tmp_path, capsys):
@@ -585,13 +688,24 @@ def test_hostile_json_shapes_are_error_lines(tmp_path, capsys):
         # numeral literals: nine digits spelled in unary, 20,000 digits for int()
         dict(leaf, conclusion="|- F(111111111)"),
         dict(leaf, conclusion="|- F(" + "7" * 20_000 + ")"),
-    ] + FLAT_HOSTILE
+    ] + [case for case, _ in FLAT_HOSTILE]
     f = tmp_path / "hostile.json"
     for case in cases:
         f.write_text(json.dumps(case))
         rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_proof_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys):
+    f = tmp_path / "utf16.json"
+    f.write_bytes(b"\xff\xfe" + json.dumps(_flat()).encode("utf-16-le"))
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 1 and out == ""
+    assert err == (
+        "error: proof file is not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
 
 
 _FIELDS = ["rule", "instantiation", "conclusion", "premises", "axiom", "subst", "term", "eigen"]

@@ -55,7 +55,9 @@ from feaslab.lang import (
     fresh_name,
     imp,
     int_term,
+    is_variable_name,
     mul,
+    neg,
     parse_formula,
     subst_formula,
     subst_term,
@@ -81,6 +83,7 @@ from feaslab.theories import (
 )
 from fractions import Fraction
 
+from flat_format import serialize_flat
 from nested_format import serialize_nested
 
 TH = arith_feasibility()
@@ -349,6 +352,110 @@ def test_flat_file_round_trip(family, data):
     gen, top = _FAMILIES[family]
     r = gen(data.draw(st.integers(1 if family == "geometric" else 0, top), label="n"))
     _same_proofs(r.proof, parse_proof(serialize_proof(r.proof), r.theory.signature))
+
+
+# Names a library caller may give: quotes, backslashes, control characters
+# and non-ASCII need escaping, and only some of them are variable names.
+_ODD_NAMES = st.sampled_from(['a"b', "a\\b", "\x00", "t\n", "\x7f", "é", "\u2028", "😀", "x y"])
+_FLAT_NAMES = st.sampled_from(["x", "y", "a'", "_z"]) | _ODD_NAMES | st.text(min_size=1, max_size=3)
+
+
+@st.composite
+def _odd_proofs(draw):
+    """A proof over SIG's symbols whose variable, eigenvariable, axiom and
+    substitution names are drawn."""
+    names = draw(st.lists(_FLAT_NAMES, min_size=1, max_size=3, unique=True))
+    name = st.sampled_from(names)
+    terms = st.recursive(
+        st.builds(var, name) | st.just(const("0")),
+        lambda t: st.builds(lambda u: app("s", u), t) | st.builds(mul, t, t),
+        max_leaves=4,
+    )
+    formulas = st.recursive(
+        st.builds(F, terms),
+        lambda f: st.builds(imp, f, f) | st.builds(forall, name, f) | st.builds(neg, f),
+        max_leaves=4,
+    )
+    nodes: list = []
+    for _ in range(draw(st.integers(1, 5))):
+        tag = draw(st.sampled_from(sorted(RULE_TAGS)))
+        arity = kernel._ARITY[tag]
+        if arity is None:
+            arity = draw(st.integers(0, 2))
+        if arity and not nodes:
+            tag, arity = "LogicalAxiom", 0
+        if tag == "TheoryAxiom":
+            subst = draw(st.dictionaries(name | st.text(max_size=2), terms, max_size=2))
+            rule = Rule(tag, axiom=draw(_FLAT_NAMES), subst=tuple(sorted(subst.items())))
+        elif tag in kernel._TERM_RULES:
+            rule = Rule(tag, term=draw(terms))
+        elif tag in kernel._EIGEN_RULES:
+            rule = Rule(tag, eigen=draw(name))
+        else:
+            rule = Rule(tag)
+        ant, succ = (draw(st.lists(formulas, max_size=3)) for _ in "as")
+        premises = [draw(st.sampled_from(nodes)) for _ in range(arity)]
+        nodes.append(Proof(Sequent(ant, succ), rule, premises))
+    return nodes[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=_odd_proofs())
+def test_serialize_proof_matches_the_encoder_writer(p):
+    text = serialize_proof(p)
+    assert text == serialize_flat(p)
+    text.encode("ascii")
+    data = json.loads(text)
+    names = [e[1] for e in data["exprs"] if e[0] in ("var", "forall", "exists")]
+    names += [d["eigen"] for d in data["nodes"] if "eigen" in d]
+    if all(is_variable_name(n, SIG) for n in names):
+        back = parse_proof(text, SIG)
+        _same_proofs(p, back)
+        assert serialize_proof(back) == text
+    else:
+        with pytest.raises(KernelError, match="is not a variable name"):
+            parse_proof(text, SIG)
+
+
+def test_a_repeated_substitution_variable_is_written_once():
+    # check reads a rule that names x twice by its last pair; so does the file
+    ok = theory_apply(TH, "F:successor", {"x": const("0")}, [theory_leaf(TH, "F(0)", {})])
+    pairs = (("x", int_term(1, SIG)), ("x", const("0")))
+    p = Proof(ok.conclusion, Rule("TheoryAxiom", axiom="F:successor", subst=pairs), ok.premises)
+    text = serialize_proof(p)
+    assert text == serialize_flat(p)
+    assert '"subst":{"x":0}' in text
+    assert parse_proof(text, SIG).rule == ok.rule
+
+
+def test_serializing_calls_no_encoder_per_entry(monkeypatch):
+    # one format line, then a line per entry formatted by hand: no JSON
+    # encoder runs, and fold is entered once per expression the file does
+    # not hold yet, plus once for the walk over the nodes
+    encodes = []
+    real_iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, o, *args, **kw):
+        encodes.append(o)
+        return real_iterencode(self, o, *args, **kw)
+
+    folds = []
+    real_fold = kernel.fold
+
+    def counting_fold(x, *args, **kw):
+        folds.append(x)
+        return real_fold(x, *args, **kw)
+
+    p = gen_square_cut(20).proof
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    monkeypatch.setattr(kernel, "fold", counting_fold)
+    text = serialize_proof(p)
+    monkeypatch.undo()
+    assert text == serialize_flat(p)
+    n_exprs = len(json.loads(text)["exprs"])
+    assert len(encodes) <= 1
+    assert len(folds) <= n_exprs + 1
+    assert len(set(map(id, folds))) == len(folds)
 
 
 def test_parse_proof_rejects_malformed():
