@@ -429,9 +429,9 @@ def test_a_repeated_substitution_variable_is_written_once():
 
 
 def test_serializing_calls_no_encoder_per_entry(monkeypatch):
-    # one format line, then a line per entry formatted by hand: no JSON
-    # encoder runs, and fold is entered once per expression the file does
-    # not hold yet, plus once for the walk over the nodes
+    # the JSON encoder runs at most once, for the format line, not once per
+    # entry; fold is entered once per expression the file does not hold yet,
+    # plus once for the walk over the nodes
     encodes = []
     real_iterencode = json.JSONEncoder.iterencode
 
