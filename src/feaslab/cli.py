@@ -147,8 +147,9 @@ def _cmd_flow(args) -> int:
         f"cycles={s['cycles']} bridges={s['bridges']}"
     )
     if args.dot:
+        text = emit_dot(g)  # before the file is opened, so a failure leaves none
         with open(args.dot, "w") as fh:
-            fh.write(emit_dot(g))
+            fh.write(text)
         print(f"wrote {args.dot}")
     return 0
 

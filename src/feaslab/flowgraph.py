@@ -7,11 +7,10 @@ cut-link between the two cut occurrences, and contraction-merge where two
 occurrences collapse into one.
 
 The graph numbers the occurrences with integers and keeps its edges as
-parallel integer lists; its statistics run on those.  Each sequent of the
-tree is a block of consecutive ids, antecedent first.  The path-addressed
-view, where an occurrence is (path, side, index) with path the tuple of
-premise positions from the root and side "L" or "R", is built from the
-blocks only when it is read (`nodes`, `edges`, `formulas`, `emit_dot`).
+parallel integer lists; its statistics and its Graphviz text run on
+those.  Each sequent of the tree is a block of consecutive ids,
+antecedent first, so an occurrence is also (block, side, index) with side
+"L" or "R"; `emit_dot` labels it so.
 
 Cycles appear exactly where contractions share material across branches;
 the cycle count is the first Betti number E - V + C of the undirected
@@ -21,10 +20,12 @@ multigraph.  Bridges are edges whose removal disconnects their component.
 from __future__ import annotations
 
 from .kernel import Proof, analyze, step_edges
-from .lang import Printer
+from .lang import _MAX_PRINTED_NODES, Printer, _tree_step, dag_size, fold
 
 TAGS = ("ancestry", "axiom-link", "cut-link", "contraction-merge")
 _TAG_ID = {tag: k for k, tag in enumerate(TAGS)}
+# The Graphviz style of an edge, by tag id, parallel to TAGS.
+_STYLES = ("solid", "dashed", "bold", "dotted")
 
 
 class FlowGraph:
@@ -32,8 +33,9 @@ class FlowGraph:
 
     Blocks are (parent block, premise index, proof node), one per node of
     the tree in id order: block 0 is the root sequent, and each block's
-    occurrences take the ids after the previous block's.  Edge k joins
-    occurrences us[k] and vs[k] with tag TAGS[tags[k]].
+    occurrences take the ids after the previous block's.  The parent and
+    premise index place a block in the tree.  Edge k joins occurrences
+    us[k] and vs[k] with tag TAGS[tags[k]].
     """
 
     def __init__(self, blocks: list, node_count: int, us: list, vs: list, tags: list):
@@ -41,7 +43,6 @@ class FlowGraph:
         self._n = node_count
         self._us, self._vs, self._tags = us, vs, tags
         self._adj = None
-        self._view = None
 
     @property
     def node_count(self) -> int:
@@ -50,43 +51,6 @@ class FlowGraph:
     @property
     def edge_count(self) -> int:
         return len(self._us)
-
-    @property
-    def nodes(self) -> list:
-        """Sorted occurrences (path, side, index)."""
-        return self._tuples()[0]
-
-    @property
-    def edges(self) -> list:
-        """Sorted edges (occurrence, occurrence, tag)."""
-        return self._tuples()[1]
-
-    @property
-    def formulas(self) -> dict:
-        """Occurrence -> its formula."""
-        return self._tuples()[2]
-
-    def _tuples(self) -> tuple:
-        """Replay the blocks into the path-addressed view, once."""
-        if self._view is None:
-            paths = []
-            occs = []
-            formulas = {}
-            for parent, j, node in self._blocks:
-                path = paths[parent] + (j,) if paths else ()
-                paths.append(path)
-                c = node.conclusion
-                for side, fs in (("L", c.ant), ("R", c.succ)):
-                    for i, f in enumerate(fs):
-                        occ = (path, side, i)
-                        occs.append(occ)
-                        formulas[occ] = f
-            edges = sorted(
-                (occs[u], occs[v], TAGS[t]) for u, v, t in zip(self._us, self._vs, self._tags)
-            )
-            occs.sort()
-            self._view = (occs, edges, formulas)
-        return self._view
 
     def _adjacency(self) -> list:
         """Per occurrence, the ids of its edges (a self-loop twice); built once."""
@@ -245,25 +209,29 @@ def _local_edges(node: Proof, step) -> tuple:
 
 
 def emit_dot(g: FlowGraph, name: str = "flow") -> str:
-    """Deterministic Graphviz rendering of the occurrence graph, each
-    occurrence labelled with its formula's text."""
+    """Deterministic Graphviz rendering of the occurrence graph.
+
+    Occurrence k is node n{k}, labelled with its formula's text and its
+    place {block}:{side}{index}; nodes come in id order, edges in build
+    order.  A formula whose tree has more than _MAX_PRINTED_NODES nodes is
+    labelled with a summary of its size instead, as in `sequent_brief`.
+    """
     # one printer for every formula, so each is rendered once
-    printer = Printer(g.formulas.values())
-    order = {occ: k for k, occ in enumerate(sorted(g.nodes))}
-    out = [f"graph {name} {{"]
-    out.append("  node [shape=box, fontsize=10];")
-    for occ in sorted(g.nodes):
-        path, side, i = occ
-        loc = ".".join(str(x) for x in path) or "root"
-        label = printer.text(g.formulas[occ]).replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'  n{order[occ]} [label="{label}\\n{loc}:{side}{i}"];')
-    for u, v, tag in sorted(g.edges):
-        style = {
-            "ancestry": "solid",
-            "axiom-link": "dashed",
-            "cut-link": "bold",
-            "contraction-merge": "dotted",
-        }.get(tag, "solid")
-        out.append(f'  n{order[u]} -- n{order[v]} [label="{tag}", style={style}];')
+    printer = Printer(f for _, _, q in g._blocks for f in q.conclusion.ant + q.conclusion.succ)
+    sizes: dict = {}  # the tree size of every node below a label, for this call
+    out = [f"graph {name} {{", "  node [shape=box, fontsize=10];"]
+    k = 0
+    for b, (_, _, q) in enumerate(g._blocks):
+        for side, fs in (("L", q.conclusion.ant), ("R", q.conclusion.succ)):
+            for i, f in enumerate(fs):
+                nodes = fold(f, _tree_step, sizes)
+                if nodes > _MAX_PRINTED_NODES:
+                    label = f"<formula of {nodes} nodes as a tree, {dag_size(f)} distinct>"
+                else:
+                    label = printer.text(f).replace("\\", "\\\\").replace('"', '\\"')
+                out.append(f'  n{k} [label="{label}\\n{b}:{side}{i}"];')
+                k += 1
+    for u, v, t in zip(g._us, g._vs, g._tags):
+        out.append(f'  n{u} -- n{v} [label="{TAGS[t]}", style={_STYLES[t]}];')
     out.append("}")
     return "\n".join(out) + "\n"

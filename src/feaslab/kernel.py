@@ -180,6 +180,8 @@ class Rule:
         has = (axiom is not None, subst is not None, term is not None, eigen is not None)
         if _RULE_SHAPES.get(tag) != has:
             raise KernelError(_rule_error(tag, *has))
+        if eigen is not None and not isinstance(eigen, str):
+            raise KernelError(f"eigenvariable {eigen!r} is not a string")
         _set_tag(self, tag)
         _set_axiom(self, axiom)
         _set_subst(self, subst)
@@ -705,6 +707,9 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
         schema = theory.axioms[name]
         if set(subst) != set(schema.vars):
             _fail(node, f"instantiation must cover exactly {schema.vars}")
+        # the pairs a proof file reads back: sorted, each variable once
+        if len(subst) != len(node.rule.subst) or list(subst) != sorted(subst):
+            _fail(node, "instantiation must name each variable once, in sorted order")
         found = theory.instance(name, subst)
     phis, psi, subst, _ = found
     theory.validate_instantiation(name, subst, psi)

@@ -7,14 +7,14 @@ and substitution preserves the DAG structure.
 
 Interning takes no lock and stays one object per structure across
 threads.  A factory probes its table and, on a miss, checks that its
-arguments are terms or formulas (LangError otherwise), builds a candidate
-and stores it with `dict.setdefault`, which returns the object already
-stored when another thread stored one first; that thread's object wins
-and the candidate is dropped.  The keys are strings and tuples of
-strings and interned nodes, which hash and compare in C (nodes by
-identity), so the probe and the `setdefault` are each one atomic
-dictionary operation: no thread can see a key half stored, and no two
-objects can be stored under one key.
+arguments are terms or formulas and its variable names strings
+(LangError otherwise), builds a candidate and stores it with
+`dict.setdefault`, which returns the object already stored when another
+thread stored one first; that thread's object wins and the candidate is
+dropped.  The keys are strings and tuples of strings and interned nodes,
+which hash and compare in C (nodes by identity), so the probe and the
+`setdefault` are each one atomic dictionary operation: no thread can see
+a key half stored, and no two objects can be stored under one key.
 
 Main entry points
 -----------------
@@ -212,10 +212,19 @@ def _expect(cls, xs: tuple, head: str):
             raise LangError(f"non-{cls.__name__.lower()} argument {x!r} to {head}")
 
 
+def _expect_name(name, head: str):
+    """Raise LangError unless name is a string; asked only on a miss."""
+    if not isinstance(name, str):
+        raise LangError(f"non-string name {name!r} to {head}")
+
+
 def var(name: str) -> Var:
     key = ("v", name)
     obj = _term_table.get(key)
-    return obj if obj is not None else _term_table.setdefault(key, Var(name))
+    if obj is None:
+        _expect_name(name, "var")
+        obj = _term_table.setdefault(key, Var(name))
+    return obj
 
 
 def const(sym: str) -> Const:
@@ -383,6 +392,7 @@ def forall(v: str, body: Formula) -> Forall:
     obj = _formula_table.get(key)
     if obj is None:
         _expect(Formula, (body,), "forall")
+        _expect_name(v, "forall")
         obj = _formula_table.setdefault(key, Forall(v, body))
     return obj
 
@@ -392,6 +402,7 @@ def exists(v: str, body: Formula) -> Exists:
     obj = _formula_table.get(key)
     if obj is None:
         _expect(Formula, (body,), "exists")
+        _expect_name(v, "exists")
         obj = _formula_table.setdefault(key, Exists(v, body))
     return obj
 

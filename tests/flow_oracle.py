@@ -5,15 +5,20 @@ addressed each occurrence as (path, side, index) from the start, called
 `analyze` once per tree occurrence of a node, and ran its statistics as
 depth-first searches over a dict adjacency keyed by those tuples.  Its
 cost grew with the square of the proof's depth.  It stays here so that the
-integer graph's tuple view, statistics and Graphviz text can be checked
-against it.
+integer graph's statistics, and through `path_view` its occurrences, edges
+and formulas, can be checked against it.
+
+`path_view` replays an integer graph's blocks into the same path-addressed
+form, and `emit_path_dot` renders that form as Graphviz text, each
+occurrence labelled with its path.
 """
 
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from feaslab.flowgraph import TAGS, FlowGraph
 from feaslab.kernel import Proof, analyze, step_edges
-from feaslab.lang import Formula
+from feaslab.lang import Formula, Printer
 
 Occ = Tuple[Tuple[int, ...], str, int]
 Edge = Tuple[Occ, Occ, str]
@@ -162,3 +167,50 @@ def _to_global(end, path) -> Occ:
     if where == "c":
         return (path, side, i)
     return (path + (where,), side, i)
+
+
+def path_view(g: FlowGraph) -> OracleGraph:
+    """Replay the blocks of g into sorted occurrences (path, side, index),
+    sorted edges (occurrence, occurrence, tag) and each occurrence's
+    formula."""
+    paths = []
+    occs = []
+    formulas = {}
+    for parent, j, node in g._blocks:
+        path = paths[parent] + (j,) if paths else ()
+        paths.append(path)
+        c = node.conclusion
+        for side, fs in (("L", c.ant), ("R", c.succ)):
+            for i, f in enumerate(fs):
+                occ = (path, side, i)
+                occs.append(occ)
+                formulas[occ] = f
+    edges = sorted((occs[u], occs[v], TAGS[t]) for u, v, t in zip(g._us, g._vs, g._tags))
+    occs.sort()
+    return OracleGraph(nodes=occs, edges=edges, formulas=formulas)
+
+
+def emit_path_dot(graph: OracleGraph, name: str = "flow") -> str:
+    """Graphviz rendering of a path-addressed graph, nodes and edges in
+    sorted order, each occurrence labelled with its formula's text and
+    its path."""
+    # one printer for every formula, so each is rendered once
+    printer = Printer(graph.formulas.values())
+    order = {occ: k for k, occ in enumerate(sorted(graph.nodes))}
+    out = [f"graph {name} {{"]
+    out.append("  node [shape=box, fontsize=10];")
+    for occ in sorted(graph.nodes):
+        path, side, i = occ
+        loc = ".".join(str(x) for x in path) or "root"
+        label = printer.text(graph.formulas[occ]).replace("\\", "\\\\").replace('"', '\\"')
+        out.append(f'  n{order[occ]} [label="{label}\\n{loc}:{side}{i}"];')
+    for u, v, tag in sorted(graph.edges):
+        style = {
+            "ancestry": "solid",
+            "axiom-link": "dashed",
+            "cut-link": "bold",
+            "contraction-merge": "dotted",
+        }.get(tag, "solid")
+        out.append(f'  n{order[u]} -- n{order[v]} [label="{tag}", style={style}];')
+    out.append("}")
+    return "\n".join(out) + "\n"

@@ -5,7 +5,9 @@ import csv
 import io
 import json
 import os
+import re
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,12 +129,47 @@ def test_flow_matrix_power_builds_no_labels(capsys):
 
 
 def test_flow_dot_output(tmp_path, capsys):
+    # occurrence k is n{k}, placed by its block, side and index
     dot = tmp_path / "g.dot"
     rc, out, _ = run(capsys, "flow", "unary", "2", "--dot", str(dot))
     assert rc == 0
+    assert out == f"nodes=7 edges=6 components=1 cycles=0 bridges=6\nwrote {dot}\n"
+    assert dot.read_text() == (
+        "graph flow {\n"
+        "  node [shape=box, fontsize=10];\n"
+        '  n0 [label="F(s(s(0)))\\n0:R0"];\n'
+        '  n1 [label="F(s(0))\\n1:R0"];\n'
+        '  n2 [label="F(s(0))\\n2:L0"];\n'
+        '  n3 [label="F(s(s(0)))\\n2:R0"];\n'
+        '  n4 [label="F(0)\\n3:R0"];\n'
+        '  n5 [label="F(0)\\n4:L0"];\n'
+        '  n6 [label="F(s(0))\\n4:R0"];\n'
+        '  n1 -- n2 [label="cut-link", style=bold];\n'
+        '  n3 -- n0 [label="ancestry", style=solid];\n'
+        '  n2 -- n3 [label="axiom-link", style=dashed];\n'
+        '  n4 -- n5 [label="cut-link", style=bold];\n'
+        '  n6 -- n1 [label="ancestry", style=solid];\n'
+        '  n5 -- n6 [label="axiom-link", style=dashed];\n'
+        "}\n"
+    )
+
+
+def test_flow_dot_summarizes_huge_labels(tmp_path, capsys):
+    # the conclusion F(x^(2^32)) is a DAG of 34 nodes and a tree of 2^33:
+    # its label is a summary of its size, as `check` prints the sequent
+    dot = tmp_path / "g.dot"
+    rc, out, err = run(capsys, "flow", "group-power", "5", "--mode", "quantifier", "--dot", str(dot))
+    assert rc == 0 and err == ""
+    assert out.endswith(f"wrote {dot}\n")
     text = dot.read_text()
-    assert text.startswith("graph flow {")
-    assert "axiom-link" in text
+    assert '  n0 [label="<formula of 8589934592 nodes as a tree, 34 distinct>\\n0:R0"];' in text
+    summaries = re.findall(r"<formula of (\d+) nodes as a tree, (\d+) distinct>", text)
+    assert Counter(summaries) == {
+        ("8589934592", "34"): 10,
+        ("8589934595", "36"): 2,
+        ("8589934596", "37"): 3,
+        ("8590065665", "36"): 1,
+    }
 
 
 def test_bench_csv(capsys):
@@ -433,6 +470,18 @@ def test_emit_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
     f = tmp_path / "proof.json"
     rc, _, err = run(capsys, "gen", "unary", "3", "--emit", str(f))
     assert rc == 1 and err == "error: cannot serialize\n"
+    assert not f.exists()
+
+
+def test_dot_failure_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def fail(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "emit_dot", fail)
+    f = tmp_path / "g.dot"
+    rc, out, err = run(capsys, "flow", "unary", "3", "--dot", str(f))
+    assert rc == 1 and err == "error: out of memory\n"
+    assert out == "nodes=10 edges=9 components=1 cycles=0 bridges=9\n"
     assert not f.exists()
 
 

@@ -20,10 +20,10 @@ from feaslab.generators import (
     gen_unary,
 )
 from feaslab.kernel import _iter_unique_nodes, cut, logical_axiom, size
-from feaslab.lang import atom, const
+from feaslab.lang import Printer, atom, const
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
-from flow_oracle import build_oracle_graph
+from flow_oracle import build_oracle_graph, emit_path_dot, path_view
 
 FIB = Mat2(2, 1, 1, 1)
 
@@ -40,7 +40,7 @@ def test_single_cut_graph():
         "cycles": 0,
         "bridges": 5,
     }
-    tags = sorted(tag for _, _, tag in g.edges)
+    tags = sorted(tag for _, _, tag in path_view(g).edges)
     assert tags.count("cut-link") == 1
     assert tags.count("axiom-link") == 2
     assert tags.count("ancestry") == 2
@@ -111,7 +111,7 @@ def test_shared_subproofs_counted_per_occurrence(monkeypatch):
     monkeypatch.setattr(flowgraph, "analyze", counting)
     g = build_flow_graph(cf, rep.theory)
     assert g.node_count == 93  # one occurrence per line of the tree
-    assert len(set(g.nodes)) == g.node_count  # paths disambiguate
+    assert len(set(path_view(g).nodes)) == g.node_count  # paths disambiguate
     assert len(analyzed) == len({id(q) for q in analyzed}) == distinct
 
 
@@ -143,11 +143,37 @@ def test_emit_dot_deterministic():
 
 
 def test_flow_graphs_frozen(small_proofs):
-    # pins every occurrence, label, edge and tag
+    # pins every occurrence, label, edge and tag, by path
+    h = hashlib.sha256()
+    for p, theory in small_proofs:
+        h.update(emit_path_dot(path_view(build_flow_graph(p, theory))).encode())
+    assert h.hexdigest() == "982d1184800c6ed30e6017b7746e8da183b6a1530c1f1926036f82f75e2ab6c2"
+
+
+def test_dot_text_frozen(small_proofs):
+    # pins the Graphviz text on occurrence ids: labels (the disjunctions
+    # pin the escaping of their backslashes), places and edge order
     h = hashlib.sha256()
     for p, theory in small_proofs:
         h.update(emit_dot(build_flow_graph(p, theory)).encode())
-    assert h.hexdigest() == "982d1184800c6ed30e6017b7746e8da183b6a1530c1f1926036f82f75e2ab6c2"
+    assert h.hexdigest() == "e3dabfc5fdc11da71fcf15015443d4c52c757e0f281ae06b5aae00a3e2c8245a"
+
+
+def test_dot_labels_spell_no_path():
+    # a label's place is its block, not its path: for unary 2000 a path
+    # label spelled up to 2000 premise positions
+    rep = gen_unary(2000)
+    g = build_flow_graph(rep.proof, rep.theory)
+    formulas = [f for _, _, q in g._blocks for f in q.conclusion.ant + q.conclusion.succ]
+    printer = Printer(formulas)  # formula_str for each would take seconds
+    texts = [printer.text(f) for f in formulas]
+    lines = [line for line in emit_dot(g).splitlines() if "[label=" in line and " -- " not in line]
+    assert len(lines) == len(texts) == g.node_count
+    width = len(str(len(g._blocks))) + 3
+    for k, (line, text) in enumerate(zip(lines, texts)):
+        head = f'  n{k} [label="{text}\\n'
+        assert line.startswith(head) and line.endswith('"];'), line[:80]
+        assert len(line) - len(head) - len('"];') <= width, line[len(head) :]
 
 
 def _survey_items():
@@ -181,21 +207,23 @@ def oracle_inputs(small_proofs):
 def test_matches_path_addressed_oracle(oracle_inputs):
     for p, theory in oracle_inputs:
         g, want = build_flow_graph(p, theory), build_oracle_graph(p, theory)
-        assert g.nodes == want.nodes
-        assert g.edges == want.edges
-        assert g.formulas == want.formulas
+        view = path_view(g)
+        assert view.nodes == want.nodes
+        assert view.edges == want.edges
+        assert view.formulas == want.formulas
         assert g.stats() == want.stats()
         assert g.cycle_rank_by_forest() == want.cycle_rank_by_forest()
-        assert emit_dot(g) == emit_dot(want)
+        assert emit_path_dot(view) == emit_path_dot(want)
 
 
 def test_matches_networkx(oracle_inputs):
     nx = pytest.importorskip("networkx")
     for p, theory in oracle_inputs:
         g = build_flow_graph(p, theory)
+        view = path_view(g)
         h = nx.MultiGraph()
-        h.add_nodes_from(g.nodes)
-        h.add_edges_from((u, v) for u, v, _tag in g.edges)
+        h.add_nodes_from(view.nodes)
+        h.add_edges_from((u, v) for u, v, _tag in view.edges)
         forest = sum(1 for _ in nx.minimum_spanning_edges(h, data=False))
         s = g.stats()
         assert s["components"] == nx.number_connected_components(h)

@@ -428,6 +428,30 @@ def test_a_repeated_substitution_variable_is_written_once():
     assert parse_proof(text, SIG).rule == ok.rule
 
 
+def test_a_substitution_the_file_cannot_carry_is_refused():
+    # a file carries the pairs as an object, read back sorted and once each,
+    # so a rule naming a variable twice or out of order would be read back
+    # as another rule than the one checked
+    ok = theory_apply(TH, "F:successor", {"x": const("0")}, [theory_leaf(TH, "F(0)", {})])
+    twice = (("x", int_term(1, SIG)), ("x", const("0")))
+    leaf = theory_leaf(TH, "F:plus", {"x": int_term(1, SIG), "y": const("0")})
+    swapped = leaf.rule.subst[::-1]
+    assert [v for v, _ in swapped] == ["y", "x"]
+    for good, pairs in ((ok, twice), (leaf, swapped)):
+        assert check(good, TH).lines > 0
+        rule = Rule("TheoryAxiom", axiom=good.rule.axiom, subst=pairs)
+        with pytest.raises(CheckError, match="each variable once, in sorted order"):
+            check(Proof(good.conclusion, rule, good.premises), TH)
+
+
+def test_a_non_string_eigenvariable_is_refused():
+    # a file could not carry it, and var would refuse the name
+    with pytest.raises(KernelError, match="eigenvariable 7 is not a string"):
+        Rule("ForallRight", eigen=7)
+    with pytest.raises(KernelError, match="eigenvariable 7 is not a string"):
+        forall_right(logical_axiom(F(const("0"))), forall("a", F(const("0"))), 7)
+
+
 def test_serializing_calls_no_encoder_per_entry(monkeypatch):
     # the JSON encoder runs at most once, for the format line, not once per
     # entry; fold is entered once per expression the file does not hold yet,

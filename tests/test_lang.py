@@ -90,6 +90,9 @@ _ZERO, _F0 = const("0"), atom("F", const("0"))
         (lambda: imp(_ZERO, _F0), "non-formula argument 0 to imp"),
         (lambda: forall("x", "F(x)"), "non-formula argument 'F(x)' to forall"),
         (lambda: exists("x", var("x")), "non-formula argument x to exists"),
+        (lambda: var(7), "non-string name 7 to var"),
+        (lambda: forall(7, _F0), "non-string name 7 to forall"),
+        (lambda: exists(None, _F0), "non-string name None to exists"),
     ],
 )
 def test_factories_refuse_arguments_of_the_wrong_kind(make, message):
