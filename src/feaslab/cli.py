@@ -33,7 +33,7 @@ from .generators import (
     gen_rational_orbit,
     GENERATORS,
 )
-from .kernel import CheckError, KernelError, check, proof_from_file, proof_to_file
+from .kernel import KernelError, check, proof_from_file, proof_to_file
 from .lang import LangError, sequent_brief
 from .oracle import (
     OracleError,
@@ -43,7 +43,6 @@ from .oracle import (
 )
 from .semantics import (
     SemanticsError,
-    UndefinedOperation,
     eigenvalues_sym2,
     mat2,
     mobius_apply,
@@ -317,13 +316,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _ERRORS = (
-    CheckError,
     KernelError,
     LangError,
     TheoryError,
     GeneratorError,
     SemanticsError,
-    UndefinedOperation,
     OracleError,
     FragmentError,
     NodeBudgetError,

@@ -454,7 +454,7 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
     """Innermost-first cut elimination; returns a cut-free proof of the
     same end sequent.  Raises FragmentError/NodeBudgetError as documented."""
     st = _State(theory, node_budget(budget))
-    nodes = list(_iter_unique_nodes(p))
+    nodes = _iter_unique_nodes(p)
     total = sum(1 for node in nodes if node.rule.tag == "Cut")
     index = 0
     done: dict = {}

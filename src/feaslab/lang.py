@@ -156,6 +156,9 @@ _set_fv = _Node._fv.__set__
 class Term(_Node):
     __slots__ = ()
 
+    def __setattr__(self, *a):
+        raise AttributeError("terms are immutable")
+
     def __repr__(self):
         return _brief("term", (self,), term_str, self)
 
@@ -166,9 +169,6 @@ class Var(Term):
     def __init__(self, name: str):
         _set_name(self, name)
         _set_fv(self, frozenset((name,)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("terms are immutable")
 
 
 _set_name = Var.name.__set__
@@ -181,9 +181,6 @@ class Const(Term):
         _set_const_sym(self, sym)
         _set_fv(self, _CLOSED)
 
-    def __setattr__(self, *a):
-        raise AttributeError("terms are immutable")
-
 
 _set_const_sym = Const.sym.__set__
 
@@ -195,9 +192,6 @@ class App(Term):
         _set_app_sym(self, sym)
         _set_app_args(self, args)
         _set_fv(self, _union(args))
-
-    def __setattr__(self, *a):
-        raise AttributeError("terms are immutable")
 
 
 _set_app_sym = App.sym.__set__
@@ -253,6 +247,9 @@ def plus(a: Term, b: Term) -> App:
 class Formula(_Node):
     __slots__ = ()
 
+    def __setattr__(self, *a):
+        raise AttributeError("formulas are immutable")
+
     def __repr__(self):
         return _brief("formula", (self,), formula_str, self)
 
@@ -264,9 +261,6 @@ class Atom(Formula):
         _set_pred(self, pred)
         _set_atom_args(self, args)
         _set_fv(self, _union(args))
-
-    def __setattr__(self, *a):
-        raise AttributeError("formulas are immutable")
 
 
 _set_pred = Atom.pred.__set__
@@ -280,9 +274,6 @@ class Not(Formula):
         _set_not_body(self, body)
         _set_fv(self, body._fv)
 
-    def __setattr__(self, *a):
-        raise AttributeError("formulas are immutable")
-
 
 _set_not_body = Not.body.__set__
 
@@ -294,9 +285,6 @@ class BinOp(Formula):
         _set_left(self, left)
         _set_right(self, right)
         _set_fv(self, _union((left, right)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("formulas are immutable")
 
 
 _set_left = BinOp.left.__set__
@@ -325,9 +313,6 @@ class Quant(Formula):
         if v in fv:
             fv = fv - {v} if len(fv) > 1 else _CLOSED
         _set_fv(self, fv)
-
-    def __setattr__(self, *a):
-        raise AttributeError("formulas are immutable")
 
 
 _set_v = Quant.v.__set__
@@ -439,8 +424,8 @@ def fold(x, step, memo: dict, children=_children):
     one a recursive left-to-right walk would raise; nodes finished
     before it stay in memo.  `children` gives the nodes a value depends
     on: by default the subterms and subformulas, but any acyclic graph
-    can be walked once `children` is given (`kernel.size` folds a proof
-    DAG over its premises).
+    can be walked once `children` is given (`kernel.serialize_proof`
+    folds a proof DAG over its premises).
     """
     out = memo.get(x, _MISSING)
     if out is not _MISSING:

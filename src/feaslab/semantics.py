@@ -140,11 +140,13 @@ def _digits_budget_ok(a: int, b: int) -> bool:
 
 
 def nat_eq(a: Big, b: Big) -> bool:
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    if isinstance(a, int) or isinstance(b, int):
-        return False  # towers are always beyond the int budget
-    return a.base == b.base and nat_eq(a.exp, b.exp)
+    """a == b, compared level by level down two exponent chains."""
+    while isinstance(a, PowerTower) and isinstance(b, PowerTower):
+        if a.base != b.base:
+            return False
+        a, b = a.exp, b.exp
+    # towers are always beyond the int budget
+    return isinstance(a, int) and isinstance(b, int) and a == b
 
 
 def nat_add(a: Big, b: Big) -> Big:
@@ -217,17 +219,30 @@ def nat_log2(a: Big) -> float:
         if a.bit_length() <= 1024:
             return math.log2(a)
         return float(a.bit_length() - 1)
+    bases = []
+    while isinstance(a, PowerTower):
+        bases.append(a.base)
+        a = a.exp
+    # climb back up: log2(c ** e) is e * log2(c), and e = 2 ** log2(e)
     try:
-        e = float(a.exp) if isinstance(a.exp, int) else 2.0 ** nat_log2(a.exp)
-        return e * math.log2(a.base)
+        log = float(a) * math.log2(bases.pop())
     except OverflowError:
-        return float("inf")
+        log = float("inf")
+    while bases:
+        try:
+            log = 2.0**log * math.log2(bases.pop())
+        except OverflowError:
+            log = float("inf")
+    return log
 
 
 def nat_str(a: Big) -> str:
-    if isinstance(a, int):
-        return str(a)
-    return f"{a.base}^({nat_str(a.exp)})"
+    """a in decimal, a tower as base^(exp) at every level."""
+    bases = []
+    while isinstance(a, PowerTower):
+        bases.append(a.base)
+        a = a.exp
+    return "".join(f"{c}^(" for c in bases) + str(a) + ")" * len(bases)
 
 
 def _closed_step(consts: dict, ops: dict, meaning: str, not_const: str):
@@ -627,19 +642,23 @@ class BSElement:
 
 
 def _big_shift(p, s: int):
-    """p * 2^s for s >= 0, p an int or PowerTower (possibly via sign trick)."""
+    """p * 2^s for s >= 0, p an int, a PowerTower or a _BigNeg of either."""
     if s == 0:
         return p
-    if isinstance(p, int):
-        if (abs(p).bit_length() + s) * _LOG10_2 > DIGIT_BUDGET:
-            if p == 0:
-                return 0
-            mag = nat_mul(make_tower(2, s), abs(p))
-            return mag if p > 0 else _BigNeg(mag)
-        return p << s
-    if isinstance(p, _BigNeg):
-        return _BigNeg(_big_shift(p.mag, s))
-    return nat_mul(p, make_tower(2, s))
+    neg = isinstance(p, _BigNeg)
+    if neg:
+        p = p.mag
+    if not isinstance(p, int):
+        q = nat_mul(p, make_tower(2, s))
+    elif (abs(p).bit_length() + s) * _LOG10_2 <= DIGIT_BUDGET:
+        q = p << s
+    elif p == 0:
+        q = 0
+    else:
+        q = nat_mul(make_tower(2, s), abs(p))
+        if p < 0:
+            q = _BigNeg(q)
+    return _BigNeg(q) if neg else q
 
 
 class _BigNeg:

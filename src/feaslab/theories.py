@@ -117,13 +117,11 @@ class Theory:
     substituted terms: no generic substitution, and, since terms and
     formulas are interned, the very objects `subst_formula` would build.
 
-    A theory keeps the instances it has built: `instance` stores the
-    Instance of each successful instantiation under the axiom name and
-    the substituted terms in the schema's variable order, and under the
-    axiom name and its rule's sorted (variable, term) pairs, where
-    `stored_instance` finds it.  A repeated instantiation returns the
-    stored Instance.  The tables hold formulas, terms and rules, never
-    proofs.
+    A theory keeps the instances it has built, in one table: `instance`
+    stores the Instance of each successful instantiation under the axiom
+    name and its rule's sorted (variable, term) pairs, where a repeated
+    instantiation and `stored_instance` find it.  The table holds
+    formulas, terms and rules, never proofs.
     """
 
     def __init__(
@@ -142,7 +140,6 @@ class Theory:
         self._evaluate = evaluate
         self._validate = validate
         self._instances: dict = {}
-        self._by_rule: dict = {}
 
     def oracle(self, lhs: Term, rhs: Term) -> str:
         if lhs is rhs:
@@ -158,33 +155,30 @@ class Theory:
         """The Instance of axiom name under subst (variable -> term).
 
         A stored instance is found before the arguments are validated:
-        only valid arguments are stored, so a hit whose subst has exactly
-        the schema's variables is valid.  Every other call validates, so
-        a bad instantiation raises TheoryError each time."""
+        only the pairs of valid arguments are stored, so a hit is valid.
+        Every other call validates, so a bad instantiation raises
+        TheoryError each time."""
         schema = self.axioms.get(name)
         if schema is None:
             raise TheoryError(f"theory {self.name} has no axiom {name!r}")
         try:
-            # one flat tuple, the smallest key that names the instance
-            key = (name, *map(subst.__getitem__, schema.vars))
-            out = self._instances.get(key)
-        except (KeyError, TypeError):  # a variable missing, a value unhashable
+            pairs = tuple(sorted(subst.items()))  # the names differ: no term is compared
+            out = self._instances.get((name, pairs))
+        except TypeError:  # names that do not sort, a value unhashable
             out = None
-        if out is not None and len(subst) == len(schema.vars):
+        if out is not None:
             return out
         if set(subst) != set(schema.vars):
             raise TheoryError(
-                f"axiom {name} expects variables {schema.vars}, got {tuple(sorted(subst))}"
+                f"axiom {name} expects variables {schema.vars}, "
+                f"got {tuple(sorted(subst, key=str))}"
             )
         for v, t in subst.items():
             if not isinstance(t, Term):
                 raise TheoryError(f"instantiation for {v} is not a term")
-        ant, succ = _build(schema.steps, key[1:])
-        pairs = tuple(sorted(subst.items()))  # the names differ: no term is compared
+        ant, succ = _build(schema.steps, tuple(map(subst.__getitem__, schema.vars)))
         rule = Rule("TheoryAxiom", axiom=name, subst=pairs)
-        out = self._instances[key] = self._by_rule[name, pairs] = Instance(
-            ant, succ, dict(pairs), rule
-        )
+        out = self._instances[name, pairs] = Instance(ant, succ, dict(pairs), rule)
         return out
 
     def instantiate(self, name: str, subst: dict):
@@ -197,7 +191,7 @@ class Theory:
         pairs are pairs, as a rule carries them; None when this theory has
         built none, or the arguments cannot name one."""
         try:
-            return self._by_rule.get((name, pairs))
+            return self._instances.get((name, pairs))
         except TypeError:  # an unhashable name or pair
             return None
 
@@ -583,13 +577,11 @@ def rational_term(q) -> Term:
     """A closed term over {0, 1, +, *, neg, inv} denoting the rational q."""
     q = Fraction(q)
     sig = rational_signature()
-    if q < 0:
-        return app("neg", rational_term(-q))
-    if q.denominator == 1:
-        return int_term(q.numerator, sig)
-    num = int_term(q.numerator, sig)
-    den = int_term(q.denominator, sig)
-    return mul(num, app("inv", den))
+    m = abs(q)
+    t = int_term(m.numerator, sig)
+    if m.denominator != 1:
+        t = mul(t, app("inv", int_term(m.denominator, sig)))
+    return app("neg", t) if q < 0 else t
 
 
 def matrix_entry_terms(A: "semantics.Mat2") -> tuple:

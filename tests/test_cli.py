@@ -21,12 +21,13 @@ from feaslab.kernel import (
     KernelError,
     Proof,
     Rule,
+    eq_leaf,
     forall_left,
     logical_axiom,
     parse_proof,
     serialize_proof,
 )
-from feaslab.lang import arith_signature, atom, forall, plus, substitute, var
+from feaslab.lang import app, arith_signature, atom, const, forall, mul, plus, substitute, var
 from nested_format import serialize_nested
 
 
@@ -458,6 +459,21 @@ def test_check_instantiates_past_deep_capturing_quantifiers(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
     assert rc == 0 and err == ""
     assert out.startswith("ok: forall x (forall y (") and out.endswith(", lines=2\n")
+
+
+def test_check_decides_an_equation_between_tall_power_towers(tmp_path, capsys):
+    # exp(2, T) = exp(2 * 1, T), T a tower of 3000 exponentials: the values
+    # are compared, printed and logged down the tower without recursion
+    two = app("s", app("s", const("0")))
+    t = two
+    for _ in range(3000):
+        t = app("exp", two, t)
+    p = eq_leaf(app("exp", two, t), app("exp", mul(two, app("s", const("0"))), t))
+    f = tmp_path / "tower.json"
+    f.write_text(serialize_proof(p))
+    rc, out, err = run(capsys, "check", str(f), "--theory", "arith")
+    assert rc == 0 and err == ""
+    assert out.startswith("ok: |- exp(s(s(0)), exp(") and out.endswith(", lines=1\n")
 
 
 def test_emit_failure_leaves_no_file(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from feaslab.kernel import (
     analyze,
     check,
     contract_left,
+    contract_right,
     cut,
     eq_leaf,
     forall_left,
@@ -42,6 +43,7 @@ from feaslab.kernel import (
     theory_apply,
     theory_leaf,
     weaken_left,
+    weaken_right,
 )
 from feaslab.lang import (
     Sequent,
@@ -279,9 +281,69 @@ def expanded_counts(p):
     return lines, cuts, contractions
 
 
+def reference_order(p):
+    """The distinct nodes below p by a recursive post-order that enters
+    the last premise first: the oracle for `_iter_unique_nodes`."""
+    seen, out = set(), []
+
+    def visit(node):
+        if node not in seen:
+            for q in node.premises[::-1]:
+                visit(q)
+            seen.add(node)
+            out.append(node)
+
+    visit(p)
+    return out
+
+
+def assert_walk_and_counts(p, theory):
+    order = _iter_unique_nodes(p)
+    assert order == reference_order(p)
+    position = {node: i for i, node in enumerate(order)}
+    assert len(position) == len(order) and order[-1] is p
+    assert all(position[q] < i for i, node in enumerate(order) for q in node.premises)
+    assert astuple(size(p)) == astuple(check(p, theory)) == expanded_counts(p)
+
+
+def shared_dag(steps):
+    """A proof of F(0) |- F(0) built by steps, each of which takes its
+    premises from the proofs built before it, so that one subproof can be
+    used twice at several depths."""
+    a = F(const("0"))
+    built = [logical_axiom(a)]
+    for kind, i, j in steps:
+        p, q = built[i % len(built)], built[j % len(built)]
+        if kind == "axiom":
+            built.append(logical_axiom(a))
+        elif kind == "cut":
+            built.append(cut(p, q, a))
+        elif kind == "contract_left":
+            built.append(contract_left(weaken_left(p, a), a))
+        else:
+            built.append(contract_right(weaken_right(p, a), a))
+    return built[-1]
+
+
+_dag_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["axiom", "cut", "contract_left", "contract_right"]),
+        st.integers(0, 99),
+        st.integers(0, 99),
+    ),
+    max_size=10,
+)
+
+
 def test_size_matches_tree_expansion(small_proofs):
     for p, theory in small_proofs:
-        assert astuple(size(p)) == astuple(check(p, theory)) == expanded_counts(p)
+        assert_walk_and_counts(p, theory)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dag_steps)
+def test_size_matches_tree_expansion_on_shared_dags(steps):
+    assert_walk_and_counts(shared_dag(steps), TH)
 
 
 def test_size_counts_shared_subtrees_per_occurrence():

@@ -17,12 +17,7 @@ import feaslab
 
 ALLOWED = {
     frozenset({"_rat_construction"}): "one frame per node of a small matrix-entry term",
-    frozenset({"nat_eq"}): "one frame per level of a power tower",
-    frozenset({"nat_log2"}): "one frame per level of a power tower",
-    frozenset({"nat_str"}): "one frame per level of a power tower",
-    frozenset({"_big_shift"}): "one frame per level of a power tower",
     frozenset({"make_tower", "nat_add", "nat_mul"}): "one level per power tower",
-    frozenset({"rational_term"}): "one level, for the sign of a negative rational",
 }
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

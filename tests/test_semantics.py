@@ -20,6 +20,7 @@ from feaslab.semantics import (
     BS_X,
     BS_Y,
     BSElement,
+    DIGIT_BUDGET,
     EvalBudgetError,
     ExtRational,
     INF,
@@ -49,6 +50,8 @@ from feaslab.semantics import (
     nat_pow,
     nat_str,
     parse_ext_rational,
+    _BigNeg,
+    _big_shift,
     _sz_add,
     _sz_mul,
     parse_mat2,
@@ -502,3 +505,93 @@ def test_fold_evaluators_match_the_recursive_references(name, data):
     for u in (t, subst_term(t, closing)):
         for new, ref in EVALUATORS[name] + [(expanded_size, ref_expanded_size)]:
             assert outcome(new, u) == outcome(ref, u)
+
+
+# -- the tower loops against the recursive functions they replaced -----------
+
+
+def ref_nat_eq(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    if isinstance(a, int) or isinstance(b, int):
+        return False
+    return a.base == b.base and ref_nat_eq(a.exp, b.exp)
+
+
+def ref_nat_log2(a):
+    if isinstance(a, int):
+        if a <= 0:
+            return float("-inf")
+        if a.bit_length() <= 1024:
+            return math.log2(a)
+        return float(a.bit_length() - 1)
+    try:
+        e = float(a.exp) if isinstance(a.exp, int) else 2.0 ** ref_nat_log2(a.exp)
+        return e * math.log2(a.base)
+    except OverflowError:
+        return float("inf")
+
+
+def ref_nat_str(a):
+    if isinstance(a, int):
+        return str(a)
+    return f"{a.base}^({ref_nat_str(a.exp)})"
+
+
+def tower(bases, top):
+    """bases[0] ** (bases[1] ** (... ** top)), one PowerTower per base."""
+    for c in reversed(bases):
+        top = PowerTower(c, top)
+    return top
+
+
+tower_bases = st.lists(st.integers(2, 9), max_size=40)
+# tops whose float, and whose logarithm's power of two, fit and overflow
+tower_tops = st.sampled_from([0, 1, 3, 1000, 10**6, 2**1100, 10**400])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_bases, tower_tops, st.integers(0, 41), st.integers(0, 40))
+def test_tower_loops_match_the_recursive_references(bases, top, changed, cut):
+    a = tower(bases, top)
+    assert nat_str(a) == ref_nat_str(a)
+    assert nat_log2(a) == ref_nat_log2(a)  # the same float operations, in order
+    assert nat_eq(a, tower(list(bases), top))
+    # one level's base, or the top, differs; or the tower is cut short
+    other, other_top = list(bases), top
+    if changed < len(other):
+        other[changed] += 1
+    elif changed == len(other):
+        other_top += 1
+    b = tower(other, other_top)
+    c = tower(bases[cut:], top)
+    for x in (b, c):
+        assert nat_eq(a, x) == ref_nat_eq(a, x)
+        assert nat_eq(x, a) == ref_nat_eq(x, a)
+
+
+def ref_big_shift(p, s):
+    if s == 0:
+        return p
+    if isinstance(p, int):
+        if (abs(p).bit_length() + s) * math.log10(2) > DIGIT_BUDGET:
+            if p == 0:
+                return 0
+            mag = nat_mul(make_tower(2, s), abs(p))
+            return mag if p > 0 else _BigNeg(mag)
+        return p << s
+    if isinstance(p, _BigNeg):
+        return _BigNeg(ref_big_shift(p.mag, s))
+    return nat_mul(p, make_tower(2, s))
+
+
+def test_big_shift_matches_the_recursive_reference():
+    big = make_tower(2, 10**6)
+    numerators = [0, 6, -6, 2**30000, -(2**30000), 3**20000, big, _BigNeg(big), _BigNeg(4)]
+    for p in numerators:
+        for s in (0, 1, 100, 40000):
+            got = outcome(lambda q: _big_shift(q, s), p)
+            want = outcome(lambda q: ref_big_shift(q, s), p)
+            if got[0] == "value":  # the kind of number, and its value
+                got, want = (type(got[1]), repr(got[1])), (type(want[1]), repr(want[1]))
+            assert got == want

@@ -278,6 +278,7 @@ def test_instantiate_rejects_wrong_variables():
         ("F:nope", {}),
         ("F:successor", {"x": "not a term"}),
         ("F:successor", {"x": [num(1)]}),  # unhashable, still no term
+        ("F:plus", {"x": num(1), 1: num(2)}),  # names that do not sort
     ]
     for name, subst in cases:
         messages = []
