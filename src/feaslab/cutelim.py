@@ -16,6 +16,18 @@ of (p1, A, p2) and k, so a subproof shared in the input DAG is reduced
 once and its result stays shared in the output: work and memory track the
 DAG while the logical line count grows exponentially.
 
+After its trivial cases (an axiom or a weakening of the cut formula a as
+p1, an axiom or a theory leaf as p2), a multicut looks p2's last rule up
+in `_LEFT_RULES`, the table of the left rules that can introduce a
+fragment formula: WeakenLeft, ContractLeft, ImpliesLeft and ForallLeft.
+When that rule is on a, its entry reduces it; every other rule commutes
+with the cut.  One helper, `_split`, deals the k copies of a over p2's
+premises, as many from each as its rule keeps, the first premises first.
+Commutation uses it, and so do the ImpliesLeft and ForallLeft entries for
+the context copies, before the principal reduction of the principal copy:
+commute p1 until it ends in the right rule for a, then cut on a's parts.
+A new connective is one table entry and one principal reduction.
+
 Each rule's principal formula and consumed occurrences come from the
 kernel's `analyze` step, read against the theory, applied theory axioms
 included.  A logical inference is rebuilt over new premises by
@@ -31,7 +43,8 @@ Eigenvariable substitutions (`substitute_proof`) share one memo per call
 too.
 
 A node budget (default 10^6, the `budget` argument overrides) bounds the DAG
-nodes built: multicut memo misses plus rebuilt inferences.  An elimination
+nodes built: multicut memo misses, rebuilt inferences and the nodes each
+eigenvariable substitution adds to its memo.  An elimination
 that would build more aborts with NodeBudgetError.  The line count of the
 output is not bounded; `size` counts it as an exact int, `count_text`
 prints it past the interpreter's int-to-str digit limit, and `ratio_text`
@@ -59,9 +72,7 @@ from .kernel import (
     contract_left,
     contract_right,
     cut,
-    forall_left,
     forall_right,
-    implies_left,
     implies_right,
     introduce,
     logical_axiom,
@@ -109,8 +120,9 @@ class _State:
     and formulas hash and compare by identity, and the key keeps them alive.
     subst_memo is substitute_proof's memo, keyed by (proof node, mapping
     items) pairs and shared by every substitution of the run.
-    Ticks count the DAG nodes built, multicut memo misses and rebuilt
-    inferences; more than `budget` of them abort the run.  `cut` is
+    Ticks count the DAG nodes built: multicut memo misses, rebuilt
+    inferences and the entries each substitution adds to subst_memo; more
+    than `budget` of them abort the run.  `cut` is
     (index, total, formula) of the cut being eliminated, for the message.
     """
 
@@ -147,10 +159,6 @@ def _fragment_step(g, vals) -> bool:
 def _fragment_children(g) -> tuple:
     # an atom's value does not depend on its terms
     return () if g.__class__ is Atom else _children(g)
-
-
-def _count(fs: tuple, f: Formula) -> int:
-    return sum(1 for g in fs if g is f)
 
 
 def _kept(p: Proof, step: Step, j: int, side: str, a: Formula) -> int:
@@ -243,7 +251,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
     st.tick()
     if k == 0:
         return p2
-    if _count(p2.conclusion.ant, a) < k:
+    if p2.conclusion.ant.count(a) < k:
         raise KernelError("multicut multiplicity exceeds the available occurrences")
 
     # trivial left premises
@@ -282,49 +290,23 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
         raise KernelError("multicut premises must be cut-free")
 
     step = analyze(p2, st.theory)
-    on_a = step.principal is a
+    if step.principal is a and tag in _LEFT_RULES:
+        return (yield from _LEFT_RULES[tag](p1, a, p2, k, step, st))
 
-    if on_a and tag == "WeakenLeft":
-        inner = yield (p1, a, p2.premises[0], k - 1)
-        gamma = p1.conclusion.ant
-        delta = _remove_one(p1.conclusion.succ, a)
-        for f in gamma:
-            inner = weaken_left(inner, f)
-        for f in delta:
-            inner = weaken_right(inner, f)
-        return inner
+    # context commutation; an eigenvariable free in p1 is renamed first
+    eigen = p2.rule.eigen
+    if tag in ("ForallRight", "ExistsLeft") and eigen in _names_around(p1):
+        fresh = fresh_name(eigen, _names_around(p1, p2))
+        q = _substitute(p2.premises[0], {eigen: var(fresh)}, st)
+        # renaming keeps every premise occurrence in place: step still fits
+        p2 = introduce(Rule(tag, eigen=fresh), (q,), step.principal)
+    return _reapply(p2, step, (yield from _split(p1, a, p2, step, k)), st)
 
-    if on_a and tag == "ContractLeft":
-        if k < _count(p2.conclusion.ant, a):
-            # enough untouched copies remain to contract afterwards
-            inner = yield (p1, a, p2.premises[0], k)
-            return contract_left(inner, a)
-        inner = yield (p1, a, p2.premises[0], k + 1)
-        for f in p1.conclusion.ant:
-            inner = contract_left(inner, f)
-        for f in _remove_one(p1.conclusion.succ, a):
-            inner = contract_right(inner, f)
-        return inner
 
-    # principal on the left of p2?  Fragment cut formulas are never
-    # principal for AndLeft, OrLeft, NotLeft or ExistsLeft.
-    if on_a and tag == "ImpliesLeft":
-        return (yield from _reduce_implies(p1, a, p2, k, st))
-    if on_a and tag == "ForallLeft":
-        return (yield from _reduce_forall(p1, a, p2, k, st))
-
-    # context commutation: distribute the quota over the premises
-    if tag in ("ForallRight", "ExistsLeft"):
-        eigen = p2.rule.eigen
-        clash = any(
-            eigen in free_vars(g)
-            for g in p1.conclusion.ant + p1.conclusion.succ
-        )
-        if clash:
-            fresh = fresh_name(eigen, _names_around(p1, p2))
-            q = substitute_proof(p2.premises[0], {eigen: var(fresh)}, st.subst_memo)
-            # renaming keeps every premise occurrence in place: step still fits
-            p2 = introduce(Rule(tag, eigen=fresh), (q,), step.principal)
+def _split(p1: Proof, a: Formula, p2: Proof, step: Step, k: int):
+    """Frame part: multicut k copies of a out of p2's premises, from each
+    as many as p2's rule keeps in it, the first premises first; returns the
+    new premises."""
     remaining = k
     new_premises = []
     for j, q in enumerate(p2.premises):
@@ -333,9 +315,9 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
         new_premises.append((yield (p1, a, q, take)))
     if remaining:
         raise FragmentError(
-            f"cut formula {formula_str(a)} is tied to rule {tag} in an unsupported way"
+            f"cut formula {formula_str(a)} is tied to rule {p2.rule.tag} in an unsupported way"
         )
-    return _reapply(p2, step, tuple(new_premises), st)
+    return tuple(new_premises)
 
 
 def _names_around(*proofs) -> set:
@@ -344,6 +326,15 @@ def _names_around(*proofs) -> set:
         for f in p.conclusion.ant + p.conclusion.succ:
             names |= free_vars(f)
     return names
+
+
+def _substitute(p: Proof, mapping: dict, st: _State) -> Proof:
+    """substitute_proof with the run's memo, one tick per node it builds."""
+    before = len(st.subst_memo)
+    out = substitute_proof(p, mapping, st.subst_memo)
+    for _ in range(len(st.subst_memo) - before):
+        st.tick()
+    return out
 
 
 def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
@@ -398,7 +389,7 @@ def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
             outer_names = _names_around(p1, *p1.premises)
             if e in outer_names:
                 e2 = fresh_name(e, outer_names)
-                inner = substitute_proof(inner, {e: var(e2)}, st.subst_memo)
+                inner = _substitute(inner, {e: var(e2)}, st)
                 e = e2
         rebuilt = _reapply(p1, step, _swap(p1.premises, j, inner), st)
         head = implies_right(rebuilt, a.left, a.right) if e is None else forall_right(rebuilt, a, e)
@@ -409,41 +400,65 @@ def _swap(premises: tuple, j: int, new) -> tuple:
     return premises[:j] + (new,) + premises[j + 1 :]
 
 
-def _reduce_implies(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
-    """Frame part for p2 ending with ImpliesLeft on a = B -> C."""
-    q0, q1 = p2.premises
-    k0_avail = _count(q0.conclusion.ant, a)
-    k1_avail = _count(q1.conclusion.ant, a)
-    # strip context copies first; the principal occurrence is the last one
-    principal = k > k0_avail + k1_avail
-    ctx = k - 1 if principal else k
-    k0 = min(k0_avail, ctx)
-    k1 = min(k1_avail, ctx - k0)
-    q0p = yield (p1, a, q0, k0)
-    q1p = yield (p1, a, q1, k1)
+def _reduce_weaken(p1: Proof, a: Formula, p2: Proof, k: int, step: Step, st: _State):
+    """WeakenLeft on a: cut the other k - 1 copies, weaken p1's contexts in."""
+    inner = yield (p1, a, p2.premises[0], k - 1)
+    for f in p1.conclusion.ant:
+        inner = weaken_left(inner, f)
+    for f in _remove_one(p1.conclusion.succ, a):
+        inner = weaken_right(inner, f)
+    return inner
+
+
+def _reduce_contract(p1: Proof, a: Formula, p2: Proof, k: int, step: Step, st: _State):
+    """ContractLeft on a: with copies to spare, cut k and contract a after;
+    else cut both merged copies and contract p1's doubled contexts."""
+    if k < p2.conclusion.ant.count(a):
+        # enough untouched copies remain to contract afterwards
+        inner = yield (p1, a, p2.premises[0], k)
+        return contract_left(inner, a)
+    inner = yield (p1, a, p2.premises[0], k + 1)
+    for f in p1.conclusion.ant:
+        inner = contract_left(inner, f)
+    for f in _remove_one(p1.conclusion.succ, a):
+        inner = contract_right(inner, f)
+    return inner
+
+
+def _reduce_implies(p1: Proof, a: Formula, p2: Proof, k: int, step: Step, st: _State):
+    """ImpliesLeft on a = B -> C: the context copies first, the principal
+    copy last, when it is among the k."""
+    principal = k == p2.conclusion.ant.count(a)
+    q0p, q1p = premises = yield from _split(p1, a, p2, step, k - principal)
     if not principal:
-        return implies_left(q0p, q1p, a.left, a.right)
+        return _reapply(p2, step, premises, st)
     head = _principalize_right(p1, a, st)
     r = head.premises[0]  # B, Gamma |- Delta0, C
     step1 = yield (q0p, a.left, r, 1)
     return (yield (step1, a.right, q1p, 1))
 
 
-def _reduce_forall(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
-    """Frame part for p2 ending with ForallLeft on a = forall x B, witness t."""
-    (q,) = p2.premises
-    t = p2.rule.term
-    inst = substitute(a.body, a.v, t)
-    avail = _count(q.conclusion.ant, a) - (1 if inst is a else 0)
-    principal = k > avail
-    ctx = k - 1 if principal else k
-    qp = yield (p1, a, q, ctx)
+def _reduce_forall(p1: Proof, a: Formula, p2: Proof, k: int, step: Step, st: _State):
+    """ForallLeft on a = forall x B, witness t: the context copies first,
+    the principal copy last, when it is among the k."""
+    principal = k == p2.conclusion.ant.count(a)
+    (qp,) = premises = yield from _split(p1, a, p2, step, k - principal)
     if not principal:
-        return forall_left(qp, a, t)
+        return _reapply(p2, step, premises, st)
     head = _principalize_right(p1, a, st)
-    r = head.premises[0]
-    r_inst = substitute_proof(r, {head.rule.eigen: t}, st.subst_memo)
-    return (yield (r_inst, inst, qp, 1))
+    t = p2.rule.term
+    r_inst = _substitute(head.premises[0], {head.rule.eigen: t}, st)
+    return (yield (r_inst, substitute(a.body, a.v, t), qp, 1))
+
+
+# The frame part for p2 ending in a left rule on a, for each rule that can
+# introduce a fragment formula; p2 ending in any other rule commutes.
+_LEFT_RULES = {
+    "WeakenLeft": _reduce_weaken,
+    "ContractLeft": _reduce_contract,
+    "ImpliesLeft": _reduce_implies,
+    "ForallLeft": _reduce_forall,
+}
 
 
 # ---------------------------------------------------------------------------

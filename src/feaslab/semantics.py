@@ -86,7 +86,16 @@ class PowerTower:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.base, self.exp))
+        # one flat tuple, the bases down the exponent chain then the last
+        # exponent: a tower is as tall as nat_eq allows, and a nested
+        # tuple would hash it one recursive level at a time
+        chain = []
+        x = self
+        while isinstance(x, PowerTower):
+            chain.append(x.base)
+            x = x.exp
+        chain.append(x)
+        return hash(tuple(chain))
 
 
 Big = Union[int, PowerTower]
@@ -427,11 +436,6 @@ def parse_ext_rational(text: str) -> ExtRational:
     return ExtRational(_fraction(text))
 
 
-# interned terms are immutable, so values can be cached for the process
-# lifetime; partial operations raise before caching and stay uncached
-_RAT_EVAL_CACHE: dict = {}
-
-
 _rat_step = _closed_step(
     {"0": ExtRational(Fraction(0)), "1": ExtRational(Fraction(1)), "inf": INF},
     {"+": ExtRational.add, "*": ExtRational.mul, "neg": ExtRational.neg, "inv": ExtRational.inv},
@@ -440,9 +444,12 @@ _rat_step = _closed_step(
 )
 
 
-def eval_rat(t: Term) -> ExtRational:
-    """Value of a closed term over 0, 1, inf, +, *, neg, inv."""
-    return fold(t, _rat_step, _RAT_EVAL_CACHE)
+def eval_rat(t: Term, memo: Optional[dict] = None) -> ExtRational:
+    """Value of a closed term over 0, 1, inf, +, *, neg, inv.  memo maps
+    terms to their values and keeps the values computed (a partial
+    operation raises before its value is kept); a call without one uses
+    its own."""
+    return fold(t, _rat_step, {} if memo is None else memo)
 
 
 # A prime for deciding facts modulo p instead of exactly (definedness of

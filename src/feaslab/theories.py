@@ -14,9 +14,10 @@ those of exact evaluation.
 An axiom schema compiles itself into construction steps when it is made
 (see `AxiomSchema`), so an instance costs one `app` or `atom` call per
 subterm that mentions a schema variable, and a theory keeps every
-instance it builds.  The arithmetic theory keeps the values of the closed terms its
-oracle has evaluated, as the rational validator keeps its residues: both
-caches live exactly as long as their theory.
+instance it builds.  The arithmetic and rational theories keep the values
+of the closed terms their oracles have evaluated (the rational theory's
+evaluator shares its oracle's), as the rational validator keeps its
+residues: these caches live exactly as long as their theory.
 
 Oracle verdicts are "equal", "unequal" or "undecided"; proofs may only
 rely on "equal".  For open terms the oracles stay sound and answer
@@ -516,11 +517,13 @@ def _constants_of(t: Term) -> frozenset:
 # Rational feasibility
 
 
-def _rat_oracle(lhs: Term, rhs: Term) -> str:
+def _rat_oracle(lhs: Term, rhs: Term, memo: dict) -> str:
+    """The rational verdict on lhs = rhs; memo maps closed terms to their
+    values (see `eval_rat`)."""
     if free_vars(lhs) or free_vars(rhs):
         return "undecided"
     try:
-        return "equal" if eval_rat(lhs) == eval_rat(rhs) else "unequal"
+        return "equal" if eval_rat(lhs, memo) == eval_rat(rhs, memo) else "unequal"
     except UndefinedOperation:
         return "undecided"
 
@@ -563,12 +566,13 @@ _RAT_SCHEMAS = _schemas_rat()
 
 
 def rational_feasibility() -> Theory:
+    values: dict = {}  # closed term -> value, for as long as the theory
     return Theory(
         "rat",
         rational_signature(),
         _RAT_SCHEMAS,
-        _rat_oracle,
-        evaluate=eval_rat,
+        lambda lhs, rhs: _rat_oracle(lhs, rhs, values),
+        evaluate=lambda t: eval_rat(t, values),
         validate=_rat_validator(),
     )
 

@@ -4,8 +4,9 @@ Cut-free goldens were frozen from runs of the eliminator after verifying
 the outputs check and match the closed forms: square-cut 3*2^(n+1) - 3,
 group-power squaring 2^(n+1) - 1, distorted 2^(n+2) + 2 for n >= 1.
 
-The budget counts DAG nodes built (multicut memo misses plus rebuilt
-inferences), not the tree lines of the output.
+The budget counts DAG nodes built (multicut memo misses, rebuilt
+inferences and proof nodes copied by substitution), not the tree lines of
+the output.
 """
 
 import gc
@@ -14,6 +15,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feaslab import cutelim
 from feaslab.cutelim import (
@@ -37,17 +39,24 @@ from feaslab.generators import (
 from feaslab.kernel import (
     check,
     contract_left,
+    contract_right,
     cut,
+    forall_left,
+    forall_right,
+    implies_left,
+    implies_right,
     logical_axiom,
     or_left,
     serialize_proof,
     size,
     theory_leaf,
     weaken_left,
+    weaken_right,
 )
 from feaslab.lang import app, atom, conj, const, exists, forall, imp, neg, var
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
+from multicut_cases import A, B, C, CASES, FRAGMENT_CASES, TH, f0
 from nested_format import serialize_nested
 
 FIB = Mat2(2, 1, 1, 1)
@@ -249,6 +258,18 @@ def test_square_cut_forty_budget_is_dag_nodes():
         eliminate_cuts(rep.proof, rep.theory, budget=SQUARE_CUT_40_TICKS - 1)
 
 
+# DAG nodes that eliminating the cuts of quantifier 3 builds, 125 of them
+# proof nodes copied by eigenvariable substitution
+QUANTIFIER_3_TICKS = 355
+
+
+def test_quantifier_budget_counts_substituted_nodes():
+    rep = gen_quantifier(3)
+    assert cut_free_lines(rep, budget=QUANTIFIER_3_TICKS) == 1739
+    with pytest.raises(NodeBudgetError):
+        eliminate_cuts(rep.proof, rep.theory, budget=QUANTIFIER_3_TICKS - 1)
+
+
 def test_node_budget_error_names_count_and_cut():
     rep = gen_square_cut(5)
     with pytest.raises(NodeBudgetError) as info:
@@ -372,3 +393,138 @@ def test_a_repeated_run_holds_no_more_memory():
         if not tracing:
             tracemalloc.stop()
     assert held[1] <= held[0] + 64 * 1024, held
+
+
+# lines and sha256 prefix of the serialized elimination of each hand-built
+# cut in multicut_cases, frozen from the multicut before its left rules
+# went through one table
+MULTICUT_GOLDEN = {
+    "axiom_on_the_left": (2, "0fb7bfae4d4d21d2"),
+    "theory_leaf_absorbs": (3, "3db2b402455346c8"),
+    "weaken_right_on_a": (3, "c1c4135f475e9c4b"),
+    "weaken_left_on_a_with_context": (4, "d909632a0894764a"),
+    "contract_left_below_count": (3, "762c852def279bd4"),
+    "contract_left_with_context": (7, "a0e6ec31e9ac3825"),
+    "forall_right_eigen_clash": (4, "9a6841efcabec444"),
+    "exists_left_eigen_clash": (4, "27ce7f7dcc747e05"),
+    "principalize_past_weaken_left": (2, "658dc8c4858980df"),
+    "principalize_past_right_premise": (5, "9106fa79e79a913b"),
+    "principalize_weakened_implication": (3, "0ef8ad105350ebf3"),
+    "principalize_weakened_forall": (3, "683ce8a4126950e6"),
+    "principalize_eigen_clash": (3, "55e5894d4fb5cad3"),
+    "implies_left_not_principal": (3, "27de0866107b0804"),
+    "forall_left_not_principal": (3, "63989d0150686454"),
+    "implies_left_principal_and_context": (4, "976e6caf15c1d5b6"),
+    "forall_left_principal_and_context": (7, "18cc4dda3339eabb"),
+}
+
+
+def test_every_hand_built_cut_is_pinned():
+    assert list(MULTICUT_GOLDEN) == list(CASES)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_each_multicut_branch_eliminates(name):
+    p, theory = CASES[name]()
+    assert check(p, theory).cut_count == 1
+    cf = eliminate_cuts(p, theory)
+    stats = check(cf, theory)
+    assert stats.cut_count == 0
+    assert cf.conclusion == p.conclusion
+    digest = hashlib.sha256(serialize_proof(cf).encode()).hexdigest()[:16]
+    assert (stats.lines, digest) == MULTICUT_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(FRAGMENT_CASES))
+def test_multicut_fragment_errors(name):
+    build, message = FRAGMENT_CASES[name]
+    p, theory = build()
+    check(p, theory)
+    with pytest.raises(FragmentError) as info:
+        eliminate_cuts(p, theory)
+    assert str(info.value) == message
+
+
+# Random cut compositions: p1 introduces the cut formula a on the right,
+# under 0-3 context rules; p2 uses a on the left, principal in its last
+# logical rule, with extra context copies of a.
+_Y = var("y")
+
+
+def _implication_intros():
+    ab = imp(A, B)
+    by_rule = implies_right(theory_leaf(TH, "F:successor", {"x": const("0")}), A, B)
+    return ab, [by_rule, weaken_right(f0(), ab)]  # |- A -> B;  |- A, A -> B
+
+
+def _forall_intros():
+    q = forall("x", atom("F", app("s", var("x"))))
+    fy = atom("F", app("s", _Y))
+    inner = forall_left(logical_axiom(fy), forall("z", atom("F", var("z"))), app("s", _Y))
+    return q, [forall_right(inner, q, "y"), weaken_right(f0(), q)]  # Az F(z) |- q;  |- A, q
+
+
+def _implication_use(a, copies0, copies1):
+    q0, q1 = f0(), logical_axiom(B)
+    for _ in range(copies0):
+        q0 = weaken_left(q0, a)
+    for _ in range(copies1):
+        q1 = weaken_left(q1, a)
+    return implies_left(q0, q1, A, B)  # a^(1 + copies0 + copies1) |- B
+
+
+def _forall_use(a, t, copies):
+    q = logical_axiom(atom("F", app("s", t)))
+    for _ in range(copies):
+        q = weaken_left(q, a)
+    return forall_left(q, a, t)  # a^(1 + copies) |- F(s(t))
+
+
+@st.composite
+def _cut_compositions(draw):
+    kind = draw(st.sampled_from(["implies", "forall"]))
+    a, intros = _implication_intros() if kind == "implies" else _forall_intros()
+    p1 = draw(st.sampled_from(intros))
+    pool = [A, B, C, atom("F", _Y), a]
+    rules = st.sampled_from(["wl", "wr", "cl", "cr", "il0", "il1"])
+    for rule in draw(st.lists(rules, max_size=3)):
+        if rule == "wl":
+            p1 = weaken_left(p1, draw(st.sampled_from(pool)))
+        elif rule == "wr":
+            p1 = weaken_right(p1, draw(st.sampled_from(pool)))
+        elif rule == "cl":
+            f = draw(st.sampled_from(pool))
+            p1 = contract_left(weaken_left(weaken_left(p1, f), f), f)
+        elif rule == "cr":
+            f = draw(st.sampled_from(p1.conclusion.succ))
+            p1 = contract_right(weaken_right(p1, f), f)
+        elif rule == "il0":  # a stays in the left premise
+            p1 = implies_left(weaken_right(p1, A), logical_axiom(B), A, B)
+        else:  # a stays in the right premise
+            p1 = implies_left(f0(), weaken_left(p1, B), A, B)
+    if kind == "implies":
+        p2 = _implication_use(a, draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    else:
+        t = draw(st.sampled_from([const("0"), _Y]))
+        p2 = _forall_use(a, t, draw(st.integers(0, 2)))
+    if draw(st.booleans()) and p2.conclusion.ant.count(a) > 1:
+        p2 = contract_left(p2, a)
+    if draw(st.booleans()):
+        p2 = weaken_left(p2, a)
+    return cut(p1, p2, a)
+
+
+_KNOWN_FRAGMENT_ERRORS = {message for _, message in FRAGMENT_CASES.values()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cut_compositions())
+def test_random_cut_compositions_eliminate(p):
+    assert check(p, TH).cut_count == 1
+    try:
+        cf = eliminate_cuts(p, TH)
+    except FragmentError as e:
+        assert str(e) in _KNOWN_FRAGMENT_ERRORS
+        return
+    assert check(cf, TH).cut_count == 0
+    assert cf.conclusion == p.conclusion

@@ -123,6 +123,23 @@ def test_nat_pow_huge_exponent_stays_symbolic():
     assert nat_eq(v, make_tower(2, e))
 
 
+def _tall_tower(levels: int):
+    t = 2
+    for _ in range(levels):
+        t = nat_pow(2, t)
+    return t
+
+
+def test_a_tall_tower_hashes_without_recursion():
+    # 3,000 levels, past the interpreter's recursion limit; towers equal
+    # under nat_eq hash alike
+    t, u = _tall_tower(3000), _tall_tower(3000)
+    assert t is not u and nat_eq(t, u)
+    assert hash(t) == hash(u)
+    assert len({t, u}) == 1
+    assert len({t, _tall_tower(2999)}) == 2
+
+
 def test_int_to_str_budget():
     # values inside the digit budget must print, even past the CPython default
     v = 2 ** 2 ** 14
@@ -190,8 +207,11 @@ def test_eval_rat_terms():
 
 def test_eval_rat_reuses_interned_values():
     t = parse_term("inv(1 + 1) * inv(1 + 1)", RAT)
-    assert eval_rat(t) == ExtRational(Fraction(1, 4))
-    assert eval_rat(t) == ExtRational(Fraction(1, 4))  # cached path
+    memo = {}
+    assert eval_rat(t, memo) == ExtRational(Fraction(1, 4))
+    assert memo[t] == ExtRational(Fraction(1, 4))
+    assert eval_rat(t, memo) == ExtRational(Fraction(1, 4))  # from the memo
+    assert eval_rat(t) == ExtRational(Fraction(1, 4))  # with a memo of its own
 
 
 # -- 2x2 matrices and the projective action ------------------------------------

@@ -1,7 +1,9 @@
 """Theory oracles, axiom schemas, and instantiation validation."""
 
+import gc
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -544,6 +546,27 @@ def test_check_never_evaluates_fibonacci_powers_exactly(monkeypatch):
     fib = Mat2(2, 1, 1, 1)
     for rep in (gen_matrix_power(fib, 20), gen_rational_orbit(fib, 0, 20)):
         check(rep.proof, rep.theory)
+
+
+def test_rational_values_live_with_their_theory():
+    # the values the theory's evaluator computes go with the theory
+    fib = Mat2(2, 1, 1, 1)
+    gen_rational_orbit(fib, 0, 16)  # interns the terms for the process
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        rep = gen_rational_orbit(fib, 0, 16)
+        assert not rep.theory.evaluate(rep.target).is_inf
+        del rep
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert after <= before + 64 * 1024, (before, after)
 
 
 def test_rational_term_round_trip():
