@@ -56,9 +56,8 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import (
     KernelError,
@@ -502,8 +501,9 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
 # Compression reporting
 
 
-@dataclass(frozen=True)
-class BlowupRow:
+class BlowupRow(NamedTuple):
+    """One row of `blowup_report`, the columns of the `bench` CSV."""
+
     n: int
     lines_with_cuts: int
     lines_cut_free: Optional[int]
@@ -514,16 +514,7 @@ class BlowupRow:
     status: str
 
 
-BLOWUP_COLUMNS = (
-    "n",
-    "lines_with_cuts",
-    "lines_cut_free",
-    "ratio",
-    "cut_count",
-    "contraction_count",
-    "wall_time_ms",
-    "status",
-)
+BLOWUP_COLUMNS = BlowupRow._fields
 
 
 def _quotient(num: int, den: int) -> float:

@@ -26,6 +26,9 @@ TAGS = ("ancestry", "axiom-link", "cut-link", "contraction-merge")
 _TAG_ID = {tag: k for k, tag in enumerate(TAGS)}
 # The Graphviz style of an edge, by tag id, parallel to TAGS.
 _STYLES = ("solid", "dashed", "bold", "dotted")
+# The formula tree nodes all labels of one `emit_dot` text may spell out;
+# each label may spell out at most _MAX_PRINTED_NODES.
+_MAX_DOT_NODES = 10**7
 
 
 class FlowGraph:
@@ -214,21 +217,27 @@ def emit_dot(g: FlowGraph, name: str = "flow") -> str:
     Occurrence k is node n{k}, labelled with its formula's text and its
     place {block}:{side}{index}; nodes come in id order, edges in build
     order.  A formula whose tree has more than _MAX_PRINTED_NODES nodes is
-    labelled with a summary of its size instead, as in `sequent_brief`.
+    labelled with a summary of its size instead, as in `sequent_brief`,
+    and so is every formula from the first whose text would take the
+    labels spelled out so far past _MAX_DOT_NODES tree nodes.
     """
     # one printer for every formula, so each is rendered once
     printer = Printer(f for _, _, q in g._blocks for f in q.conclusion.ant + q.conclusion.succ)
     sizes: dict = {}  # the tree size of every node below a label, for this call
+    left = _MAX_DOT_NODES  # the tree nodes further labels may spell out
     out = [f"graph {name} {{", "  node [shape=box, fontsize=10];"]
     k = 0
     for b, (_, _, q) in enumerate(g._blocks):
         for side, fs in (("L", q.conclusion.ant), ("R", q.conclusion.succ)):
             for i, f in enumerate(fs):
                 nodes = fold(f, _tree_step, sizes)
-                if nodes > _MAX_PRINTED_NODES:
-                    label = f"<formula of {nodes} nodes as a tree, {dag_size(f)} distinct>"
-                else:
+                if nodes <= min(left, _MAX_PRINTED_NODES):
+                    left -= nodes
                     label = printer.text(f).replace("\\", "\\\\").replace('"', '\\"')
+                else:
+                    if nodes <= _MAX_PRINTED_NODES:
+                        left = 0  # the text is full: summarize every further label
+                    label = f"<formula of {nodes} nodes as a tree, {dag_size(f)} distinct>"
                 out.append(f'  n{k} [label="{label}\\n{b}:{side}{i}"];')
                 k += 1
     for u, v, t in zip(g._us, g._vs, g._tags):

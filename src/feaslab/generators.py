@@ -23,9 +23,8 @@ astronomically expensive and are reported symbolically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 from . import semantics
 from .kernel import (
@@ -87,20 +86,47 @@ class GeneratorError(Exception):
     pass
 
 
-@dataclass
 class GenReport:
     """A generated proof plus its bookkeeping.
 
     target is the end term (or tuple of matrix entry terms, or the end
     formula for matrix proofs); stats and advertised_value are computed on
-    first use.
+    first use, and kept in the instance dict.  Reports are mutable and
+    unhashable; two are equal when all five fields are, and the repr
+    leaves out _value_fn.
     """
 
-    proof: Proof
-    target: object
-    theory: Theory
-    value_desc: str
-    _value_fn: Callable = field(repr=False, default=None)
+    __slots__ = ("proof", "target", "theory", "value_desc", "_value_fn", "__dict__")
+
+    def __init__(
+        self,
+        proof: Proof,
+        target,
+        theory: Theory,
+        value_desc: str,
+        _value_fn: Optional[Callable] = None,
+    ):
+        self.proof = proof
+        self.target = target
+        self.theory = theory
+        self.value_desc = value_desc
+        self._value_fn = _value_fn
+
+    def _key(self) -> tuple:
+        return (self.proof, self.target, self.theory, self.value_desc, self._value_fn)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"GenReport(proof={self.proof!r}, target={self.target!r}, "
+            f"theory={self.theory!r}, value_desc={self.value_desc!r})"
+        )
 
     @cached_property
     def stats(self) -> SizeStats:

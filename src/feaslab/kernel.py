@@ -42,7 +42,6 @@ the text parser.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -751,8 +750,9 @@ _ANALYZERS = {
 # Checking and size accounting
 
 
-@dataclass(frozen=True)
-class SizeStats:
+class SizeStats(NamedTuple):
+    """Lines, cuts and contractions of a proof's expanded tree."""
+
     lines: int
     cut_count: int
     contraction_count: int

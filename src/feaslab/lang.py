@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from operator import attrgetter
+from typing import Iterable, Optional, Union
 
 
 class LangError(Exception):
@@ -55,28 +55,74 @@ class ParseError(LangError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Signature:
+class Record:
+    """Base of the package's small immutable records, which behave as
+    frozen dataclasses do without importing `dataclasses`.  A subclass
+    names its fields in `_fields`, keeps them in `__slots__` and fills
+    them in `__init__` with `object.__setattr__`.  Two records are equal
+    when they are of one class and their fields are equal; a record
+    hashes as the tuple of its fields and shows as `Name(field=value,
+    ...)`.  Assigning or deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        get = attrgetter(*cls._fields)
+        # the fields as a tuple, which attrgetter returns only for two or more
+        cls._key = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._key))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Signature(Record):
     """A named first-order signature.
 
-    functions and predicates map symbol -> arity (arity >= 1); constants is
-    a tuple of nullary symbols.  Symbol names must not collide.
+    functions and predicates map symbol -> arity (arity >= 1), each a new
+    empty dict by default; constants is a tuple of nullary symbols.
+    Symbol names must not collide.
     """
 
-    name: str
-    constants: tuple = ()
-    functions: dict = field(default_factory=dict)
-    predicates: dict = field(default_factory=dict)
+    __slots__ = _fields = ("name", "constants", "functions", "predicates")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        constants: tuple = (),
+        functions: Optional[dict] = None,
+        predicates: Optional[dict] = None,
+    ):
+        functions = {} if functions is None else functions
+        predicates = {} if predicates is None else predicates
         seen = set()
-        for s in list(self.constants) + list(self.functions) + list(self.predicates):
+        for s in list(constants) + list(functions) + list(predicates):
             if s in seen:
-                raise LangError(f"duplicate symbol {s!r} in signature {self.name}")
+                raise LangError(f"duplicate symbol {s!r} in signature {name}")
             seen.add(s)
-        for s, k in list(self.functions.items()) + list(self.predicates.items()):
+        for s, k in list(functions.items()) + list(predicates.items()):
             if k < 1:
                 raise LangError(f"symbol {s!r} needs arity >= 1, got {k}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "predicates", predicates)
 
 
 def arith_signature() -> Signature:

@@ -17,10 +17,9 @@ short proofs and short conjugated words.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 from operator import add
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .generators import gen_distorted
 from .kernel import Proof, size, theory_apply, theory_leaf
@@ -269,8 +268,9 @@ def word_metric_distance(
     return _bidi_bfs(start, target, moves, radius, term_str(t))
 
 
-@dataclass(frozen=True)
-class DistortionRow:
+class DistortionRow(NamedTuple):
+    """One row of `distortion_table`."""
+
     n: int
     proof_lines: int
     normal_form: str

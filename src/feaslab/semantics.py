@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .lang import App, Term, Var, fold
+from .lang import App, Record, Term, Var, fold
 
 
 class SemanticsError(Exception):
@@ -364,11 +363,13 @@ _SUM_INF = "sum involving inf is undefined"
 _NEG_INF = "negation of inf is undefined"
 
 
-@dataclass(frozen=True)
-class ExtRational:
+class ExtRational(Record):
     """A rational number or the single point at infinity (num=None)."""
 
-    num: Optional[Fraction]
+    __slots__ = _fields = ("num",)
+
+    def __init__(self, num: Optional[Fraction]):
+        object.__setattr__(self, "num", num)
 
     @staticmethod
     def of(value) -> "ExtRational":
@@ -518,12 +519,17 @@ def check_rat_defined(t: Term, memo: dict) -> None:
 # Exact 2x2 matrices and the projective action
 
 
-@dataclass(frozen=True)
-class Mat2:
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+class Mat2(Record):
+    """The 2x2 matrix (a b; c d).  It multiplies and raises to powers as a
+    matrix, and has no + and no scalar product."""
+
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -610,7 +616,8 @@ def winding_growth(A: Mat2, v: tuple[int, int], n: int) -> tuple[int, float]:
     """(sup-norm of A^n v computed exactly, that norm over lambda_max^n).
 
     A must be an integer matrix with determinant +-1 (a torus map) and v a
-    nonzero integer vector.
+    nonzero integer vector.  Where the norm or lambda_max^n passes the
+    float range, the ratio comes from their logarithms.
     """
     for entry in (A.a, A.b, A.c, A.d):
         if entry.denominator != 1:
@@ -623,7 +630,11 @@ def winding_growth(A: Mat2, v: tuple[int, int], n: int) -> tuple[int, float]:
     w = (M.a * v[0] + M.b * v[1], M.c * v[0] + M.d * v[1])
     norm = max(abs(w[0]), abs(w[1]))
     lam = dominant_eigenvalue_abs(A)
-    return int(norm), float(norm) / (lam**n)
+    norm = int(norm)
+    try:
+        return norm, float(norm) / (lam**n)
+    except OverflowError:
+        return norm, math.exp(math.log(norm) - n * math.log(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +645,16 @@ def winding_growth(A: Mat2, v: tuple[int, int], n: int) -> tuple[int, float]:
 # power tower for the very distorted elements.
 
 
-@dataclass(frozen=True)
-class BSElement:
-    p: object  # int or PowerTower, possibly negative via (sign, magnitude)
-    k: int
-    t: int
+class BSElement(Record):
+    """The element (p/2^k, t) of BS(1,2); p is an int, a PowerTower or a
+    _BigNeg of one."""
+
+    __slots__ = _fields = ("p", "k", "t")
+
+    def __init__(self, p, k: int, t: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "t", t)
 
     def __str__(self):
         p = self.p

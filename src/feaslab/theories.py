@@ -31,7 +31,6 @@ rely on "equal".  For open terms the oracles stay sound and answer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -42,6 +41,7 @@ from .lang import (
     Atom,
     Const,
     Formula,
+    Record,
     Signature,
     Term,
     app,
@@ -80,22 +80,23 @@ class UnsupportedPresentation(TheoryError):
     pass
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
     """A named axiom schema: antecedent formulas and one succedent formula
     over the schema variables vars, each an atom.
 
     A schema compiles itself when it is made (see `_compile`), and raises
     TheoryError when a formula is not an atom.  Schemas are immutable, so
-    the package makes its fixed ones once and every theory shares them."""
+    the package makes its fixed ones once and every theory shares them.
+    The compiled steps take no part in equality, hash or repr."""
 
-    name: str
-    vars: tuple
-    antecedent: tuple  # formulas over the schema variables
-    succedent: Formula
-    steps: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("name", "vars", "antecedent", "succedent")
+    __slots__ = _fields + ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, name: str, vars: tuple, antecedent: tuple, succedent: Formula):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "antecedent", antecedent)  # formulas over vars
+        object.__setattr__(self, "succedent", succedent)
         object.__setattr__(self, "steps", _compile(self))
 
 

@@ -28,6 +28,7 @@ from feaslab.kernel import (
     serialize_proof,
 )
 from feaslab.lang import app, arith_signature, atom, const, forall, mul, plus, substitute, var
+from feaslab.semantics import dominant_eigenvalue_abs, mat2
 from nested_format import serialize_nested
 
 
@@ -362,6 +363,23 @@ def test_torus_table(capsys):
     ratios = [float(l.split()[2]) for l in lines[3:]]
     for k, r in enumerate(ratios, start=1):
         assert r == pytest.approx(norms[k - 1] / lam**k, abs=1e-9)
+
+
+def test_torus_runs_past_the_float_range(capsys):
+    # from k = 738 the norm and lambda^k pass the float range, and the
+    # ratio comes from logarithms; every row before prints as it did
+    rc, out, err = run(capsys, "torus", "--n", "760")
+    assert rc == 0 and err == ""
+    rows = out.splitlines()[3:]
+    assert len(rows) == 760 and rows[-1].endswith(" 0.723606798")
+    lam = dominant_eigenvalue_abs(mat2(2, 1, 1, 1))
+    x, y = 1, 0
+    for k, row in enumerate(rows[:737], start=1):
+        x, y = 2 * x + y, x + y
+        assert row == f"{k} {x} {float(x) / lam**k:.9f}"
+    x, y = 2 * x + y, x + y
+    with pytest.raises(OverflowError):  # row 738 by the float formula
+        float(x) / lam**738
 
 
 def test_error_paths(capsys):

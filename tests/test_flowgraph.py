@@ -20,7 +20,7 @@ from feaslab.generators import (
     gen_unary,
 )
 from feaslab.kernel import _iter_unique_nodes, cut, logical_axiom, size
-from feaslab.lang import Printer, atom, const
+from feaslab.lang import Printer, atom, const, dag_size, tree_size
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
 from flow_oracle import build_oracle_graph, emit_path_dot, path_view
@@ -174,6 +174,32 @@ def test_dot_labels_spell_no_path():
         head = f'  n{k} [label="{text}\\n'
         assert line.startswith(head) and line.endswith('"];'), line[:80]
         assert len(line) - len(head) - len('"];') <= width, line[len(head) :]
+
+
+def test_dot_text_summarizes_every_label_past_its_cap(monkeypatch):
+    # labels are spelled out while the text's total fits the cap; from the
+    # first label that would pass it on, every label is a summary, smaller
+    # ones after it included
+    rep = gen_square_cut(2)
+    g = build_flow_graph(rep.proof, rep.theory)
+    formulas = [f for _, _, q in g._blocks for f in q.conclusion.ant + q.conclusion.succ]
+    sizes = [tree_size(f) for f in formulas]
+    j = next(j for j in range(1, len(sizes)) if min(sizes[j + 1 :]) < sizes[j])
+    full = emit_dot(g).splitlines()
+    nodes = slice(2, 2 + len(formulas))
+    for spelled, cap in ((j, sum(sizes[: j + 1]) - 1), (j + 1, sum(sizes[: j + 1]))):
+        monkeypatch.setattr(flowgraph, "_MAX_DOT_NODES", cap)
+        capped = emit_dot(g).splitlines()
+        assert capped[: nodes.start] == full[: nodes.start]
+        assert capped[nodes.stop :] == full[nodes.stop :]
+        for k, (line, full_line) in enumerate(zip(capped[nodes], full[nodes])):
+            if k < spelled:
+                assert line == full_line
+            else:
+                place = full_line.rsplit("\\n", 1)[1]
+                distinct = dag_size(formulas[k])
+                summary = f"<formula of {sizes[k]} nodes as a tree, {distinct} distinct>"
+                assert line == f'  n{k} [label="{summary}\\n{place}'
 
 
 def _survey_items():

@@ -3,7 +3,7 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
@@ -303,7 +303,7 @@ def assert_walk_and_counts(p, theory):
     position = {node: i for i, node in enumerate(order)}
     assert len(position) == len(order) and order[-1] is p
     assert all(position[q] < i for i, node in enumerate(order) for q in node.premises)
-    assert astuple(size(p)) == astuple(check(p, theory)) == expanded_counts(p)
+    assert tuple(size(p)) == tuple(check(p, theory)) == expanded_counts(p)
 
 
 def shared_dag(steps):
@@ -354,7 +354,7 @@ def test_size_counts_shared_subtrees_per_occurrence():
     k = contract_left(weaken_left(c, a), a)  # a |- a, with c inside
     top = cut(k, k, a)  # k twice, so c twice
     assert len(list(_iter_unique_nodes(top))) == 5
-    assert astuple(size(top)) == astuple(check(top, TH)) == expanded_counts(top) == (11, 3, 2)
+    assert tuple(size(top)) == tuple(check(top, TH)) == expanded_counts(top) == (11, 3, 2)
 
 
 def test_serialize_round_trip_families():
