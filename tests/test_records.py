@@ -158,6 +158,8 @@ def _assert_frozen(new):
     for name in new._fields:
         with pytest.raises(AttributeError):
             setattr(new, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(new, name)
     with pytest.raises(AttributeError):
         new.no_such_field = 0
 
@@ -218,6 +220,21 @@ def test_records_behave_as_their_dataclasses(cls, ref_cls, args):
         _assert_frozen(new1)
         kw = dict(zip(cls._fields, args1))
         assert cls(**kw) == new1
+
+    check()
+
+
+@pytest.mark.parametrize("cls, ref_cls, args", _CASES[:3], ids=[c[0].__name__ for c in _CASES[:3]])
+def test_records_equal_only_their_own_class(cls, ref_cls, args):
+    # an instance of a subclass with the same fields is not equal, as for
+    # the dataclass; the rows are NamedTuples, which compare as tuples
+    sub, sub_ref = type("Sub", (cls,), {"__slots__": ()}), type("Sub", (ref_cls,), {})
+
+    @settings(max_examples=50, deadline=None)
+    @given(args)
+    def check(args):
+        assert sub_ref(*args) != ref_cls(*args) and sub(*args) != cls(*args)
+        assert sub(*args) == sub(*args)
 
     check()
 
