@@ -48,7 +48,7 @@ from .semantics import (
     mobius_apply,
     parse_ext_rational,
     parse_mat2,
-    winding_growth,
+    winding_growth_rows,
 )
 from .theories import TheoryError, theory_from_selector
 
@@ -246,8 +246,7 @@ def _cmd_torus(args) -> int:
     print(f"eigenvalues {lam1:.12f} {lam2:.12f}")
     v = (1, 0)
     print("k norm ratio")
-    for k in range(1, args.n + 1):
-        norm, ratio = winding_growth(a, v, k)
+    for k, (norm, ratio) in enumerate(winding_growth_rows(a, v, args.n), start=1):
         print(f"{k} {norm} {ratio:.9f}")
     return 0
 

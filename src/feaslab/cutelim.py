@@ -39,8 +39,8 @@ Theory-axiom leaves absorb cuts by turning into their applied form: a cut
 of |- F(u) against the leaf F(u), F(v) |- F(u*v) becomes the applied axiom
 with the derivation grafted into the matching slot.
 
-Eigenvariable substitutions (`substitute_proof`) share one memo per call
-too.
+Eigenvariable substitutions (`substitute_proof`) share two memos per
+call too, one of proof nodes and one of the formulas and terms on them.
 
 A node budget (default 10^6, the `budget` argument overrides) bounds the DAG
 nodes built: multicut memo misses, rebuilt inferences and the nodes each
@@ -118,14 +118,16 @@ class _State:
     mcut_memo maps multicut arguments (p1, a, p2, k) to the result; proofs
     and formulas hash and compare by identity, and the key keeps them alive.
     subst_memo is substitute_proof's memo, keyed by (proof node, mapping
-    items) pairs and shared by every substitution of the run.
-    Ticks count the DAG nodes built: multicut memo misses, rebuilt
-    inferences and the entries each substitution adds to subst_memo; more
-    than `budget` of them abort the run.  `cut` is
-    (index, total, formula) of the cut being eliminated, for the message.
+    items) pairs, and formula_memo its memo of (term or formula, key)
+    pairs; both are shared by every substitution of the run and freed
+    with it.  Ticks count the DAG nodes built: multicut memo misses,
+    rebuilt inferences and the entries each substitution adds to
+    subst_memo, not to formula_memo; more than `budget` of them abort the
+    run.  `cut` is (index, total, formula) of the cut being eliminated,
+    for the message.
     """
 
-    __slots__ = ("theory", "budget", "ticks", "cut", "mcut_memo", "subst_memo")
+    __slots__ = ("theory", "budget", "ticks", "cut", "mcut_memo", "subst_memo", "formula_memo")
 
     def __init__(self, theory, budget: int):
         self.theory = theory
@@ -134,6 +136,7 @@ class _State:
         self.cut = None
         self.mcut_memo: dict = {}
         self.subst_memo: dict = {}
+        self.formula_memo: dict = {}
 
     def tick(self):
         self.ticks += 1
@@ -328,9 +331,9 @@ def _names_around(*proofs) -> set:
 
 
 def _substitute(p: Proof, mapping: dict, st: _State) -> Proof:
-    """substitute_proof with the run's memo, one tick per node it builds."""
+    """substitute_proof with the run's memos, one tick per node it builds."""
     before = len(st.subst_memo)
-    out = substitute_proof(p, mapping, st.subst_memo)
+    out = substitute_proof(p, mapping, st.subst_memo, st.formula_memo)
     for _ in range(len(st.subst_memo) - before):
         st.tick()
     return out

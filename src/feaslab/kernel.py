@@ -42,6 +42,7 @@ the text parser.
 from __future__ import annotations
 
 import json
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import NamedTuple, Optional
@@ -77,8 +78,7 @@ from .lang import (
     neg,
     rebind,
     sequent_brief,
-    subst_formula,
-    subst_term,
+    subst_key,
     substitute,
     var,
     _children,
@@ -1146,32 +1146,33 @@ def _proof_subst_children(pair):
     return tuple((q, key) for q in node.premises)
 
 
-def _proof_subst_step(pair, premises: list) -> Proof:
+def _proof_subst_step(formula_memo: dict, pair, premises: list) -> Proof:
     node, key = pair
     if not key:
         return node
     rule = node.rule
-    m = dict(key)
     if rule.eigen is not None:
         e = rebind(rule.eigen, key, _binder_scope(node))[0]
         if e != rule.eigen:
             rule = Rule(rule.tag, eigen=e)
     elif rule.term is not None:
-        rule = Rule(rule.tag, term=subst_term(rule.term, m))
+        rule = Rule(rule.tag, term=subst_key(rule.term, key, formula_memo))
     elif rule.subst is not None:
         rule = Rule(
             rule.tag,
             axiom=rule.axiom,
-            subst=tuple((v, subst_term(t, m)) for v, t in rule.subst),
+            subst=tuple((v, subst_key(t, key, formula_memo)) for v, t in rule.subst),
         )
     concl = Sequent(
-        tuple(subst_formula(f, m) for f in node.conclusion.ant),
-        tuple(subst_formula(f, m) for f in node.conclusion.succ),
+        tuple(subst_key(f, key, formula_memo) for f in node.conclusion.ant),
+        tuple(subst_key(f, key, formula_memo) for f in node.conclusion.succ),
     )
     return Proof(concl, rule, tuple(premises))
 
 
-def substitute_proof(p: Proof, mapping: dict, memo: Optional[dict] = None) -> Proof:
+def substitute_proof(
+    p: Proof, mapping: dict, memo: Optional[dict] = None, formula_memo: Optional[dict] = None
+) -> Proof:
     """Apply a variable -> term substitution throughout a proof.
 
     Eigenvariables bind their subtree as quantifiers bind their body
@@ -1179,8 +1180,13 @@ def substitute_proof(p: Proof, mapping: dict, memo: Optional[dict] = None) -> Pr
     eigenvariable clashing with an incoming term is renamed in the same
     pass.  The proof is folded over (node, key) pairs, key the sorted
     mapping items, so the result is a function of the pair and `memo`
-    may be shared by many calls.
+    may be shared by many calls.  Every formula and term of a node takes
+    the items of the node's key that act on it (`lang.subst_key`), and
+    `formula_memo` keeps their (node, key) pairs; it too may be shared.
+    A new memo stands for each one not given.
     """
     key = tuple(sorted(mapping.items()))
     memo = {} if memo is None else memo
-    return fold((p, key), _proof_subst_step, memo, _proof_subst_children)
+    formula_memo = {} if formula_memo is None else formula_memo
+    step = partial(_proof_subst_step, formula_memo)
+    return fold((p, key), step, memo, _proof_subst_children)

@@ -11,10 +11,15 @@ arguments are terms or formulas and its variable names strings
 (LangError otherwise), builds a candidate and stores it with
 `dict.setdefault`, which returns the object already stored when another
 thread stored one first; that thread's object wins and the candidate is
-dropped.  The keys are strings and tuples of strings and interned nodes,
-which hash and compare in C (nodes by identity), so the probe and the
-`setdefault` are each one atomic dictionary operation: no thread can see
-a key half stored, and no two objects can be stored under one key.
+dropped.  A variable is keyed by its name and a constant by its symbol.
+An application or atom is keyed by its argument tuple, the very tuple
+the node stores, in a table of its own symbol or predicate, so no key
+tuple is built for it; the table of a new symbol is stored by
+`setdefault` too.  The other formulas are keyed by a tuple of a tag and
+their parts.  The keys are strings and tuples of strings and interned
+nodes, which hash and compare in C (nodes by identity), so each probe
+and each `setdefault` is one atomic dictionary operation: no thread can
+see a key half stored, and no two objects can be stored under one key.
 
 Main entry points
 -----------------
@@ -33,8 +38,9 @@ child's set, and so does a quantifier whose variable is not free in its
 body.  Every walker that computes any other value per node (tree size,
 substitution over (node, mapping) pairs, and the evaluators in
 `semantics`) is a `fold`: one memoized, iterative post-order pass over
-the DAG.  Substitution's memo, `_subst_memo`, lasts for the process; the
-other walkers here take a new memo per call.
+the DAG.  The walkers here take a new memo per call, and substitution
+the caller's when one is given.  `_subst_memo` lasts for the process
+and holds one entry per substitution call, its root pair's result.
 """
 
 from __future__ import annotations
@@ -167,8 +173,11 @@ def rational_signature() -> Signature:
 # Interned terms and formulas.  Construction must go through the factories,
 # which probe, then `setdefault` on a miss (see the module docstring).
 
-_term_table: dict = {}
-_formula_table: dict = {}
+_var_table: dict = {}  # name -> Var
+_const_table: dict = {}  # symbol -> Const
+_app_tables: dict = {}  # symbol -> {argument tuple -> App}
+_atom_tables: dict = {}  # predicate -> {argument tuple -> Atom}
+_formula_table: dict = {}  # (connective or quantifier tag, parts) -> formula
 
 
 # The free-variable set of every closed term and formula.
@@ -259,26 +268,26 @@ def _expect_name(name, head: str):
 
 
 def var(name: str) -> Var:
-    key = ("v", name)
-    obj = _term_table.get(key)
+    obj = _var_table.get(name)
     if obj is None:
         _expect_name(name, "var")
-        obj = _term_table.setdefault(key, Var(name))
+        obj = _var_table.setdefault(name, Var(name))
     return obj
 
 
 def const(sym: str) -> Const:
-    key = ("c", sym)
-    obj = _term_table.get(key)
-    return obj if obj is not None else _term_table.setdefault(key, Const(sym))
+    obj = _const_table.get(sym)
+    return obj if obj is not None else _const_table.setdefault(sym, Const(sym))
 
 
 def app(sym: str, *args: Term) -> App:
-    key = ("a", sym, args)
-    obj = _term_table.get(key)
+    table = _app_tables.get(sym)
+    if table is None:
+        table = _app_tables.setdefault(sym, {})
+    obj = table.get(args)
     if obj is None:
         _expect(Term, args, sym)
-        obj = _term_table.setdefault(key, App(sym, args))
+        obj = table.setdefault(args, App(sym, args))
     return obj
 
 
@@ -374,11 +383,13 @@ class Exists(Quant):
 
 
 def atom(pred: str, *args: Term) -> Atom:
-    key = ("at", pred, args)
-    obj = _formula_table.get(key)
+    table = _atom_tables.get(pred)
+    if table is None:
+        table = _atom_tables.setdefault(pred, {})
+    obj = table.get(args)
     if obj is None:
         _expect(Term, args, pred)
-        obj = _formula_table.setdefault(key, Atom(pred, args))
+        obj = table.setdefault(args, Atom(pred, args))
     return obj
 
 
@@ -523,9 +534,11 @@ def fresh_name(base: str, avoid) -> str:
 
 # Substitution is one fold over (node, key) pairs, where key is the sorted
 # tuple of the (name, term) items that act on node: each name occurs free in
-# node and none maps to its own variable.  Interned inputs make the result a
-# pure function of the pair, so one memo serves the process lifetime and
-# repeated instantiations of a lemma body cost one probe per pair.
+# node.  Interned inputs make the result a pure function of the pair, so a
+# memo of pairs may serve any number of calls.  The process keeps one entry
+# per call, the root pair's, in _subst_memo: a repeated instantiation of a
+# lemma body costs one probe.  The pairs below the root go to the memo the
+# caller passes, or else to a memo of the call.
 _subst_memo: dict = {}
 
 
@@ -583,9 +596,12 @@ def _subst_step(pair, kids):
     return _CONNECTIVE_FACTORIES[cls](*kids)
 
 
-def subst_formula(x, mapping: dict):
+def subst_formula(x, mapping: dict, memo: Optional[dict] = None):
     """x, a term or formula, with each free variable named in mapping
-    replaced by its term, renaming bound variables as needed."""
+    replaced by its term, renaming bound variables as needed.  memo, when
+    given, keeps the (node, key) pairs of the walk and may be shared by
+    many calls; otherwise the result is kept for the process and the walk
+    uses a memo of its own."""
     fv = free_vars(x)
     key = tuple(
         sorted(
@@ -593,7 +609,24 @@ def subst_formula(x, mapping: dict):
             if k in fv and not (t.__class__ is Var and t.name == k)
         )
     )
-    return fold((x, key), _subst_step, _subst_memo, _subst_children) if key else x
+    if not key:
+        return x
+    if memo is not None:
+        return fold((x, key), _subst_step, memo, _subst_children)
+    pair = (x, key)
+    out = _subst_memo.get(pair)
+    if out is None:
+        out = _subst_memo.setdefault(pair, fold(pair, _subst_step, {}, _subst_children))
+    return out
+
+
+def subst_key(x, key: tuple, memo: dict):
+    """x with the items of key substituted, as subst_formula does, for key
+    a sorted tuple of (name, term) items, such as a proof substitution
+    carries: only the items that name a free variable of x act, and no
+    sort is made.  memo keeps the pairs of the walk."""
+    key = _live(x, key)
+    return fold((x, key), _subst_step, memo, _subst_children) if key else x
 
 
 subst_term = subst_formula

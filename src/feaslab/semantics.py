@@ -612,13 +612,7 @@ def dominant_eigenvalue_abs(A: Mat2) -> float:
     return max(abs((tr + root) / 2.0), abs((tr - root) / 2.0))
 
 
-def winding_growth(A: Mat2, v: tuple[int, int], n: int) -> tuple[int, float]:
-    """(sup-norm of A^n v computed exactly, that norm over lambda_max^n).
-
-    A must be an integer matrix with determinant +-1 (a torus map) and v a
-    nonzero integer vector.  Where the norm or lambda_max^n passes the
-    float range, the ratio comes from their logarithms.
-    """
+def _check_torus_map(A: Mat2, v: tuple[int, int]):
     for entry in (A.a, A.b, A.c, A.d):
         if entry.denominator != 1:
             raise SemanticsError("winding growth needs an integer matrix")
@@ -626,15 +620,45 @@ def winding_growth(A: Mat2, v: tuple[int, int], n: int) -> tuple[int, float]:
         raise SemanticsError("winding growth needs det = +1 or -1")
     if v == (0, 0):
         raise SemanticsError("winding growth needs a nonzero vector")
-    M = A**n
-    w = (M.a * v[0] + M.b * v[1], M.c * v[0] + M.d * v[1])
-    norm = max(abs(w[0]), abs(w[1]))
-    lam = dominant_eigenvalue_abs(A)
-    norm = int(norm)
+
+
+def _growth(w, lam: float, n: int) -> tuple[int, float]:
+    """(sup-norm of the exact vector w, that norm over lam^n)."""
+    norm = int(max(abs(w[0]), abs(w[1])))
     try:
         return norm, float(norm) / (lam**n)
     except OverflowError:
         return norm, math.exp(math.log(norm) - n * math.log(lam))
+
+
+def winding_growth(A: Mat2, v: tuple[int, int], n: int) -> tuple[int, float]:
+    """(sup-norm of A^n v computed exactly, that norm over lambda_max^n).
+
+    A must be an integer matrix with determinant +-1 (a torus map) and v a
+    nonzero integer vector.  Where the norm or lambda_max^n passes the
+    float range, the ratio comes from their logarithms.
+    """
+    _check_torus_map(A, v)
+    M = A**n
+    w = (M.a * v[0] + M.b * v[1], M.c * v[0] + M.d * v[1])
+    return _growth(w, dominant_eigenvalue_abs(A), n)
+
+
+def winding_growth_rows(A: Mat2, v: tuple[int, int], n: int):
+    """winding_growth(A, v, k) for k = 1, ..., n, in time linear in n:
+    A^k v is carried from row to row as one integer vector, and each
+    ratio divides by lambda_max^k as winding_growth does, so every value
+    is the same.  A and v are checked before the first row."""
+    _check_torus_map(A, v)
+    lam = dominant_eigenvalue_abs(A)
+    a, b, c, d = (int(e) for e in (A.a, A.b, A.c, A.d))
+
+    def rows(x, y):
+        for k in range(1, n + 1):
+            x, y = a * x + b * y, c * x + d * y
+            yield _growth((x, y), lam, k)
+
+    return rows(*v)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -28,7 +29,7 @@ from feaslab.kernel import (
     serialize_proof,
 )
 from feaslab.lang import app, arith_signature, atom, const, forall, mul, plus, substitute, var
-from feaslab.semantics import dominant_eigenvalue_abs, mat2
+from feaslab.semantics import dominant_eigenvalue_abs, mat2, winding_growth
 from nested_format import serialize_nested
 
 
@@ -380,6 +381,16 @@ def test_torus_runs_past_the_float_range(capsys):
     x, y = 2 * x + y, x + y
     with pytest.raises(OverflowError):  # row 738 by the float formula
         float(x) / lam**738
+    # the whole text as it was printed when each row recomputed A^k
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e01e60c4b44cc73b633d234b258c6ce0660fa09a7e3a9a076eb9ff8746b426ce"
+    )
+    # each row carries A^k v from the row before: the rows at both ends
+    # are what winding_growth computes for their k alone
+    a = mat2(2, 1, 1, 1)
+    for k in list(range(1, 61)) + list(range(730, 761)):
+        norm, ratio = winding_growth(a, (1, 0), k)
+        assert rows[k - 1] == f"{k} {norm} {ratio:.9f}"
 
 
 def test_error_paths(capsys):

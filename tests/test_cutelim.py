@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feaslab import cutelim
+from feaslab import cutelim, lang
 from feaslab.cutelim import (
     BLOWUP_COLUMNS,
     FragmentError,
@@ -393,6 +393,40 @@ def test_a_repeated_run_holds_no_more_memory():
         if not tracing:
             tracemalloc.stop()
     assert held[1] <= held[0] + 64 * 1024, held
+
+
+def test_a_sweep_keeps_one_substitution_entry_per_call(monkeypatch):
+    # matrix-power quantifier 0..6 over a matrix no other test uses, so
+    # every node is new: the process keeps one substitution entry per
+    # call (8,210 entries and 2.4 MB held when it kept every pair)
+    monkeypatch.setattr(lang, "_subst_memo", {})
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(7):
+            rep = gen_matrix_power(Mat2(3, 2, 1, 1), n, mode="quantifier")
+            check(rep.proof, rep.theory)
+        del rep
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(lang._subst_memo) <= 300
+    assert held < 1.5 * 2**20, held
+
+
+def test_elimination_keeps_its_substitutions_to_itself(monkeypatch):
+    # the formulas substituted in an elimination go to the run's memo,
+    # freed with it (4,171 process entries when every pair was kept)
+    monkeypatch.setattr(lang, "_subst_memo", {})
+    rep = gen_quantifier(8)
+    check(rep.proof, rep.theory)
+    check(eliminate_cuts(rep.proof, rep.theory), rep.theory)
+    assert len(lang._subst_memo) < 100
 
 
 # lines and sha256 prefix of the serialized elimination of each hand-built

@@ -669,12 +669,13 @@ def test_substitute_proof_matches_recursive_oracle(small_proofs, data):
     p, _ = data.draw(st.sampled_from(small_proofs))
     m1 = data.draw(mappings)
     m2 = data.draw(mappings)
-    memo = {}
+    memo, formula_memo = {}, {}
     for m in (m1, m2, m1):
         want = serialize_nested(substitute_proof_recursive(p, m))
         assert serialize_nested(substitute_proof(p, m)) == want
-        # one memo shared by several calls gives the same proofs
+        # memos shared by several calls give the same proofs
         assert serialize_nested(substitute_proof(p, m, memo)) == want
+        assert serialize_nested(substitute_proof(p, m, None, formula_memo)) == want
 
 
 def test_substitute_proof_renames_clashing_eigenvariables(small_proofs):

@@ -49,6 +49,7 @@ from feaslab.lang import (
     sequent_brief,
     sequent_str,
     subst_formula,
+    subst_key,
     subst_term,
     substitute,
     term_str,
@@ -291,21 +292,24 @@ def test_lazy_sequent_key_matches_the_eager_one(a1, s1, a2, s2):
 
 
 def _interned_batch(prefix: str) -> list:
-    """300 new terms and formulas, all named after prefix."""
+    """420 new terms and formulas, all named after prefix, 120 of them
+    under function symbols and predicates named after it too."""
     out = []
     for i in range(60):
         x = var(f"{prefix}{i}")
         t = app("s", mul(x, const("0")))
         f = atom("F", t)
         g = forall(f"{prefix}{i}", imp(f, conj(f, neg(atom("=", t, x)))))
-        out += [x, t, f, g, exists(f"{prefix}{i}", disj(g, f))]
+        h = app(f"{prefix}f{i}", x, t)
+        out += [x, t, f, g, exists(f"{prefix}{i}", disj(g, f)), h, atom(f"{prefix}P{i}", h)]
     return out
 
 
 def test_interning_across_threads():
     # 4 threads intern the same few hundred new terms and formulas at
-    # once, switching threads often; every structure comes back as one
-    # object, the one a later call in one thread finds
+    # once, switching threads often, some under symbols that no table has
+    # seen; every structure comes back as one object, the one a later
+    # call in one thread finds
     threads = 4
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -326,11 +330,72 @@ def test_interning_across_threads():
                 w.join(timeout=60)
             assert not any(w.is_alive() for w in workers)
             again = _interned_batch(prefix)
-            assert len(again) == 300
+            assert len(again) == 420
             for objs in zip(again, *results):
                 assert all(o is objs[0] for o in objs)
     finally:
         sys.setswitchinterval(old)
+
+
+class _MissTogether(dict):
+    """A table on which each miss waits until `parties` threads have
+    missed, so that the threads build their candidates for a key at once."""
+
+    def __init__(self, parties: int):
+        super().__init__()
+        self._barrier = threading.Barrier(parties, timeout=10)
+
+    def get(self, key, default=None):
+        out = super().get(key, default)
+        if out is None:
+            self._barrier.wait()
+        return out
+
+
+def test_racing_misses_come_back_as_one_object(monkeypatch):
+    # two threads miss every key together, in every table, on the table
+    # of a new symbol and of a new predicate too; the object stored first
+    # is the one both get
+    lang = feaslab.lang
+    tables = {
+        name: _MissTogether(2)
+        for name in ("_var_table", "_const_table", "_app_tables", "_atom_tables", "_formula_table")
+    }
+    tables["_app_tables"]["race_f"] = _MissTogether(2)
+    tables["_atom_tables"]["race_P"] = _MissTogether(2)
+    for name, table in tables.items():
+        monkeypatch.setattr(lang, name, table)
+
+    def batch():
+        x, c = var("race_x"), const("race_c")
+        t = app("race_f", x, c)
+        u = app("race_g", t)  # a symbol with no table yet
+        f, g = atom("race_P", u), atom("race_Q", t)  # race_Q has no table yet
+        return [x, c, t, u, f, g, neg(f), conj(f, g), forall("race_x", g)]
+
+    results = [None, None]
+
+    def work(k):
+        results[k] = batch()
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert results[0] is not None and results[1] is not None
+    for a, b, again in zip(*results, batch()):
+        assert a is b is again
+
+
+def test_interning_keeps_symbols_and_predicates_apart():
+    # one argument tuple under two symbols or predicates is two nodes
+    a, b = var("x"), const("0")
+    assert app("+", a, b) is not app("*", a, b)
+    assert app("*", a, b).sym == "*" and app("+", a, b).sym == "+"
+    assert atom("F", a) is not atom("T", a)
+    assert atom("T", a).pred == "T" and atom("F", a).pred == "F"
+    assert var("0") is not const("0")
 
 
 def test_sequents_immutable():
@@ -484,6 +549,52 @@ def test_subst_matches_the_recursive_reference(name, data):
     assert subst_formula(phi, mapping) is ref_subst(phi, mapping)
     t = data.draw(sig_terms_shared(sig, PRIMED))
     assert subst_term(t, mapping) is ref_subst(t, mapping)
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_subst_with_a_shared_memo_matches_the_recursive_reference(name, data):
+    # one memo serves calls under several mappings, through subst_formula
+    # and through subst_key, whose sorted key may name variables that are
+    # not free and map a name to its own variable
+    sig = SIGNATURES[name]
+    mappings = data.draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(PRIMED), sig_terms(sig, PRIMED), max_size=3),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    roots = (data.draw(sig_formulas(sig, PRIMED)), data.draw(sig_terms_shared(sig, PRIMED)))
+    memo: dict = {}
+    for mapping in mappings + mappings:
+        key = tuple(sorted(mapping.items()))
+        for x in roots:
+            want = ref_subst(x, mapping)
+            assert subst_formula(x, mapping, memo) is want
+            assert subst_key(x, key, memo) is want
+
+
+def test_the_process_keeps_one_substitution_entry_per_call(monkeypatch):
+    monkeypatch.setattr(feaslab.lang, "_subst_memo", {})
+    x = var("x")
+    t = x
+    for _ in range(50):
+        t = app("s", mul(t, x))
+    phi = forall("y", imp(atom("F", t), atom("=", t, var("y"))))
+    zero, y = const("0"), var("y")
+    out = subst_formula(phi, {"x": zero})
+    assert feaslab.lang._subst_memo == {(phi, (("x", zero),)): out}
+    assert subst_formula(phi, {"x": zero}) is out
+    # the root pair holds its mapping: another term is another entry
+    renamed = subst_formula(phi, {"x": y})
+    assert renamed is not out and renamed.v == "y'"
+    assert len(feaslab.lang._subst_memo) == 2
+    # a memo of the caller's takes the whole walk, the process none of it
+    memo: dict = {}
+    assert subst_formula(phi, {"x": zero}, memo) is out
+    assert len(memo) == dag_size(phi) and len(feaslab.lang._subst_memo) == 2
 
 
 def _fv_step(x, vals):

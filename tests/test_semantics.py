@@ -56,6 +56,7 @@ from feaslab.semantics import (
     _sz_mul,
     parse_mat2,
     winding_growth,
+    winding_growth_rows,
     word_inv,
     word_mul,
 )
@@ -261,6 +262,25 @@ def test_winding_growth():
     assert norm == 89
     lam = (3 + math.sqrt(5)) / 2
     assert ratio == pytest.approx(89 / lam**5)
+
+
+@pytest.mark.parametrize(
+    "m, v",
+    [(mat2(2, 1, 1, 1), (1, 0)), (mat2(0, 1, 1, 1), (-2, 3)), (mat2(3, 2, 1, 1), (0, -1))],
+)
+def test_winding_growth_rows_equal_each_winding_growth(m, v):
+    # one running vector gives every row's value exactly, past the float
+    # range too for the larger eigenvalues
+    rows = list(winding_growth_rows(m, v, 800))
+    assert len(rows) == 800
+    for k in list(range(1, 41)) + list(range(700, 801, 7)):
+        assert rows[k - 1] == winding_growth(m, v, k)
+
+
+def test_winding_growth_rows_check_the_map_before_the_first_row():
+    for m, v in ((mat2(2, 1, 1, 2), (1, 0)), (mat2(2, 1, 1, 1), (0, 0))):
+        with pytest.raises(SemanticsError):
+            winding_growth_rows(m, v, 5)
 
 
 # -- BS(1,2) normal forms --------------------------------------------------------
