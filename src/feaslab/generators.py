@@ -542,8 +542,9 @@ def gen_matrix_power(A: Mat2, n: int = 0, mode: str = "squaring") -> GenReport:
         chain = _generalized(implies_right(lemma0, phiv, feasibility_formula(P)), names)
 
         for _ in range(n):
-            mapping = dict(zip(names, P))
-            P2 = tuple(subst_term(t, mapping) for t in P)
+            # one walk memo per mapping: the four entries share subterms
+            mapping, memo = dict(zip(names, P)), {}
+            P2 = tuple(subst_term(t, mapping, memo) for t in P)
             first = instance(chi(P), vs, vs, P)
             second = instance(chi(P), P, P, P2)
             merged = contract_left(cut(first, second, feasibility_formula(P)), chi(P))
@@ -551,7 +552,8 @@ def gen_matrix_power(A: Mat2, n: int = 0, mode: str = "squaring") -> GenReport:
             chain = cut(chain, stage, chi(P))
             P = P2
 
-        final_terms = tuple(subst_term(t, dict(zip(names, base_terms))) for t in P)
+        mapping, memo = dict(zip(names, base_terms)), {}
+        final_terms = tuple(subst_term(t, mapping, memo) for t in P)
         p = _applied(chain, chi(P), base_proof(), base_terms, feasibility_formula(final_terms))
         exponent = 2 ** (2**n)
         desc = str(A**exponent) if exponent <= 1024 else f"A^{exponent}"

@@ -598,10 +598,10 @@ def _subst_step(pair, kids):
 
 def subst_formula(x, mapping: dict, memo: Optional[dict] = None):
     """x, a term or formula, with each free variable named in mapping
-    replaced by its term, renaming bound variables as needed.  memo, when
-    given, keeps the (node, key) pairs of the walk and may be shared by
-    many calls; otherwise the result is kept for the process and the walk
-    uses a memo of its own."""
+    replaced by its term, renaming bound variables as needed.  The result
+    is kept for the process under the root pair.  memo, when given, keeps
+    the (node, key) pairs of the walk and may be shared by many calls;
+    otherwise the walk uses a memo of its own."""
     fv = free_vars(x)
     key = tuple(
         sorted(
@@ -611,12 +611,11 @@ def subst_formula(x, mapping: dict, memo: Optional[dict] = None):
     )
     if not key:
         return x
-    if memo is not None:
-        return fold((x, key), _subst_step, memo, _subst_children)
     pair = (x, key)
     out = _subst_memo.get(pair)
     if out is None:
-        out = _subst_memo.setdefault(pair, fold(pair, _subst_step, {}, _subst_children))
+        walk = {} if memo is None else memo
+        out = _subst_memo.setdefault(pair, fold(pair, _subst_step, walk, _subst_children))
     return out
 
 

@@ -591,10 +591,13 @@ def test_the_process_keeps_one_substitution_entry_per_call(monkeypatch):
     renamed = subst_formula(phi, {"x": y})
     assert renamed is not out and renamed.v == "y'"
     assert len(feaslab.lang._subst_memo) == 2
-    # a memo of the caller's takes the whole walk, the process none of it
+    # a memo of the caller's takes the walk below the root, and the
+    # process still keeps the root pair
     memo: dict = {}
-    assert subst_formula(phi, {"x": zero}, memo) is out
-    assert len(memo) == dag_size(phi) and len(feaslab.lang._subst_memo) == 2
+    one = const("1")
+    assert subst_formula(phi, {"x": one}, memo) is ref_subst(phi, {"x": one})
+    assert len(memo) == dag_size(phi) and len(feaslab.lang._subst_memo) == 3
+    assert subst_formula(phi, {"x": one}, {}) is feaslab.lang._subst_memo[phi, (("x", one),)]
 
 
 def _fv_step(x, vals):
