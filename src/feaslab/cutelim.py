@@ -67,6 +67,7 @@ from .kernel import (
     _iter_unique_nodes,
     _remove_one,
     analyze,
+    apply_instance,
     check,
     contract_left,
     contract_right,
@@ -76,7 +77,6 @@ from .kernel import (
     introduce,
     logical_axiom,
     substitute_proof,
-    theory_apply,
     weaken_left,
     weaken_right,
 )
@@ -190,7 +190,7 @@ def _reapply(node: Proof, step: Step, new_premises: tuple, st: _State) -> Proof:
     st.tick()
     tag = node.rule.tag
     if tag == "TheoryAxiom":
-        return theory_apply(st.theory, node.rule.axiom, node.rule.subst_dict(), new_premises)
+        return apply_instance(st.theory.instance(node.rule.axiom, node.rule.subst), new_premises)
     build = _REBUILD.get(tag)
     if build is None:
         return introduce(node.rule, new_premises, step.principal)
@@ -277,7 +277,8 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
         return p1  # p2 is a |- a with k = 1
 
     if tag == "TheoryAxiom" and not p2.premises:
-        phis, _psi = st.theory.instantiate(p2.rule.axiom, p2.rule.subst_dict())
+        found = st.theory.instance(p2.rule.axiom, p2.rule.subst)
+        phis = found[0]
         premises = []
         quota = k
         for phi in phis:
@@ -286,7 +287,7 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
                 quota -= 1
             else:
                 premises.append(logical_axiom(phi))
-        return theory_apply(st.theory, p2.rule.axiom, p2.rule.subst_dict(), premises)
+        return apply_instance(found, premises)
 
     if tag == "Cut":
         raise KernelError("multicut premises must be cut-free")

@@ -59,6 +59,7 @@ from .lang import (
     Not,
     Or,
     Quant,
+    Record,
     Sequent,
     Signature,
     Term,
@@ -91,6 +92,13 @@ class KernelError(Exception):
 
 class CheckError(KernelError):
     """A proof failed validation; the message names the offending node."""
+
+
+class TheoryError(Exception):
+    """A theory refused a request: axiom data that name no instance of its
+    schemas, or an inadmissible instance.  `feaslab.theories` raises it;
+    it is defined here, below that module, so that `check` can report a
+    rule naming no instance as a CheckError naming the node."""
 
 
 # Each logical rule: the class of the principal formula, the side the rule
@@ -156,17 +164,16 @@ def _rule_error(tag, has_axiom: bool, has_subst: bool, has_term: bool, has_eigen
     return f"{tag} needs an eigenvariable"
 
 
-class Rule:
+class Rule(Record):
     """The rule of one inference: its tag and the data the tag needs.
 
     axiom and subst (sorted (variable, Term) pairs) for TheoryAxiom, the
     witness term for ForallLeft and ExistsRight, the eigenvariable for
-    ForallRight and ExistsLeft; every other field is None.  Rules are
-    immutable, equal when their fields are, and hash alike then.  The
-    kernel's constructors share one Rule per tag that carries no data.
+    ForallRight and ExistsLeft; every other field is None.  The kernel's
+    constructors share one Rule per tag that carries no data.
     """
 
-    __slots__ = ("tag", "axiom", "subst", "term", "eigen")
+    __slots__ = _fields = ("tag", "axiom", "subst", "term", "eigen")
 
     def __init__(
         self,
@@ -186,29 +193,6 @@ class Rule:
         _set_subst(self, subst)
         _set_term(self, term)
         _set_eigen(self, eigen)
-
-    def __setattr__(self, *a):
-        raise AttributeError("rules are immutable")
-
-    def _fields(self) -> tuple:
-        return (self.tag, self.axiom, self.subst, self.term, self.eigen)
-
-    def __eq__(self, other):
-        if other.__class__ is not Rule:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"Rule(tag={self.tag!r}, axiom={self.axiom!r}, subst={self.subst!r}, "
-            f"term={self.term!r}, eigen={self.eigen!r})"
-        )
-
-    def subst_dict(self) -> dict:
-        return dict(self.subst or ())
 
 
 _set_tag = Rule.tag.__set__
@@ -288,16 +272,32 @@ def eq_leaf(lhs: Term, rhs: Term) -> Proof:
     return Proof(Sequent((), (atom("=", lhs, rhs),)), _PLAIN_RULES["EqOracle"])
 
 
+def _pairs(subst: dict) -> tuple:
+    """subst's (variable, term) pairs in variable order, as a TheoryAxiom
+    rule holds them."""
+    try:
+        return tuple(sorted(subst.items()))
+    except TypeError:  # names that do not sort, which the theory refuses
+        return tuple(subst.items())
+
+
 def theory_leaf(theory, name: str, subst: dict) -> Proof:
-    ant, succ, _, rule = theory.instance(name, subst)
+    ant, succ, rule = theory.instance(name, _pairs(subst))
     return Proof(Sequent(ant, (succ,)), rule)
 
 
 def theory_apply(theory, name: str, subst: dict, premises) -> Proof:
+    return apply_instance(theory.instance(name, _pairs(subst)), premises)
+
+
+def apply_instance(instance: tuple, premises) -> Proof:
+    """The applied form of instance, an (antecedent, succedent, rule) that
+    `Theory.instance` returns: premise i proves its antecedent formula i on
+    the right."""
+    phis, psi, rule = instance
     premises = tuple(premises)
-    phis, psi, _, rule = theory.instance(name, subst)
     if len(premises) != len(phis):
-        raise KernelError(f"{name} applied form needs {len(phis)} premises")
+        raise KernelError(f"{rule.axiom} applied form needs {len(phis)} premises")
     ant = []
     succ = []
     for p, phi in zip(premises, phis):
@@ -696,22 +696,12 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
     c = node.conclusion
     if not c.succ:
         _fail(node, "theory axiom concludes a formula on the right")
-    name = node.rule.axiom
-    # a rule naming a stored instance names it by exactly the schema's variables
-    found = theory.stored_instance(name, node.rule.subst)
-    if found is None:
-        if name not in theory.axioms:
-            _fail(node, f"unknown axiom {name!r}")
-        subst = node.rule.subst_dict()
-        schema = theory.axioms[name]
-        if set(subst) != set(schema.vars):
-            _fail(node, f"instantiation must cover exactly {schema.vars}")
-        # the pairs a proof file reads back: sorted, each variable once
-        if len(subst) != len(node.rule.subst) or list(subst) != sorted(subst):
-            _fail(node, "instantiation must name each variable once, in sorted order")
-        found = theory.instance(name, subst)
-    phis, psi, subst, _ = found
-    theory.validate_instantiation(name, subst, psi)
+    name, pairs = node.rule.axiom, node.rule.subst
+    try:
+        phis, psi, _ = theory.instance(name, pairs)
+    except TheoryError as e:
+        _fail(node, str(e))
+    theory.validate_instantiation(name, pairs, psi)
     if not node.premises:
         if not _same(c.ant, phis) or not _same(c.succ, (psi,)):
             _fail(node, "leaf does not match the instantiated schema")
@@ -953,7 +943,7 @@ def serialize_proof(p: Proof) -> str:
         data = ""
         if rule.subst is not None:
             # a JSON object names each variable once: one that a hand-built
-            # rule repeats keeps its last term, as `Rule.subst_dict` does
+            # rule repeats, which check refuses, keeps its last term
             ids = {v: ref(t) for v, t in rule.subst}
             subst = ",".join([f"{_quote(v)}:{i}" for v, i in ids.items()])
             data = f',"axiom":{_quote(rule.axiom)},"subst":{{{subst}}}'

@@ -289,73 +289,6 @@ def eval_nat(t: Term, memo: Optional[dict] = None) -> Big:
 
 
 # ---------------------------------------------------------------------------
-# Expanded symbol size (exp unfolded into repeated multiplication).
-#
-# Sizes combine as exact ints while affordable and degrade to float log2
-# estimates beyond that; callers treat a float result as "about 2**x nodes".
-
-_EXACT_BITS = 4096
-
-
-def _sz_norm(x):
-    if isinstance(x, int) and x.bit_length() > _EXACT_BITS:
-        return math.log2(x)
-    return x
-
-
-def _sz_add(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return _sz_norm(a + b)
-    la = a if isinstance(a, float) else math.log2(max(a, 1))
-    lb = b if isinstance(b, float) else math.log2(max(b, 1))
-    hi, lo = max(la, lb), min(la, lb)
-    if hi == float("inf"):
-        return hi
-    return hi + math.log2(1.0 + 2.0 ** max(lo - hi, -60.0))
-
-
-def _sz_mul(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return _sz_norm(a * b)
-    la = a if isinstance(a, float) else math.log2(max(a, 1))
-    lb = b if isinstance(b, float) else math.log2(max(b, 1))
-    return la + lb
-
-
-def _exp_multiplier(u: Term):
-    """Exponent value as int or float log2, or None when not evaluable."""
-    try:
-        v = eval_nat(u)
-    except SemanticsError:
-        return None
-    if isinstance(v, int):
-        return v if v.bit_length() <= _EXACT_BITS else math.log2(v)
-    return nat_log2(v)
-
-
-def _size_step(x, sizes):
-    if x.__class__ is App and x.sym == "exp":
-        k = _exp_multiplier(x.args[1])
-        if k is None or (isinstance(k, int) and k == 0):
-            return 1 + sizes[0] + sizes[1]
-        # k copies of the base joined by k-1 product nodes
-        return _sz_add(_sz_mul(k, sizes[0]), _sz_add(k, -1) if isinstance(k, int) else k)
-    out = 1
-    for size in sizes:
-        out = _sz_add(out, size)
-    return out
-
-
-def expanded_size(x):
-    """Tree size after unfolding exp(t, u) into value(u)-fold products.
-
-    Returns an exact int, or a float log2 estimate once sizes leave the
-    exact range.  Unevaluable exponents leave the exp node opaque.
-    """
-    return fold(x, _size_step, {})
-
-
-# ---------------------------------------------------------------------------
 # Extended rationals
 
 

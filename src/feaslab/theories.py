@@ -13,11 +13,13 @@ those of exact evaluation.
 
 An axiom schema compiles itself into construction steps when it is made
 (see `AxiomSchema`), so an instance costs one `app` or `atom` call per
-subterm that mentions a schema variable, and a theory keeps every
-instance it builds.  The arithmetic and rational theories keep the values
-of the closed terms their oracles have evaluated (the rational theory's
-evaluator shares its oracle's), as the rational validator keeps its
-residues: these caches live exactly as long as their theory.
+subterm that mentions a schema variable.  A theory finds an instance by
+the axiom name and the (variable, term) pairs a TheoryAxiom rule holds,
+and keeps every instance it builds under them.  The arithmetic and
+rational theories keep the values of the closed terms their oracles have
+evaluated (the rational theory's evaluator shares its oracle's), as the
+rational validator keeps its residues: these caches live exactly as long
+as their theory.
 
 Oracle verdicts are "equal", "unequal" or "undecided"; proofs may only
 rely on "equal".  For open terms the oracles stay sound and answer
@@ -32,10 +34,10 @@ rely on "equal".  For open terms the oracles stay sound and answer
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from . import semantics
-from .kernel import Rule
+from .kernel import Rule, TheoryError
 from .lang import (
     App,
     Atom,
@@ -72,10 +74,6 @@ from .semantics import (
 )
 
 
-class TheoryError(Exception):
-    pass
-
-
 class UnsupportedPresentation(TheoryError):
     pass
 
@@ -100,18 +98,6 @@ class AxiomSchema(Record):
         object.__setattr__(self, "steps", _compile(self))
 
 
-class Instance(NamedTuple):
-    """One instance of an axiom schema, as its theory keeps it: the
-    instantiated antecedent formulas and succedent, the substitution (a
-    dict of its own, in variable-name order, for the validator) and the
-    kernel Rule that names it, shared by every proof node of the instance."""
-
-    ant: tuple
-    succ: Formula
-    subst: dict
-    rule: Rule
-
-
 class Theory:
     """Signature + axiom schemas + equality oracle.
 
@@ -119,11 +105,11 @@ class Theory:
     substituted terms: no generic substitution, and, since terms and
     formulas are interned, the very objects `subst_formula` would build.
 
-    A theory keeps the instances it has built, in one table: `instance`
-    stores the Instance of each successful instantiation under the axiom
-    name and its rule's sorted (variable, term) pairs, where a repeated
-    instantiation and `stored_instance` find it.  The table holds
-    formulas, terms and rules, never proofs.
+    A theory keeps the instances it has built in one table, keyed by the
+    axiom name and the (variable, term) pairs of the instance's rule:
+    `instance` finds an instance there or builds and stores it, with the
+    one Rule that every proof node of the instance shares.  The table
+    holds formulas, terms and rules, never proofs.
     """
 
     def __init__(
@@ -133,7 +119,7 @@ class Theory:
         schemas: Iterable[AxiomSchema],
         oracle: Callable[[Term, Term], str],
         evaluate: Optional[Callable[[Term], object]] = None,
-        validate: Optional[Callable[[str, dict, Formula], None]] = None,
+        validate: Optional[Callable[[str, tuple, Formula], None]] = None,
     ):
         self.name = name
         self.signature = signature
@@ -153,73 +139,61 @@ class Theory:
             raise TheoryError(f"theory {self.name} has no evaluator")
         return self._evaluate(t)
 
-    def instance(self, name: str, subst: dict) -> Instance:
-        """The Instance of axiom name under subst (variable -> term).
+    def instance(self, name: str, pairs: tuple) -> tuple:
+        """(antecedent formulas, succedent, rule) of the instance of axiom
+        name whose (variable, term) pairs are pairs: each of the schema's
+        variables once, in sorted order, as a TheoryAxiom rule holds them.
 
-        A stored instance is found before the arguments are validated:
-        only the pairs of valid arguments are stored, so a hit is valid.
-        Every other call validates, so a bad instantiation raises
-        TheoryError each time."""
+        The table holds the instances of valid arguments only, so a hit
+        needs no validation; every miss validates, and raises TheoryError
+        each time for arguments that name no instance."""
+        try:
+            found = self._instances.get((name, pairs))
+        except TypeError:  # pairs in lists, or a value that does not hash
+            found, pairs = None, tuple(map(tuple, pairs))
+        if found is not None:
+            return found
         schema = self.axioms.get(name)
         if schema is None:
-            raise TheoryError(f"theory {self.name} has no axiom {name!r}")
-        try:
-            pairs = tuple(sorted(subst.items()))  # the names differ: no term is compared
-            out = self._instances.get((name, pairs))
-        except TypeError:  # names that do not sort, a value unhashable
-            out = None
-        if out is not None:
-            return out
-        if set(subst) != set(schema.vars):
-            raise TheoryError(
-                f"axiom {name} expects variables {schema.vars}, "
-                f"got {tuple(sorted(subst, key=str))}"
-            )
-        for v, t in subst.items():
+            raise TheoryError(f"unknown axiom {name!r}")
+        names = tuple(v for v, _ in pairs)
+        if names != schema.steps[0]:  # the schema's variables in sorted order
+            if set(names) != set(schema.vars):
+                raise TheoryError(f"instantiation must cover exactly {schema.vars}")
+            raise TheoryError("instantiation must name each variable once, in sorted order")
+        terms = tuple(t for _, t in pairs)
+        for v, t in pairs:
             if not isinstance(t, Term):
                 raise TheoryError(f"instantiation for {v} is not a term")
-        ant, succ = _build(schema.steps, tuple(map(subst.__getitem__, schema.vars)))
+        ant, succ = _build(schema.steps, terms)
         rule = Rule("TheoryAxiom", axiom=name, subst=pairs)
-        out = self._instances[name, pairs] = Instance(ant, succ, dict(pairs), rule)
-        return out
+        found = self._instances[name, pairs] = (ant, succ, rule)
+        return found
 
-    def instantiate(self, name: str, subst: dict):
-        """(antecedent formulas, succedent formula) of an instance."""
-        ant, succ, _, _ = self.instance(name, subst)
-        return ant, succ
-
-    def stored_instance(self, name, pairs) -> Optional[Instance]:
-        """The stored Instance of axiom name whose sorted (variable, term)
-        pairs are pairs, as a rule carries them; None when this theory has
-        built none, or the arguments cannot name one."""
-        try:
-            return self._instances.get((name, pairs))
-        except TypeError:  # an unhashable name or pair
-            return None
-
-    def validate_instantiation(self, name: str, subst: dict, succedent: Formula):
-        """Raise TheoryError for an inadmissible instance; succedent is
-        the instance's succedent, as `instantiate` built it."""
+    def validate_instantiation(self, name: str, pairs: tuple, succedent: Formula):
+        """Raise TheoryError for an inadmissible instance: the axiom name,
+        its rule's pairs and its succedent, as `instance` built it."""
         if self._validate is not None:
-            self._validate(name, subst, succedent)
+            self._validate(name, pairs, succedent)
 
 
 def _compile(schema: AxiomSchema) -> tuple:
-    """(constants, steps, antecedent registers, succedent register): the
-    construction of an instance of schema.
+    """(variables, constants, steps, antecedent registers, succedent
+    register): the construction of an instance of schema.
 
     An instance is built in a list of registers that holds first the
-    substituted terms, in the order of schema.vars, then the constants,
-    the subterms that mention no schema variable, as they are; each step
-    (factory, symbol, argument registers) appends one node, its arguments
-    first, one `app` or `atom` call per subterm that mentions a schema
-    variable."""
+    substituted terms, in the sorted order of the variables, then the
+    constants, the subterms that mention no schema variable, as they are;
+    each step (factory, symbol, argument registers) appends one node, its
+    arguments first, one `app` or `atom` call per subterm that mentions a
+    schema variable."""
     formulas = (*schema.antecedent, schema.succedent)
     for f in formulas:
         if f.__class__ is not Atom:
             raise TheoryError(f"axiom {schema.name}: schema formula {f!r} is not an atom")
     names = frozenset(schema.vars)
-    reg = {var(v): i for i, v in enumerate(schema.vars)}  # nodes seen, variables numbered
+    order = tuple(sorted(schema.vars))  # as a rule's pairs name them
+    reg = {var(v): i for i, v in enumerate(order)}  # nodes seen, variables numbered
     consts, nodes = [], []
     stack = list(formulas)
     while stack:  # post-order: a node goes back under its children
@@ -244,13 +218,13 @@ def _compile(schema: AxiomSchema) -> tuple:
         args = tuple(map(reg.__getitem__, x.args))
         steps.append((app, x.sym, args) if x.__class__ is App else (atom, x.pred, args))
     ant = tuple(map(reg.__getitem__, schema.antecedent))
-    return tuple(consts), tuple(steps), ant, reg[schema.succedent]
+    return order, tuple(consts), tuple(steps), ant, reg[schema.succedent]
 
 
 def _build(compiled: tuple, terms: tuple) -> tuple:
     """(antecedent, succedent) of the instance whose terms for the
-    schema's variables are terms, by the compiled steps."""
-    consts, steps, ant, succ = compiled
+    schema's variables, in sorted order, are terms, by the compiled steps."""
+    _, consts, steps, ant, succ = compiled
     regs = [*terms, *consts]
     get = regs.__getitem__
     for make, head, args in steps:
@@ -529,7 +503,7 @@ def _rat_oracle(lhs: Term, rhs: Term, memo: dict) -> str:
         return "undecided"
 
 
-def _rat_validator() -> Callable[[str, dict, Formula], None]:
+def _rat_validator() -> Callable[[str, tuple, Formula], None]:
     """A validator rejecting instances whose closed substitution terms, or
     the closed terms under whose succedent F(...), hit an undefined
     operation.  Definedness is decided modulo semantics.MODULAR_PRIME with
@@ -537,8 +511,8 @@ def _rat_validator() -> Callable[[str, dict, Formula], None]:
     the validator, that is, as long as its theory."""
     residues: dict = {}
 
-    def validate(name: str, subst: dict, succedent: Formula):
-        for t in (*subst.values(), *succedent.args):
+    def validate(name: str, pairs: tuple, succedent: Formula):
+        for t in (*(t for _, t in pairs), *succedent.args):
             if free_vars(t):
                 continue
             try:

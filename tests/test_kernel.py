@@ -46,6 +46,7 @@ from feaslab.kernel import (
     weaken_right,
 )
 from feaslab.lang import (
+    Atom,
     Sequent,
     fold as lang_fold,
     app,
@@ -744,7 +745,7 @@ def test_step_accounts_for_every_node(small_proofs):
             elif node.rule.tag == "EqOracle":
                 rebuilt = eq_leaf(*step.principal.args)
             else:
-                rebuilt = theory_leaf(theory, node.rule.axiom, node.rule.subst_dict())
+                rebuilt = theory_leaf(theory, node.rule.axiom, dict(node.rule.subst))
             # same formulas in the same positions, not just the same multiset
             assert len(rebuilt.conclusion.ant) == len(c.ant)
             assert all(x is y for x, y in zip(rebuilt.conclusion.ant, c.ant))
@@ -931,15 +932,28 @@ def _theory_verdict(node: Proof, theory):
         return (type(e).__name__, str(e))
 
 
+def _fresh(theory: Theory) -> Theory:
+    """A theory like theory that has stored no instance."""
+    return Theory(
+        theory.name,
+        theory.signature,
+        theory.axioms.values(),
+        theory._oracle,
+        theory._evaluate,
+        theory._validate,
+    )
+
+
 def test_stored_instances_give_the_verdicts_of_the_substitution_checks(small_proofs):
-    # every TheoryAxiom node of the small proofs, its instance stored, with
-    # its rule's substitution changed: the analysis gives what it gives
-    # when the stored-instance probe always misses and the substitution
-    # is checked as a dict against the schema's variables
+    # every TheoryAxiom node of the small proofs, with its rule's pairs
+    # changed: the analysis against its theory, which has stored the
+    # node's instance, gives what it gives against a theory that has
+    # stored none, so the table never admits what validation refuses
     cases = []
     for p, theory in small_proofs:
         for node in _iter_unique_nodes(p):
             if node.rule.tag == "TheoryAxiom":
+                assert (node.rule.axiom, node.rule.subst) in theory._instances
                 for name, subst in _rule_variants(node.rule):
                     rule = Rule("TheoryAxiom", axiom=name, subst=subst)
                     cases.append((Proof(node.conclusion, rule, node.premises), theory))
@@ -947,23 +961,55 @@ def test_stored_instances_give_the_verdicts_of_the_substitution_checks(small_pro
     # group theory, which has no such axiom
     p = theory_apply(TH, "F:successor", {"x": int_term(0, SIG)}, [theory_leaf(TH, "F(0)", {})])
     cases += [(p, TH), (p, arith_feasibility()), (p, group_feasibility(("x",)))]
-    fast = [_theory_verdict(case, th) for case, th in cases]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Theory, "stored_instance", lambda self, name, pairs: None)
-        slow = [_theory_verdict(case, th) for case, th in cases]
-    assert fast == slow
-    errors = [v[1] for v in fast if not isinstance(v, kernel.Step)]
-    steps = [v for v in fast if isinstance(v, kernel.Step)]
+    stored = [_theory_verdict(case, th) for case, th in cases]
+    fresh = [_theory_verdict(case, _fresh(th)) for case, th in cases]
+    assert stored == fresh
+    errors = [v for v in stored if not isinstance(v, kernel.Step)]
+    steps = [v for v in stored if isinstance(v, kernel.Step)]
     assert len(steps) > len(cases) // 4
-    assert isinstance(fast[-3], kernel.Step) and fast[-2] == fast[-3]
+    assert isinstance(stored[-3], kernel.Step) and stored[-2] == stored[-3]
+    assert {kind for kind, _ in errors} == {"CheckError"}
     for text in (
         "unknown axiom 'F:successor'",
         "instantiation must cover exactly ('x', 'y')",
         "instantiation must cover exactly ('x',)",
+        "instantiation must name each variable once, in sorted order",
         "unknown axiom \"F:plus'\"",
         "instantiation for x is not a term",
     ):
-        assert any(text in e for e in errors), text
+        assert any(text in e for _, e in errors), text
+
+
+def test_each_theory_axiom_names_its_stored_instance_by_its_rule():
+    # the rule of every TheoryAxiom node of a generated proof finds, by its
+    # own axiom and pairs, the instance its theory stored with that very
+    # rule; the table holds tuples of formulas and rules, no dict
+    fib = Mat2(2, 1, 1, 1)
+    reports = [
+        gen_unary(3),
+        gen_geometric(3),
+        gen_square_cut(2),
+        gen_quantifier(2),
+        gen_distorted(2),
+        gen_group_power("x", 2, mode="squaring"),
+        gen_group_power("x", 1, mode="quantifier"),
+        gen_matrix_power(fib, 1),
+        gen_matrix_power(fib, 1, mode="quantifier"),
+        gen_rational_orbit(fib, "1/2", 1),
+    ]
+    for rep in reports:
+        nodes = [n for n in _iter_unique_nodes(rep.proof) if n.rule.tag == "TheoryAxiom"]
+        assert nodes
+        for node in nodes:
+            rule = node.rule
+            assert rep.theory.instance(rule.axiom, rule.subst)[2] is rule
+        for (name, pairs), value in rep.theory._instances.items():
+            ant, succ, rule = value
+            assert value.__class__ is tuple and ant.__class__ is tuple
+            assert all(isinstance(f, Atom) for f in (*ant, succ))
+            assert rule.axiom is name and rule.subst is pairs
+            assert pairs.__class__ is tuple
+            assert all(pair.__class__ is tuple and len(pair) == 2 for pair in pairs)
 
 
 def test_an_instance_has_one_rule(monkeypatch):
@@ -998,9 +1044,9 @@ def test_every_theory_axiom_is_validated(monkeypatch):
     check(rep.proof, rep.theory)
     nodes = [n for n in _iter_unique_nodes(rep.proof) if n.rule.tag == "TheoryAxiom"]
     assert len(calls) == len(nodes) > 0
-    for (name, subst, succ), node in zip(calls, nodes):
-        assert name == node.rule.axiom and subst == node.rule.subst_dict()
-        assert succ is rep.theory.instantiate(name, subst)[1]
+    for (name, pairs, succ), node in zip(calls, nodes):
+        assert name == node.rule.axiom and pairs is node.rule.subst
+        assert succ is rep.theory.instance(name, pairs)[1]
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from feaslab.lang import (
-    App,
     Const,
     Var,
-    _children,
     arith_signature,
     const,
     parse_term,
@@ -38,7 +36,6 @@ from feaslab.semantics import (
     eval_group_free,
     eval_nat,
     eval_rat,
-    expanded_size,
     free_reduce,
     make_tower,
     mat2,
@@ -52,8 +49,6 @@ from feaslab.semantics import (
     parse_ext_rational,
     _BigNeg,
     _big_shift,
-    _sz_add,
-    _sz_mul,
     parse_mat2,
     winding_growth,
     winding_growth_rows,
@@ -469,49 +464,6 @@ def ref_eval_group_bs(t, memo=None):
     return out
 
 
-def ref_exp_multiplier(u):
-    try:
-        v = ref_eval_nat(u)
-    except SemanticsError:
-        return None
-    if isinstance(v, int):
-        return v if v.bit_length() <= 4096 else math.log2(v)
-    return nat_log2(v)
-
-
-def ref_expanded_size(x, memo=None):
-    if memo is None:
-        memo = {}
-    hit = memo.get(x)
-    if hit is not None:
-        return hit
-    stack = [x]
-    while stack:
-        y = stack[-1]
-        if y in memo:
-            stack.pop()
-            continue
-        kids = _children(y)
-        pending = [c for c in kids if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        if isinstance(y, App) and y.sym == "exp":
-            k = ref_exp_multiplier(y.args[1])
-            if k is None or (isinstance(k, int) and k == 0):
-                out = 1 + memo[y.args[0]] + memo[y.args[1]]
-            else:
-                base = memo[y.args[0]]
-                out = _sz_add(_sz_mul(k, base), _sz_add(k, -1) if isinstance(k, int) else k)
-        else:
-            out = 1
-            for c in kids:
-                out = _sz_add(out, memo[c])
-        memo[y] = out
-        stack.pop()
-    return memo[x]
-
-
 def outcome(f, t):
     """("value", f(t)), or the type and message of what f raised."""
     try:
@@ -543,7 +495,7 @@ def test_fold_evaluators_match_the_recursive_references(name, data):
     consts = st.sampled_from([const(c) for c in sig.constants])
     closing = data.draw(st.dictionaries(st.sampled_from(VARS), consts))
     for u in (t, subst_term(t, closing)):
-        for new, ref in EVALUATORS[name] + [(expanded_size, ref_expanded_size)]:
+        for new, ref in EVALUATORS[name]:
             assert outcome(new, u) == outcome(ref, u)
 
 

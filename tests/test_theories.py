@@ -28,7 +28,7 @@ from feaslab.lang import (
 )
 from feaslab import semantics, theories
 from feaslab.generators import gen_matrix_power, gen_rational_orbit
-from feaslab.kernel import check
+from feaslab.kernel import check, theory_leaf
 from feaslab.semantics import (
     MODULAR_PRIME,
     EvalBudgetError,
@@ -261,14 +261,21 @@ def test_two_theories_never_share_values(monkeypatch):
 # instantiation
 
 
+def instantiate(th, name, subst):
+    """(antecedent, succedent) of th's instance of axiom name under subst
+    (variable -> term), read off the leaf the kernel builds for it."""
+    c = theory_leaf(th, name, subst).conclusion
+    return c.ant, c.succ[0]
+
+
 def test_instantiate_plus_schema():
-    ant, succ = ARITH.instantiate("F:plus", {"x": num(2), "y": num(3)})
+    ant, succ = instantiate(ARITH, "F:plus", {"x": num(2), "y": num(3)})
     assert [formula_str(f) for f in ant] == ["F(s(s(0)))", "F(s(s(s(0))))"]
     assert formula_str(succ) == "F(s(s(0)) + s(s(s(0))))"
 
 
 def test_instantiate_axiom_without_variables():
-    ant, succ = ARITH.instantiate("F(0)", {})
+    ant, succ = instantiate(ARITH, "F(0)", {})
     assert ant == ()
     assert formula_str(succ) == "F(0)"
 
@@ -286,7 +293,7 @@ def test_instantiate_rejects_wrong_variables():
         messages = []
         for _ in range(2):  # a failed instantiation is never stored
             with pytest.raises(TheoryError) as info:
-                ARITH.instantiate(name, subst)
+                instantiate(ARITH, name, subst)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
@@ -305,18 +312,18 @@ _instance_terms = st.recursive(
 def test_a_stored_instance_is_a_fresh_theorys_instance(name, t, u):
     # ARITH is shared by every test of this module, so it has seen many instances
     subst = dict(zip(ARITH.axioms[name].vars, (t, u)))
-    ant, succ = ARITH.instantiate(name, subst)
-    assert ARITH.instantiate(name, dict(reversed(subst.items()))) == (ant, succ)
-    fresh_ant, fresh_succ = arith_feasibility().instantiate(name, subst)
+    ant, succ = instantiate(ARITH, name, subst)
+    assert instantiate(ARITH, name, dict(reversed(subst.items()))) == (ant, succ)
+    fresh_ant, fresh_succ = instantiate(arith_feasibility(), name, subst)
     assert len(ant) == len(fresh_ant)
     assert all(f is g for f, g in zip(ant, fresh_ant))
     assert succ is fresh_succ
 
 
 def _instantiated(th, name, subst):
-    """The instance, or the type and text of the error instantiate raises."""
+    """The instance, or the type and text of the error instantiating raises."""
     try:
-        return th.instantiate(name, subst)
+        return instantiate(th, name, subst)
     except Exception as e:
         return (type(e).__name__, str(e))
 
@@ -337,7 +344,7 @@ def test_a_stored_instance_never_admits_a_bad_call(name, t, u, change, bad):
     # refuses: ARITH has stored the good instance, a fresh theory has not
     vs = ARITH.axioms[name].vars
     good = dict(zip(vs, (t, u)))
-    ARITH.instantiate(name, good)
+    instantiate(ARITH, name, good)
     subst = dict(good)
     if change == "extra":
         subst["z"] = t
@@ -404,15 +411,21 @@ def test_compiled_instances_are_the_substituted_schemas(which, data):
             subst[v] = data.draw(terms)
         else:
             subst[v] = var(v if kind == "itself" else vs[(i + 1) % len(vs)])
-    ant, succ = th.instantiate(name, subst)
+    ant, succ = instantiate(th, name, subst)
     want = [subst_formula(f, subst) for f in schema.antecedent]
     assert len(ant) == len(want) and all(f is g for f, g in zip(ant, want))
     assert succ is subst_formula(schema.succedent, subst)
-    # a rule's sorted pairs find the same stored instance
-    found = th.stored_instance(name, tuple(sorted(subst.items())))
-    assert found is th.instance(name, subst) and found.rule.subst == tuple(sorted(subst.items()))
-    unsorted = tuple(sorted(subst.items()))[::-1]
-    assert th.stored_instance(name, unsorted) is (found if len(vs) < 2 else None)
+    # the stored instance is found by its rule's own sorted pairs, and
+    # pairs out of order name none
+    pairs = tuple(sorted(subst.items()))
+    found = th.instance(name, pairs)
+    assert found[:2] == (ant, succ) and found[2].subst == pairs
+    assert th.instance(name, found[2].subst) is found
+    if len(vs) < 2:
+        assert th.instance(name, pairs[::-1]) is found
+    else:
+        with pytest.raises(TheoryError, match="each variable once, in sorted order"):
+            th.instance(name, pairs[::-1])
 
 
 def test_a_schema_formula_must_be_an_atom():
@@ -424,12 +437,14 @@ def test_a_schema_formula_must_be_an_atom():
             AxiomSchema("bad", ("x",), (bad,), F)
     good = AxiomSchema("good", ("x",), (F,), F)
     th = Theory("one", ARITH.signature, [good], _nat_oracle)
-    assert th.instantiate("good", {"x": num(3)}) == ((atom("F", num(3)),), atom("F", num(3)))
+    assert instantiate(th, "good", {"x": num(3)}) == ((atom("F", num(3)),), atom("F", num(3)))
 
 
 def validate(th, name, subst):
-    """Validate an instance the way check does, with its succedent."""
-    th.validate_instantiation(name, subst, th.instantiate(name, subst)[1])
+    """Validate an instance the way check does, with its rule's pairs and
+    its succedent."""
+    pairs = tuple(sorted(subst.items()))
+    th.validate_instantiation(name, pairs, instantiate(th, name, subst)[1])
 
 
 def test_arith_validation_is_permissive():
@@ -507,9 +522,10 @@ def test_rat_definedness_matches_exact_evaluation(t, u):
         ("F:invert", {"x": u}),
         ("F:equality", {"x": t, "y": var("y")}),
     ):
-        succedent = RAT.instantiate(name, subst)[1]
+        succedent = instantiate(RAT, name, subst)[1]
         want = _verdict(ref_rat_validate, name, subst, succedent)
-        assert _verdict(RAT.validate_instantiation, name, subst, succedent) == want
+        pairs = tuple(sorted(subst.items()))
+        assert _verdict(RAT.validate_instantiation, name, pairs, succedent) == want
 
 
 @pytest.mark.parametrize(
@@ -628,7 +644,7 @@ def test_group_schemas_cover_generators():
         "F:composition",
         "F:inverse",
     }
-    ant, succ = FREE_XY.instantiate("F:inverse", {"x": const("y")})
+    ant, succ = instantiate(FREE_XY, "F:inverse", {"x": const("y")})
     assert formula_str(succ) == "F(inv(y))"
 
 
@@ -650,17 +666,17 @@ def test_triviality_theory_axioms():
     names = set(th.axioms)
     assert {"T(e)", "T(r1)", "T:equality", "T:composition", "T:inverse"} <= names
     assert {"T:conjugation", "FT:absorb-right", "FT:absorb-left"} <= names
-    _, succ = th.instantiate("T(r1)", {})
+    _, succ = instantiate(th, "T(r1)", {})
     assert formula_str(succ) == "T((((x * y) * inv(x)) * inv(y)) * inv(y))"
 
 
 def test_triviality_conjugation_variants():
     r = [[("x", 2)]]
     free_conj = triviality_theory(r, generators=("x",))
-    ant, succ = free_conj.instantiate("T:conjugation", {"w": const("x"), "v": const("e")})
+    ant, succ = instantiate(free_conj, "T:conjugation", {"w": const("x"), "v": const("e")})
     assert len(ant) == 1  # conjugator unconstrained
     restricted = triviality_theory(r, generators=("x",), restricted_conjugation=True)
-    ant, _ = restricted.instantiate("T:conjugation", {"w": const("x"), "v": const("e")})
+    ant, _ = instantiate(restricted, "T:conjugation", {"w": const("x"), "v": const("e")})
     assert [formula_str(f) for f in ant] == ["T(x)", "F(e)"]
 
 
