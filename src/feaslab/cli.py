@@ -21,7 +21,6 @@ from .cutelim import (
     FragmentError,
     NodeBudgetError,
     blowup_report,
-    count_text,
     eliminate_cuts,
     ratio_text,
 )
@@ -34,7 +33,7 @@ from .generators import (
     GENERATORS,
 )
 from .kernel import KernelError, check, proof_from_file, proof_to_file
-from .lang import LangError, sequent_brief
+from .lang import LangError, count_text, sequent_brief
 from .oracle import (
     OracleError,
     distortion_table,
@@ -109,7 +108,7 @@ def _cmd_check(args) -> int:
     theory = theory_from_selector(args.theory)
     p = proof_from_file(args.file, theory.signature)
     stats = check(p, theory)
-    print(f"ok: {sequent_brief(p.conclusion)}, lines={stats.lines}")
+    print(f"ok: {sequent_brief(p.conclusion)}, lines={count_text(stats.lines)}")
     return 0
 
 
@@ -247,7 +246,7 @@ def _cmd_torus(args) -> int:
     v = (1, 0)
     print("k norm ratio")
     for k, (norm, ratio) in enumerate(winding_growth_rows(a, v, args.n), start=1):
-        print(f"{k} {norm} {ratio:.9f}")
+        print(f"{k} {count_text(norm)} {ratio:.9f}")
     return 0
 
 

@@ -46,7 +46,7 @@ A node budget (default 10^6, the `budget` argument overrides) bounds the DAG
 nodes built: multicut memo misses, rebuilt inferences and the nodes each
 eigenvariable substitution adds to its memo.  An elimination
 that would build more aborts with NodeBudgetError.  The line count of the
-output is not bounded; `size` counts it as an exact int, `count_text`
+output is not bounded; `size` counts it as an exact int, `lang.count_text`
 prints it past the interpreter's int-to-str digit limit, and `ratio_text`
 prints its ratio to the input's without going through a float.
 """
@@ -526,12 +526,6 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf
-
-
-def count_text(n: int) -> str:
-    """n in decimal, exactly; unlike str(n), not limited by the
-    interpreter's int-to-str digit limit (about 10^4 digits here)."""
-    return str(Decimal(n))
 
 
 def ratio_text(num: int, den: int) -> str:

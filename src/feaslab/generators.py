@@ -22,7 +22,6 @@ astronomically expensive and are reported symbolically).
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -53,6 +52,7 @@ from .lang import (
     atom,
     conj,
     const,
+    count_text,
     forall,
     imp,
     int_term,
@@ -63,10 +63,10 @@ from .lang import (
     var,
 )
 from .semantics import (
-    MODULAR_PRIME,
     ExtRational,
     Mat2,
     UndefinedOperation,
+    check_rat_defined,
     eval_nat,
     mobius_apply,
     nat_str,
@@ -274,7 +274,7 @@ def gen_geometric(n: int) -> GenReport:
     for _ in range(n - 1):
         p = _combined(th, "F:times", _unary(th, 2)[0], two, p, t)
         t = mul(two, t)
-    return GenReport(p, t, th, str(2**n), lambda: 2**n)
+    return GenReport(p, t, th, count_text(2**n), lambda: 2**n)
 
 
 def gen_square_cut(n: int) -> GenReport:
@@ -337,7 +337,7 @@ def gen_quantifier(n: int) -> GenReport:
 
 
 def _power_desc(base: str, e) -> str:
-    return f"{base}^{nat_str(e) if not isinstance(e, int) else e}"
+    return f"{base}^{nat_str(e)}"
 
 
 def gen_group_power(gen: str = "x", n: int = 0, mode: str = "squaring", theory=None) -> GenReport:
@@ -567,8 +567,11 @@ def gen_rational_orbit(A: Mat2, x, n: int = 0) -> GenReport:
 
     Builds on gen_matrix_power (squaring mode) and spends a constant number
     of extra lines on the Moebius expression.  Fails up front when the
-    denominator vanishes or the orbit point is infinite, since no
-    feasibility axiom covers inf.
+    starting point or the orbit point is infinite, since no feasibility
+    axiom covers inf: the denominator c x + d of the F:invert instance is
+    built from the entry terms of A^(2^n) and put to check_rat_defined,
+    the test the rational theory validates that instance with, before any
+    proof is built.
     """
     if n < 0:
         raise GeneratorError("gen_rational_orbit needs n >= 0")
@@ -577,13 +580,21 @@ def gen_rational_orbit(A: Mat2, x, n: int = 0) -> GenReport:
     x = ExtRational.of(x)
     if x.is_inf:
         raise UndefinedOperation("orbit proofs need a finite starting point")
-    _reject_infinite_endpoint(A, x, n)
+    ts = matrix_entry_terms(A)
+    for _ in range(n):
+        ts = _square_entries(ts)
+    ta, tb, tc, td = ts
+    xt = rational_term(x.num)
+    den = app("+", mul(tc, xt), td)
+    try:
+        check_rat_defined(app("inv", den), {})
+    except UndefinedOperation:
+        raise UndefinedOperation(
+            f"A^(2^{n}) sends {x} to inf, which has no feasibility axiom"
+        ) from None
     mp = gen_matrix_power(A, n, mode="squaring")
     th = mp.theory
-    ta, tb, tc, td = mp.target
-    xt = rational_term(x.num)
     num = app("+", mul(ta, xt), tb)
-    den = app("+", mul(tc, xt), td)
     target = mul(num, app("inv", den))
 
     def affine(u, v):
@@ -605,52 +616,6 @@ def gen_rational_orbit(A: Mat2, x, n: int = 0) -> GenReport:
     # descriptor printable and cheap
     desc = str(value()) if 2**n <= 2048 else f"A^{2 ** n} orbit point of {x}"
     return GenReport(p, target, th, desc, value)
-
-
-_ENDPOINT_PRIMES = (MODULAR_PRIME, 2**89 - 1, 2**107 - 1)
-
-
-def _reject_infinite_endpoint(A: Mat2, x, n: int):
-    """Raise when A^(2^n) sends x to inf, without the full bignum power.
-
-    The endpoint is infinite iff c*num(x) + d*den(x) = 0 for the bottom
-    row (c d) of A^(2^n).  Nonzero modulo any prime proves it nonzero;
-    only the inconclusive case falls back to the exact power.
-    """
-    numx, denx = x.num.numerator, x.num.denominator
-    scale = 1
-    for e in (A.a, A.b, A.c, A.d):
-        scale = scale * e.denominator // math.gcd(scale, e.denominator)
-    ints = tuple(int(e * scale) for e in (A.a, A.b, A.c, A.d))
-    for prime in _ENDPOINT_PRIMES:
-        if scale % prime == 0:
-            continue
-        m = tuple(v % prime for v in ints)
-        acc = (1, 0, 0, 1)
-        base = m
-        k = 2**n
-        while k:
-            if k & 1:
-                acc = _mat_mul_mod(acc, base, prime)
-            base = _mat_mul_mod(base, base, prime)
-            k >>= 1
-        den_mod = (acc[2] * numx + acc[3] * denx) % prime
-        if den_mod:
-            return
-    value = mobius_apply(A ** (2**n), x)
-    if value.is_inf:
-        raise UndefinedOperation(
-            f"A^(2^{n}) sends {x} to inf, which has no feasibility axiom"
-        )
-
-
-def _mat_mul_mod(p, q, m):
-    return (
-        (p[0] * q[0] + p[1] * q[2]) % m,
-        (p[0] * q[1] + p[1] * q[3]) % m,
-        (p[2] * q[0] + p[3] * q[2]) % m,
-        (p[2] * q[1] + p[3] * q[3]) % m,
-    )
 
 
 GENERATORS = {

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Decimal
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
@@ -837,6 +838,13 @@ def sequent_str(s: Sequent) -> str:
 _MAX_PRINTED_NODES = 10**6
 
 
+def count_text(n: int) -> str:
+    """n in decimal, exactly; unlike str(n), not limited by the
+    interpreter's int-to-str digit limit (about 10^4 digits here).  The
+    package writes every exact integer without a size bound with it."""
+    return str(Decimal(n))
+
+
 def _brief(what: str, roots: tuple, show, x) -> str:
     """show(x), or a one-line summary of the size of x when its text would
     spell out more than _MAX_PRINTED_NODES nodes of the roots."""
@@ -844,7 +852,7 @@ def _brief(what: str, roots: tuple, show, x) -> str:
     nodes = sum(fold(r, _tree_step, memo) for r in roots)
     if nodes <= _MAX_PRINTED_NODES:
         return show(x)
-    return f"<{what} of {nodes} nodes as a tree, {len(memo)} distinct>"
+    return f"<{what} of {count_text(nodes)} nodes as a tree, {len(memo)} distinct>"
 
 
 def sequent_brief(s: Sequent) -> str:

@@ -7,8 +7,9 @@ Five small calculators live here:
     native digit budgets,
   * extended rationals with a point at infinity and the partial
     multiplication/division conventions (`ExtRational`), and a check
-    that a closed term is defined, decided modulo a prime with an exact
-    fallback (`check_rat_defined`),
+    that a closed term is defined, decided modulo several primes in turn
+    with an exact fallback (`check_rat_defined`), the package's one
+    modular test,
   * exact 2x2 rational matrices, their Moebius action on the projective
     line, symmetric eigenvalues, and torus winding growth (`Mat2`),
   * Baumslag-Solitar BS(1,2) normal forms as dyadic pairs (`BSElement`),
@@ -25,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .lang import App, Record, Term, Var, fold
+from .lang import App, Record, Term, Var, count_text, fold
 
 
 class SemanticsError(Exception):
@@ -250,7 +251,7 @@ def nat_str(a: Big) -> str:
     while isinstance(a, PowerTower):
         bases.append(a.base)
         a = a.exp
-    return "".join(f"{c}^(" for c in bases) + str(a) + ")" * len(bases)
+    return "".join(f"{count_text(c)}^(" for c in bases) + count_text(a) + ")" * len(bases)
 
 
 def _closed_step(consts: dict, ops: dict, meaning: str, not_const: str):
@@ -350,10 +351,17 @@ class ExtRational(Record):
         return ExtRational(self.num / other.num)
 
     def __str__(self):
-        return "inf" if self.is_inf else str(self.num)
+        return "inf" if self.is_inf else _fraction_text(self.num)
 
 
 INF = ExtRational(None)
+
+
+def _fraction_text(q: Fraction) -> str:
+    """str(q), written with count_text, so no digit limit applies."""
+    if q.denominator == 1:
+        return count_text(q.numerator)
+    return f"{count_text(q.numerator)}/{count_text(q.denominator)}"
 
 
 def _fraction(text: str) -> Fraction:
@@ -386,66 +394,77 @@ def eval_rat(t: Term, memo: Optional[dict] = None) -> ExtRational:
     return fold(t, _rat_step, {} if memo is None else memo)
 
 
-# A prime for deciding facts modulo p instead of exactly (definedness of
-# rational terms here, infinite orbit endpoints in generators).  Residues
-# of rationals whose denominators it does not divide add and multiply like
-# the rationals, and a nonzero residue proves a nonzero value.
-MODULAR_PRIME = 2**61 - 1
+# The primes for deciding definedness modulo p instead of exactly, tried
+# in this order.  Residues of rationals whose denominators p does not
+# divide add and multiply like the rationals, and a nonzero residue proves
+# a nonzero value; a rational is 0 modulo all three only if it is 0 or
+# its numerator is a multiple of their product, about 2^257.
+MODULAR_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1)
 
 
 class _Inconclusive(Exception):
     """A residue of 0 where only the exact value tells 0 from nonzero."""
 
 
-def _res_add(a, b):
-    if a is INF or b is INF:
-        raise UndefinedOperation(_SUM_INF)
-    return (a + b) % MODULAR_PRIME
+def _residue_step(p: int):
+    """The fold step giving a closed term inf or its residue modulo p."""
+
+    def add(a, b):
+        if a is INF or b is INF:
+            raise UndefinedOperation(_SUM_INF)
+        return (a + b) % p
+
+    def neg(a):
+        if a is INF:
+            raise UndefinedOperation(_NEG_INF)
+        return -a % p
+
+    def times(a, b):
+        if a is INF or b is INF:
+            fin = b if a is INF else a
+            if fin is INF or fin:
+                return INF
+            raise _Inconclusive  # 0 * inf = 0, but a * inf = inf
+        return a * b % p
+
+    def inv(a):
+        if a is INF:
+            return 0
+        if not a:
+            raise _Inconclusive  # 1/0 is undefined, 1/p is not
+        return pow(a, -1, p)
+
+    return _closed_step(
+        {"0": 0, "1": 1, "inf": INF},
+        {"+": add, "*": times, "neg": neg, "inv": inv},
+        "extended-rational",
+        "has no extended-rational value",
+    )
 
 
-def _res_neg(a):
-    if a is INF:
-        raise UndefinedOperation(_NEG_INF)
-    return -a % MODULAR_PRIME
-
-
-def _res_mul(a, b):
-    if a is INF or b is INF:
-        fin = b if a is INF else a
-        if fin is INF or fin:
-            return INF
-        raise _Inconclusive  # 0 * inf = 0, but a * inf = inf
-    return a * b % MODULAR_PRIME
-
-
-def _res_inv(a):
-    if a is INF:
-        return 0
-    if not a:
-        raise _Inconclusive  # 1/0 is undefined, 1/p is not
-    return pow(a, -1, MODULAR_PRIME)
-
-
-_rat_residue_step = _closed_step(
-    {"0": 0, "1": 1, "inf": INF},
-    {"+": _res_add, "*": _res_mul, "neg": _res_neg, "inv": _res_inv},
-    "extended-rational",
-    "has no extended-rational value",
-)
+_RESIDUE_STEPS = tuple((p, _residue_step(p)) for p in MODULAR_PRIMES)
 
 
 def check_rat_defined(t: Term, memo: dict) -> None:
     """Raise what eval_rat(t) raises, without computing its exact value.
 
-    One fold over the DAG of t gives each node inf or its residue modulo
-    MODULAR_PRIME, with the post-order and the rules of eval_rat, and
-    leaves them in memo.  Only a residue of 0 under inv or times inf is
-    inconclusive; then eval_rat decides the whole term.
+    For each prime p of MODULAR_PRIMES in turn, one fold over the DAG of t
+    gives each node inf or its residue modulo p, with the post-order and
+    the rules of eval_rat, and leaves them in memo[p], one table per
+    prime.  Only a residue of 0 under inv or times inf leaves a fold
+    inconclusive, and sends t to the next prime; when every prime is
+    inconclusive, eval_rat decides the whole term.
     """
-    try:
-        fold(t, _rat_residue_step, memo)
-    except _Inconclusive:
-        eval_rat(t)
+    for p, step in _RESIDUE_STEPS:
+        table = memo.get(p)
+        if table is None:
+            table = memo[p] = {}
+        try:
+            fold(t, step, table)
+            return
+        except _Inconclusive:
+            pass
+    eval_rat(t)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +510,8 @@ class Mat2(Record):
         return self.a + self.d
 
     def __str__(self):
-        return f"({self.a} {self.b}; {self.c} {self.d})"
+        a, b, c, d = map(_fraction_text, (self.a, self.b, self.c, self.d))
+        return f"({a} {b}; {c} {d})"
 
 
 def mat2(a, b, c, d) -> Mat2:
@@ -615,7 +635,7 @@ class BSElement(Record):
 
     def __str__(self):
         p = self.p
-        ptxt = nat_str(p) if isinstance(p, PowerTower) else str(p)
+        ptxt = repr(p) if isinstance(p, _BigNeg) else nat_str(p)
         if self.k == 0:
             return f"({ptxt}, {self.t})"
         return f"({ptxt}/2^{self.k}, {self.t})"

@@ -6,10 +6,12 @@ deciding term equality where this is safely possible, and an optional
 instantiation validator.  The rational theory's validator rejects an
 instance when a closed substitution term, or the closed term under its
 succedent F(...), hits an undefined operation (inv(0), inf in a sum or a
-negation).  It decides this modulo a prime, so checking a short proof of
-F(huge) never computes the huge value; only a residue of 0 under inv or
-times inf falls back to exact evaluation, and verdicts and messages are
-those of exact evaluation.
+negation).  It decides this with `semantics.check_rat_defined`, the
+package's one modular test, modulo each of three primes in turn, so
+checking a short proof of F(huge) never computes the huge value: only a
+residue of 0 under inv or times inf sends a term to the next prime, and
+only a term inconclusive modulo all three falls back to exact evaluation.
+Verdicts and messages are those of exact evaluation.
 
 An axiom schema compiles itself into construction steps when it is made
 (see `AxiomSchema`), so an instance costs one `app` or `atom` call per
@@ -422,10 +424,9 @@ def word_term(word) -> Term:
 def triviality_theory(
     relators,
     generators: Optional[Iterable[str]] = None,
-    presentation: str = "free",
     restricted_conjugation: bool = False,
 ) -> Theory:
-    """Group feasibility extended with a triviality predicate T.
+    """Free-group feasibility extended with a triviality predicate T.
 
     T holds of the relators and is closed under composition, inverse,
     equality transport, and conjugation.  By default conjugation by an
@@ -443,8 +444,6 @@ def triviality_theory(
     gens = tuple(generators) if generators is not None else tuple(sorted(letters - {"e"}))
     if not gens:
         raise TheoryError("triviality theory needs generators")
-    if presentation != "free":
-        raise UnsupportedPresentation("triviality layers sit over a free presentation")
     sig = group_signature(gens, with_triviality=True)
     schemas = _schemas_group(gens)
     schemas.append(_T_E)
@@ -506,9 +505,10 @@ def _rat_oracle(lhs: Term, rhs: Term, memo: dict) -> str:
 def _rat_validator() -> Callable[[str, tuple, Formula], None]:
     """A validator rejecting instances whose closed substitution terms, or
     the closed terms under whose succedent F(...), hit an undefined
-    operation.  Definedness is decided modulo semantics.MODULAR_PRIME with
-    an exact fallback (`check_rat_defined`); the residues live as long as
-    the validator, that is, as long as its theory."""
+    operation.  Definedness is decided modulo the primes of
+    semantics.MODULAR_PRIMES in turn, with an exact fallback
+    (`check_rat_defined`); the residues, one table per prime, live as long
+    as the validator, that is, as long as its theory."""
     residues: dict = {}
 
     def validate(name: str, pairs: tuple, succedent: Formula):

@@ -7,13 +7,16 @@ import io
 import json
 import os
 import re
+import shlex
+import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feaslab import cli, cutelim
+from feaslab import cli, cutelim, kernel, lang, semantics
 from feaslab.cutelim import BLOWUP_COLUMNS
 from feaslab.generators import gen_unary
 from feaslab.kernel import (
@@ -30,6 +33,7 @@ from feaslab.kernel import (
 )
 from feaslab.lang import app, arith_signature, atom, const, forall, mul, plus, substitute, var
 from feaslab.semantics import dominant_eigenvalue_abs, mat2, winding_growth
+from feaslab.theories import arith_feasibility
 from nested_format import serialize_nested
 
 
@@ -418,6 +422,110 @@ def test_check_rejects_an_undefined_conclusion(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(f), "--theory", "rat")
     assert rc == 1 and out == ""
     assert err == "error: undefined operation in instantiation of F:invert: 1/0 is undefined\n"
+
+
+def test_check_decides_a_huge_multiple_of_the_first_prime_by_residues(
+    tmp_path, capsys, monkeypatch
+):
+    # an F:invert leaf at x = (2^61 - 1) * 2^(2^40), numerals in binary:
+    # x is 0 modulo the first prime of the modular test, the second
+    # decides it, and its exact value would not fit in memory
+    from feaslab import semantics, theories
+    from feaslab.kernel import proof_to_file, theory_leaf
+    from feaslab.lang import int_term
+
+    def exact(t):
+        raise AssertionError("exact evaluation")
+
+    th = theories.rational_feasibility()
+    power = plus(const("1"), const("1"))
+    for _ in range(40):
+        power = mul(power, power)
+    x = mul(int_term(semantics.MODULAR_PRIMES[0], th.signature), power)
+    f = tmp_path / "invert.json"
+    proof_to_file(theory_leaf(th, "F:invert", {"x": x}), str(f))
+    assert f.stat().st_size == 3267
+    monkeypatch.setattr(theories, "eval_rat", exact)
+    monkeypatch.setattr(semantics, "eval_rat", exact)
+    rc, out, err = run(capsys, "check", str(f), "--theory", "rat")
+    assert rc == 0 and err == ""
+    assert out == "ok: <sequent of 8796093022933 nodes as a tree, 166 distinct>, lines=1\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """The setter of the interpreter's int-to-str digit limit; the limit
+    the test started with comes back however the test ends."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def _doubled_axiom(n):
+    """|- F(0) by n cuts of the proof so far against its own left
+    weakening: more than 2^n lines as a tree, 2n + 1 nodes as a DAG."""
+    f = atom("F", const("0"))
+    q = kernel.theory_leaf(arith_feasibility(), "F(0)", {})
+    for _ in range(n):
+        q = kernel.cut(q, kernel.weaken_left(q, f), f)
+    return q
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torus", "--n", "1600"),
+        ("orbit", "--n", "1600"),
+        ("gen", "geometric", "2200"),
+        ("gen", "group-power", "2200"),
+        ("check", "{tmp}/doubled.json", "--theory", "arith"),
+        ("flow", "group-power", "12", "--mode", "quantifier", "--dot", "{tmp}/flow.dot"),
+    ],
+)
+def test_integers_past_the_digit_limit_print_the_same(tmp_path, capsys, digit_limit, argv):
+    # each command writes an integer of more than 640 digits: under a
+    # limit of 640 its output is the same bytes as under the default
+    kernel.proof_to_file(_doubled_axiom(2200), str(tmp_path / "doubled.json"))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+
+    def output():
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        return out + (open(argv[-1]).read() if argv[-2] == "--dot" else "")
+
+    want = output()
+    assert re.search(r"\d{641}", want)
+    digit_limit(640)
+    assert output() == want
+
+
+def test_texts_of_huge_values_past_the_digit_limit(digit_limit):
+    one = app("s", const("0"))
+    x = plus(one, one)
+    for _ in range(2200):
+        x = mul(x, x)
+    f = atom("F", x)
+    bad = Proof(lang.Sequent((), (f,)), Rule("LogicalAxiom"), ())
+    big = 3**1500
+
+    def message():
+        with pytest.raises(kernel.CheckError) as info:
+            kernel.check(bad, arith_feasibility())
+        return str(info.value)
+
+    values = (
+        lambda: lang.sequent_brief(lang.Sequent((), (f,))),
+        lambda: repr(f),
+        message,
+        lambda: str(semantics.mat2(big, 1, 1, big)),
+        lambda: str(semantics.ExtRational.of(Fraction(big, big + 2))),
+        lambda: str(semantics.bs_element(-big, 0, 3)),
+        lambda: semantics.nat_str(semantics.make_tower(big, big)),
+    )
+    want = [v() for v in values]
+    assert all(re.search(r"\d{641}", w) for w in want)
+    digit_limit(640)
+    assert [v() for v in values] == want
 
 
 def test_check_rejects_a_contraction_that_adds_a_formula(tmp_path, capsys):
@@ -871,3 +979,26 @@ def test_json_shape_fuzz_gives_only_error_lines(data):
     else:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _readme_commands():
+    """The feaslab lines of README's "Command line" block, comments cut."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("feaslab ")
+    ]
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    # in order, in one directory: later lines read the files earlier ones wrote
+    commands = _readme_commands()
+    assert len(commands) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (0, ""), argv

@@ -23,7 +23,6 @@ from feaslab.cutelim import (
     FragmentError,
     NodeBudgetError,
     blowup_report,
-    count_text,
     eliminate_cuts,
     node_budget,
     ratio_text,
@@ -53,7 +52,7 @@ from feaslab.kernel import (
     weaken_left,
     weaken_right,
 )
-from feaslab.lang import app, atom, conj, const, exists, forall, imp, neg, var
+from feaslab.lang import app, atom, conj, const, count_text, exists, forall, imp, neg, var
 from feaslab.semantics import Mat2
 from feaslab.theories import arith_feasibility
 from multicut_cases import A, B, C, CASES, FRAGMENT_CASES, TH, f0

@@ -26,11 +26,11 @@ from feaslab.lang import (
     term_str,
     var,
 )
-from feaslab import semantics, theories
+from feaslab import generators, semantics, theories
 from feaslab.generators import gen_matrix_power, gen_rational_orbit
 from feaslab.kernel import check, theory_leaf
 from feaslab.semantics import (
-    MODULAR_PRIME,
+    MODULAR_PRIMES,
     EvalBudgetError,
     ExtRational,
     Mat2,
@@ -476,8 +476,13 @@ def test_rat_validator_rejects_undefined_instantiation():
     validate(RAT, "F:invert", {"x": rational_term("1/3")})
 
 
-P_TERM = int_term(MODULAR_PRIME, RAT.signature)
-P2_TERM = int_term(2 * MODULAR_PRIME, RAT.signature)
+# numerals 0 modulo every prime of the modular test, and modulo only the
+# first one or the first two
+P1, P2, P3 = MODULAR_PRIMES
+P_TERM = int_term(P1 * P2 * P3, RAT.signature)
+P2_TERM = int_term(2 * P1 * P2 * P3, RAT.signature)
+Q1_TERM = int_term(P1, RAT.signature)
+Q12_TERM = int_term(P1 * P2, RAT.signature)
 
 
 def ref_rat_validate(name, subst, succedent):
@@ -502,9 +507,10 @@ def _verdict(call, *args):
 
 
 # closed terms with numerals p and 2p, whose residue 0 under inv or times
-# inf leaves the fold inconclusive, next to 0, 1 and inf
+# inf leaves the fold inconclusive modulo every prime, and numerals 0
+# modulo the first one or two primes only, next to 0, 1 and inf
 _rat_terms = st.recursive(
-    st.sampled_from([const("0"), const("1"), const("inf"), P_TERM, P2_TERM]),
+    st.sampled_from([const("0"), const("1"), const("inf"), P_TERM, P2_TERM, Q1_TERM, Q12_TERM]),
     lambda kids: st.tuples(st.sampled_from(["+", "*"]), kids, kids).map(lambda f: app(*f))
     | st.tuples(st.sampled_from(["neg", "inv"]), kids).map(lambda f: app(*f)),
     max_leaves=12,
@@ -528,6 +534,15 @@ def test_rat_definedness_matches_exact_evaluation(t, u):
         assert _verdict(RAT.validate_instantiation, name, pairs, succedent) == want
 
 
+_SHARED_RESIDUES: dict = {}  # one memo for every draw, as a theory keeps it
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rat_terms)
+def test_rat_definedness_with_a_shared_memo_matches_exact_evaluation(t):
+    assert _verdict(check_rat_defined, t, _SHARED_RESIDUES) == _verdict(eval_rat, t)
+
+
 @pytest.mark.parametrize(
     "x, exact, verdict",
     [
@@ -538,11 +553,16 @@ def test_rat_definedness_matches_exact_evaluation(t, u):
         (plus(P_TERM, const("1")), False, "ok"),
         (mul(plus(P_TERM, const("1")), const("inf")), False, "ok"),
         (plus(P2_TERM, P_TERM), True, "ok"),
+        # 0 modulo the first prime or the first two only: a later prime decides
+        (Q1_TERM, False, "ok"),
+        (Q12_TERM, False, "ok"),
+        (mul(Q1_TERM, const("inf")), False, "ok"),
+        (plus(Q12_TERM, app("neg", Q1_TERM)), False, "ok"),
     ],
 )
 def test_rat_definedness_falls_back_on_a_zero_residue(monkeypatch, x, exact, verdict):
     # F:invert checks x and inv(x); the fold asks exact evaluation only
-    # when p divides the value it would invert or multiply by inf
+    # when every prime divides the value it would invert or multiply by inf
     calls = []
     real = semantics.eval_rat
     monkeypatch.setattr(semantics, "eval_rat", lambda t: calls.append(t) or real(t))
@@ -562,6 +582,28 @@ def test_check_never_evaluates_fibonacci_powers_exactly(monkeypatch):
     fib = Mat2(2, 1, 1, 1)
     for rep in (gen_matrix_power(fib, 20), gen_rational_orbit(fib, 0, 20)):
         check(rep.proof, rep.theory)
+    # the denominator of this orbit point is 0 modulo the first prime, so
+    # the generator's endpoint test and the checker need the second
+    rep = gen_rational_orbit(fib, 747167105995432560, 24)
+    check(rep.proof, rep.theory)
+
+
+@pytest.mark.parametrize(
+    "A, x, n",
+    [
+        (Mat2(0, 1, 1, 0), 0, 0),  # 0 to 1/0
+        (Mat2(1, 0, 1, 1), Fraction(-1, 8), 3),  # (1 0; 8 1) sends -1/8 to inf
+    ],
+)
+def test_orbit_endpoint_at_inf_is_refused_before_the_proof(monkeypatch, A, x, n):
+    def built(*args):
+        raise AssertionError("a proof was built")
+
+    monkeypatch.setattr(generators, "gen_matrix_power", built)
+    message = f"A^(2^{n}) sends {x} to inf, which has no feasibility axiom"
+    with pytest.raises(UndefinedOperation) as info:
+        gen_rational_orbit(A, x, n)
+    assert str(info.value) == message
 
 
 def test_rational_values_live_with_their_theory():
@@ -691,9 +733,7 @@ def test_triviality_theory_over_a_shared_relator():
     assert "F(x)" in th.axioms and "F(y)" not in th.axioms
 
 
-def test_triviality_requires_free_presentation():
-    with pytest.raises(UnsupportedPresentation):
-        triviality_theory([[("x", 1)]], presentation="bs12")
+def test_triviality_requires_generators():
     with pytest.raises(TheoryError):
         triviality_theory([[]])  # no letters, no generators given
 
