@@ -434,25 +434,35 @@ def gen_distorted(n: int) -> GenReport:
 # Matrix and rational generators
 
 
+_RAT_AXIOMS = {"+": "F:plus", "*": "F:times", "neg": "F:negate", "inv": "F:invert"}
+
+
 def _rat_construction(th: Theory, t: Term) -> Proof:
-    """|- F(t) for a closed term over 0, 1, +, *, neg, inv."""
-    if isinstance(t, Const):
-        name = f"F({t.sym})"
-        if name not in th.axioms:
-            raise GeneratorError(f"no feasibility axiom for constant {t.sym}")
-        return theory_leaf(th, name, {})
-    sym = t.sym
-    if sym in ("+", "*"):
-        left, right = t.args
-        p1 = _rat_construction(th, left)
-        p2 = _rat_construction(th, right)
-        return _combined(th, "F:plus" if sym == "+" else "F:times", p1, left, p2, right)
-    if sym in ("neg", "inv"):
-        inner = t.args[0]
-        p1 = _rat_construction(th, inner)
-        leaf = theory_leaf(th, "F:negate" if sym == "neg" else "F:invert", {"x": inner})
-        return cut(p1, leaf, _F(inner))
-    raise GeneratorError(f"cannot build a feasibility proof for {term_str(t)}")
+    """|- F(t) for a closed term over 0, 1, +, *, neg, inv: a fresh proof per
+    occurrence of a subterm, built in post-order on an explicit stack."""
+    done = []  # proofs of the finished subterms, in order
+    stack = [(t, False)]  # a subterm, and whether its arguments are done
+    while stack:
+        u, ready = stack.pop()
+        if isinstance(u, Const):
+            name = f"F({u.sym})"
+            if name not in th.axioms:
+                raise GeneratorError(f"no feasibility axiom for constant {u.sym}")
+            done.append(theory_leaf(th, name, {}))
+        elif not ready:
+            if u.sym not in _RAT_AXIOMS:
+                raise GeneratorError(f"cannot build a feasibility proof for {term_str(u)}")
+            stack.append((u, True))
+            stack.extend((a, False) for a in reversed(u.args))
+        elif u.sym in ("+", "*"):
+            left, right = u.args
+            p2 = done.pop()
+            done.append(_combined(th, _RAT_AXIOMS[u.sym], done.pop(), left, p2, right))
+        else:
+            inner = u.args[0]
+            leaf = theory_leaf(th, _RAT_AXIOMS[u.sym], {"x": inner})
+            done.append(cut(done.pop(), leaf, _F(inner)))
+    return done.pop()
 
 
 def _square_entries(ts: tuple) -> tuple:

@@ -838,6 +838,14 @@ def sequent_str(s: Sequent) -> str:
 _MAX_PRINTED_NODES = 10**6
 
 
+def digit_limit_error(digits: int) -> Optional[str]:
+    """The refusal of a numeral of more digits than int() may read, or None."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        return f"numeral of {digits} digits exceeds the limit of {limit}"
+    return None
+
+
 def count_text(n: int) -> str:
     """n in decimal, exactly; unlike str(n), not limited by the
     interpreter's int-to-str digit limit (about 10^4 digits here).  The
@@ -907,9 +915,16 @@ def _check_characters(text: str):
         tok = _token(text, tok[3])
 
 
+def _numeral_constant(n: int, sig: Signature) -> Optional[str]:
+    """The constant of sig that is the numeral of n, if any, found by reading
+    the constants: str(n) raises past the int-to-str digit limit."""
+    numerals = (c for c in sig.constants if re.fullmatch("0|[1-9][0-9]*", c))
+    return next((c for c in numerals if int(c) == n), None)
+
+
 def _spells_unary(n: int, sig: Signature) -> bool:
     """Whether int_term writes n as n successors of 0 in sig."""
-    return str(n) not in sig.constants and "s" in sig.functions and "0" in sig.constants
+    return _numeral_constant(n, sig) is None and "s" in sig.functions and "0" in sig.constants
 
 
 # The largest numeral literal the parser expands in unary: int_term builds
@@ -923,8 +938,9 @@ def int_term(n: int, sig: Signature) -> Term:
     """A closed term denoting the nonnegative integer n in this signature."""
     if n < 0:
         raise LangError("int_term takes nonnegative integers")
-    if str(n) in sig.constants:
-        return const(str(n))
+    c = _numeral_constant(n, sig)
+    if c is not None:
+        return const(c)
     if _spells_unary(n, sig):
         t = const("0")
         for _ in range(n):
@@ -1055,9 +1071,9 @@ class _Parser:
     def literal(self, v: str, pos: int) -> int:
         """The value of the numeral literal v at pos, refused when it is
         too long for int() or too large to spell in unary."""
-        limit = sys.get_int_max_str_digits()
-        if limit and len(v) > limit:
-            raise ParseError(f"numeral of {len(v)} digits exceeds the limit of {limit}", pos)
+        too_long = digit_limit_error(len(v))
+        if too_long:
+            raise ParseError(too_long, pos)
         n = int(v)
         if n > _MAX_UNARY_LITERAL and _spells_unary(n, self.sig):
             raise ParseError(f"numeral {v} is too large to spell in unary", pos)

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
-from .lang import App, Record, Term, Var, count_text, fold
+from .lang import App, Record, Term, Var, count_text, digit_limit_error, fold
 
 
 class SemanticsError(Exception):
@@ -63,39 +64,42 @@ if hasattr(_sys, "set_int_max_str_digits"):
 
 
 class PowerTower:
-    """base ** exp with exp itself an int or another PowerTower.
+    """b0 ** (b1 ** (... ** (bk ** top))), kept as the flat chain
+    (b0, ..., bk, top) of ints, so loops read a tower of any height.
 
-    Instances are normalized: the base is not itself a perfect power, and
-    the value is too large to expand within DIGIT_BUDGET.
+    PowerTower(base, exp) puts base on top of exp, an int or a tower, and
+    base and exp read the chain back that way.  Instances are normalized:
+    the base is not itself a perfect power, and the value is too large to
+    expand within DIGIT_BUDGET.
     """
 
-    __slots__ = ("base", "exp")
+    __slots__ = ("chain",)
 
     def __init__(self, base, exp):
-        self.base = base
-        self.exp = exp
+        self.chain = (base, *exp.chain) if isinstance(exp, PowerTower) else (base, exp)
+
+    @property
+    def base(self):
+        return self.chain[0]
+
+    @property
+    def exp(self):
+        if len(self.chain) == 2:
+            return self.chain[1]
+        rest = object.__new__(PowerTower)
+        rest.chain = self.chain[1:]
+        return rest
 
     def __repr__(self):
         return nat_str(self)
 
     def __eq__(self, other):
         if isinstance(other, PowerTower):
-            return nat_eq(self, other)
-        if isinstance(other, int):
-            return False
+            return self.chain == other.chain
         return NotImplemented
 
     def __hash__(self):
-        # one flat tuple, the bases down the exponent chain then the last
-        # exponent: a tower is as tall as nat_eq allows, and a nested
-        # tuple would hash it one recursive level at a time
-        chain = []
-        x = self
-        while isinstance(x, PowerTower):
-            chain.append(x.base)
-            x = x.exp
-        chain.append(x)
-        return hash(tuple(chain))
+        return hash(self.chain)
 
 
 Big = Union[int, PowerTower]
@@ -123,25 +127,45 @@ def _reduce_base(b: int) -> tuple[int, int]:
     return b, 1
 
 
+_NO_SUM = "sum of oversized values has no exact representation here"
+
+
+def _power(base: int, exp: int) -> Big:
+    """base ** exp: an int while affordable, else a tower over the smallest
+    c with c ** m == base."""
+    if exp == 0:
+        return 1
+    if exp == 1:
+        return base
+    if base == 0:
+        return 0
+    if base == 1:
+        return 1
+    if exp.bit_length() <= 64 and exp * math.log10(base) <= DIGIT_BUDGET:
+        return base**exp
+    c, m = _reduce_base(base)
+    return PowerTower(c, exp * m)
+
+
+def _tower_times(a: PowerTower, m: int) -> Big:
+    """a * m for an int m >= 1: the top exponent of a grows by k where
+    a.base ** k == m, which only a tower of one level can take."""
+    if m == 1:
+        return a
+    k = _as_power_of(a.base, m)
+    if k is None:
+        raise EvalBudgetError("product of tower and unrelated factor")
+    if len(a.chain) > 2:
+        raise EvalBudgetError(_NO_SUM)
+    return _power(a.base, a.chain[1] + k)
+
+
 def make_tower(base: int, exp: Big) -> Big:
     if isinstance(exp, int):
-        if exp == 0:
-            return 1
-        if exp == 1:
-            return base
-        if base == 0:
-            return 0
-        if base == 1:
-            return 1
-        # expand while affordable
-        if exp.bit_length() <= 64 and exp * math.log10(base) <= DIGIT_BUDGET:
-            return base**exp
-        c, m = _reduce_base(base)
-        return PowerTower(c, exp * m) if m > 1 else PowerTower(base, exp)
+        return _power(base, exp)
+    # (c ** m) ** exp is c ** (exp * m)
     c, m = _reduce_base(base)
-    if m > 1:
-        exp = nat_mul(m, exp)
-    return PowerTower(c if m > 1 else base, exp)
+    return PowerTower(c, _tower_times(exp, m))
 
 
 def _digits_budget_ok(a: int, b: int) -> bool:
@@ -149,21 +173,19 @@ def _digits_budget_ok(a: int, b: int) -> bool:
 
 
 def nat_eq(a: Big, b: Big) -> bool:
-    """a == b, compared level by level down two exponent chains."""
-    while isinstance(a, PowerTower) and isinstance(b, PowerTower):
-        if a.base != b.base:
-            return False
-        a, b = a.exp, b.exp
-    # towers are always beyond the int budget
-    return isinstance(a, int) and isinstance(b, int) and a == b
+    """a == b: towers are always beyond the int budget, and two towers are
+    equal when their chains are."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a == b
+    return isinstance(a, PowerTower) and isinstance(b, PowerTower) and a.chain == b.chain
 
 
 def nat_add(a: Big, b: Big) -> Big:
     if isinstance(a, int) and isinstance(b, int):
         return a + b
     if nat_eq(a, b):
-        return nat_mul(2, a)
-    raise EvalBudgetError("sum of oversized values has no exact representation here")
+        return _tower_times(a, 2)
+    raise EvalBudgetError(_NO_SUM)
 
 
 def _as_power_of(base: int, n: int) -> Optional[int]:
@@ -186,20 +208,13 @@ def nat_mul(a: Big, b: Big) -> Big:
         ca, ma = _reduce_base(a)
         cb, mb = _reduce_base(b)
         if ca == cb:
-            return make_tower(ca, ma + mb)
+            return _power(ca, ma + mb)
         raise EvalBudgetError("product exceeds the digit budget")
     if isinstance(a, int):
         a, b = b, a
     # a is a tower
     if isinstance(b, int):
-        if b == 0:
-            return 0
-        if b == 1:
-            return a
-        k = _as_power_of(a.base, b)
-        if k is not None:
-            return make_tower(a.base, nat_add(a.exp, k))
-        raise EvalBudgetError("product of tower and unrelated factor")
+        return 0 if b == 0 else _tower_times(a, b)
     if a.base == b.base:
         return make_tower(a.base, nat_add(a.exp, b.exp))
     raise EvalBudgetError("product of towers with unrelated bases")
@@ -209,49 +224,15 @@ def nat_pow(a: Big, b: Big) -> Big:
     if isinstance(b, int) and b == 0:
         return 1
     if isinstance(a, int):
-        if a == 0:
-            return 0
-        if a == 1:
-            return 1
-        if isinstance(b, int) and b.bit_length() <= 64 and b * math.log10(a) <= DIGIT_BUDGET:
-            return a**b
-        return make_tower(a, b)
+        return a if a in (0, 1) else make_tower(a, b)
     # tower ** b: (c^e)^b = c^(e*b)
     return make_tower(a.base, nat_mul(a.exp, b))
 
 
-def nat_log2(a: Big) -> float:
-    """Approximate log2; inf when even the logarithm overflows floats."""
-    if isinstance(a, int):
-        if a <= 0:
-            return float("-inf")
-        if a.bit_length() <= 1024:
-            return math.log2(a)
-        return float(a.bit_length() - 1)
-    bases = []
-    while isinstance(a, PowerTower):
-        bases.append(a.base)
-        a = a.exp
-    # climb back up: log2(c ** e) is e * log2(c), and e = 2 ** log2(e)
-    try:
-        log = float(a) * math.log2(bases.pop())
-    except OverflowError:
-        log = float("inf")
-    while bases:
-        try:
-            log = 2.0**log * math.log2(bases.pop())
-        except OverflowError:
-            log = float("inf")
-    return log
-
-
 def nat_str(a: Big) -> str:
     """a in decimal, a tower as base^(exp) at every level."""
-    bases = []
-    while isinstance(a, PowerTower):
-        bases.append(a.base)
-        a = a.exp
-    return "".join(f"{count_text(c)}^(" for c in bases) + count_text(a) + ")" * len(bases)
+    chain = a.chain if isinstance(a, PowerTower) else (a,)
+    return "^(".join(map(count_text, chain)) + ")" * (len(chain) - 1)
 
 
 def _closed_step(consts: dict, ops: dict, meaning: str, not_const: str):
@@ -368,7 +349,8 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SemanticsError(f"not a rational number: {text!r}") from None
+        too_long = digit_limit_error(max(map(len, re.findall(r"\d+", text)), default=0))
+        raise SemanticsError(too_long or f"not a rational number: {text!r}") from None
 
 
 def parse_ext_rational(text: str) -> ExtRational:
@@ -645,19 +627,10 @@ def _big_shift(p, s: int):
     """p * 2^s for s >= 0, p an int, a PowerTower or a _BigNeg of either."""
     if s == 0:
         return p
-    neg = isinstance(p, _BigNeg)
-    if neg:
-        p = p.mag
-    if not isinstance(p, int):
-        q = nat_mul(p, make_tower(2, s))
-    elif (abs(p).bit_length() + s) * _LOG10_2 <= DIGIT_BUDGET:
-        q = p << s
-    elif p == 0:
-        q = 0
-    else:
-        q = nat_mul(make_tower(2, s), abs(p))
-        if p < 0:
-            q = _BigNeg(q)
+    if isinstance(p, int) and (abs(p).bit_length() + s) * _LOG10_2 <= DIGIT_BUDGET:
+        return p << s
+    neg, mag = _sign_mag(p)
+    q = nat_mul(mag, make_tower(2, s))
     return _BigNeg(q) if neg else q
 
 
@@ -708,7 +681,7 @@ def bs_element(p, k: int, t: int) -> BSElement:
             k = 0
     elif k > 0:
         neg, mag = _sign_mag(p)
-        if isinstance(mag, PowerTower) and mag.base == 2 and isinstance(mag.exp, int) and mag.exp >= k:
+        if isinstance(mag, PowerTower) and len(mag.chain) == 2 and mag.base == 2 and mag.exp >= k:
             mag = make_tower(2, mag.exp - k)
             p = _BigNeg(mag) if neg else mag
             k = 0
@@ -751,13 +724,9 @@ def bs_eq(g: BSElement, h: BSElement) -> bool:
     a, b = g.p, h.p
     if isinstance(a, int) and isinstance(b, int):
         return a == b
-    aneg, am = _sign_mag(a)
-    bneg, bm = _sign_mag(b)
-    if aneg != bneg:
-        return False
-    if isinstance(am, int) or isinstance(bm, int):
-        return False
-    return nat_eq(am, bm)
+    # magnitudes under a sign are equal only as two towers
+    (aneg, am), (bneg, bm) = _sign_mag(a), _sign_mag(b)
+    return aneg == bneg and isinstance(am, PowerTower) and am == bm
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,40 @@ def test_malformed_rational_is_one_error_line(capsys, argv, text):
     assert err == f"error: not a rational number: {text!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (("orbit", "--x", "7" * 20_000), 20_000),
+        (("gen", "matrix-power", "1", "--matrix", f"({'3' * 11_000} 1; 1 1)"), 11_000),
+    ],
+)
+def test_a_rational_past_the_digit_limit_is_named_so(capsys, argv, digits):
+    # both were called "not a rational number", though well formed
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err == (
+        f"error: numeral of {digits} digits exceeds the limit of {sys.get_int_max_str_digits()}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("gen", "rational-orbit", "0", "--x", str(7**300)), "lines=16746, cuts=8368, contractions=0"),
+        (
+            ("gen", "matrix-power", "1", "--matrix", f"({3**500} 1; 1 1)"),
+            "lines=8002, cuts=3987, contractions=12",
+        ),
+    ],
+)
+def test_entries_of_hundreds_of_digits_build_their_proofs(capsys, argv, lines):
+    # a binary numeral nests once per bit: both ended in "input nested too
+    # deeply" while the entry's proof was built by recursion
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert out.endswith(f", {lines}\n")
+
+
 def test_oracle_with_enumeration(capsys):
     rc, out, _ = run(capsys, "oracle", "16", "--enum")
     assert rc == 0

@@ -1,24 +1,18 @@
-"""No function of the package takes part in a call cycle, except those listed.
+"""No function of the package takes part in a call cycle.
 
-Terms, formulas and proofs nest far deeper than the interpreter lets a
-function recurse, so walkers use explicit stacks or `lang.fold`.  The call
-graph has an edge from f to g when f calls g by its plain name and g is a
+Terms, formulas, proofs and power towers nest far deeper than the
+interpreter lets a function recurse, so walkers use explicit stacks or
+`lang.fold`, and a tower is one flat chain of exponents.  The call graph
+has an edge from f to g when f calls g by its plain name and g is a
 function defined in the package; a call inside a nested function counts
 for the function that encloses it too, and a call to a name bound as a
-parameter (a callback) is not an edge.  The allowlist names each cycle,
-as the set of functions on it, and why it stays bounded; a new one must be
-added here with its reason, and one that is gone must leave.
+parameter (a callback) is not an edge.
 """
 
 import ast
 from pathlib import Path
 
 import feaslab
-
-ALLOWED = {
-    frozenset({"_rat_construction"}): "one frame per node of a small matrix-entry term",
-    frozenset({"make_tower", "nat_add", "nat_mul"}): "one level per power tower",
-}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -120,7 +114,7 @@ def test_recursion_limit_is_never_raised():
 
 
 def test_no_new_recursion():
-    assert cycles(call_graph(package_trees())) == set(ALLOWED)
+    assert cycles(call_graph(package_trees())) == set()
 
 
 def test_ratchet_sees_cycles_through_nested_functions_but_not_callbacks():

@@ -9,6 +9,7 @@ from feaslab.lang import (
     Var,
     arith_signature,
     const,
+    count_text,
     parse_term,
     rational_signature,
     subst_term,
@@ -42,13 +43,15 @@ from feaslab.semantics import (
     mobius_apply,
     nat_add,
     nat_eq,
-    nat_log2,
     nat_mul,
     nat_pow,
     nat_str,
     parse_ext_rational,
     _BigNeg,
+    _as_power_of,
     _big_shift,
+    _digits_budget_ok,
+    _reduce_base,
     parse_mat2,
     winding_growth,
     winding_growth_rows,
@@ -100,7 +103,6 @@ def test_tower_arithmetic_laws():
     assert nat_eq(nat_mul(t, t), make_tower(2, 2 * 10**7))
     assert nat_eq(nat_add(t, t), make_tower(2, 10**7 + 1))
     assert nat_eq(nat_pow(t, 3), make_tower(2, 3 * 10**7))
-    assert nat_log2(t) == pytest.approx(10**7)
     with pytest.raises(EvalBudgetError):
         nat_add(t, 1)  # no exact representation for 2^10^7 + 1
 
@@ -510,20 +512,6 @@ def ref_nat_eq(a, b):
     return a.base == b.base and ref_nat_eq(a.exp, b.exp)
 
 
-def ref_nat_log2(a):
-    if isinstance(a, int):
-        if a <= 0:
-            return float("-inf")
-        if a.bit_length() <= 1024:
-            return math.log2(a)
-        return float(a.bit_length() - 1)
-    try:
-        e = float(a.exp) if isinstance(a.exp, int) else 2.0 ** ref_nat_log2(a.exp)
-        return e * math.log2(a.base)
-    except OverflowError:
-        return float("inf")
-
-
 def ref_nat_str(a):
     if isinstance(a, int):
         return str(a)
@@ -538,7 +526,6 @@ def tower(bases, top):
 
 
 tower_bases = st.lists(st.integers(2, 9), max_size=40)
-# tops whose float, and whose logarithm's power of two, fit and overflow
 tower_tops = st.sampled_from([0, 1, 3, 1000, 10**6, 2**1100, 10**400])
 
 
@@ -547,7 +534,6 @@ tower_tops = st.sampled_from([0, 1, 3, 1000, 10**6, 2**1100, 10**400])
 def test_tower_loops_match_the_recursive_references(bases, top, changed, cut):
     a = tower(bases, top)
     assert nat_str(a) == ref_nat_str(a)
-    assert nat_log2(a) == ref_nat_log2(a)  # the same float operations, in order
     assert nat_eq(a, tower(list(bases), top))
     # one level's base, or the top, differs; or the tower is cut short
     other, other_top = list(bases), top
@@ -560,6 +546,151 @@ def test_tower_loops_match_the_recursive_references(bases, top, changed, cut):
     for x in (b, c):
         assert nat_eq(a, x) == ref_nat_eq(a, x)
         assert nat_eq(x, a) == ref_nat_eq(x, a)
+
+
+# -- flat towers against the nested arithmetic they replaced ------------------
+
+
+def ref_make_tower(base, exp):
+    if isinstance(exp, int):
+        if exp == 0:
+            return 1
+        if exp == 1:
+            return base
+        if base == 0:
+            return 0
+        if base == 1:
+            return 1
+        if exp.bit_length() <= 64 and exp * math.log10(base) <= DIGIT_BUDGET:
+            return base**exp
+        c, m = _reduce_base(base)
+        return PowerTower(c, exp * m) if m > 1 else PowerTower(base, exp)
+    c, m = _reduce_base(base)
+    if m > 1:
+        exp = ref_nat_mul(m, exp)
+    return PowerTower(c if m > 1 else base, exp)
+
+
+def ref_nat_add(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    if ref_nat_eq(a, b):
+        return ref_nat_mul(2, a)
+    raise EvalBudgetError("sum of oversized values has no exact representation here")
+
+
+def ref_nat_mul(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        if a == 0 or b == 0:
+            return 0
+        if _digits_budget_ok(a, b):
+            return a * b
+        ca, ma = _reduce_base(a)
+        cb, mb = _reduce_base(b)
+        if ca == cb:
+            return ref_make_tower(ca, ma + mb)
+        raise EvalBudgetError("product exceeds the digit budget")
+    if isinstance(a, int):
+        a, b = b, a
+    if isinstance(b, int):
+        if b == 0:
+            return 0
+        if b == 1:
+            return a
+        k = _as_power_of(a.base, b)
+        if k is not None:
+            return ref_make_tower(a.base, ref_nat_add(a.exp, k))
+        raise EvalBudgetError("product of tower and unrelated factor")
+    if a.base == b.base:
+        return ref_make_tower(a.base, ref_nat_add(a.exp, b.exp))
+    raise EvalBudgetError("product of towers with unrelated bases")
+
+
+def ref_nat_pow(a, b):
+    if isinstance(b, int) and b == 0:
+        return 1
+    if isinstance(a, int):
+        if a == 0:
+            return 0
+        if a == 1:
+            return 1
+        if isinstance(b, int) and b.bit_length() <= 64 and b * math.log10(a) <= DIGIT_BUDGET:
+            return a**b
+        return ref_make_tower(a, b)
+    return ref_make_tower(a.base, ref_nat_mul(a.exp, b))
+
+
+def ref_chain(a):
+    """The bases of a nested tower down its exponents, then the last one."""
+    chain = []
+    while isinstance(a, PowerTower):
+        chain.append(a.base)
+        a = a.exp
+    chain.append(a)
+    return tuple(chain)
+
+
+def ref_text(a):
+    """ref_nat_str(a), also for levels past the int-to-str digit limit."""
+    chain = ref_chain(a)
+    return "^(".join(map(count_text, chain)) + ")" * (len(chain) - 1)
+
+
+def ref_bs_text(p, k):
+    """str(bs_element(p, k, 0)) for p a tower or a _BigNeg of one, k > 0."""
+    neg, mag = (True, p.mag) if isinstance(p, _BigNeg) else (False, p)
+    if isinstance(mag, PowerTower) and mag.base == 2 and isinstance(mag.exp, int) and mag.exp >= k:
+        return f"({'-' if neg else ''}{ref_text(ref_make_tower(2, mag.exp - k))}, 0)"
+    raise EvalBudgetError("cannot canonicalize an oversized dyadic")
+
+
+def nested_view(f, *args):
+    """The outcome of f, a value shown by the nested readers."""
+    kind, v = outcome(lambda _: f(*args), None)
+    if kind == "value" and isinstance(v, PowerTower):
+        # the old hash: one tuple of the chain read down the nested levels
+        return "tower", ref_text(v), hash(ref_chain(v))
+    return kind, v
+
+
+def flat_view(f, *args):
+    """The outcome of f, a value shown by the flat chain's own readers."""
+    kind, v = outcome(lambda _: f(*args), None)
+    if kind == "value" and isinstance(v, PowerTower):
+        return "tower", nat_str(v), hash(v)
+    return kind, v
+
+
+# perfect powers among the bases, and ints on both sides of the digit budget
+flat_bases = st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 16, 27])
+flat_tops = st.sampled_from([0, 1, 2, 3, 5, 64, 10**6, 2**70, 3**40])
+flat_ints = st.sampled_from([0, 1, 2, 3, 4, 8, 9, 16, 27, 2**40, 3**20, 2**40000, 3**30000])
+flat_towers = st.builds(tower, st.lists(flat_bases, min_size=1, max_size=4), flat_tops)
+flat_bigs = flat_ints | flat_towers
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), x=flat_bigs, base=flat_bases, k=st.sampled_from([1, 5, 10**6 - 3]))
+def test_flat_towers_match_the_nested_arithmetic(data, x, base, k):
+    # the second operand is often x itself, or the same tower built anew
+    same = tower(list(ref_chain(x)[:-1]), ref_chain(x)[-1]) if isinstance(x, PowerTower) else x
+    y = data.draw(flat_bigs | st.just(x) | st.just(same))
+    for a, b in ((x, y), (x, same)):
+        assert (a == b) == ref_nat_eq(a, b) == nat_eq(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+    for new, ref in (
+        (nat_add, ref_nat_add),
+        (nat_mul, ref_nat_mul),
+        (nat_pow, ref_nat_pow),
+    ):
+        assert flat_view(new, x, y) == nested_view(ref, x, y)
+        assert flat_view(new, y, x) == nested_view(ref, y, x)
+    assert flat_view(make_tower, base, x) == nested_view(ref_make_tower, base, x)
+    if isinstance(x, PowerTower):
+        for p in (x, _BigNeg(x)):
+            got = outcome(lambda q: str(bs_element(q, k, 0)), p)
+            assert got == outcome(lambda q: ref_bs_text(q, k), p)
 
 
 def ref_big_shift(p, s):

@@ -635,6 +635,13 @@ def test_rational_term_round_trip():
         parse_term(term_str(t), sig)  # printable and re-parseable
 
 
+def test_rational_term_past_the_digit_limit():
+    # int_term looked n up among the constants by str(n), which raises
+    # past the interpreter's int-to-str limit
+    n = 10**20000
+    assert eval_rat(rational_term(n)).num == n
+
+
 def test_matrix_phi_shape():
     A = Mat2(2, 1, 1, 1)
     phi = matrix_phi(A)
