@@ -51,6 +51,8 @@ from .semantics import (
 )
 from .theories import TheoryError, theory_from_selector
 
+_X_HELP = "orbit start point; use --x=-1/2 for a negative point"
+
 
 def _add_gen_arguments(sp, positional: bool = True):
     if positional:
@@ -69,7 +71,7 @@ def _add_gen_arguments(sp, positional: bool = True):
         help="theory selector: arith, rat, group:bs12, group:free:<g1,g2,..>",
     )
     sp.add_argument("--matrix", default="(2 1; 1 1)", help='matrix "(a b; c d)"')
-    sp.add_argument("--x", dest="orbit_x", default="0", help="orbit start point")
+    sp.add_argument("--x", dest="orbit_x", default="0", help=_X_HELP)
 
 
 def _make_report(name: str, n: int, args):
@@ -292,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orbit", help="iterate a Moebius action")
     sp.add_argument("--matrix", default="(2 1; 1 1)")
-    sp.add_argument("--x", dest="orbit_x", default="0")
+    sp.add_argument("--x", dest="orbit_x", default="0", help=_X_HELP)
     sp.add_argument("--n", type=int, default=5)
     sp.add_argument("--gen", type=int, default=None, help="also prove stage 2^m")
     sp.set_defaults(fn=_cmd_orbit)

@@ -88,7 +88,6 @@ from .lang import (
     Sequent,
     _children,
     fold,
-    formula_str,
     free_vars,
     fresh_name,
     sequent_brief,
@@ -145,7 +144,7 @@ class _State:
             raise NodeBudgetError(
                 f"cut elimination exceeded its budget of {self.budget} DAG nodes: "
                 f"built {self.ticks} while eliminating cut {i} of {total}, "
-                f"on {formula_str(a)}"
+                f"on {a!r}"
             )
 
 
@@ -318,7 +317,7 @@ def _split(p1: Proof, a: Formula, p2: Proof, step: Step, k: int):
         new_premises.append((yield (p1, a, q, take)))
     if remaining:
         raise FragmentError(
-            f"cut formula {formula_str(a)} is tied to rule {p2.rule.tag} in an unsupported way"
+            f"cut formula {a!r} is tied to rule {p2.rule.tag} in an unsupported way"
         )
     return tuple(new_premises)
 
@@ -380,9 +379,7 @@ def _principalize_right(p1: Proof, a: Formula, st: _State) -> Proof:
             if _kept(p1, step, j, "R", a) > 0:
                 break
         else:
-            raise FragmentError(
-                f"cannot locate {formula_str(a)} for principalization in {tag}"
-            )
+            raise FragmentError(f"cannot locate {a!r} for principalization in {tag}")
         path.append((p1, step, j))
         p1 = q
     for p1, step, j in reversed(path):
@@ -482,7 +479,7 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
             a = analyze(node, theory).principal
             if not _in_fragment(a):
                 raise FragmentError(
-                    f"cut formula {formula_str(a)} lies outside the "
+                    f"cut formula {a!r} lies outside the "
                     "atom/implication/forall fragment"
                 )
             index += 1

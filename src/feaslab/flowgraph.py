@@ -20,7 +20,7 @@ multigraph.  Bridges are edges whose removal disconnects their component.
 from __future__ import annotations
 
 from .kernel import Proof, analyze, step_edges
-from .lang import _MAX_PRINTED_NODES, Printer, _tree_step, count_text, dag_size, fold
+from .lang import _MAX_PRINTED_NODES, Printer, _size_summary, _tree_step, dag_size, fold
 
 TAGS = ("ancestry", "axiom-link", "cut-link", "contraction-merge")
 _TAG_ID = {tag: k for k, tag in enumerate(TAGS)}
@@ -237,7 +237,7 @@ def emit_dot(g: FlowGraph, name: str = "flow") -> str:
                 else:
                     if nodes <= _MAX_PRINTED_NODES:
                         left = 0  # the text is full: summarize every further label
-                    label = f"<formula of {count_text(nodes)} nodes as a tree, {dag_size(f)} distinct>"
+                    label = _size_summary("formula", nodes, dag_size(f))
                 out.append(f'  n{k} [label="{label}\\n{b}:{side}{i}"];')
                 k += 1
     for u, v, t in zip(g._us, g._vs, g._tags):

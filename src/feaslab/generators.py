@@ -59,7 +59,6 @@ from .lang import (
     mul,
     subst_term,
     substitute,
-    term_str,
     var,
 )
 from .semantics import (
@@ -451,7 +450,7 @@ def _rat_construction(th: Theory, t: Term) -> Proof:
             done.append(theory_leaf(th, name, {}))
         elif not ready:
             if u.sym not in _RAT_AXIOMS:
-                raise GeneratorError(f"cannot build a feasibility proof for {term_str(u)}")
+                raise GeneratorError(f"cannot build a feasibility proof for {u!r}")
             stack.append((u, True))
             stack.extend((a, False) for a in reversed(u.args))
         elif u.sym in ("+", "*"):

@@ -72,7 +72,6 @@ from .lang import (
     exists,
     fold,
     forall,
-    formula_str,
     free_vars,
     imp,
     is_variable_name,
@@ -244,7 +243,7 @@ _set_premises = Proof.premises.__set__
 
 def _remove_one(fs: tuple, f: Formula) -> tuple:
     if f not in fs:
-        raise KernelError(f"formula {formula_str(f)} not present")
+        raise KernelError(f"formula {f!r} not present")
     i = fs.index(f)
     return fs[:i] + fs[i + 1 :]
 
@@ -364,7 +363,7 @@ def introduce(rule: Rule, premises: tuple, f: Formula) -> Proof:
         raise KernelError(f"{rule.tag} is not a logical rule")
     cls, side, places, _ = intro
     if not isinstance(f, cls):
-        raise KernelError(f"{rule.tag} cannot introduce {formula_str(f)}")
+        raise KernelError(f"{rule.tag} cannot introduce {f!r}")
     ants = [q.conclusion.ant for q in premises]
     succs = [q.conclusion.succ for q in premises]
     for (k, s), part in zip(places, _parts(f, _witness(rule))):
@@ -528,7 +527,7 @@ def _analyze_eq_oracle(node: Proof, theory) -> Step:
         _fail(node, "equality oracle concludes an equation")
     verdict = theory.oracle(f.args[0], f.args[1])
     if verdict != "equal":
-        _fail(node, f"oracle verdict for {formula_str(f)} is {verdict!r}")
+        _fail(node, f"oracle verdict for {f!r} is {verdict!r}")
     return Step(f, ("c", "R", 0), (), "axiom-link")
 
 
@@ -677,7 +676,7 @@ def _ancestry(node: Proof, step: Step) -> list:
                     continue
                 lst = free_concl[side].get(f)
                 if not lst:
-                    _fail(node, f"unmatched context occurrence {formula_str(f)}")
+                    _fail(node, f"unmatched context occurrence {f!r}")
                 j = lst.pop()
                 edges.append(((k, side, i), ("c", side, j), "ancestry"))
     return edges
@@ -714,7 +713,7 @@ def _analyze_theory_axiom(node: Proof, theory) -> Step:
         qs = q.conclusion.succ
         i = _first_index(qs, phis[k])
         if i < 0:
-            _fail(node, f"premise {k} must prove {formula_str(phis[k])} on the right")
+            _fail(node, f"premise {k} must prove {phis[k]!r} on the right")
         consumed.append((k, "R", i))
         ant += q.conclusion.ant
         succ += qs[:i] + qs[i + 1 :]

@@ -853,14 +853,20 @@ def count_text(n: int) -> str:
     return str(Decimal(n))
 
 
+def _size_summary(what: str, nodes: int, distinct: int) -> str:
+    """The one wording that names a text too large to print by its size."""
+    return f"<{what} of {count_text(nodes)} nodes as a tree, {distinct} distinct>"
+
+
 def _brief(what: str, roots: tuple, show, x) -> str:
-    """show(x), or a one-line summary of the size of x when its text would
-    spell out more than _MAX_PRINTED_NODES nodes of the roots."""
+    """show(x), or its size summary when its text would spell out more
+    than _MAX_PRINTED_NODES nodes of the roots.  Messages name terms,
+    formulas and sequents only through here, by `repr` or `sequent_brief`."""
     memo: dict = {}
     nodes = sum(fold(r, _tree_step, memo) for r in roots)
     if nodes <= _MAX_PRINTED_NODES:
         return show(x)
-    return f"<{what} of {count_text(nodes)} nodes as a tree, {len(memo)} distinct>"
+    return _size_summary(what, nodes, len(memo))
 
 
 def sequent_brief(s: Sequent) -> str:

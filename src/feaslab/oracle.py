@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .generators import gen_distorted
 from .kernel import Proof, size, theory_apply, theory_leaf
-from .lang import Term, term_str
+from .lang import Term
 from .semantics import (
     BS_IDENTITY,
     BS_X,
@@ -197,11 +197,12 @@ def _free_moves(generators: Sequence[str]):
     return moves
 
 
-def _bidi_bfs(start, target, moves, radius: int, what: str) -> int:
+def _bidi_bfs(start, target, moves, radius: int, what) -> int:
     """Bidirectional level-synchronous BFS over a symmetric move set.
 
     Both searches multiply moves on the right; symmetry of the generating
-    set makes the meeting sum d_f(v) + d_b(v) a true path length.
+    set makes the meeting sum d_f(v) + d_b(v) a true path length.  `what`
+    names the target in RadiusExhausted, written only when that is raised.
     """
     if target == start:
         return 0
@@ -265,7 +266,7 @@ def word_metric_distance(
         moves = _free_moves(generators)
     else:
         raise OracleError(f"unknown presentation {presentation!r}")
-    return _bidi_bfs(start, target, moves, radius, term_str(t))
+    return _bidi_bfs(start, target, moves, radius, t)
 
 
 class DistortionRow(NamedTuple):
@@ -293,7 +294,7 @@ def distortion_table(max_n: int = 3, radius: int = 20, bfs_max_n: int = 3):
         dist = None
         if n <= bfs_max_n and 2 * m + 1 <= radius:
             target = BSElement(2**m, 0, 0)
-            dist = _bs_distance(target, radius)
+            dist = _bidi_bfs(BS_IDENTITY, target, _bs_moves(), radius, target)
         rows.append(
             DistortionRow(
                 n=n,
@@ -304,7 +305,3 @@ def distortion_table(max_n: int = 3, radius: int = 20, bfs_max_n: int = 3):
             )
         )
     return rows
-
-
-def _bs_distance(target: BSElement, radius: int) -> int:
-    return _bidi_bfs(BS_IDENTITY, target, _bs_moves(), radius, str(target))

@@ -10,28 +10,32 @@ import re
 import shlex
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from feaslab import cli, cutelim, kernel, lang, semantics
 from feaslab.cutelim import BLOWUP_COLUMNS
-from feaslab.generators import gen_unary
+from feaslab.generators import gen_group_power, gen_unary
 from feaslab.kernel import (
     FORMAT,
     RULE_TAGS,
     KernelError,
     Proof,
     Rule,
+    cut,
     eq_leaf,
     forall_left,
     logical_axiom,
     parse_proof,
+    proof_to_file,
     serialize_proof,
 )
-from feaslab.lang import app, arith_signature, atom, const, forall, mul, plus, substitute, var
+from feaslab.lang import app, arith_signature, atom, conj, const, forall, mul, plus, substitute, var
 from feaslab.semantics import dominant_eigenvalue_abs, mat2, winding_growth
 from feaslab.theories import arith_feasibility
 from nested_format import serialize_nested
@@ -163,7 +167,10 @@ def test_flow_dot_output(tmp_path, capsys):
 
 def test_flow_dot_summarizes_huge_labels(tmp_path, capsys):
     # the conclusion F(x^(2^32)) is a DAG of 34 nodes and a tree of 2^33:
-    # its label is a summary of its size, as `check` prints the sequent
+    # its label is a summary of its size, as `check` prints the sequent and
+    # as the formula's repr reads
+    (f,) = gen_group_power(gen="x", n=5, mode="quantifier").proof.conclusion.succ
+    assert repr(f) == "<formula of 8589934592 nodes as a tree, 34 distinct>"
     dot = tmp_path / "g.dot"
     rc, out, err = run(capsys, "flow", "group-power", "5", "--mode", "quantifier", "--dot", str(dot))
     assert rc == 0 and err == ""
@@ -259,6 +266,24 @@ def test_orbit_iteration(capsys):
         "3 8/5",
         "proof: F(21/13), lines=112, cuts=30, contractions=24",
     ]
+
+
+def test_orbit_from_a_negative_point(capsys):
+    # "--x -1/2" reads -1/2 as an option; the help says to write --x=-1/2
+    rc, out, _ = run(capsys, "orbit", "--x=-1/2", "--n", "2")
+    assert rc == 0
+    assert out.splitlines() == ["0 -1/2", "1 0", "2 1"]
+    for command in ("orbit", "gen", "cutfree", "flow", "bench"):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--x ORBIT_X orbit start point; use --x=-1/2 for a negative point" in help_text
+
+
+def test_gen_rational_orbit_from_a_negative_point(capsys):
+    rc, out, _ = run(capsys, "gen", "rational-orbit", "1", "--x=-1/2")
+    assert rc == 0
+    assert out == "F(1), lines=105, cuts=37, contractions=12\n"
 
 
 def test_orbit_through_infinity(capsys):
@@ -719,6 +744,88 @@ def test_check_prints_a_huge_end_sequent_as_its_size(tmp_path, capsys):
     rc, out, err = run(capsys, "check", str(f), "--theory", "group:free:x")
     assert rc == 0 and err == ""
     assert out == "ok: <sequent of 8589934592 nodes as a tree, 34 distinct>, lines=64\n"
+
+
+def run_bounded(capsys, *argv):
+    """cli.main(argv), which must fail with one short `error:` line in
+    under a second and 50 MB of Python allocations; returns that line.
+    The time is taken untraced and the peak in a second, traced run, so
+    that the tracer's slowdown does not count against the time bound."""
+    start = perf_counter()
+    rc = cli.main(list(argv))
+    seconds = perf_counter() - start
+    captured = capsys.readouterr()
+    tracemalloc.start()
+    try:
+        traced_rc = cli.main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (traced_rc, capsys.readouterr()) == (rc, captured)
+    assert rc == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and len(lines[0]) < 1000
+    assert seconds < 1.0 and peak < 50 * 2**20
+    return lines[0]
+
+
+def squared_40_times(t):
+    """t squared 40 times: a DAG of 40 more nodes, a tree 2^40 times t's."""
+    for _ in range(40):
+        t = mul(t, t)
+    return t
+
+
+_REJECTED_EQUATION = (
+    "error: EqOracle at <sequent of 4398046511105 nodes as a tree, 44 distinct>: "
+    "oracle verdict for <formula of 4398046511105 nodes as a tree, 44 distinct> is 'unequal'"
+)
+
+
+@pytest.mark.parametrize("command", [("check",), ("cutfree", "--in")])
+def test_a_rejected_huge_equation_is_one_short_error_line(tmp_path, capsys, command):
+    # an 88-expression file: `gen quantifier 2 --emit`, 40 self-products of
+    # s(s(0)) and its EqOracle leaf retargeted to "that product = 0"; the
+    # message spelled the product out, and ran out of memory under 1 GB
+    f = tmp_path / "q2.json"
+    run(capsys, "gen", "quantifier", "2", "--emit", str(f))
+    data = json.loads(f.read_text())
+    exprs = data["exprs"]
+    zero = exprs.index(["const", "0"])
+    top = exprs.index(["app", "s", exprs.index(["app", "s", zero])])  # s(s(0))
+    for _ in range(40):
+        exprs.append(["app", "*", top, top])
+        top = len(exprs) - 1
+    exprs.append(["atom", "=", top, zero])
+    leaf = next(n for n in data["nodes"] if n["rule"] == "EqOracle")
+    leaf["succ"] = [len(exprs) - 1]
+    assert len(exprs) == 88
+    f.write_text(json.dumps(data))
+    line = run_bounded(capsys, *command, str(f), "--theory", "arith")
+    assert line == _REJECTED_EQUATION
+
+
+def test_cut_elimination_past_its_budget_names_a_huge_cut_formula(tmp_path, capsys):
+    a = atom("F", squared_40_times(const("0")))  # 2^41 - 1 tree nodes
+    f = tmp_path / "cut.json"
+    proof_to_file(cut(logical_axiom(a), logical_axiom(a), a), str(f))
+    line = run_bounded(capsys, "cutfree", "--in", str(f), "--theory", "arith", "--budget", "0")
+    assert line == (
+        "error: cut elimination exceeded its budget of 0 DAG nodes: built 1 while "
+        "eliminating cut 1 of 1, on <formula of 2199023255552 nodes as a tree, 42 distinct>"
+    )
+
+
+def test_a_huge_cut_conjunction_is_one_short_error_line(tmp_path, capsys):
+    a = atom("F", squared_40_times(const("0")))
+    c = conj(a, a)
+    f = tmp_path / "cut.json"
+    proof_to_file(cut(logical_axiom(c), logical_axiom(c), c), str(f))
+    line = run_bounded(capsys, "cutfree", "--in", str(f), "--theory", "arith")
+    assert line == (
+        "error: cut formula <formula of 4398046511105 nodes as a tree, 43 distinct> "
+        "lies outside the atom/implication/forall fragment"
+    )
 
 
 def test_out_of_memory_is_one_error_line(capsys, monkeypatch):

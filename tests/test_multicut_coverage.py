@@ -37,7 +37,7 @@ ALLOWED = {
     ): INTERNAL,
     (
         "_split",
-        'raise FragmentError( f"cut formula {formula_str(a)} is tied to rule '
+        'raise FragmentError( f"cut formula {a!r} is tied to rule '
         '{p2.rule.tag} in an unsupported way" )',
     ): (
         "a rule that does not introduce a fragment formula keeps each of its "
@@ -53,7 +53,7 @@ ALLOWED = {
     ): "only an implication or a universal formula is principalized",
     (
         "_principalize_right",
-        'raise FragmentError( f"cannot locate {formula_str(a)} for principalization in {tag}" )',
+        'raise FragmentError(f"cannot locate {a!r} for principalization in {tag}")',
     ): (
         "a rule that does not introduce a compound formula on the right keeps "
         "each of its succedent copies in some premise"

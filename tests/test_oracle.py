@@ -1,13 +1,14 @@
 """Minimal-derivation baselines and word-metric distances."""
 
 from math import isqrt
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feaslab.kernel import check
-from feaslab.lang import group_signature, parse_term
+from feaslab.lang import group_signature, mul, parse_term
 from feaslab.oracle import (
     DistortionRow,
     OracleError,
@@ -148,6 +149,21 @@ def test_radius_exhausted():
         word_metric_distance(y8, radius=3)
     with pytest.raises(OracleError):
         word_metric_distance(y8, presentation="dihedral")
+
+
+def test_radius_exhausted_names_a_huge_target_by_its_size():
+    # y squared 40 times is a DAG of 41 nodes and a tree of 2^41 - 1: the
+    # search names it only when it fails, and then by its size
+    t = g_term("y")
+    for _ in range(40):
+        t = mul(t, t)
+    start = perf_counter()
+    with pytest.raises(RadiusExhausted) as info:
+        word_metric_distance(t, radius=4)
+    assert perf_counter() - start < 1.0
+    assert str(info.value) == (
+        "no word of length <= 4 reaches <term of 2199023255551 nodes as a tree, 41 distinct>"
+    )
 
 
 def test_distortion_table_golden():
