@@ -141,7 +141,7 @@ def arith_signature() -> Signature:
     )
 
 
-def group_signature(generators: Iterable[str], with_triviality: bool = False) -> Signature:
+def group_signature(generators: Iterable[str]) -> Signature:
     """The group signature over the generators, each a name the text
     syntax reads as one symbol."""
     gens = tuple(generators)
@@ -150,14 +150,11 @@ def group_signature(generators: Iterable[str], with_triviality: bool = False) ->
             raise LangError(
                 f"generator {g!r} is not a name: a letter or _, then letters, digits, _ or '"
             )
-    preds = {"=": 2, "F": 1}
-    if with_triviality:
-        preds["T"] = 1
     return Signature(
         "group",
         constants=("e",) + gens,
         functions={"*": 2, "inv": 1},
-        predicates=preds,
+        predicates={"=": 2, "F": 1},
     )
 
 

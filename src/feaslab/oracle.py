@@ -17,7 +17,8 @@ short proofs and short conjugated words.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice
+from itertools import chain, islice
+from math import isqrt
 from operator import add
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -132,47 +133,44 @@ def min_tree_derivation(n: int, costs: Tuple[int, int, int] = (1, 1, 1), bound: 
 def enumerate_min_proof(n: int, limit: int = 4096) -> Proof:
     """Construct a minimal-line proof of |- F(t) with t evaluating to n.
 
-    Independent of the table: explores the same decompositions but keeps
-    concrete subproofs, applying the successor/plus/times axioms to the
-    terms each branch built.  Ties break toward successor, then addition
-    with the smallest left part, then factorization.
+    Independent of the table: scores every decomposition of every m <= n
+    with no pruning, then builds the proofs the optimum for n uses,
+    applying the successor/plus/times axioms to the terms each premise
+    proves.  Ties break toward successor, then addition with the smallest
+    left part, then the smallest factor.  `min_proof_lines` measures the
+    built proof, not the score.
     """
     if n < 0:
         raise OracleError("n must be nonnegative")
     if n > limit:
         raise OracleError(f"n={n} exceeds the enumeration limit {limit}")
-    th = arith_feasibility()
-    # best[m] = (lines, proof); each entry reads only entries below m
-    best = [(1, theory_leaf(th, "F(0)", {}))]
+    # lines[m]: the fewest tree lines of a proof of F(m); how[m]: the
+    # axiom that ends one and the values its premises prove
+    lines, how = [1], [None]
     for m in range(1, n + 1):
-        lines, prev = best[m - 1]
-        t = prev.conclusion.succ[-1].args[0]
-        entry = (lines + 1, theory_apply(th, "F:successor", {"x": t}, [prev]))
-        for a in range(1, m // 2 + 1):
-            la, pa = best[a]
-            lb, pb = best[m - a]
-            if la + lb + 1 < entry[0]:
-                ta = pa.conclusion.succ[-1].args[0]
-                tb = pb.conclusion.succ[-1].args[0]
-                entry = (
-                    la + lb + 1,
-                    theory_apply(th, "F:plus", {"x": ta, "y": tb}, [pa, pb]),
-                )
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                la, pa = best[d]
-                lb, pb = best[m // d]
-                if la + lb + 1 < entry[0]:
-                    ta = pa.conclusion.succ[-1].args[0]
-                    tb = pb.conclusion.succ[-1].args[0]
-                    entry = (
-                        la + lb + 1,
-                        theory_apply(th, "F:times", {"x": ta, "y": tb}, [pa, pb]),
-                    )
-            d += 1
-        best.append(entry)
-    return best[n][1]
+        best, choice = lines[m - 1] + 1, ("F:successor", m - 1)
+        splits = chain(
+            (("F:plus", a, m - a) for a in range(1, m // 2 + 1)),
+            (("F:times", d, m // d) for d in range(2, isqrt(m) + 1) if m % d == 0),
+        )
+        for name, a, b in splits:
+            score = lines[a] + lines[b] + 1
+            if score < best:
+                best, choice = score, (name, a, b)
+        lines.append(best)
+        how.append(choice)
+    needed = {n}
+    for m in range(n, 0, -1):  # every part is smaller than the value it splits
+        if m in needed:
+            needed.update(how[m][1:])
+    th = arith_feasibility()
+    proofs = {0: theory_leaf(th, "F(0)", {})}
+    for m in sorted(needed - {0}):
+        name, *parts = how[m]
+        premises = [proofs[k] for k in parts]
+        terms = {v: p.conclusion.succ[-1].args[0] for v, p in zip("xy", premises)}
+        proofs[m] = theory_apply(th, name, terms, premises)
+    return proofs[n]
 
 
 def min_proof_lines(n: int, limit: int = 4096) -> int:

@@ -39,7 +39,7 @@ class OpenTermError(SemanticsError):
 
 
 class EvalBudgetError(SemanticsError):
-    """Raised when an exact value cannot be kept within the digit budget."""
+    """Raised when an exact value cannot be kept within its budget."""
 
 
 class UndefinedOperation(SemanticsError):
@@ -50,6 +50,13 @@ class UndefinedOperation(SemanticsError):
 # within this budget; beyond it only power towers (or an error) remain.
 DIGIT_BUDGET = 10_000
 _LOG10_2 = math.log10(2)
+
+# A term DAG of a few hundred bytes can denote a rational of 2^40 bits or a
+# reduced free-group word of 2^40 runs.  `eval_rat` refuses a sum or
+# product whose numerator and denominator take more bits than this, and
+# `word_mul` a reduced product of more runs; both raise EvalBudgetError.
+RAT_BIT_BUDGET = 1 << 18
+WORD_RUN_BUDGET = 10_000
 
 # ints within the digit budget must remain printable/parseable
 import sys as _sys
@@ -360,9 +367,28 @@ def parse_ext_rational(text: str) -> ExtRational:
     return ExtRational(_fraction(text))
 
 
+def _within_bits(op):
+    """op, raising EvalBudgetError for a value past RAT_BIT_BUDGET."""
+
+    def bounded(a: ExtRational, b: ExtRational) -> ExtRational:
+        out = op(a, b)
+        q = out.num
+        if q is not None and q.numerator.bit_length() + q.denominator.bit_length() > RAT_BIT_BUDGET:
+            raise EvalBudgetError(f"exact rational exceeds the budget of {RAT_BIT_BUDGET} bits")
+        return out
+
+    return bounded
+
+
+# negation and inversion keep the bits of their argument
 _rat_step = _closed_step(
     {"0": ExtRational(Fraction(0)), "1": ExtRational(Fraction(1)), "inf": INF},
-    {"+": ExtRational.add, "*": ExtRational.mul, "neg": ExtRational.neg, "inv": ExtRational.inv},
+    {
+        "+": _within_bits(ExtRational.add),
+        "*": _within_bits(ExtRational.mul),
+        "neg": ExtRational.neg,
+        "inv": ExtRational.inv,
+    },
     "extended-rational",
     "has no extended-rational value",
 )
@@ -372,7 +398,7 @@ def eval_rat(t: Term, memo: Optional[dict] = None) -> ExtRational:
     """Value of a closed term over 0, 1, inf, +, *, neg, inv.  memo maps
     terms to their values and keeps the values computed (a partial
     operation raises before its value is kept); a call without one uses
-    its own."""
+    its own.  A value past RAT_BIT_BUDGET raises EvalBudgetError."""
     return fold(t, _rat_step, {} if memo is None else memo)
 
 
@@ -751,7 +777,10 @@ def free_reduce(pairs) -> Word:
 
 
 def word_mul(w1: Word, w2: Word) -> Word:
-    return free_reduce(list(w1) + list(w2))
+    w = free_reduce(list(w1) + list(w2))
+    if len(w) > WORD_RUN_BUDGET:
+        raise EvalBudgetError(f"reduced word exceeds the budget of {WORD_RUN_BUDGET} runs")
+    return w
 
 
 def word_inv(w: Word) -> Word:
@@ -779,7 +808,8 @@ def _closed_word_step(t, vals):
 
 
 def eval_group_free(t: Term, vars_as_letters: bool = False) -> Word:
-    """Reduced word of a group term; variables may count as fresh letters."""
+    """Reduced word of a group term; variables may count as fresh letters.
+    A word past WORD_RUN_BUDGET runs raises EvalBudgetError."""
     return fold(t, _word_step if vars_as_letters else _closed_word_step, {})
 
 

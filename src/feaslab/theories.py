@@ -53,7 +53,6 @@ from .lang import (
     atom,
     conj,
     const,
-    fold,
     free_vars,
     group_signature,
     int_term,
@@ -404,89 +403,6 @@ def group_feasibility(generators: Iterable[str], presentation: str = "free") -> 
     )
 
 
-def word_term(word) -> Term:
-    """Group term for a run-length word like ((x, 3), (y, -1))."""
-    parts = []
-    for g, e in word:
-        base = const(g)
-        if e == 0:
-            continue
-        t = base if e > 0 else app("inv", base)
-        parts.extend([t] * abs(e))
-    if not parts:
-        return const("e")
-    out = parts[0]
-    for t in parts[1:]:
-        out = mul(out, t)
-    return out
-
-
-def triviality_theory(
-    relators,
-    generators: Optional[Iterable[str]] = None,
-    restricted_conjugation: bool = False,
-) -> Theory:
-    """Free-group feasibility extended with a triviality predicate T.
-
-    T holds of the relators and is closed under composition, inverse,
-    equality transport, and conjugation.  By default conjugation by an
-    arbitrary (not necessarily feasible) element is allowed; the
-    restricted variant additionally demands F of the conjugator.
-    """
-    rel_terms = []
-    letters = set()
-    for r in relators:
-        t = r if isinstance(r, Term) else word_term(r)
-        rel_terms.append(t)
-        letters |= free_vars(t)
-        for sym in _constants_of(t):
-            letters.add(sym)
-    gens = tuple(generators) if generators is not None else tuple(sorted(letters - {"e"}))
-    if not gens:
-        raise TheoryError("triviality theory needs generators")
-    sig = group_signature(gens, with_triviality=True)
-    schemas = _schemas_group(gens)
-    schemas.append(_T_E)
-    for i, t in enumerate(rel_terms, start=1):
-        schemas.append(AxiomSchema(f"T(r{i})", (), (), atom("T", t)))
-    schemas += _TRIVIALITY_RULES[bool(restricted_conjugation)]
-    return Theory(
-        "group:triviality",
-        sig,
-        schemas,
-        _free_oracle,
-        evaluate=lambda t: eval_group_free(t),
-    )
-
-
-def _triviality_rules(restricted_conjugation: bool) -> tuple:
-    w, u, v = var("w"), var("u"), var("v")
-    Tw, Tu = atom("T", w), atom("T", u)
-    conj_ant = (Tw, atom("F", v)) if restricted_conjugation else (Tw,)
-    return (
-        AxiomSchema("T:equality", ("w", "u"), (atom("=", w, u), Tw), Tu),
-        AxiomSchema("T:composition", ("w", "u"), (Tw, Tu), atom("T", mul(w, u))),
-        AxiomSchema("T:inverse", ("w",), (Tw,), atom("T", app("inv", w))),
-        AxiomSchema(
-            "T:conjugation", ("w", "v"), conj_ant, atom("T", mul(mul(v, w), app("inv", v)))
-        ),
-        AxiomSchema("FT:absorb-right", ("w", "u"), (atom("F", w), Tu), atom("F", mul(w, u))),
-        AxiomSchema("FT:absorb-left", ("w", "u"), (atom("F", w), Tu), atom("F", mul(u, w))),
-    )
-
-
-_TRIVIALITY_RULES = {r: _triviality_rules(r) for r in (False, True)}
-_T_E = AxiomSchema("T(e)", (), (), atom("T", const("e")))
-
-
-def _constants_step(t, syms):
-    return frozenset((t.sym,)) if t.__class__ is Const else frozenset().union(*syms)
-
-
-def _constants_of(t: Term) -> frozenset:
-    return fold(t, _constants_step, {})
-
-
 # ---------------------------------------------------------------------------
 # Rational feasibility
 
@@ -498,7 +414,7 @@ def _rat_oracle(lhs: Term, rhs: Term, memo: dict) -> str:
         return "undecided"
     try:
         return "equal" if eval_rat(lhs, memo) == eval_rat(rhs, memo) else "unequal"
-    except UndefinedOperation:
+    except (UndefinedOperation, EvalBudgetError):
         return "undecided"
 
 
@@ -508,7 +424,8 @@ def _rat_validator() -> Callable[[str, tuple, Formula], None]:
     operation.  Definedness is decided modulo the primes of
     semantics.MODULAR_PRIMES in turn, with an exact fallback
     (`check_rat_defined`); the residues, one table per prime, live as long
-    as the validator, that is, as long as its theory."""
+    as the validator, that is, as long as its theory.  An instance whose
+    exact fallback passes `semantics.RAT_BIT_BUDGET` is rejected too."""
     residues: dict = {}
 
     def validate(name: str, pairs: tuple, succedent: Formula):
@@ -519,6 +436,8 @@ def _rat_validator() -> Callable[[str, tuple, Formula], None]:
                 check_rat_defined(t, residues)
             except UndefinedOperation as exc:
                 raise TheoryError(f"undefined operation in instantiation of {name}: {exc}")
+            except EvalBudgetError as exc:
+                raise TheoryError(f"undecided instantiation of {name}: {exc}")
 
     return validate
 
@@ -576,10 +495,6 @@ def feasibility_formula(terms) -> Formula:
     """phi = F(a) /\\ (F(b) /\\ (F(c) /\\ F(d))) over four entry terms."""
     a, b, c, d = terms
     return conj(atom("F", a), conj(atom("F", b), conj(atom("F", c), atom("F", d))))
-
-
-def matrix_phi(A: "semantics.Mat2") -> Formula:
-    return feasibility_formula(matrix_entry_terms(A))
 
 
 # ---------------------------------------------------------------------------

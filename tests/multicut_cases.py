@@ -10,6 +10,7 @@ Notation: A = F(0), B = F(s(0)), C = F(s(s(0))), I = A -> A.
 """
 
 from feaslab.kernel import (
+    and_right,
     contract_left,
     contract_right,
     cut,
@@ -177,6 +178,15 @@ def forall_left_principal_and_context():
     return cut(p1, p2, q), TH
 
 
+def shared_premise_dealt_unequally():
+    # both premises of the AndRight are one node q; the contraction makes
+    # the multicut take two copies of A, both from the first premise, so q
+    # is asked for with k = 2 and then k = 0
+    q = weaken_left(weaken_left(logical_axiom(B), A), A)  # A, A, B |- B
+    p2 = contract_left(and_right(q, q, B, B), A)  # A, B, A, A, B |- B /\ B
+    return cut(f0(), p2, A), TH
+
+
 def right_contraction_on_a():
     p1 = contract_right(weaken_right(implies_right(logical_axiom(A), A, A), I), I)  # |- I
     p2 = implies_left(f0(), logical_axiom(A), A, A)  # I |- A
@@ -209,6 +219,7 @@ CASES = {
         forall_left_not_principal,
         implies_left_principal_and_context,
         forall_left_principal_and_context,
+        shared_premise_dealt_unequally,
     )
 }
 

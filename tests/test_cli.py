@@ -805,6 +805,33 @@ def test_a_rejected_huge_equation_is_one_short_error_line(tmp_path, capsys, comm
     assert line == _REJECTED_EQUATION
 
 
+@pytest.mark.parametrize(
+    "theory, base, pad, distinct",
+    [
+        ("group:free:x,y", mul(const("x"), const("y")), lambda t: mul(t, const("e")), 46),
+        ("rat", plus(const("1"), const("1")), lambda t: plus(t, const("0")), 45),
+    ],
+)
+def test_a_true_equation_past_an_evaluation_budget_is_one_short_error_line(
+    tmp_path, capsys, theory, base, pad, distinct
+):
+    # (x*y) squared 40 times = the same times e, and (1+1) squared 40 times =
+    # the same plus 0: one EqOracle leaf each, a file of under 1 KB that ran
+    # out of memory under 1 GB while the oracle spelled out the word or the
+    # value; past the budget the oracle is undecided, and the true
+    # statement is rejected
+    t = squared_40_times(base)
+    f = tmp_path / "eq.json"
+    proof_to_file(eq_leaf(t, pad(t)), str(f))
+    assert f.stat().st_size < 1000
+    size = f"<{{}} of 8796093022209 nodes as a tree, {distinct} distinct>"
+    line = run_bounded(capsys, "check", str(f), "--theory", theory)
+    assert line == (
+        f"error: EqOracle at {size.format('sequent')}: "
+        f"oracle verdict for {size.format('formula')} is 'undecided'"
+    )
+
+
 def test_cut_elimination_past_its_budget_names_a_huge_cut_formula(tmp_path, capsys):
     a = atom("F", squared_40_times(const("0")))  # 2^41 - 1 tree nodes
     f = tmp_path / "cut.json"

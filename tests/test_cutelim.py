@@ -449,6 +449,7 @@ MULTICUT_GOLDEN = {
     "forall_left_not_principal": (3, "63989d0150686454"),
     "implies_left_principal_and_context": (4, "976e6caf15c1d5b6"),
     "forall_left_principal_and_context": (7, "18cc4dda3339eabb"),
+    "shared_premise_dealt_unequally": (7, "c4353e3af0002697"),
 }
 
 

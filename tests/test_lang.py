@@ -22,6 +22,7 @@ from feaslab.lang import (
     ParseError,
     Quant,
     Sequent,
+    Signature,
     Var,
     arith_signature,
     app,
@@ -480,9 +481,11 @@ def _ref_subst(x, mapping, memo):
 
 # -- text layer: printer and parser under every signature -------------------
 
+_GROUP = group_signature(("x", "y"))
 SIGNATURES = {
     "arith": SIG,
-    "group": group_signature(("x", "y"), with_triviality=True),
+    # the group signature with a spare unary predicate T
+    "group": Signature("group", _GROUP.constants, _GROUP.functions, {**_GROUP.predicates, "T": 1}),
     "rat": rational_signature(),
 }
 VARS = ("u", "v", "w")

@@ -2,7 +2,6 @@
 
 import gc
 import sys
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from feaslab.lang import (
     const,
     formula_str,
     free_vars,
+    group_signature,
     imp,
     int_term,
     mul,
@@ -31,6 +31,8 @@ from feaslab.generators import gen_matrix_power, gen_rational_orbit
 from feaslab.kernel import check, theory_leaf
 from feaslab.semantics import (
     MODULAR_PRIMES,
+    RAT_BIT_BUDGET,
+    WORD_RUN_BUDGET,
     EvalBudgetError,
     ExtRational,
     Mat2,
@@ -47,12 +49,9 @@ from feaslab.theories import (
     UnsupportedPresentation,
     arith_feasibility,
     group_feasibility,
-    matrix_phi,
     rational_feasibility,
     rational_term,
     theory_from_selector,
-    triviality_theory,
-    word_term,
     _exp_law,
     _nat_oracle,
     _square_law,
@@ -366,15 +365,25 @@ def test_a_stored_instance_never_admits_a_bad_call(name, t, u, change, bad):
             assert got[1] is want[1] and all(f is g for f, g in zip(got[0], want[0]))
 
 
-# every theory of the package, made fresh for each example
+# a schema over variables named out of sorted order, one of them twice in
+# the succedent, a shape no theory of the package has
+_W, _V = var("w"), var("v")
+_CONJUGATION = AxiomSchema(
+    "F:conjugation",
+    ("w", "v"),
+    (atom("F", _W), atom("F", _V)),
+    atom("F", mul(mul(_V, _W), app("inv", _V))),
+)
+
+# every theory of the package, and one of that schema, made fresh for
+# each example
 _THEORIES = {
     "arith": arith_feasibility,
     "rat": rational_feasibility,
     "group:free": lambda: group_feasibility(("x", "y"), presentation="free"),
     "group:bs12": lambda: group_feasibility(("x", "y"), presentation="bs12"),
-    "triviality": lambda: triviality_theory([[("x", 1), ("y", 1), ("x", -1), ("y", -2)]]),
-    "triviality, restricted": lambda: triviality_theory(
-        [[("x", 2)], [("y", 3)]], restricted_conjugation=True
+    "conjugation": lambda: Theory(
+        "conjugation", group_signature(("x", "y")), [_CONJUGATION], lambda lhs, rhs: "undecided"
     ),
 }
 
@@ -588,6 +597,40 @@ def test_check_never_evaluates_fibonacci_powers_exactly(monkeypatch):
     check(rep.proof, rep.theory)
 
 
+def squared(t, k):
+    for _ in range(k):
+        t = mul(t, t)
+    return t
+
+
+# (1+1) squared k times is 2^(2^k), of 2^k + 2 bits with its denominator;
+# (x*y) squared k times is a reduced word of 2^(k+1) runs
+_TWO, _XY = plus(const("1"), const("1")), mul(const("x"), const("y"))
+
+
+def test_exact_rationals_stop_at_the_bit_budget():
+    assert RAT_BIT_BUDGET == 1 << 18
+    assert RAT.evaluate(squared(_TWO, 17)).num == 2**131072
+    past, message = squared(_TWO, 18), "exact rational exceeds the budget of 262144 bits"
+    with pytest.raises(EvalBudgetError, match=f"^{message}$"):
+        rational_feasibility().evaluate(past)
+    assert RAT.oracle(past, plus(past, const("0"))) == "undecided"
+    # a multiple of every prime of the modular test sends inv(x) to exact
+    # evaluation, which stops at the budget
+    x = mul(P_TERM, past)
+    got = _verdict(validate, rational_feasibility(), "F:invert", {"x": x})
+    assert got == ("TheoryError", f"undecided instantiation of F:invert: {message}")
+
+
+def test_free_words_stop_at_the_run_budget():
+    assert WORD_RUN_BUDGET == 10_000
+    assert len(FREE_XY.evaluate(squared(_XY, 12))) == 8192
+    past = squared(_XY, 13)
+    with pytest.raises(EvalBudgetError, match="^reduced word exceeds the budget of 10000 runs$"):
+        FREE_XY.evaluate(past)
+    assert FREE_XY.oracle(past, mul(past, const("e"))) == "undecided"
+
+
 @pytest.mark.parametrize(
     "A, x, n",
     [
@@ -642,13 +685,6 @@ def test_rational_term_past_the_digit_limit():
     assert eval_rat(rational_term(n)).num == n
 
 
-def test_matrix_phi_shape():
-    A = Mat2(2, 1, 1, 1)
-    phi = matrix_phi(A)
-    # right-nested conjunction of four feasibility atoms
-    assert formula_str(phi) == "F((1 + 1) * 1) /\\ F(1) /\\ F(1) /\\ F(1)"
-
-
 # ---------------------------------------------------------------------------
 # group theories
 
@@ -695,54 +731,6 @@ def test_group_schemas_cover_generators():
     }
     ant, succ = instantiate(FREE_XY, "F:inverse", {"x": const("y")})
     assert formula_str(succ) == "F(inv(y))"
-
-
-def test_word_term_construction():
-    assert term_str(word_term([("x", 3)])) == "(x * x) * x"
-    assert term_str(word_term([("x", -2)])) == "inv(x) * inv(x)"
-    assert term_str(word_term([])) == "e"
-    assert term_str(word_term([("x", 1), ("y", 0), ("x", -1)])) == "x * inv(x)"
-
-
-# ---------------------------------------------------------------------------
-# triviality layer
-
-
-def test_triviality_theory_axioms():
-    r = [("x", 1), ("y", 1), ("x", -1), ("y", -2)]
-    th = triviality_theory([r])
-    assert th.name == "group:triviality"
-    names = set(th.axioms)
-    assert {"T(e)", "T(r1)", "T:equality", "T:composition", "T:inverse"} <= names
-    assert {"T:conjugation", "FT:absorb-right", "FT:absorb-left"} <= names
-    _, succ = instantiate(th, "T(r1)", {})
-    assert formula_str(succ) == "T((((x * y) * inv(x)) * inv(y)) * inv(y))"
-
-
-def test_triviality_conjugation_variants():
-    r = [[("x", 2)]]
-    free_conj = triviality_theory(r, generators=("x",))
-    ant, succ = instantiate(free_conj, "T:conjugation", {"w": const("x"), "v": const("e")})
-    assert len(ant) == 1  # conjugator unconstrained
-    restricted = triviality_theory(r, generators=("x",), restricted_conjugation=True)
-    ant, _ = instantiate(restricted, "T:conjugation", {"w": const("x"), "v": const("e")})
-    assert [formula_str(f) for f in ant] == ["T(x)", "F(e)"]
-
-
-def test_triviality_theory_over_a_shared_relator():
-    # 2^40 letters as a tree, 41 nodes as a DAG
-    r = const("x")
-    for _ in range(40):
-        r = mul(r, r)
-    start = time.perf_counter()
-    th = triviality_theory([r])
-    assert time.perf_counter() - start < 5
-    assert "F(x)" in th.axioms and "F(y)" not in th.axioms
-
-
-def test_triviality_requires_generators():
-    with pytest.raises(TheoryError):
-        triviality_theory([[]])  # no letters, no generators given
 
 
 # ---------------------------------------------------------------------------

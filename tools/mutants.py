@@ -61,11 +61,23 @@ _FALLS_BACK = (
     f"{_THEORIES}test_check_never_evaluates_fibonacci_powers_exactly",
     f"{_CLI}test_check_decides_a_huge_multiple_of_the_first_prime_by_residues",
 )
+_PAST_BUDGET = f"{_CLI}test_a_true_equation_past_an_evaluation_budget_is_one_short_error_line"
 _ENDPOINT = (
     f"{_THEORIES}test_orbit_endpoint_at_inf_is_refused_before_the_proof",
     f"{_CLI}test_error_paths",
     "tests/test_generators.py::test_orbit_rejects_infinite_points",
 )
+
+_MEMO = """out = st.mcut_memo.get(call)
+        if out is None:  # a new frame starts on None
+            stack.append((call, _mcut_step(*call, st)))
+        while stack:  # run the top frame to its next call or its end
+            args, frame = stack[-1]
+            try:
+                call = frame.send(out)
+                break
+            except StopIteration as stop:
+                st.mcut_memo[args] = out = stop.value"""
 
 MUTANTS = (
     # every message that names a term, formula or sequent, put back on a
@@ -168,6 +180,42 @@ MUTANTS = (
         "pass",
         (*_ENDPOINT, "tests/test_no_unused_imports.py"),
         300,
+    ),
+    # the evaluation budgets: without one, a file of under 1 KB asks for
+    # terabytes, and the child runs out of its address space
+    Mutant(
+        "semantics: no run budget on free-group words",
+        "semantics.py",
+        "if len(w) > WORD_RUN_BUDGET:",
+        "if False:",
+        (_PAST_BUDGET,),
+        300,
+    ),
+    Mutant(
+        "semantics: no bit budget on exact rationals",
+        "semantics.py",
+        "if q is not None and q.numerator.bit_length() + q.denominator.bit_length() > RAT_BIT_BUDGET:",
+        "if False:",
+        (_PAST_BUDGET,),
+        300,
+    ),
+    # the multicut memo keyed without k: a premise asked for with two k
+    # gets the first answer twice
+    Mutant(
+        "cutelim: the multicut memo ignores k",
+        "cutelim.py",
+        _MEMO,
+        _MEMO.replace("get(call)", "get(call[:3])").replace("memo[args]", "memo[args[:3]]"),
+        ("tests/test_cutelim.py", "tests/test_multicut_coverage.py"),
+        300,
+    ),
+    Mutant(
+        "oracle: the enumerator breaks ties toward the later split",
+        "oracle.py",
+        "if score < best:",
+        "if score <= best:",
+        ("tests/test_oracle.py::test_enumerated_proofs_are_frozen",),
+        120,
     ),
 )
 
