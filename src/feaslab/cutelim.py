@@ -3,30 +3,34 @@
 Supported cut formulas: atoms, implications and universal formulas built
 from them.  Conjunction, disjunction, negation or existential cut formulas
 raise FragmentError (generated matrix proofs cut on conjunctions by design
-and are reported as out of fragment).
+and are reported as out of fragment).  Every cut formula of the input is
+checked first, so such a proof is refused before any cut is eliminated,
+whatever the budget.
 
 The engine is a multiplicity-aware multicut: mcut(p1, A, p2, k) removes k
 antecedent occurrences of A from p2, pasting p1's context k times.  Left
 contractions on the cut formula bump k instead of re-cutting a grown
 proof, which keeps the reduction descending and makes termination a plain
-lexicographic argument (cut-formula depth, then p2 structure).  Multicuts
-are frames on an explicit stack, not Python calls, and their results are
+lexicographic argument (cut-formula depth, then p2 structure).  A
+trivial multicut is answered by a plain function and takes no frame; the
+others are frames on an explicit stack, not Python calls.  All results are
 memoized for the length of one eliminate_cuts call, keyed on the identity
 of (p1, A, p2) and k, so a subproof shared in the input DAG is reduced
 once and its result stays shared in the output: work and memory track the
 DAG while the logical line count grows exponentially.
 
-After its trivial cases (an axiom or a weakening of the cut formula a as
-p1, an axiom or a theory leaf as p2), a multicut looks p2's last rule up
-in `_LEFT_RULES`, the table of the left rules that can introduce a
-fragment formula: WeakenLeft, ContractLeft, ImpliesLeft and ForallLeft.
-When that rule is on a, its entry reduces it; every other rule commutes
-with the cut.  One helper, `_split`, deals the k copies of a over p2's
-premises, as many from each as its rule keeps, the first premises first.
-Commutation uses it, and so do the ImpliesLeft and ForallLeft entries for
-the context copies, before the principal reduction of the principal copy:
-commute p1 until it ends in the right rule for a, then cut on a's parts.
-A new connective is one table entry and one principal reduction.
+The trivial multicuts are k = 0, an axiom or a weakening of the cut
+formula a as p1, and an axiom or a theory leaf as p2.  Any other
+multicut looks p2's last rule up in `_LEFT_RULES`, the table of the left
+rules that can introduce a fragment formula: WeakenLeft, ContractLeft,
+ImpliesLeft and ForallLeft.  When that rule is on a, its entry reduces
+it; every other rule commutes with the cut.  One helper, `_split`, deals
+the k copies of a over p2's premises, as many from each as its rule
+keeps, the first premises first.  Commutation uses it, and so do the
+ImpliesLeft and ForallLeft entries for the context copies, before the
+principal reduction of the principal copy: commute p1 until it ends in
+the right rule for a, then cut on a's parts.  A new connective is one
+table entry and one principal reduction.
 
 Each rule's principal formula and consumed occurrences come from the
 kernel's `analyze` step, read against the theory, applied theory axioms
@@ -167,8 +171,8 @@ def _kept(p: Proof, step: Step, j: int, side: str, a: Formula) -> int:
     its context, i.e. does not consume."""
     q = p.premises[j].conclusion
     fs = q.ant if side == "L" else q.succ
-    used = [i for k, s, i in step.consumed if k == j and s == side]
-    return sum(1 for i, f in enumerate(fs) if f is a and i not in used)
+    used = sum(1 for k, s, i in step.consumed if k == j and s == side and fs[i] is a)
+    return fs.count(a) - used
 
 
 # The structural rules rebuilt over new premises q from their principal
@@ -225,17 +229,22 @@ def _mcut(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
     further a's that are to be kept); the result proves
     Gamma^k, Pi |- Delta^k, Lambda.  Both inputs are cut-free.
 
-    Each multicut is a `_mcut_step` frame on an explicit stack that yields
-    the (p1, a, p2, k) of each multicut it needs and is sent its result.
-    Results are memoized per elimination, probed before a frame is made, so
-    a subproof shared in the DAG is reduced once and shared in the output.
+    A trivial multicut is answered by `_mcut_leaf`; any other is a
+    `_mcut_step` frame on an explicit stack that yields the (p1, a, p2, k)
+    of each multicut it needs and is sent its result.  Results are
+    memoized per elimination, probed before either runs, so a subproof
+    shared in the DAG is reduced once and shared in the output.
     """
     stack = []  # (args, frame) of each frame waiting on a result
     call = (p1, a, p2, k)
     while True:
         out = st.mcut_memo.get(call)
-        if out is None:  # a new frame starts on None
-            stack.append((call, _mcut_step(*call, st)))
+        if out is None:
+            out = _mcut_leaf(*call, st)
+            if out is None:  # a new frame starts on None
+                stack.append((call, _mcut_step(*call, st)))
+            else:
+                st.mcut_memo[call] = out
         while stack:  # run the top frame to its next call or its end
             args, frame = stack[-1]
             try:
@@ -248,14 +257,18 @@ def _mcut(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Proof:
             return out
 
 
-def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
+def _mcut_leaf(p1: Proof, a: Formula, p2: Proof, k: int, st: _State) -> Optional[Proof]:
+    """The result of a trivial multicut, or None when it needs a frame.
+
+    Trivial are k = 0, an axiom or a weakening of a as p1, and an axiom or
+    a theory leaf as p2.  Every multicut the memo misses ticks here once,
+    trivial or not."""
     st.tick()
     if k == 0:
         return p2
     if p2.conclusion.ant.count(a) < k:
         raise KernelError("multicut multiplicity exceeds the available occurrences")
 
-    # trivial left premises
     r1 = p1.rule.tag
     if r1 == "LogicalAxiom":
         return p2
@@ -271,10 +284,8 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
         return _weaken_to(inner, Sequent(target_ant, target_succ))
 
     tag = p2.rule.tag
-
     if tag == "LogicalAxiom":
         return p1  # p2 is a |- a with k = 1
-
     if tag == "TheoryAxiom" and not p2.premises:
         found = st.theory.instance(p2.rule.axiom, p2.rule.subst)
         phis = found[0]
@@ -287,10 +298,15 @@ def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
             else:
                 premises.append(logical_axiom(phi))
         return apply_instance(found, premises)
-
     if tag == "Cut":
         raise KernelError("multicut premises must be cut-free")
+    return None
 
+
+def _mcut_step(p1: Proof, a: Formula, p2: Proof, k: int, st: _State):
+    """Frame of a multicut `_mcut_leaf` does not answer: a left rule on a
+    is reduced by its `_LEFT_RULES` entry, any other rule commutes."""
+    tag = p2.rule.tag
     step = analyze(p2, st.theory)
     if step.principal is a and tag in _LEFT_RULES:
         return (yield from _LEFT_RULES[tag](p1, a, p2, k, step, st))
@@ -470,11 +486,9 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
     same end sequent.  Raises FragmentError/NodeBudgetError as documented."""
     st = _State(theory, node_budget(budget))
     nodes = _iter_unique_nodes(p)
-    total = sum(1 for node in nodes if node.rule.tag == "Cut")
-    index = 0
-    done: dict = {}
+    # every cut formula is checked before any cut is eliminated
+    formulas = []
     for node in nodes:
-        prems = tuple(done[id(q)] for q in node.premises)
         if node.rule.tag == "Cut":
             a = analyze(node, theory).principal
             if not _in_fragment(a):
@@ -482,8 +496,15 @@ def eliminate_cuts(p: Proof, theory, budget: Optional[int] = None) -> Proof:
                     f"cut formula {a!r} lies outside the "
                     "atom/implication/forall fragment"
                 )
+            formulas.append(a)
+    index = 0
+    done: dict = {}
+    for node in nodes:
+        prems = tuple(done[id(q)] for q in node.premises)
+        if node.rule.tag == "Cut":
+            a = formulas[index]
             index += 1
-            st.cut = (index, total, a)
+            st.cut = (index, len(formulas), a)
             out = _mcut(prems[0], a, prems[1], 1, st)
             if out.conclusion != node.conclusion:
                 raise KernelError(

@@ -43,6 +43,7 @@ from .kernel import (
     theory_leaf,
 )
 from .lang import (
+    And,
     Const,
     Forall,
     Formula,
@@ -140,6 +141,11 @@ def numeral(n: int) -> Term:
     return int_term(n, arith_signature())
 
 
+# every stage of square-cut and quantifier names 2; int_term scans the
+# signature's constants on each call
+_TWO = numeral(2)
+
+
 def _F(t: Term):
     return atom("F", t)
 
@@ -189,7 +195,7 @@ def _transport(th: Theory, p: Proof, s: Term, t: Term) -> Proof:
 
 def _square_lemma(th: Theory, u: Term) -> Proof:
     """|- F(u) -> F(exp(u, 2)): the times axiom at (u, u), then u*u = exp(u, 2)."""
-    u2 = app("exp", u, numeral(2))
+    u2 = app("exp", u, _TWO)
     squared = _transport(th, _doubled(th, "F:times", u), mul(u, u), u2)
     return implies_right(squared, _F(u), _F(u2))
 
@@ -215,9 +221,13 @@ def _instances(p: Proof, qf: Formula, ws: tuple) -> Proof:
     return p
 
 
-def _applied(chain: Proof, psi: Formula, base: Proof, ws: tuple, target: Formula) -> Proof:
-    """Modus ponens: chain |- psi, whose instance at ws is A -> target, and
-    base |- A give |- target."""
+def _applied(chain: Proof, psi: Formula, base: Proof, ws: tuple) -> Proof:
+    """Modus ponens: chain |- psi, whose instance at ws is A -> B, and
+    base |- A give |- B."""
+    target = psi
+    for w in ws:
+        target = substitute(target.body, target.v, w)
+    target = target.right
     ante = base.conclusion.succ[0]
     mp = implies_left(base, logical_axiom(target), ante, target)
     return cut(chain, _instances(mp, psi, ws), psi)
@@ -249,6 +259,15 @@ def _split(p: Proof, ts: tuple) -> Proof:
     return p
 
 
+def _entry_terms(phi: Formula) -> tuple:
+    """The terms ts of phi = F(t1) /\\ (F(t2) /\\ ...), as _conjoined nests it."""
+    ts = []
+    while isinstance(phi, And):
+        ts.append(phi.left.args[0])
+        phi = phi.right
+    return (*ts, phi.args[0])
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic generators
 
@@ -267,12 +286,11 @@ def gen_geometric(n: int) -> GenReport:
     if n < 1:
         raise GeneratorError("gen_geometric needs n >= 1")
     th = arith_feasibility()
-    two = numeral(2)
     p, _ = _unary(th, 2)
-    t = two
+    t = _TWO
     for _ in range(n - 1):
-        p = _combined(th, "F:times", _unary(th, 2)[0], two, p, t)
-        t = mul(two, t)
+        p = _combined(th, "F:times", _unary(th, 2)[0], _TWO, p, t)
+        t = mul(_TWO, t)
     return GenReport(p, t, th, count_text(2**n), lambda: 2**n)
 
 
@@ -288,8 +306,8 @@ def gen_square_cut(n: int) -> GenReport:
     th = arith_feasibility()
     p, u = _unary(th, 2)
     for _ in range(n):
-        u2 = app("exp", u, numeral(2))
-        p = _applied(_square_lemma(th, u), imp(_F(u), _F(u2)), p, (), _F(u2))
+        u2 = app("exp", u, _TWO)
+        p = _applied(_square_lemma(th, u), imp(_F(u), _F(u2)), p, ())
         u = u2
     return GenReport(p, u, th, nat_str(eval_nat(u)), lambda: eval_nat(u))
 
@@ -304,7 +322,6 @@ def gen_quantifier(n: int) -> GenReport:
     if n < 0:
         raise GeneratorError("gen_quantifier needs n >= 0")
     th = arith_feasibility()
-    two = numeral(2)
     x = var("x")
     a = var("a")
 
@@ -312,9 +329,9 @@ def gen_quantifier(n: int) -> GenReport:
         return forall("x", imp(_F(x), _F(app("exp", x, k))))
 
     # base: psi_0 from the times axiom at the eigenvariable
-    chain = forall_right(_square_lemma(th, a), psi(two), "a")
+    chain = forall_right(_square_lemma(th, a), psi(_TWO), "a")
 
-    k = two
+    k = _TWO
     for _ in range(n):
         kk = mul(k, k)
         ak = app("exp", a, k)
@@ -326,8 +343,8 @@ def gen_quantifier(n: int) -> GenReport:
         k = kk
 
     base2, _ = _unary(th, 2)
-    target = app("exp", two, k)
-    p = _applied(chain, psi(k), base2, (two,), _F(target))
+    target = app("exp", _TWO, k)
+    p = _applied(chain, psi(k), base2, (_TWO,))
     return GenReport(p, target, th, nat_str(eval_nat(target)), lambda: eval_nat(target))
 
 
@@ -393,7 +410,7 @@ def gen_group_power(gen: str = "x", n: int = 0, mode: str = "squaring", theory=N
             chain = cut(chain, stage, psi(j))
         leafg = theory_leaf(th, f"F({gen})", {})
         target = S(n, g)
-        p = _applied(chain, psi(n), leafg, (g,), _F(target))
+        p = _applied(chain, psi(n), leafg, (g,))
         e = semantics.make_tower(2, 1 << n)
         return GenReport(p, target, th, _power_desc(gen, e), lambda: th.evaluate(target))
 
@@ -561,9 +578,8 @@ def gen_matrix_power(A: Mat2, n: int = 0, mode: str = "squaring") -> GenReport:
             chain = cut(chain, stage, chi(P))
             P = P2
 
-        mapping, memo = dict(zip(names, base_terms)), {}
-        final_terms = tuple(subst_term(t, mapping, memo) for t in P)
-        p = _applied(chain, chi(P), base_proof(), base_terms, feasibility_formula(final_terms))
+        p = _applied(chain, chi(P), base_proof(), base_terms)
+        final_terms = _entry_terms(p.conclusion.succ[0])
         exponent = 2 ** (2**n)
         desc = str(A**exponent) if exponent <= 1024 else f"A^{exponent}"
         return GenReport(p, final_terms, th, desc, lambda: A**exponent)

@@ -214,6 +214,20 @@ def test_bench_fragment_status(capsys):
     assert rows[1][-1] == "fragment-exceeded"
 
 
+def test_bench_fragment_status_whatever_the_budget(capsys):
+    # matrix-power 0 cuts on atoms only; the others are out of fragment
+    # before their first cut spends the budget
+    rc, out, _ = run(capsys, "bench", "matrix-power", "0..3", "--budget", "1")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(row[0], row[-1]) for row in rows[1:]] == [
+        ("0", "budget-exceeded"),
+        ("1", "fragment-exceeded"),
+        ("2", "fragment-exceeded"),
+        ("3", "fragment-exceeded"),
+    ]
+
+
 def test_bench_checks_the_cut_free_proof(capsys, monkeypatch):
     # a cut-free form the kernel rejects was reported with status ok
     def wrong(p, theory, budget=None):

@@ -200,6 +200,14 @@ def test_matrix_proofs_are_out_of_fragment():
         eliminate_cuts(rep.proof, rep.theory)
 
 
+def test_out_of_fragment_is_refused_before_any_cut_is_eliminated():
+    # its first cuts are on atoms, so eliminating them first would spend
+    # the budget before the conjunction cut is reached
+    rep = gen_matrix_power(FIB, 1)
+    with pytest.raises(FragmentError):
+        eliminate_cuts(rep.proof, rep.theory, budget=1)
+
+
 def test_fragment_membership(monkeypatch):
     # an atom is answered without a fold; a compound formula by its
     # connectives, whatever its terms

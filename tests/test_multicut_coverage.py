@@ -2,10 +2,10 @@
 
 The generated families reach only part of the multicut, so a branch that
 no test runs can break unseen.  This guard lists the statements of
-`_mcut_step`, `_split`, `_principalize_right`, `_weaken_to` and the
-entries of the left-rule table with `ast`, runs the hand-built cuts of
-`tests/multicut_cases.py` under a line trace limited to `cutelim.py`, and
-fails on any statement none of them reaches.  The allowlist names each
+`_mcut_leaf`, `_mcut_step`, `_split`, `_principalize_right`, `_weaken_to`
+and the entries of the left-rule table with `ast`, runs the hand-built
+cuts of `tests/multicut_cases.py` under a line trace limited to
+`cutelim.py`, and fails on any statement none of them reaches.  The allowlist names each
 exempt statement, by its function and its text, with the reason it
 cannot run; a new branch must come with a case that runs it, and an entry
 whose statement now runs, or is gone, must leave.
@@ -27,10 +27,10 @@ INTERNAL = "internal consistency: the multicut's own arguments never break it"
 # (function, statement text) -> why no cut can run the statement
 ALLOWED = {
     (
-        "_mcut_step",
+        "_mcut_leaf",
         'raise KernelError("multicut multiplicity exceeds the available occurrences")',
     ): INTERNAL,
-    ("_mcut_step", 'raise KernelError("multicut premises must be cut-free")'): INTERNAL,
+    ("_mcut_leaf", 'raise KernelError("multicut premises must be cut-free")'): INTERNAL,
     (
         "_weaken_to",
         'raise KernelError("weakening target must extend the proved sequent")',
@@ -63,6 +63,7 @@ ALLOWED = {
 
 def guarded_functions() -> list:
     return [
+        cutelim._mcut_leaf,
         cutelim._mcut_step,
         cutelim._split,
         cutelim._principalize_right,

@@ -56,6 +56,7 @@ def _on_printer(name, file, text, printer="formula_str", tests=()):
 
 _CLI = "tests/test_cli.py::"
 _THEORIES = "tests/test_theories.py::"
+_CUTELIM = "tests/test_cutelim.py::"
 _FALLS_BACK = (
     f"{_THEORIES}test_rat_definedness_falls_back_on_a_zero_residue",
     f"{_THEORIES}test_check_never_evaluates_fibonacci_powers_exactly",
@@ -69,8 +70,12 @@ _ENDPOINT = (
 )
 
 _MEMO = """out = st.mcut_memo.get(call)
-        if out is None:  # a new frame starts on None
-            stack.append((call, _mcut_step(*call, st)))
+        if out is None:
+            out = _mcut_leaf(*call, st)
+            if out is None:  # a new frame starts on None
+                stack.append((call, _mcut_step(*call, st)))
+            else:
+                st.mcut_memo[call] = out
         while stack:  # run the top frame to its next call or its end
             args, frame = stack[-1]
             try:
@@ -205,8 +210,52 @@ MUTANTS = (
         "cutelim: the multicut memo ignores k",
         "cutelim.py",
         _MEMO,
-        _MEMO.replace("get(call)", "get(call[:3])").replace("memo[args]", "memo[args[:3]]"),
+        _MEMO.replace("get(call)", "get(call[:3])")
+        .replace("memo[call]", "memo[call[:3]]")
+        .replace("memo[args]", "memo[args[:3]]"),
         ("tests/test_cutelim.py", "tests/test_multicut_coverage.py"),
+        300,
+    ),
+    # the multicuts answered without a frame, and the driver's pre-scan
+    Mutant(
+        "cutelim: the leaf path returns p1 for k = 0",
+        "cutelim.py",
+        "    if k == 0:\n        return p2",
+        "    if k == 0:\n        return p1",
+        (
+            f"{_CUTELIM}test_each_multicut_branch_eliminates",
+            f"{_CUTELIM}test_cut_free_serialization_frozen",
+        ),
+        300,
+    ),
+    Mutant(
+        "cutelim: the leaf path skips its tick",
+        "cutelim.py",
+        "    st.tick()\n    if k == 0:",
+        "    if k == 0:",
+        (
+            f"{_CUTELIM}test_square_cut_forty_budget_is_dag_nodes",
+            f"{_CUTELIM}test_quantifier_budget_counts_substituted_nodes",
+        ),
+        300,
+    ),
+    Mutant(
+        "cutelim: the fragment pre-scan is skipped",
+        "cutelim.py",
+        "if not _in_fragment(a):",
+        "if False:",
+        (
+            f"{_CUTELIM}test_out_of_fragment_is_refused_before_any_cut_is_eliminated",
+            f"{_CLI}test_bench_fragment_status_whatever_the_budget",
+        ),
+        300,
+    ),
+    Mutant(
+        "cutelim: _kept ignores the consumed copies",
+        "cutelim.py",
+        "return fs.count(a) - used",
+        "return fs.count(a)",
+        (f"{_CUTELIM}test_commutation_keeps_consumed_occurrences",),
         300,
     ),
     Mutant(
